@@ -169,13 +169,16 @@ class SpecSyncScheduler:
     def _advance_epoch(self, now: float, worker_id: int) -> None:
         if len(self._epoch_seen) < self.num_workers:
             return
+        # Each worker's latest push time, in one pass over the epoch (a max,
+        # not "the last entry": the threaded clock can repeat a timestamp).
+        last_push_by_worker: Dict[int, float] = {}
+        for time, wid in self._epoch_pushes:
+            if time >= last_push_by_worker.get(wid, time):
+                last_push_by_worker[wid] = time
         trace = EpochTrace(
             num_workers=self.num_workers,
             pushes=list(self._epoch_pushes),
-            last_push_by_worker={
-                w: max(t for t, wid in self._epoch_pushes if wid == w)
-                for w in self._epoch_seen
-            },
+            last_push_by_worker=last_push_by_worker,
             iteration_spans={
                 w: sum(samples) / len(samples)
                 for w, samples in self._span_samples.items()

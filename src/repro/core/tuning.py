@@ -16,18 +16,40 @@ F̃(Δ) = Σ_i (ũ_i(Δ) − l̃_i(Δ))  (Eq. 7).
 Because ũ_i is a step function increasing only when Δ crosses a push-gap,
 the optimum lies where a window right-aligns with a push; the candidate set
 is therefore the pairwise time differences between pushes in the epoch
-(O(m²) values), and the scan is exact.  ABORT_RATE is then set to
-Δ*·(m−1)/(T̄·m) so a re-sync only fires when the realized gain exceeds the
-estimated loss (Algorithm 1, line 7).
+(O(n²) values for n pushes, n ≈ m at the paper's scale), and the scan is
+exact.  ABORT_RATE is then set to Δ*·(m−1)/(T̄·m) so a re-sync only fires
+when the realized gain exceeds the estimated loss (Algorithm 1, line 7).
+
+Cost.  All k ≤ ``max_candidates`` candidates are evaluated at once by one
+batched kernel (:func:`freshness_gains` / :func:`freshness_curve`): per
+worker, one binary search of the k window ends against the epoch's n push
+times — O(m·k·log n) comparisons per epoch in m NumPy calls, next to an
+O(n) pass per worker that picks out its own pushes — instead of a Python
+loop over every (candidate, worker) pair.  Building the candidate set is
+still O(n²).  At m = 40 that is a few milliseconds per epoch, which is
+what lets the scheduler run it on the notify path (Table II's
+"negligible").  Every scalar entry point (:func:`estimate_freshness_gain`,
+:func:`freshness_improvement`) and the analysis ledger's F̃(Δ) curve call
+the same kernel.
+
+Two details are fixed on purpose, because the chosen (ABORT_TIME,
+ABORT_RATE) feeds back into the simulation and one differing bit changes
+every later event: the per-worker terms are *accumulated in worker-id
+order*, vector by vector, so each candidate's F̃ is the same sequence of
+float additions a scalar ``for worker: total += …`` loop performs (a
+matrix ``sum(axis=0)`` would add pairwise, in another order); and the
+candidates are rounded with Python's ``round(d, 9)``, which rounds the
+decimal value correctly, not ``np.round``, which scales, rounds and
+divides and can land one ulp away.  Ties go to the first — shortest —
+maximizing window (``np.argmax``).
 """
 
 from __future__ import annotations
 
 import abc
-import bisect
 import time as _time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -35,6 +57,8 @@ from repro.core.hyperparams import SpecSyncHyperparams
 
 __all__ = [
     "EpochTrace",
+    "freshness_gains",
+    "freshness_curve",
     "estimate_freshness_gain",
     "estimate_freshness_loss",
     "freshness_improvement",
@@ -44,6 +68,10 @@ __all__ = [
     "FixedTuner",
     "AdaptiveTuner",
 ]
+
+
+#: Candidate windows Δ⃗ as the kernel accepts them.
+Windows = Union[Sequence[float], np.ndarray]
 
 
 @dataclass
@@ -76,29 +104,80 @@ class EpochTrace:
         return sum(spans) / len(spans)
 
 
-def estimate_freshness_gain(
+def freshness_gains(
     trace: EpochTrace,
-    worker_id: int,
-    window_s: float,
-    push_times: Optional[Sequence[float]] = None,
+    windows: Windows,
+    worker_ids: Optional[Iterable[int]] = None,
+) -> Dict[int, np.ndarray]:
+    """ũ_i(Δ⃗) (Eq. 5) for every Δ in ``windows`` at once, per worker.
+
+    The batched kernel every freshness estimate goes through.  For worker
+    i with reference point p_i (its last push of the previous epoch — its
+    next pull followed immediately), the pushes in (p_i, p_i + Δ] are one
+    ``searchsorted`` of the window ends against the epoch's push times
+    minus the rank of p_i; the same difference over the worker's *own*
+    pushes is subtracted, leaving the peers'.  A worker that never pushed
+    has no reference point and uncovers nothing.
+
+    Returns ``worker_id -> int64 vector`` aligned with ``windows``, for
+    ``worker_ids`` (default: every worker of the trace).
+    """
+    deltas = np.asarray(windows, dtype=np.float64)
+    if deltas.size and float(deltas.min()) < 0:
+        raise ValueError(f"windows must be >= 0, got {float(deltas.min())}")
+    times = np.asarray(trace.push_times(), dtype=np.float64)
+    owners = np.asarray([w for _, w in trace.pushes], dtype=np.int64)
+    if worker_ids is None:
+        worker_ids = range(trace.num_workers)
+    gains: Dict[int, np.ndarray] = {}
+    searchsorted = np.searchsorted
+    for worker_id in worker_ids:
+        reference = trace.last_push_by_worker.get(worker_id)
+        if reference is None:
+            gains[worker_id] = np.zeros(deltas.shape, dtype=np.int64)
+            continue
+        ends = reference + deltas
+        own = times[owners == worker_id]
+        gains[worker_id] = (
+            searchsorted(times, ends, "right")
+            - searchsorted(times, reference, "right")
+        ) - (
+            searchsorted(own, ends, "right")
+            - searchsorted(own, reference, "right")
+        )
+    return gains
+
+
+def freshness_curve(trace: EpochTrace, windows: Windows) -> np.ndarray:
+    """F̃(Δ⃗) = Σ_i (ũ_i(Δ⃗) − l̃_i(Δ⃗))  (Eq. 7) for every Δ in ``windows``.
+
+    Workers are accumulated in id order, one length-k vector at a time,
+    so each element sees exactly the float operations of a scalar
+    ``total += gain − Δ·(m−1)/T_i`` loop.  A worker without a span sample
+    falls back to the epoch's mean span; one with no usable span at all
+    contributes nothing.
+    """
+    deltas = np.asarray(windows, dtype=np.float64)
+    gains = freshness_gains(trace, deltas)
+    fallback_span = trace.mean_span()
+    # Eq. 6's numerator Δ·(m−1), the same for every worker.
+    exposure = deltas * (trace.num_workers - 1)
+    total = np.zeros(deltas.shape, dtype=np.float64)
+    for worker_id in range(trace.num_workers):
+        span = trace.iteration_spans.get(worker_id, fallback_span)
+        if span is None or span <= 0:
+            continue
+        total += gains[worker_id] - exposure / span
+    return total
+
+
+def estimate_freshness_gain(
+    trace: EpochTrace, worker_id: int, window_s: float
 ) -> int:
     """ũ_i(Δ): pushes by peers in (p_i, p_i + Δ], where p_i is worker i's
     last push of the previous epoch (its next pull followed immediately).
-
-    ``push_times`` accepts a precomputed ``trace.push_times()`` so
-    Algorithm 1's candidate scan does not rebuild the list for every
-    (worker, window) pair.
     """
-    if window_s < 0:
-        raise ValueError(f"window_s must be >= 0, got {window_s}")
-    reference = trace.last_push_by_worker.get(worker_id)
-    if reference is None:
-        return 0
-    times = trace.push_times() if push_times is None else push_times
-    lo = bisect.bisect_right(times, reference)
-    hi = bisect.bisect_right(times, reference + window_s)
-    pushes = trace.pushes
-    return sum(1 for i in range(lo, hi) if pushes[i][1] != worker_id)
+    return int(freshness_gains(trace, [window_s], [worker_id])[worker_id][0])
 
 
 def estimate_freshness_loss(
@@ -112,35 +191,9 @@ def estimate_freshness_loss(
     return window_s * (num_workers - 1) / iteration_span_s
 
 
-def freshness_improvement(
-    trace: EpochTrace,
-    window_s: float,
-    push_times: Optional[Sequence[float]] = None,
-    fallback_span: Optional[float] = None,
-) -> float:
-    """F̃(Δ) = Σ_i (ũ_i(Δ) − l̃_i(Δ))  (Eq. 7).
-
-    ``push_times`` / ``fallback_span`` accept precomputed
-    ``trace.push_times()`` / ``trace.mean_span()`` so the per-candidate
-    scan in :func:`tune_hyperparams` shares them across windows.
-    """
-    if push_times is None:
-        push_times = trace.push_times()
-    if fallback_span is None:
-        fallback_span = trace.mean_span()
-    total = 0.0
-    num_workers = trace.num_workers
-    spans = trace.iteration_spans
-    for worker_id in range(num_workers):
-        gain = estimate_freshness_gain(trace, worker_id, window_s, push_times)
-        span = spans.get(worker_id, fallback_span)
-        if span is None or span <= 0:
-            continue
-        # Eq. 6 inline (estimate_freshness_loss), minus the per-call checks
-        # already guaranteed here: window_s >= 0 was validated above and
-        # span > 0 by the guard.
-        total += gain - window_s * (num_workers - 1) / span
-    return total
+def freshness_improvement(trace: EpochTrace, window_s: float) -> float:
+    """F̃(Δ) = Σ_i (ũ_i(Δ) − l̃_i(Δ))  (Eq. 7) at one window."""
+    return float(freshness_curve(trace, [window_s])[0])
 
 
 def candidate_windows(
@@ -179,8 +232,7 @@ def tune_hyperparams(
     mean_span = trace.mean_span()
     if mean_span is None or mean_span <= 0:
         return None
-    push_times = trace.push_times()
-    candidates = candidate_windows(push_times, max_candidates)
+    candidates = candidate_windows(trace.push_times(), max_candidates)
     # A window at least as long as an iteration is pure delay; restrict the
     # search to windows shorter than the mean span (the paper's search uses
     # half the batch time as an upper bound for the same reason).
@@ -188,13 +240,8 @@ def tune_hyperparams(
     if not candidates:
         return None
 
-    best_window = None
-    best_improvement = -np.inf
-    for window in candidates:
-        improvement = freshness_improvement(trace, window, push_times, mean_span)
-        if improvement > best_improvement:
-            best_improvement = improvement
-            best_window = window
+    # argmax returns the first maximum: the shortest window wins a tie.
+    best_window = candidates[int(np.argmax(freshness_curve(trace, candidates)))]
 
     m = trace.num_workers
     abort_rate = best_window * (m - 1) / (mean_span * m)

@@ -99,11 +99,20 @@ class SgdUpdateRule:
         self._velocity: Optional[ParamSet] = None
         self._updates_applied = 0
 
+    def _clipped(self, gradient: ParamSet) -> ParamSet:
+        """``gradient`` held to ``clip_norm``: itself — not a copy, the
+        apply step only reads it — when no rescale is needed."""
+        if self.clip_norm is None:
+            return gradient
+        norm = gradient.norm()
+        if norm <= self.clip_norm:
+            return gradient
+        return gradient.scaled(self.clip_norm / norm)
+
     def apply(self, params: ParamSet, gradient: ParamSet) -> float:
         """Apply one pushed gradient; returns the learning rate used."""
         rate = self.schedule.rate_at(self._updates_applied)
-        if self.clip_norm is not None:
-            gradient = gradient.clip_by_global_norm(self.clip_norm)
+        gradient = self._clipped(gradient)
         if self.momentum > 0.0:
             if self._velocity is None:
                 self._velocity = gradient.zeros_like()
@@ -153,8 +162,7 @@ class AdaGradUpdateRule(SgdUpdateRule):
     def apply(self, params: ParamSet, gradient: ParamSet) -> float:
         """Apply one AdaGrad step, mutating ``params`` in place."""
         rate = self.schedule.rate_at(self._updates_applied)
-        if self.clip_norm is not None:
-            gradient = gradient.clip_by_global_norm(self.clip_norm)
+        gradient = self._clipped(gradient)
         if self._accumulator is None:
             self._accumulator = gradient.zeros_like()
         for key in params.keys():
@@ -214,8 +222,7 @@ class StalenessAwareUpdateRule(SgdUpdateRule):
             )
         scale = max(scale, self.min_scale)
         rate = base_rate * scale
-        if self.clip_norm is not None:
-            gradient = gradient.clip_by_global_norm(self.clip_norm)
+        gradient = self._clipped(gradient)
         params.add_scaled(gradient, -rate)
         self._updates_applied += 1
         return rate

@@ -11,7 +11,8 @@ ledger; this module computes its *realized* side from a trace:
 * per run: an empirical F(Δ) curve — the push history is reconstructed
   from the server's ``push_applied`` instants into a
   :class:`repro.core.tuning.EpochTrace` and replayed through the *same*
-  Algorithm-1 estimators the adaptive tuner uses, so the analytic and
+  batched Algorithm-1 kernel the adaptive tuner scans with
+  (:func:`repro.core.tuning.freshness_curve`), so the analytic and
   empirical views are directly comparable;
 * per worker staleness distributions: the ``staleness`` argument of each
   applied push (the PAP count of that iteration — pushes applied after
@@ -27,8 +28,8 @@ from typing import Dict, List, Optional
 from repro.core.tuning import (
     EpochTrace,
     candidate_windows,
-    estimate_freshness_gain,
-    freshness_improvement,
+    freshness_curve,
+    freshness_gains,
 )
 from repro.obs.analysis.graph import RunSegment, WORKER_TRACK_RE
 
@@ -215,21 +216,20 @@ def speculation_ledger(run: RunSegment) -> Dict[str, object]:
             sample = push_times
         candidates = candidate_windows(sample, _MAX_CURVE_POINTS)
         ledger["freshness_curve"] = [
-            {
-                "window_s": delta,
-                "improvement": freshness_improvement(trace, delta, push_times),
-            }
-            for delta in candidates
+            {"window_s": delta, "improvement": improvement}
+            for delta, improvement in zip(
+                candidates, freshness_curve(trace, candidates).tolist()
+            )
         ]
         if window is not None:
             ledger["observed_window_s"] = window
             # The analytic side of the acceptance check: Algorithm 1's
             # ũ_i(Δ) on the reconstructed push trace at the realized Δ.
+            analytic = freshness_gains(
+                trace, [window], sorted(empirical_by_worker)
+            )
             ledger["analytic_gain_by_worker"] = {
-                str(worker): estimate_freshness_gain(
-                    trace, worker, window, push_times
-                )
-                for worker in sorted(empirical_by_worker)
+                str(worker): int(gains[0]) for worker, gains in analytic.items()
             }
             ledger["empirical_gain_by_worker"] = {
                 str(worker): sum(gains) / len(gains)

@@ -172,6 +172,52 @@ class TestMatrixFactorization:
         # Duplicated sample, same mean loss: same gradient.
         assert grad_twice.allclose(grad_once, atol=1e-10)
 
+    @staticmethod
+    def add_at_gradient(model, params, batch):
+        """The gradient as a per-sample ``np.add.at`` scatter — the form
+        ``loss_and_grad`` had before ``np.bincount``; kept as the reference."""
+        users, items, ratings = (np.asarray(a) for a in batch)
+        u_vecs = params["user_factors"][users]
+        i_vecs = params["item_factors"][items]
+        errors = (
+            np.sum(u_vecs * i_vecs, axis=1) + params["user_bias"][users]
+            + params["item_bias"][items] + model.global_mean - ratings
+        )
+        coeff = 2.0 / len(ratings)
+        grad = params.zeros_like()
+        np.add.at(grad["user_factors"], users,
+                  coeff * (errors[:, None] * i_vecs + model.reg * u_vecs))
+        np.add.at(grad["item_factors"], items,
+                  coeff * (errors[:, None] * u_vecs + model.reg * i_vecs))
+        np.add.at(grad["user_bias"], users, coeff * errors)
+        np.add.at(grad["item_bias"], items, coeff * errors)
+        return grad
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_gradient_bit_identical_to_add_at_scatter(self, seed):
+        """Repeated users/items make accumulation order visible in the
+        last bit; the bincount scatter must keep add.at's order."""
+        model = self.make()
+        params = model.init_params(np.random.default_rng(seed))
+        batch = self.make_batch(n=200, seed=seed)  # 200 samples, 12 users
+        loss, grad = model.loss_and_grad(params, batch)
+        reference = self.add_at_gradient(model, params, batch)
+        for key in params.keys():
+            assert np.array_equal(grad[key], reference[key]), key
+            assert grad[key].shape == params[key].shape
+            assert grad[key].dtype == np.float64
+        assert loss == model.loss(params, batch)
+
+    def test_out_of_range_ids_rejected(self):
+        model = self.make()
+        params = model.init_params(rng())
+        ratings = np.array([3.0])
+        for users, items in (([12], [0]), ([0], [9]), ([-13], [0]), ([0], [-1])):
+            with pytest.raises((IndexError, ValueError)):
+                model.loss_and_grad(
+                    params, (np.array(users), np.array(items), ratings)
+                )
+
     def test_loss_decreases_under_gd(self):
         model = self.make()
         params = model.init_params(rng())

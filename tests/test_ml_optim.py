@@ -72,6 +72,37 @@ class TestSgdUpdateRule:
         rule.apply(p, ParamSet({"w": np.array([30.0, 40.0])}))  # norm 50
         assert np.linalg.norm(p["w"]) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("scale", [0.1, 30.0])  # under / over clip_norm
+    def test_clip_matches_clip_by_global_norm_and_leaves_gradient(self, scale):
+        """All three rules clip through one helper that skips the copy
+        when no rescale is needed; the update must equal applying
+        ``clip_by_global_norm``'s copy, and the pushed gradient (read-only
+        to the rule) must come out untouched."""
+        from repro.ml.optim import AdaGradUpdateRule, StalenessAwareUpdateRule
+
+        def apply(rule, p, g):
+            if isinstance(rule, StalenessAwareUpdateRule):
+                return rule.apply_stale(p, g, staleness=3)
+            return rule.apply(p, g)
+
+        for make in (
+            lambda clip: SgdUpdateRule(ConstantSchedule(0.5), clip_norm=clip),
+            lambda clip: SgdUpdateRule(ConstantSchedule(0.5), momentum=0.9,
+                                       clip_norm=clip),
+            lambda clip: AdaGradUpdateRule(ConstantSchedule(0.5), clip_norm=clip),
+            lambda clip: StalenessAwareUpdateRule(ConstantSchedule(0.5),
+                                                  clip_norm=clip),
+        ):
+            pushed = ParamSet({"w": scale * np.array([0.3, -0.4])})
+            original = pushed.copy()
+            got, expected = params(), params()
+            clipping, plain = make(1.0), make(None)
+            for _ in range(3):
+                apply(clipping, got, pushed)
+                apply(plain, expected, pushed.clip_by_global_norm(1.0))
+            assert np.array_equal(got["w"], expected["w"])
+            assert np.array_equal(pushed["w"], original["w"])
+
     def test_momentum_accumulates(self):
         rule = SgdUpdateRule(ConstantSchedule(1.0), momentum=0.5)
         p = params(0.0)

@@ -135,6 +135,35 @@ class TestEpochs:
         assert scheduler.estimated_span(0) == pytest.approx(10.0)
         assert scheduler.estimated_span(1) is None
 
+    def test_epoch_trace_handed_to_tuner(self):
+        """The hand-off keeps each worker's *latest* push of the epoch as
+        its reference point, repeated timestamps included, and starts the
+        next epoch's trace empty."""
+        class RecordingTuner(FixedTuner):
+            def __init__(self):
+                super().__init__(SpecSyncHyperparams(1.0, 0.5))
+                self.traces = []
+
+            def retune(self, trace):
+                self.traces.append(trace)
+                return self.hyperparams
+
+        tuner = RecordingTuner()
+        scheduler, clock, _ = make_scheduler(num_workers=3, tuner=tuner)
+        for now, worker in ((0.0, 0), (0.5, 1), (0.5, 0), (0.5, 1), (2.0, 2)):
+            clock.advance(now)
+            scheduler.handle_notify(worker, 1)
+        for now, worker in ((3.0, 2), (4.0, 1), (5.0, 0)):
+            clock.advance(now)
+            scheduler.handle_notify(worker, 2)
+        first, second = tuner.traces
+        assert first.num_workers == 3
+        assert first.pushes == [(0.0, 0), (0.5, 1), (0.5, 0), (0.5, 1), (2.0, 2)]
+        assert first.last_push_by_worker == {0: 0.5, 1: 0.5, 2: 2.0}
+        assert first.iteration_spans == {0: 0.5}
+        assert second.pushes == [(3.0, 2), (4.0, 1), (5.0, 0)]
+        assert second.last_push_by_worker == {2: 3.0, 1: 4.0, 0: 5.0}
+
     def test_hyperparam_log_records_boundaries(self):
         scheduler, clock, _ = make_scheduler(num_workers=2)
         scheduler.handle_notify(0, 1)

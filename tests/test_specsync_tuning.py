@@ -1,5 +1,10 @@
 """Tests for Algorithm 1: freshness estimation and hyperparameter tuning."""
 
+import bisect
+import random
+import time
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +16,8 @@ from repro.core.tuning import (
     candidate_windows,
     estimate_freshness_gain,
     estimate_freshness_loss,
+    freshness_curve,
+    freshness_gains,
     freshness_improvement,
     tune_hyperparams,
 )
@@ -196,6 +203,195 @@ class TestTuneHyperparams:
         for candidate in candidate_windows([t for t, _ in trace.pushes]):
             if 0 < candidate < 5.0:
                 assert freshness_improvement(trace, candidate) <= best + 1e-9
+
+
+# ----------------------------------------------------------------------
+# The batched kernel against a brute-force scalar scan
+# ----------------------------------------------------------------------
+def reference_gain(trace, worker_id, window_s):
+    """ũ_i(Δ) by bisect + a filtered count — one (worker, window) pair."""
+    reference = trace.last_push_by_worker.get(worker_id)
+    if reference is None:
+        return 0
+    times = [t for t, _ in trace.pushes]
+    lo = bisect.bisect_right(times, reference)
+    hi = bisect.bisect_right(times, reference + window_s)
+    return sum(1 for i in range(lo, hi) if trace.pushes[i][1] != worker_id)
+
+
+def reference_improvement(trace, window_s):
+    """F̃(Δ) as a scalar sum over workers, in worker-id order."""
+    fallback_span = trace.mean_span()
+    total = 0.0
+    for worker_id in range(trace.num_workers):
+        gain = reference_gain(trace, worker_id, window_s)
+        span = trace.iteration_spans.get(worker_id, fallback_span)
+        if span is None or span <= 0:
+            continue
+        total += gain - window_s * (trace.num_workers - 1) / span
+    return total
+
+
+def reference_candidates(push_times, max_candidates):
+    times = sorted(push_times)
+    raw = {round(times[j] - times[i], 9)
+           for i in range(len(times)) for j in range(i + 1, len(times))}
+    diffs = sorted(d for d in raw if d > 0)
+    if len(diffs) > max_candidates:
+        idx = np.linspace(0, len(diffs) - 1, max_candidates).astype(int)
+        diffs = [diffs[i] for i in idx]
+    return diffs
+
+
+def reference_tune(trace, max_candidates=512):
+    """Algorithm 1 as a per-candidate scan; first strict maximum wins."""
+    mean_span = trace.mean_span()
+    if mean_span is None or mean_span <= 0:
+        return None
+    candidates = [c for c in reference_candidates(trace.push_times(), max_candidates)
+                  if 0 < c < mean_span]
+    best_window, best_improvement = None, -float("inf")
+    for window in candidates:
+        improvement = reference_improvement(trace, window)
+        if improvement > best_improvement:
+            best_window, best_improvement = window, improvement
+    if best_window is None:
+        return None
+    m = trace.num_workers
+    return SpecSyncHyperparams(best_window, best_window * (m - 1) / (mean_span * m))
+
+
+def random_trace(seed):
+    """A seeded trace covering the kernel's corner cases: timestamps on a
+    coarse grid (duplicates), workers that never push, workers without a
+    span sample, and — for one seed in three, as the analysis ledger's
+    whole-run traces have — reference points with own pushes after them."""
+    rng = random.Random(seed)
+    num_workers = rng.randint(2, 12)
+    pushers = rng.sample(range(num_workers), rng.randint(1, num_workers))
+    grid = rng.choice([0.0, 0.0, 0.01, 0.1])
+    pushes = []
+    for _ in range(rng.randint(2, 70)):
+        t = rng.uniform(0.0, 6.0)
+        pushes.append((round(t / grid) * grid if grid else t, rng.choice(pushers)))
+    pushes.sort()
+    last = {}
+    for t, w in pushes:
+        if seed % 3 or w not in last or rng.random() < 0.5:
+            last[w] = t
+    spans = {w: rng.uniform(0.5, 8.0)
+             for w in range(num_workers) if rng.random() < 0.8}
+    return EpochTrace(num_workers, pushes, last, spans)
+
+
+class TestBatchedKernelMatchesScalarScan:
+    """Equality, not closeness: the chosen hyperparameters feed the
+    simulation, so one differing bit changes every downstream digest."""
+
+    SEEDS = range(240)
+
+    def test_tuned_hyperparams_equal(self):
+        tuned = 0
+        for seed in self.SEEDS:
+            trace = random_trace(seed)
+            max_candidates = 512 if seed % 2 else 24  # 24: forces subsampling
+            expected = reference_tune(trace, max_candidates)
+            assert tune_hyperparams(trace, max_candidates) == expected, seed
+            tuned += expected is not None
+        assert tuned > len(self.SEEDS) // 2
+
+    def test_curve_and_gains_equal(self):
+        for seed in self.SEEDS:
+            trace = random_trace(seed)
+            windows = [0.0] + candidate_windows(trace.push_times(), 64)
+            curve = freshness_curve(trace, windows)
+            assert curve.tolist() == [
+                reference_improvement(trace, w) for w in windows
+            ], seed
+            gains = freshness_gains(trace, windows)
+            for worker_id in range(trace.num_workers):
+                assert gains[worker_id].tolist() == [
+                    reference_gain(trace, worker_id, w) for w in windows
+                ], (seed, worker_id)
+            assert freshness_improvement(trace, windows[-1]) == curve[-1]
+            assert estimate_freshness_gain(trace, 0, windows[-1]) == gains[0][-1]
+
+    def test_candidate_windows_element_for_element(self):
+        """``np.round`` is not ``round``: the candidates stay Python floats
+        rounded by the correctly-rounding builtin."""
+        for seed in self.SEEDS:
+            times = random_trace(seed).push_times()
+            for cap in (16, 512):
+                windows = candidate_windows(times, cap)
+                assert windows == reference_candidates(times, cap), seed
+                assert all(type(w) is float for w in windows)
+
+    def test_corner_cases_are_exercised(self):
+        traces = [random_trace(seed) for seed in self.SEEDS]
+        assert any(len(set(t.push_times())) < len(t.pushes) for t in traces)
+        assert any(len(t.last_push_by_worker) < t.num_workers for t in traces)
+        assert any(len(t.iteration_spans) < t.num_workers for t in traces)
+        assert any(
+            any(t.last_push_by_worker[w] < time_ for time_, w in t.pushes)
+            for t in traces
+        )
+        assert any(
+            len(reference_candidates(t.push_times(), 10**9)) > 24 for t in traces
+        )
+
+    def test_negative_window_rejected_by_kernel(self):
+        with pytest.raises(ValueError):
+            freshness_curve(random_trace(1), [0.5, -0.1])
+
+    def test_every_retune_of_a_des_run_matches_reference(self):
+        """In-run: the traces the scheduler really builds at m = 16."""
+        from repro import ClusterSpec, SpecSyncPolicy
+        from repro.workloads import tiny_workload
+
+        class CheckedTuner(AdaptiveTuner):
+            checked = 0
+
+            def retune(self, trace):
+                tuned = super().retune(trace)
+                assert tuned == reference_tune(trace, self.max_candidates)
+                self.checked += 1
+                return tuned
+
+        tuner = CheckedTuner()
+        result = tiny_workload().run(
+            ClusterSpec.homogeneous(16), SpecSyncPolicy(tuner), seed=5,
+            horizon_s=40.0,
+        )
+        assert tuner.checked == result.policy_summary["epochs_completed"] >= 5
+        assert any(hp is not None for hp in tuner.history)
+
+    def test_kernel_is_faster_than_scalar_scan_at_paper_scale(self):
+        """Relative guard (sandbox timing is bursty, so no absolute bound):
+        m = 40 workers, n = 90 pushes, min-of-5 in this process."""
+        rng = random.Random(0)
+        pushes = sorted((rng.uniform(0.0, 7.0), rng.randrange(40)) for _ in range(90))
+        last = {}
+        for t, w in pushes:
+            last[w] = t
+        trace = EpochTrace(40, pushes, last,
+                           {w: rng.uniform(5.0, 7.0) for w in range(40)})
+        windows = [c for c in candidate_windows(trace.push_times())
+                   if c < trace.mean_span()]
+        assert len(windows) > 400
+
+        def best_of_5(fn):
+            best = float("inf")
+            for _ in range(5):
+                started = time.perf_counter()
+                fn()
+                best = min(best, time.perf_counter() - started)
+            return best
+
+        kernel_s = best_of_5(lambda: freshness_curve(trace, windows))
+        scalar_s = best_of_5(
+            lambda: [reference_improvement(trace, w) for w in windows]
+        )
+        assert scalar_s >= 5 * kernel_s, (scalar_s, kernel_s)
 
 
 class TestTuners:
