@@ -1,4 +1,5 @@
-"""The committed performance trajectory (ROADMAP item 1a).
+"""The committed performance trajectory, and the one rule by which two
+measurements are compared.
 
 ``trajectory.jsonl`` is append-only: one JSON object per line, one line per
 measured commit, copied from the ``BENCH_suite.json`` that
@@ -7,9 +8,15 @@ comparable when they were measured on the same machine, so a PR that claims
 a gain appends two — its parent and itself, measured back to back.
 
     python3 -m benchmarks.suite
+    python3 -m benchmarks.history.trajectory compare "PR 13" BENCH_suite.json
     python3 -m benchmarks.history.trajectory append BENCH_suite.json \\
-        --commit "$(git rev-parse --short HEAD)" --label "PR 13" --date 2026-09-28
+        --commit "$(git rev-parse --short HEAD)" --label "PR 16" --date 2026-09-29
     python3 -m benchmarks.history.trajectory render --into EXPERIMENTS.md
+
+``compare OLD NEW`` takes each side as a ``BENCH_suite.json`` path or the
+``label`` of a trajectory entry and prints one verdict per workload and
+end-to-end metric.  It has no tolerance option: the bound is the metric's
+in ``BENCHMARK.json`` and the spread is OLD's recorded quartiles.
 """
 
 from __future__ import annotations
@@ -18,16 +25,20 @@ import argparse
 import json
 import pathlib
 import sys
-from typing import Dict, List
+from typing import Dict, List, Optional, Tuple
 
 SCHEMA_VERSION = 1
 HISTORY = pathlib.Path(__file__).with_name("trajectory.jsonl")
+BENCHMARK = pathlib.Path(__file__).resolve().parents[2] / "BENCHMARK.json"
 #: The end-to-end metrics of BENCHMARK.json, in the order the table shows them.
 METRICS = ("wall_s", "iter_per_s", "setup_s", "peak_rss_mb")
 #: What is kept of each metric: the reported value (on simulated workloads
 #: the undisturbed wall, see benchmarks/suite/README.md), then the spread.
 FIELDS = ("value", "unit", "median", "q1", "q3", "n")
 BEGIN, END = "<!-- trajectory:begin -->", "<!-- trajectory:end -->"
+#: Measured in seconds but not a self time: the gap between an obs-enabled
+#: and an obs-disabled run, already inside the layers it slowed down.
+OVERLAPPING_LAYERS = ("obs.trace_overhead_s",)
 
 
 def entry_from_suite(suite: Dict, commit: str, label: str, date: str) -> Dict:
@@ -78,6 +89,122 @@ def render(entries: List[Dict]) -> str:
     return "\n".join(lines)
 
 
+def load_side(ref: str) -> Dict[str, Dict]:
+    """One side of a comparison, workload name -> record: the last set of
+    the ``BENCH_suite.json`` at ``ref``, or the trajectory entry labelled
+    ``ref``.  Both keep ``metrics`` in one shape; only a traced suite
+    record also carries ``layers`` and ``tiling``."""
+    if pathlib.Path(ref).is_file():
+        with open(ref, encoding="utf-8") as handle:
+            records = json.load(handle)["sets"][-1]
+        failed = [record["workload"] for record in records if record["failed"]]
+        if failed:
+            raise ValueError(f"{ref}: reps failed their checks on {', '.join(failed)}")
+        return {record["workload"]: record for record in records}
+    entries = load(HISTORY)
+    for entry in entries:
+        if entry["label"] == ref:
+            return entry["workloads"]
+    labels = ", ".join(repr(entry["label"]) for entry in entries)
+    raise ValueError(f"{ref!r} is neither a file nor a trajectory label ({labels})")
+
+
+def verdict(old: Dict, new: Dict, better: str, bound: float) -> str:
+    """``worse`` / ``unresolved`` / ``improved`` / ``held`` for one metric.
+
+    ``old`` and ``new`` are metric summaries; the reported ``value`` is
+    compared (on simulated rows the undisturbed wall) and the spread is
+    ``old``'s own q3 − q1.  A metric recorded without quartiles
+    (``peak_rss_mb``) is judged by the bound alone.
+    """
+    sign = 1.0 if better == "lower" else -1.0
+    worsening = sign * (new["value"] - old["value"])
+    allowed = bound * abs(old["value"])
+    if worsening > allowed:
+        return "worse"
+    if "q1" not in old:
+        return "improved" if -worsening > allowed else "held"
+    spread = old["q3"] - old["q1"]
+    overlap = "q1" in new and new["q1"] <= old["q3"] and old["q1"] <= new["q3"]
+    if spread > allowed and overlap:
+        return "unresolved"
+    return "improved" if -worsening > spread else "held"
+
+
+def compare(old: Dict[str, Dict], new: Dict[str, Dict], benchmark: Dict) -> List[Dict]:
+    """One row per workload × end-to-end metric of ``benchmark`` (a loaded
+    ``BENCHMARK.json``).  A workload or metric only one side has reads
+    ``missing``; it is reported, not judged."""
+    rows = []
+    for workload in sorted(set(old) | set(new)):
+        for metric in benchmark["end_to_end"]:
+            sides = [
+                side.get(workload, {}).get("metrics", {}).get(metric["name"])
+                for side in (old, new)
+            ]
+            row = {"workload": workload, "metric": metric["name"],
+                   "old": sides[0], "new": sides[1], "verdict": "missing"}
+            if None not in sides:
+                row["verdict"] = verdict(*sides, metric["better"], metric["bound"])
+            rows.append(row)
+    return rows
+
+
+def layer_deltas(
+    old: Dict, new: Dict, benchmark: Dict
+) -> Optional[Tuple[float, List[Tuple[str, float]]]]:
+    """Where a wall-time delta went, for one workload traced on both sides:
+    the traced ``wall_s`` delta, then every per-layer metric measured in
+    seconds with its delta, largest move first, closed by what no layer
+    names.  ``None`` unless both records are traced and their layer self
+    times tile the wall (the single-threaded workloads)."""
+    if not all(
+        (side.get("layers") or {}).get("bench.tiling_residual_share") is not None
+        for side in (old, new)
+    ):
+        return None
+    wall = new["tiling"]["traced_wall_s"] - old["tiling"]["traced_wall_s"]
+    deltas = []
+    for metric in benchmark["per_layer"]:
+        name = metric["name"]
+        before, after = old["layers"].get(name), new["layers"].get(name)
+        if metric["unit"] != "s" or name in OVERLAPPING_LAYERS or None in (before, after):
+            continue
+        deltas.append((name, after - before))
+    deltas.sort(key=lambda pair: -abs(pair[1]))
+    deltas.append(("(no layer)", wall - sum(delta for _, delta in deltas)))
+    return wall, deltas
+
+
+def _value(metric: Optional[Dict]) -> str:
+    return "—" if metric is None else f"{metric['value']:.4g}"
+
+
+def render_comparison(
+    rows: List[Dict], old: Dict[str, Dict], new: Dict[str, Dict], benchmark: Dict
+) -> str:
+    """The verdict table, then the layer attribution of each traced workload."""
+    lines = [f"{'workload':26s} {'metric':12s} {'old':>9s} {'new':>9s} {'change':>8s}  verdict"]
+    for row in rows:
+        change = ""
+        if row["verdict"] != "missing":
+            change = f"{row['new']['value'] / row['old']['value'] - 1.0:+.1%}"
+        lines.append(
+            f"{row['workload']:26s} {row['metric']:12s} {_value(row['old']):>9s} "
+            f"{_value(row['new']):>9s} {change:>8s}  {row['verdict']}"
+        )
+    for workload in sorted(set(old) & set(new)):
+        moved = layer_deltas(old[workload], new[workload], benchmark)
+        if moved is None:
+            continue
+        wall, deltas = moved
+        lines.append(f"\n{workload}: traced wall_s {wall:+.4f} s, by layer")
+        for name, delta in deltas:
+            share = f"{delta / wall:.1%}" if wall else "—"
+            lines.append(f"  {name:24s} {delta:+9.4f} s  {share:>7s}")
+    return "\n".join(lines)
+
+
 def main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(prog="benchmarks.history.trajectory")
     commands = parser.add_subparsers(dest="command", required=True)
@@ -88,9 +215,29 @@ def main(argv: List[str]) -> int:
     show = commands.add_parser("render", help="print the table, or splice it into a file")
     show.add_argument("--into", type=pathlib.Path,
                       help=f"replace the block between {BEGIN} and {END}")
+    versus = commands.add_parser(
+        "compare", help="judge NEW against OLD: BENCH_suite.json paths or trajectory labels")
+    versus.add_argument("old")
+    versus.add_argument("new")
     args = parser.parse_args(argv)
 
+    if args.command == "compare":
+        try:
+            old, new = load_side(args.old), load_side(args.new)
+        except (OSError, ValueError, KeyError) as exc:
+            print(f"trajectory compare: error: {exc}", file=sys.stderr)
+            return 2
+        with open(BENCHMARK, encoding="utf-8") as handle:
+            benchmark = json.load(handle)
+        rows = compare(old, new, benchmark)
+        print(render_comparison(rows, old, new, benchmark))
+        return 1 if any(row["verdict"] == "worse" for row in rows) else 0
     if args.command == "append":
+        if any(entry["label"] == args.label for entry in load(HISTORY)):
+            # compare addresses entries by label
+            print(f"trajectory append: error: label {args.label!r} is already "
+                  f"in {HISTORY.name}", file=sys.stderr)
+            return 2
         with open(args.suite, encoding="utf-8") as handle:
             entry = entry_from_suite(json.load(handle), args.commit, args.label, args.date)
         with open(HISTORY, "a", encoding="utf-8") as handle:

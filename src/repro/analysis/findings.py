@@ -21,24 +21,13 @@ class Severity(enum.Enum):
 
     ``ERROR`` findings break determinism, protocol completeness, or
     deadlock freedom outright; ``WARNING`` findings come from heuristic
-    rules that can over-approximate; ``INFO`` findings are advisory —
-    the profile-guided perf rules report at this level until a measured
-    profile proves the code hot.  The default CLI gate fails on any
-    unsuppressed finding at warning or above — a warning that is truly
-    fine should carry an explicit suppression with a justification.
+    rules that can over-approximate.  The default CLI gate fails on any
+    unsuppressed finding — a warning that is truly fine should carry an
+    explicit suppression with a justification.
     """
 
-    INFO = "info"
     WARNING = "warning"
     ERROR = "error"
-
-    @property
-    def rank(self) -> int:
-        """Severities ordered for threshold gates (info < warning < error)."""
-        return _SEVERITY_RANK[self]
-
-
-_SEVERITY_RANK = {Severity.INFO: 0, Severity.WARNING: 1, Severity.ERROR: 2}
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,9 @@
 
 ``repro lint``, ``repro sanitize``, and ``repro modelcheck`` all gate CI
 the same way: findings are collected, then one policy decides the exit
-code.  ``never`` always exits 0 (report-only mode); the other policies
-are severity thresholds: ``info`` fails on any unsuppressed finding,
-``warning`` (the default) on warnings and errors, ``error`` only on
-:attr:`~repro.analysis.findings.Severity.ERROR` findings.  Info-level
-findings (the profile-guided perf rules before a profile marks them hot)
-therefore report under the default gate without failing it.
+code.  ``never`` always exits 0 (report-only mode), ``error`` fails only
+on :attr:`~repro.analysis.findings.Severity.ERROR` findings, and
+``warning`` (the default) fails on any unsuppressed finding.
 """
 
 from __future__ import annotations
@@ -20,7 +17,7 @@ from repro.analysis.findings import Finding, Severity
 __all__ = ["FAIL_ON_CHOICES", "add_fail_on_argument", "gate_exit_code"]
 
 #: The accepted ``--fail-on`` policies, loosest first.
-FAIL_ON_CHOICES: Tuple[str, ...] = ("never", "info", "warning", "error")
+FAIL_ON_CHOICES: Tuple[str, ...] = ("never", "warning", "error")
 
 
 def add_fail_on_argument(parser: argparse.ArgumentParser, default: str = "warning") -> None:
@@ -39,12 +36,10 @@ def add_fail_on_argument(parser: argparse.ArgumentParser, default: str = "warnin
 def gate_exit_code(findings: Sequence[Finding], fail_on: str) -> int:
     """The process exit code for ``findings`` under the ``fail_on`` policy.
 
-    Suppressed findings (``# repro: allow[...]``) never trip the gate.
-    The named policies are severity thresholds: ``info`` fails on any
-    unsuppressed finding, ``warning`` on warnings and errors (advisory
-    info findings report without failing), ``error`` lets warnings
-    through so CI can gate hard defects while a warning backlog is being
-    burned down, and ``never`` is report-only.
+    Suppressed findings (``# repro: allow[...]``) never trip the gate;
+    ``warning`` fails on any unsuppressed finding, ``error`` lets
+    warnings through so CI can gate hard defects while a warning backlog
+    is being burned down, and ``never`` is report-only.
     """
     if fail_on not in FAIL_ON_CHOICES:
         raise ValueError(
@@ -52,9 +47,7 @@ def gate_exit_code(findings: Sequence[Finding], fail_on: str) -> int:
         )
     if fail_on == "never":
         return 0
-    threshold = Severity(fail_on).rank
-    active = [
-        f for f in findings
-        if not f.suppressed and f.severity.rank >= threshold
-    ]
+    active = [f for f in findings if not f.suppressed]
+    if fail_on == "error":
+        active = [f for f in active if f.severity is Severity.ERROR]
     return 1 if active else 0

@@ -85,8 +85,7 @@ __all__ = [
     "OwnershipAnalysis",
 ]
 
-#: Names that very likely bind ndarrays in this codebase (mirrors the
-#: perf pack's wire-payload heuristic).
+#: Names that very likely bind ndarrays in this codebase.
 ARRAYISH_RE = re.compile(
     r"(^|_)(grad|gradient|param|params|weights?|tensor|array|snapshot|vec|buf|buffer)s?($|_)",
     re.IGNORECASE,

@@ -1,6 +1,6 @@
 """Rule packs and the default registry.
 
-Six packs, one per failure class the reproduction cannot afford:
+Five packs, one per failure class the reproduction cannot afford:
 
 * :mod:`repro.analysis.rules.determinism` — stray wall clocks, global
   RNG, unordered-set iteration, mutable defaults, lying annotations;
@@ -13,16 +13,13 @@ Six packs, one per failure class the reproduction cannot afford:
   on every CFG path, no blocking calls reachable from async/tap code,
   no undeclared exceptions escaping the re-sync path, no dead branches
   or dispatch arms (built on :mod:`repro.analysis.flow`);
-* :mod:`repro.analysis.rules.perf` — profile-guided performance rules
-  (allocation/copies/lookups on the measured hot path).  **Opt-in**:
-  perf findings are advisory (info severity) until a ``--profile``
-  capture proves them hot, so the pack runs via ``--pack perf`` rather
-  than in the default gate;
 * :mod:`repro.analysis.rules.ownership` — buffer ownership & aliasing
   (BUF-*): in-place mutation of borrowed arrays, views of internal
   state escaping public APIs, caller arrays stored without copy, and
   unfenced shared-memory access — the pack that certifies the
-  zero-copy ``repro.ps.shm`` parameter path.  **Opt-in**: it reasons
+  zero-copy ``repro.ps.shm`` parameter path — plus PERF-PICKLE-PAYLOAD,
+  which keeps ndarrays off the multiprocess queues so that path stays
+  the only one arrays take.  **Opt-in**: it reasons
   about array-typed code only, so CI runs it as a dedicated
   ``--pack ownership`` gate rather than in the default self-lint.
 
@@ -61,14 +58,7 @@ from repro.analysis.rules.ownership import (
     BufMutateBorrowedRule,
     BufReturnViewRule,
     BufShmUnfencedRule,
-)
-from repro.analysis.rules.perf import (
-    AllocHotRule,
-    AttrLoopRule,
-    LogHotRule,
-    NumpyCopyRule,
     PicklePayloadRule,
-    ScanRule,
 )
 from repro.analysis.rules.protocol import (
     MessageCategoryRule,
@@ -115,28 +105,19 @@ RULE_PACKS: Dict[str, Tuple[Type[Rule], ...]] = {
         ExceptionEscapeRule,
         DeadPathRule,
     ),
-    "perf": (
-        AllocHotRule,
-        NumpyCopyRule,
-        PicklePayloadRule,
-        AttrLoopRule,
-        LogHotRule,
-        ScanRule,
-    ),
     "ownership": (
         BufMutateBorrowedRule,
         BufReturnViewRule,
         BufAliasStoreRule,
         BufShmUnfencedRule,
+        PicklePayloadRule,
     ),
 }
 
-#: Packs that only run when explicitly selected.  The perf rules are
-#: advisory heuristics ranked by measured hot-path data; folding them
-#: into the default (self-lint) gate would fail CI on cold-path noise.
-#: The ownership rules reason about array aliasing and run as their own
-#: CI gate (``--pack ownership --fail-on warning``).
-OPT_IN_PACKS: Tuple[str, ...] = ("perf", "ownership")
+#: Packs that only run when explicitly selected.  The ownership rules
+#: reason about array aliasing and run as their own CI gate
+#: (``--pack ownership --fail-on warning``).
+OPT_IN_PACKS: Tuple[str, ...] = ("ownership",)
 
 DEFAULT_RULE_CLASSES: Tuple[Type[Rule], ...] = tuple(
     cls

@@ -19,7 +19,7 @@ computes (see that module for the abstract domain):
     that advertise the view ("live view", "alias") are exempt.
 ``BUF-ALIAS-STORE`` (warning)
     storing a caller's array into ``self``-rooted state without a copy —
-    the invariant ``KVStore.init`` documents; the caller's later writes
+    a store must not alias its caller's array; the caller's later writes
     would silently corrupt the store.
 ``BUF-SHM-UNFENCED`` (error)
     a raw shared-memory buffer (``segment.array`` / ``shm.buf``) read or
@@ -27,20 +27,28 @@ computes (see that module for the abstract domain):
     snapshots are a correctness bug, not a style issue, hence the
     severity.  ``repro.ps.shm`` itself — the fence implementation — is
     exempt.
+``PERF-PICKLE-PAYLOAD`` (warning)
+    an array-carrying payload ``put()`` on a multiprocessing queue.  The
+    multiprocess data plane is the shared-memory store; its queues carry
+    control tags only, and an ndarray on one is pickled across the
+    process boundary on every transfer.
 
-All four are project rules: they share one :class:`OwnershipAnalysis`
-per lint batch through a one-slot cache, the same idiom as the perf
-pack's project index.
+The four BUF rules are project rules: they share one
+:class:`OwnershipAnalysis` per lint batch through a one-slot cache.
+PERF-PICKLE-PAYLOAD is a per-file syntactic check.
 """
 
 from __future__ import annotations
 
+import ast
 import re
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.analysis.astutil import dotted_name, import_aliases
 from repro.analysis.engine import ModuleInfo, Rule
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.ownership import (
+    ARRAYISH_RE,
     FunctionOwnership,
     OwnershipAnalysis,
     param_name,
@@ -52,6 +60,7 @@ __all__ = [
     "BufReturnViewRule",
     "BufAliasStoreRule",
     "BufShmUnfencedRule",
+    "PicklePayloadRule",
 ]
 
 #: docstrings that declare an in-place mutation contract.
@@ -175,8 +184,8 @@ class BufAliasStoreRule(_OwnershipRule):
                 site.line,
                 f"{fn.name}() stores {params} into '{site.target}' without "
                 f"copying; the store now aliases caller memory and the "
-                f"caller's later writes corrupt it — np.array(value, "
-                f"copy=True) first (the KVStore.init invariant)",
+                f"caller's later writes corrupt it — a store must not "
+                f"alias its caller's array; np.array(value, copy=True) first",
             )
 
 
@@ -208,3 +217,58 @@ class BufShmUnfencedRule(_OwnershipRule):
                 f"access a torn read/write — wrap it in the owning store's "
                 f"fence",
             )
+
+
+class PicklePayloadRule(Rule):
+    """ndarrays crossing multiprocessing queues by pickling."""
+
+    rule_id = "PERF-PICKLE-PAYLOAD"
+    severity = Severity.WARNING
+    description = (
+        "ndarray payload put on a multiprocessing queue — every transfer "
+        "pickles the full array across the process boundary"
+    )
+
+    def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
+        if "multiprocessing" not in import_aliases(module.tree).values():
+            return
+        for node in ast.walk(module.tree):
+            if not isinstance(node, ast.Call) or not node.args:
+                continue
+            if not isinstance(node.func, ast.Attribute) or node.func.attr != "put":
+                continue
+            # See through one subscript: ``queues[i].put`` -> ``queues``.
+            receiver_node = node.func.value
+            if isinstance(receiver_node, ast.Subscript):
+                receiver_node = receiver_node.value
+            receiver = dotted_name(receiver_node)
+            if receiver is None or "queue" not in receiver.lower():
+                continue
+            carrier = self._array_payload(node.args[0])
+            if carrier is None:
+                continue
+            yield self.finding(
+                module,
+                node.lineno,
+                f"payload {carrier!r} on {receiver}.put() pickles an "
+                "ndarray across the process boundary on every transfer; "
+                "move bulk arrays to shared memory "
+                "(multiprocessing.shared_memory) or keep the queue for "
+                "control messages only",
+            )
+
+    @staticmethod
+    def _array_payload(payload: ast.expr) -> Optional[str]:
+        """Name of an array-carrying expression inside ``payload``."""
+        for sub in ast.walk(payload):
+            if isinstance(sub, ast.Name) and ARRAYISH_RE.search(sub.id):
+                return sub.id
+            if (
+                isinstance(sub, ast.Call)
+                and isinstance(sub.func, ast.Attribute)
+                and sub.func.attr == "copy"
+            ):
+                base = dotted_name(sub.func.value)
+                if base is not None and ARRAYISH_RE.search(base):
+                    return f"{base}.copy()"
+        return None

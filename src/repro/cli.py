@@ -10,8 +10,6 @@ Subcommands::
     repro analyze out.json              # causal analytics: critical path,
                                         # speculation ledger, staleness
     repro perf report out.json          # profiler/straggler dashboard
-    repro bench [names…] --scale smoke  # emit BENCH_<name>.json files
-    repro bench --compare OLD NEW       # regression-gate two bench files
     repro top --smoke --once --json     # live telemetry dashboard over the
                                         # shm ring-buffer exporters
     repro lint [--format json] [paths…] # codebase-specific static analysis
@@ -173,11 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", metavar="PATH",
         help="also write the analytics JSON to PATH (for CI artifacts)",
     )
-    analyze_parser.add_argument(
-        "--bench-output", metavar="PATH",
-        help="also write the speculation-efficiency metrics as a "
-             "BENCH-schema file usable with `repro bench --compare`",
-    )
     add_fail_on_argument(analyze_parser)
 
     perf_parser = sub.add_parser(
@@ -243,43 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
              "consume it unchanged)",
     )
 
-    bench_parser = sub.add_parser(
-        "bench",
-        help="run the continuous benchmarks (emit BENCH_<name>.json) or "
-             "compare two bench files with the regression gate",
-    )
-    bench_parser.add_argument(
-        "names", nargs="*",
-        help="benchmarks to run (default: all; see repro.perfbench.BENCHES)",
-    )
-    bench_parser.add_argument(
-        "--scale", choices=["smoke", "full"], default=None,
-        help="benchmark sizing (default: $REPRO_SCALE or 'full')",
-    )
-    bench_parser.add_argument(
-        "--output-dir", default=".", metavar="DIR",
-        help="directory for the per-benchmark BENCH_<name>.json files",
-    )
-    bench_parser.add_argument(
-        "--suite", metavar="PATH",
-        help="also write one combined bench file with every result",
-    )
-    bench_parser.add_argument(
-        "--compare", nargs=2, metavar=("OLD", "NEW"),
-        help="skip running: diff two bench files and gate on regressions",
-    )
-    bench_parser.add_argument(
-        "--threshold", type=float, default=None,
-        help="tolerated fraction for deterministic 'count' metrics "
-             "(default 0.10)",
-    )
-    bench_parser.add_argument(
-        "--rate-tolerance", type=float, default=None,
-        help="tolerated fraction for wall-clock 'rate' metrics "
-             "(default 0.15)",
-    )
-    add_fail_on_argument(bench_parser)
-
     lint_parser = sub.add_parser(
         "lint",
         help="run the repro-specific static-analysis suite "
@@ -302,14 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint_parser.add_argument(
         "--pack", action="append", default=None, metavar="NAME",
         help="run only this rule pack (repeatable: determinism, protocol, "
-             "concurrency, flow, perf, ownership); unions with --rule",
-    )
-    lint_parser.add_argument(
-        "--profile", metavar="TRACE.json", default=None,
-        help="hot-path data for the perf rules: a repro run --trace "
-             "capture (trace-format-v2 'perf' section) or a bare "
-             "profiler snapshot; findings on measured-hot functions "
-             "escalate from info to warning",
+             "concurrency, flow, ownership); unions with --rule",
     )
     lint_parser.add_argument(
         "--output", metavar="PATH", default=None,
@@ -639,12 +588,6 @@ def _cmd_analyze(args) -> int:
             json.dump(analysis, handle, indent=1, sort_keys=True)
             handle.write("\n")
         print(f"analytics written to {args.output}", file=sys.stderr)
-    if args.bench_output:
-        payload = obs.analysis_bench_payload(analysis)
-        with open(args.bench_output, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=1, sort_keys=True)
-            handle.write("\n")
-        print(f"bench metrics written to {args.bench_output}", file=sys.stderr)
     return gate_exit_code([], args.fail_on)
 
 
@@ -741,24 +684,38 @@ def _cmd_top(args) -> int:
             _drain_live_capture(aggregator, args.drain)
         return 0
 
-    # --smoke: the perfbench multiprocess smoke workload with the ring
-    # exporters on; this CLI process is the single consumer of the rings.
+    # --smoke: a small multiprocess workload with the ring exporters on;
+    # this CLI process is the single consumer of the rings.
     import threading
 
+    import numpy as np
+
+    from repro.cluster.compute import ComputeTimeModel
     from repro.core.tuning import AdaptiveTuner
-    from repro.perfbench.benches import _small_training_setup
+    from repro.ml import SoftmaxRegressionModel, SyntheticImageDataset
+    from repro.ml.optim import ConstantSchedule, SgdUpdateRule
     from repro.runtime.multiprocess import MultiprocessRun
 
-    setup = _small_training_setup()
-    session = LiveTelemetrySession.create(num_workers=len(setup["partitions"]))
+    dataset = SyntheticImageDataset(
+        num_classes=3, feature_dim=8, num_samples=800,
+        class_separation=3.0, warp=False, seed=0,
+    )
+    partitions = dataset.partition(4, np.random.default_rng(0))
+    session = LiveTelemetrySession.create(num_workers=len(partitions))
     duration = args.duration if args.duration is not None else 0.6
     failure: List[BaseException] = []
 
     def _run() -> None:
         try:
             MultiprocessRun(
+                model=SoftmaxRegressionModel(input_dim=8, num_classes=3),
+                partitions=partitions,
+                eval_batch=dataset.eval_batch(),
+                update_rule=SgdUpdateRule(ConstantSchedule(0.2)),
+                compute_model=ComputeTimeModel(mean_time_s=3.0, jitter_sigma=0.1),
+                batch_size=32,
                 time_scale=0.004, tuner=AdaptiveTuner(), seed=args.seed,
-                live_session=session, **setup,
+                live_session=session,
             ).run(duration_s=duration)
         except BaseException as exc:  # surfaced after the join below
             failure.append(exc)
@@ -800,69 +757,7 @@ def _cmd_top(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from repro.perfbench import (
-        bench_payload,
-        compare_benchmarks,
-        load_bench_payload,
-        render_comparison,
-        render_results,
-        resolve_scale,
-        run_benchmarks,
-    )
-
-    if args.compare:
-        old_path, new_path = args.compare
-        try:
-            old_payload = load_bench_payload(old_path)
-            new_payload = load_bench_payload(new_path)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            print(f"repro bench: error: {exc}", file=sys.stderr)
-            return 2
-        print(render_comparison(old_payload, new_payload))
-        findings = compare_benchmarks(
-            old_payload,
-            new_payload,
-            new_path=new_path,
-            threshold=args.threshold,
-            rate_tolerance=args.rate_tolerance,
-        )
-        print()
-        print(render_text(findings))
-        return gate_exit_code(findings, args.fail_on)
-
-    try:
-        scale = resolve_scale(args.scale or os.environ.get("REPRO_SCALE"))
-        results = run_benchmarks(args.names or None, scale=scale)
-    except ValueError as exc:
-        print(f"repro bench: error: {exc}", file=sys.stderr)
-        return 2
-    print(render_results(results))
-    written = []
-    try:
-        os.makedirs(args.output_dir, exist_ok=True)
-        for result in results:
-            path = os.path.join(args.output_dir, f"BENCH_{result.name}.json")
-            with open(path, "w", encoding="utf-8") as handle:
-                json.dump(bench_payload([result], scale), handle,
-                          indent=1, sort_keys=True)
-                handle.write("\n")
-            written.append(path)
-        if args.suite:
-            with open(args.suite, "w", encoding="utf-8") as handle:
-                json.dump(bench_payload(results, scale), handle,
-                          indent=1, sort_keys=True)
-                handle.write("\n")
-            written.append(args.suite)
-    except OSError as exc:
-        print(f"repro bench: error: {exc}", file=sys.stderr)
-        return 2
-    print(f"\nwrote {', '.join(written)}", file=sys.stderr)
-    return 0
-
-
 def _cmd_lint(args) -> int:
-    from repro.analysis.perfmodel import ProfileError, load_hot_profile
     from repro.analysis.rules import rules_for
 
     paths = args.paths or [os.path.dirname(os.path.abspath(repro.__file__))]
@@ -871,15 +766,6 @@ def _cmd_lint(args) -> int:
     except ValueError as exc:
         print(f"repro lint: error: {exc}", file=sys.stderr)
         return 2
-    if args.profile is not None:
-        try:
-            hotness = load_hot_profile(args.profile)
-        except ProfileError as exc:
-            print(f"repro lint: error: {exc}", file=sys.stderr)
-            return 2
-        for rule in rules:
-            if getattr(rule, "uses_profile", False):
-                rule.hotness = hotness
     try:
         findings = run_lint(paths, rules=rules)
     except FileNotFoundError as exc:
@@ -968,8 +854,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_perf(args)
     if args.command == "top":
         return _cmd_top(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "lint":
         return _cmd_lint(args)
     if args.command == "sanitize":

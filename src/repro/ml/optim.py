@@ -125,6 +125,16 @@ class SgdUpdateRule:
         self._updates_applied += 1
         return rate
 
+    def apply_stale(
+        self, params: ParamSet, gradient: ParamSet, staleness: int
+    ) -> float:
+        """Apply one push whose gradient missed ``staleness`` peer updates.
+
+        What every store calls.  Rules that do not use the staleness —
+        this one and :class:`AdaGradUpdateRule` — apply the push as is.
+        """
+        return self.apply(params, gradient)
+
     @property
     def updates_applied(self) -> int:
         """Number of pushes applied so far (the server's logical clock)."""
@@ -180,7 +190,7 @@ class StalenessAwareUpdateRule(SgdUpdateRule):
     gradient experienced, damping the most out-of-date updates.
 
     The paper notes such techniques are orthogonal to SpecSync and
-    combinable with it; the ablation bench measures exactly that.  The
+    combinable with it; the ablation bench measures exactly that.  Every
     store feeds the per-push staleness through :meth:`apply_stale`;
     plain :meth:`apply` behaves like unscaled SGD (staleness unknown).
     """

@@ -40,7 +40,6 @@ from repro.obs.analysis import (
     ATTRIBUTION_CATEGORIES,
     AnalysisError,
     CausalGraph,
-    analysis_bench_payload,
     analyze_trace,
     render_analysis_comparison,
     render_analysis_text,
@@ -129,7 +128,6 @@ __all__ = [
     "ATTRIBUTION_CATEGORIES",
     "AnalysisError",
     "CausalGraph",
-    "analysis_bench_payload",
     "analyze_trace",
     "render_analysis_comparison",
     "render_analysis_text",

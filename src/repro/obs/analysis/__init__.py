@@ -30,7 +30,6 @@ from repro.obs.analysis.graph import (
 from repro.obs.analysis.ledger import speculation_ledger, staleness_distributions
 from repro.obs.analysis.report import (
     ANALYSIS_SCHEMA_VERSION,
-    analysis_bench_payload,
     analyze_trace,
     render_analysis_comparison,
     render_analysis_text,
@@ -42,7 +41,6 @@ __all__ = [
     "CausalGraph",
     "RunSegment",
     "ANALYSIS_SCHEMA_VERSION",
-    "analysis_bench_payload",
     "analyze_trace",
     "critical_path",
     "per_worker_breakdown",

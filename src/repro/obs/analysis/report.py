@@ -1,4 +1,4 @@
-"""``repro analyze`` — the analytics bundle, renderers, and bench bridge.
+"""``repro analyze`` — the analytics bundle and its renderers.
 
 :func:`analyze_trace` reduces a parsed trace file to one JSON-ready
 object::
@@ -17,10 +17,6 @@ Determinism: every float is rounded to 9 decimals and consumers dump
 with ``sort_keys=True``, so a seeded DES run produces a byte-identical
 analytics file (pinned by a golden test, ``REPRO_REGEN_GOLDEN=1`` to
 regenerate).
-
-:func:`analysis_bench_payload` re-expresses the speculation-efficiency
-headline numbers in the ``BENCH_*.json`` schema so ``repro bench
---compare`` can gate them alongside the throughput benchmarks.
 """
 
 from __future__ import annotations
@@ -41,7 +37,6 @@ __all__ = [
     "analyze_trace",
     "render_analysis_text",
     "render_analysis_comparison",
-    "analysis_bench_payload",
 ]
 
 #: Bumped whenever the analytics JSON changes shape.
@@ -253,55 +248,3 @@ def render_analysis_comparison(old: dict, new: dict) -> str:
         )
     sections.append(table.render())
     return "\n\n".join(sections)
-
-
-# ----------------------------------------------------------------------
-# Bench bridge
-# ----------------------------------------------------------------------
-def _bench_name(run: dict) -> str:
-    scheme = str(run.get("scheme") or "unknown")
-    safe = "".join(ch if ch.isalnum() or ch in "+-." else "_" for ch in scheme)
-    return f"analysis.run{run['index']}.{safe}"
-
-
-def analysis_bench_payload(analysis: dict, scale: str = "analysis") -> dict:
-    """Speculation-efficiency columns in the ``BENCH_*.json`` schema.
-
-    The result loads through
-    :func:`repro.perfbench.load_bench_payload` unchanged, so ``repro
-    bench --compare old.json new.json`` gates analytics drift with the
-    same PERF-* findings as the throughput benchmarks.  Virtual-time
-    quantities are deterministic, hence ``kind="count"``.
-    """
-    from repro.perfbench.core import BenchResult, bench_payload
-
-    results = []
-    for run in analysis["runs"]:
-        result = BenchResult(name=_bench_name(run), scale=scale)
-        path = run["critical_path"]
-        for category in ATTRIBUTION_CATEGORIES:
-            result.add(
-                f"critical_{category}_s",
-                round(path["by_category"].get(category, 0.0), 9),
-                unit="s",
-                higher_is_better=(category == "compute"),
-                kind="count",
-            )
-        ledger = run["ledger"]
-        result.add(
-            "aborted_compute_s",
-            round(ledger["total_aborted_compute_s"], 9),
-            unit="s", higher_is_better=False, kind="count",
-        )
-        result.add(
-            "total_aborts", float(ledger["total_aborts"]),
-            unit="aborts", higher_is_better=False, kind="count",
-        )
-        if ledger.get("mean_realized_gain") is not None:
-            result.add(
-                "mean_realized_gain",
-                round(ledger["mean_realized_gain"], 9),
-                unit="versions/abort", higher_is_better=True, kind="count",
-            )
-        results.append(result)
-    return bench_payload(results, scale)

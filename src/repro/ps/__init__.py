@@ -9,14 +9,12 @@ policy.
 """
 
 from repro.ps.store import ParameterStore, PullSnapshot, PushRecord
-from repro.ps.kvstore import KVStore
 from repro.ps.policy import SyncPolicy, WorkerView
 from repro.ps.engine import TrainingEngine, EngineConfig, WorkerRuntime
 from repro.ps.result import RunResult, WorkerStats
 from repro.ps.shm import ShmArraySegment, ShmParamStore, ShmStoreSpec, ShmTornRead
 
 __all__ = [
-    "KVStore",
     "ParameterStore",
     "PullSnapshot",
     "PushRecord",

@@ -80,14 +80,9 @@ class ParameterStore:
                 f"(store at {self._version})"
             )
         staleness = self._version - snapshot_version
-        if hasattr(self._update_rule, "apply_stale"):
-            # Staleness-aware rules (related work [29]) damp the rate of
-            # out-of-date gradients; the store is where staleness is known.
-            rate = self._update_rule.apply_stale(
-                self._params, gradient, staleness
-            )
-        else:
-            rate = self._update_rule.apply(self._params, gradient)
+        # Staleness-aware rules (related work [29]) damp the rate of
+        # out-of-date gradients; the store is where staleness is known.
+        rate = self._update_rule.apply_stale(self._params, gradient, staleness)
         self._version += 1
         record = PushRecord(
             worker_id=worker_id,

@@ -178,7 +178,7 @@ def _server_main(param_store, grad_stores, update_rule, request_queue,
                 )
             version += 1
             with param_store.write_fence(version):
-                update_rule.apply(params, grad_store.backing())
+                update_rule.apply_stale(params, grad_store.backing(), staleness)
             response_queues[worker_id].put(("ack", version), timeout=_PUT_TIMEOUT_S)
             if writer.enabled:
                 now = writer.now()

@@ -122,7 +122,7 @@ class ThreadedParameterServer:
         with tracer.measure(RT_SERVER_TRACK, "push"):
             with self._lock:
                 staleness = self._version - snapshot_version
-                self._update_rule.apply(self._params, gradient)
+                self._update_rule.apply_stale(self._params, gradient, staleness)
                 self._version += 1
                 self._staleness_log.append(staleness)
         if tracer.enabled:

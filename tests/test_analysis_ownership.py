@@ -1,4 +1,5 @@
-"""Fixture tests for the BUF-* ownership & aliasing rule pack.
+"""Fixture tests for the ownership & aliasing rule pack (BUF-* and
+PERF-PICKLE-PAYLOAD).
 
 Each rule gets true positives and true negatives run through
 ``lint_source`` exactly like the real engine runs files — including the
@@ -272,6 +273,38 @@ class TestShmUnfenced:
 
 
 # ----------------------------------------------------------------------
+# PERF-PICKLE-PAYLOAD
+# ----------------------------------------------------------------------
+class TestPicklePayload:
+    def test_tp_array_on_mp_queue_is_warning_by_default(self):
+        findings = _lint('''
+            import multiprocessing
+
+            def f(queue, gradient):
+                queue.put(("push", gradient))
+        ''', rule_ids=["PERF-PICKLE-PAYLOAD"])
+        assert _ids(findings) == ["PERF-PICKLE-PAYLOAD"]
+        assert findings[0].severity.name == "WARNING"
+        assert "pickles an" in findings[0].message
+
+    def test_tn_without_multiprocessing_import(self):
+        findings = _lint('''
+            def f(queue, gradient):
+                queue.put(("push", gradient))
+        ''', rule_ids=["PERF-PICKLE-PAYLOAD"])
+        assert findings == []
+
+    def test_tn_control_message_payload(self):
+        findings = _lint('''
+            import multiprocessing
+
+            def f(queue):
+                queue.put(("stop", 1))
+        ''', rule_ids=["PERF-PICKLE-PAYLOAD"])
+        assert findings == []
+
+
+# ----------------------------------------------------------------------
 # Pack registration
 # ----------------------------------------------------------------------
 class TestPackRegistration:
@@ -283,16 +316,17 @@ class TestPackRegistration:
             "BUF-MUT-BORROWED",
             "BUF-RETURN-VIEW",
             "BUF-SHM-UNFENCED",
+            "PERF-PICKLE-PAYLOAD",
         ]
 
     def test_ownership_is_opt_in(self):
         assert "ownership" in OPT_IN_PACKS
         default_ids = {r.rule_id for r in default_rules()}
-        assert not any(i.startswith("BUF-") for i in default_ids)
+        assert not default_ids & {c.rule_id for c in RULE_PACKS["ownership"]}
 
     def test_rules_for_selects_the_pack(self):
         ids = {r.rule_id for r in rules_for(packs=["ownership"])}
-        assert len(ids) == 4 and all(i.startswith("BUF-") for i in ids)
+        assert ids == {cls.rule_id for cls in RULE_PACKS["ownership"]}
 
     def test_unknown_pack_still_rejected(self):
         with pytest.raises(ValueError):

@@ -51,12 +51,7 @@ MODULES = [
     "repro.obs.perf_report",
     "repro.obs.straggler",
     "repro.obs.timeseries",
-    "repro.perfbench",
-    "repro.perfbench.benches",
-    "repro.perfbench.compare",
-    "repro.perfbench.core",
     "repro.ps.engine",
-    "repro.ps.kvstore",
     "repro.ps.policy",
     "repro.ps.result",
     "repro.ps.store",

@@ -367,8 +367,7 @@ class TestFlowDead:
 class TestSelection:
     def test_flow_pack_registered(self):
         assert set(RULE_PACKS) == {
-            "determinism", "protocol", "concurrency", "flow", "perf",
-            "ownership",
+            "determinism", "protocol", "concurrency", "flow", "ownership",
         }
         flow_ids = {cls.rule_id for cls in RULE_PACKS["flow"]}
         assert flow_ids == {

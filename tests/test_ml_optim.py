@@ -244,3 +244,35 @@ class TestStalenessAware:
         # second push has staleness 1 -> rate 0.5
         assert record.learning_rate == pytest.approx(0.5)
         np.testing.assert_allclose(store.params["w"], [-1.5, -1.5])
+
+    def test_every_store_routes_staleness(self):
+        """The wall-clock server damps stale pushes exactly as the DES
+        store does: one stream, staleness 0/1/2, equal parameters."""
+        from repro.ml.optim import StalenessAwareUpdateRule
+        from repro.ps import ParameterStore
+        from repro.runtime.threaded import ThreadedParameterServer
+
+        store = ParameterStore(
+            params(0.0), StalenessAwareUpdateRule(ConstantSchedule(1.0)))
+        server = ThreadedParameterServer(
+            params(0.0), StalenessAwareUpdateRule(ConstantSchedule(1.0)))
+        for push, value in enumerate((1.0, 0.5, 0.25)):
+            record = store.apply_push(0, grad(value), 0, float(push))
+            assert server.push(grad(value), 0) == record.staleness == push
+        assert np.array_equal(server.pull()[0]["w"], store.params["w"])
+        # rates 1, 1/2, 1/3 — not three full-rate SGD steps
+        np.testing.assert_allclose(store.params["w"], [-4 / 3, -4 / 3])
+
+    def test_rules_that_ignore_staleness_apply_the_push_as_is(self):
+        from repro.ml.optim import AdaGradUpdateRule
+
+        for make in (
+            lambda: SgdUpdateRule(ConstantSchedule(0.5), momentum=0.9),
+            lambda: AdaGradUpdateRule(ConstantSchedule(0.5)),
+        ):
+            stale_rule, plain_rule = make(), make()
+            got, expected = params(), params()
+            for staleness in (0, 3, 7):
+                stale_rule.apply_stale(got, grad(0.3), staleness)
+                plain_rule.apply(expected, grad(0.3))
+            assert np.array_equal(got["w"], expected["w"])

@@ -31,7 +31,6 @@ from repro.obs.analysis import (
     ATTRIBUTION_CATEGORIES,
     AnalysisError,
     CausalGraph,
-    analysis_bench_payload,
     analyze_trace,
     render_analysis_comparison,
     render_analysis_text,
@@ -361,23 +360,6 @@ class TestGoldenAnalytics:
         assert "speculation ledger" in text
         diff = render_analysis_comparison(golden_analysis, golden_analysis)
         assert "+0" in diff
-
-    def test_bench_payload_loads_through_the_shared_gate(
-        self, golden_analysis, tmp_path
-    ):
-        from repro.perfbench import compare_benchmarks, load_bench_payload
-
-        payload = analysis_bench_payload(golden_analysis)
-        path = tmp_path / "BENCH_analysis.json"
-        path.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
-        loaded = load_bench_payload(str(path))
-        findings = compare_benchmarks(loaded, loaded, new_path=str(path))
-        assert findings == []
-        adaptive = payload["benchmarks"]["analysis.run3.specsync-adaptive"]
-        assert adaptive["metrics"]["total_aborts"]["value"] > 0
-        assert all(
-            m["kind"] == "count" for m in adaptive["metrics"].values()
-        )
 
 
 # ----------------------------------------------------------------------
