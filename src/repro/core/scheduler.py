@@ -263,15 +263,16 @@ class SpecSyncScheduler:
                   "window_start": round(window_start, 9)},
         )
         self.tracer.count("scheduler.resyncs_sent")
-        key = resync_flow_key(worker_id, iteration)
-        for push_time, pusher in contributing:
-            self.tracer.flow_begin(
-                key, self._worker_track(pusher), "abort", ts=push_time,
-                cat="abort", args={"pusher": pusher},
-            )
-        self.tracer.flow_begin(
-            key, self._self_track, "abort", ts=now, cat="abort",
-            args={"decision": True, "peer_pushes": count},
+        track_of = self._worker_track
+        sources: List[Tuple[str, float, Optional[dict]]] = [
+            (track_of(pusher), push_time, {"pusher": pusher})
+            for push_time, pusher in contributing
+        ]
+        sources.append(
+            (self._self_track, now, {"decision": True, "peer_pushes": count})
+        )
+        self.tracer.flow_begin_many(
+            resync_flow_key(worker_id, iteration), "abort", sources, cat="abort"
         )
 
     def _peer_pushes_between(self, worker_id: int, start: float, end: float) -> int:

@@ -108,6 +108,10 @@ class Network:
         #: counters (bytes/messages per transfer category).  The shared
         #: no-op tracer when observability is disabled.
         self.tracer = tracer_for(VirtualClock(sim))
+        #: category -> (bytes counter, messages counter, transfer histogram),
+        #: resolved on a category's first delivery so the registry holds
+        #: only what the run used and the per-message path is three updates.
+        self._delivery_instruments: dict = {}
 
     def _link_for(self, src: str, dst: str) -> LinkModel:
         if not self.node_bandwidth:
@@ -166,11 +170,18 @@ class Network:
             self.ledger.record(self.sim.now, message)
             if self.tracer.enabled:
                 category = message.kind.category
-                self.tracer.count(f"net.bytes.{category}", message.size_bytes)
-                self.tracer.count(f"net.messages.{category}")
-                self.tracer.observe(
-                    "net.transfer_s", self.sim.now - message.sent_at
-                )
+                instruments = self._delivery_instruments.get(category)
+                if instruments is None:
+                    metrics = self.tracer.collector.metrics
+                    instruments = self._delivery_instruments[category] = (
+                        metrics.counter(f"net.bytes.{category}"),
+                        metrics.counter(f"net.messages.{category}"),
+                        metrics.histogram("net.transfer_s"),
+                    )
+                byte_count, message_count, transfer_s = instruments
+                byte_count.inc(message.size_bytes)
+                message_count.inc()
+                transfer_s.observe(self.sim.now - message.sent_at)
         self._messages_delivered += 1
         on_delivery(message)
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 __all__ = [
     "AnalysisError",
@@ -37,6 +37,9 @@ __all__ = [
 
 _US_TO_S = 1e-6
 
+#: the phases the graph is built from: spans, instants, flow start/finish
+_ANALYZED_PHASES = ("s", "f", "X", "i")
+
 #: Worker tracks in both namespaces (DES ``worker-N``, runtime
 #: ``rt.worker-N``) — everything else is infrastructure (server,
 #: scheduler, network).
@@ -47,8 +50,7 @@ class AnalysisError(ValueError):
     """The trace cannot support causal analysis (schema/causality defect)."""
 
 
-@dataclass(frozen=True)
-class AnalyzedSpan:
+class AnalyzedSpan(NamedTuple):
     """One complete span, back in seconds on a named track."""
 
     track: str
@@ -56,26 +58,24 @@ class AnalyzedSpan:
     cat: str
     start: float
     end: float
-    args: dict = field(default_factory=dict)
+    args: dict
 
     @property
     def duration(self) -> float:
         return self.end - self.start
 
 
-@dataclass(frozen=True)
-class AnalyzedInstant:
+class AnalyzedInstant(NamedTuple):
     """One point event on a named track."""
 
     track: str
     name: str
     cat: str
     ts: float
-    args: dict = field(default_factory=dict)
+    args: dict
 
 
-@dataclass(frozen=True)
-class AnalyzedFlow:
+class AnalyzedFlow(NamedTuple):
     """One causal arrow (flow pair re-joined by id)."""
 
     name: str
@@ -84,7 +84,7 @@ class AnalyzedFlow:
     src_ts: float
     dst_track: str
     dst_ts: float
-    args: dict = field(default_factory=dict)
+    args: dict
 
 
 @dataclass
@@ -104,6 +104,12 @@ class RunSegment:
     #: explicit run boundaries (run_start/run_end instants), when present
     start_ts: Optional[float] = None
     end_ts: Optional[float] = None
+    #: ``spans`` grouped by track and sorted, built by ``track_spans`` and
+    #: rebuilt if ``spans`` has grown since (``_indexed`` is its length then)
+    _by_track: Dict[str, List[AnalyzedSpan]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    _indexed: int = field(default=0, repr=False, compare=False)
 
     @property
     def explicit(self) -> bool:
@@ -147,18 +153,19 @@ class RunSegment:
         return end - start
 
     def track_spans(self, track: str) -> List[AnalyzedSpan]:
-        """Spans on one track, ordered by start time."""
-        return sorted(
-            (s for s in self.spans if s.track == track),
-            key=lambda s: (s.start, s.end),
-        )
+        """Spans on one track, ordered by start time (a fresh list per call)."""
+        if self._indexed != len(self.spans):
+            by_track: Dict[str, List[AnalyzedSpan]] = {}
+            for span in self.spans:
+                by_track.setdefault(span.track, []).append(span)
+            for spans in by_track.values():
+                spans.sort(key=lambda s: (s.start, s.end))
+            self._by_track, self._indexed = by_track, len(self.spans)
+        return list(self._by_track.get(track, ()))
 
-    def named_instants(self, name: str, track: Optional[str] = None) -> List[AnalyzedInstant]:
-        """Instants with ``name`` (optionally restricted to one track)."""
-        return [
-            i for i in self.instants
-            if i.name == name and (track is None or i.track == track)
-        ]
+    def named_instants(self, name: str) -> List[AnalyzedInstant]:
+        """Instants with ``name``, in trace order."""
+        return [i for i in self.instants if i.name == name]
 
 
 @dataclass
@@ -208,94 +215,40 @@ class CausalGraph:
                     event.get("args", {}).get("name", "")
                 )
 
+        #: (pid, tid) -> (domain, track), resolved once per named thread
+        threads: Dict[Tuple[object, object], Tuple[str, str]] = {
+            key: (domains.get(key[0], f"pid-{key[0]}"), track)
+            for key, track in tracks.items()
+        }
+
         graph = cls(metadata=dict(metadata), format_version=format_version)
         #: current segment per domain (created lazily / on run_start)
         current: Dict[str, RunSegment] = {}
         #: open flow starts by id: (segment, name, cat, track, ts, args)
         open_flows: Dict[object, Tuple[RunSegment, str, str, str, float, dict]] = {}
 
-        def _track_of(event: dict) -> str:
-            key = (event.get("pid"), event.get("tid"))
-            track = tracks.get(key)
-            if track is None:
-                raise AnalysisError(
-                    f"event {event.get('name')!r} on unnamed thread "
-                    f"pid={key[0]} tid={key[1]} (missing thread_name metadata)"
-                )
-            return track
-
-        def _domain_of(event: dict) -> str:
-            return domains.get(event.get("pid"), f"pid-{event.get('pid')}")
-
-        def _segment_for(event: dict) -> RunSegment:
-            domain = _domain_of(event)
-            segment = current.get(domain)
-            if segment is None:
-                segment = RunSegment(
-                    index=len(graph.runs), domain=domain,
-                    meta={
-                        k: v for k, v in graph.metadata.items()
-                        if k != "format_version"
-                    },
-                )
-                graph.runs.append(segment)
-                current[domain] = segment
+        def _open(segment: RunSegment) -> RunSegment:
+            graph.runs.append(segment)
+            current[segment.domain] = segment
             return segment
 
         for event in events:
             phase = event.get("ph")
-            if phase == "M":
+            if phase not in _ANALYZED_PHASES:
+                # metadata was read above; other phases (counter events
+                # etc.) are not produced by our exporter — ignore them so
+                # foreign-but-valid traces still load
                 continue
-            if phase == "X":
-                start = float(event.get("ts", 0.0)) * _US_TO_S
-                end = start + float(event.get("dur", 0.0)) * _US_TO_S
-                _segment_for(event).spans.append(
-                    AnalyzedSpan(
-                        track=_track_of(event),
-                        name=str(event.get("name", "")),
-                        cat=str(event.get("cat", "")),
-                        start=start,
-                        end=end,
-                        args=dict(event.get("args") or {}),
-                    )
+            thread = threads.get((event.get("pid"), event.get("tid")))
+            if thread is None:
+                raise AnalysisError(
+                    f"event {event.get('name')!r} on unnamed thread "
+                    f"pid={event.get('pid')} tid={event.get('tid')} "
+                    "(missing thread_name metadata)"
                 )
-            elif phase == "i":
-                ts = float(event.get("ts", 0.0)) * _US_TO_S
-                name = str(event.get("name", ""))
-                args = dict(event.get("args") or {})
-                domain = _domain_of(event)
-                if name == "run_start":
-                    segment = RunSegment(
-                        index=len(graph.runs), domain=domain,
-                        meta=args, start_ts=ts,
-                    )
-                    graph.runs.append(segment)
-                    current[domain] = segment
-                segment = _segment_for(event)
-                if name == "run_end":
-                    segment.end_meta = args
-                    segment.end_ts = ts
-                segment.instants.append(
-                    AnalyzedInstant(
-                        track=_track_of(event), name=name,
-                        cat=str(event.get("cat", "")), ts=ts, args=args,
-                    )
-                )
-            elif phase == "s":
-                flow_id = event.get("id")
-                if flow_id in open_flows:
-                    raise AnalysisError(
-                        f"duplicate flow start id={flow_id!r}"
-                    )
-                open_flows[flow_id] = (
-                    _segment_for(event),
-                    str(event.get("name", "")),
-                    str(event.get("cat", "")),
-                    _track_of(event),
-                    float(event.get("ts", 0.0)) * _US_TO_S,
-                    dict(event.get("args") or {}),
-                )
-            elif phase == "f":
+            domain, track = thread
+            ts = float(event.get("ts", 0.0)) * _US_TO_S
+            if phase == "f":
                 flow_id = event.get("id")
                 start = open_flows.pop(flow_id, None)
                 if start is None:
@@ -305,16 +258,40 @@ class CausalGraph:
                     )
                 segment, name, cat, src_track, src_ts, args = start
                 segment.flows.append(
-                    AnalyzedFlow(
-                        name=name, cat=cat,
-                        src_track=src_track, src_ts=src_ts,
-                        dst_track=_track_of(event),
-                        dst_ts=float(event.get("ts", 0.0)) * _US_TO_S,
-                        args=args,
-                    )
+                    AnalyzedFlow(name, cat, src_track, src_ts, track, ts, args)
                 )
-            # other phases (counter events etc.) are not produced by our
-            # exporter; ignore them so foreign-but-valid traces still load
+                continue
+            name = str(event.get("name", ""))
+            cat = str(event.get("cat", ""))
+            args = dict(event.get("args") or {})
+            segment = current.get(domain)
+            if phase == "i" and name == "run_start":
+                segment = _open(RunSegment(
+                    index=len(graph.runs), domain=domain, meta=args, start_ts=ts,
+                ))
+            elif segment is None:
+                segment = _open(RunSegment(
+                    index=len(graph.runs), domain=domain,
+                    meta={
+                        k: v for k, v in graph.metadata.items()
+                        if k != "format_version"
+                    },
+                ))
+            if phase == "X":
+                end = ts + float(event.get("dur", 0.0)) * _US_TO_S
+                segment.spans.append(AnalyzedSpan(track, name, cat, ts, end, args))
+            elif phase == "i":
+                if name == "run_end":
+                    segment.end_meta = args
+                    segment.end_ts = ts
+                segment.instants.append(AnalyzedInstant(track, name, cat, ts, args))
+            else:
+                flow_id = event.get("id")
+                if flow_id in open_flows:
+                    raise AnalysisError(
+                        f"duplicate flow start id={flow_id!r}"
+                    )
+                open_flows[flow_id] = (segment, name, cat, track, ts, args)
         if open_flows:
             ids = ", ".join(repr(i) for i in sorted(open_flows, key=repr)[:5])
             raise AnalysisError(

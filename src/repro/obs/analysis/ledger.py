@@ -134,13 +134,16 @@ def speculation_ledger(run: RunSegment) -> Dict[str, object]:
     total_wasted = 0.0
     all_gains: List[float] = []
     empirical_by_worker: Dict[int, List[float]] = {}
+    aborts_by_track: Dict[str, List] = {}
+    for instant in run.named_instants("abort"):
+        aborts_by_track.setdefault(instant.track, []).append(instant)
 
     for track in run.worker_tracks():
         worker = _worker_id(track)
         spans = run.track_spans(track)
         pulls = [s for s in spans if s.name == "pull"]
         pushes = [s for s in spans if s.name == "push"]
-        aborts = run.named_instants("abort", track)
+        aborts = aborts_by_track.get(track, [])
         wasted = 0.0
         peer_pushes: List[int] = []
         for instant in aborts:

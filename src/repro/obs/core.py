@@ -33,8 +33,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from repro.obs.clock import Clock
 from repro.obs.metrics import Counter, MetricsRegistry
@@ -59,8 +58,7 @@ __all__ = [
 FlowKey = Tuple[object, ...]
 
 
-@dataclass(frozen=True)
-class SpanRecord:
+class SpanRecord(NamedTuple):
     """One completed operation on a track: ``[start, end]`` in seconds."""
 
     domain: str
@@ -72,8 +70,7 @@ class SpanRecord:
     args: Optional[dict] = None
 
 
-@dataclass(frozen=True)
-class InstantRecord:
+class InstantRecord(NamedTuple):
     """One point event on a track."""
 
     domain: str
@@ -84,8 +81,7 @@ class InstantRecord:
     args: Optional[dict] = None
 
 
-@dataclass(frozen=True)
-class FlowRecord:
+class FlowRecord(NamedTuple):
     """A causal arrow from one (track, time) to another."""
 
     domain: str
@@ -98,8 +94,7 @@ class FlowRecord:
     args: Optional[dict] = None
 
 
-@dataclass(frozen=True)
-class _FlowOrigin:
+class _FlowOrigin(NamedTuple):
     """A registered-but-unclosed flow source."""
 
     domain: str
@@ -135,14 +130,14 @@ class TraceCollector:
         """Add one finished record."""
         self.records.append(record)
 
-    def register_flow_origin(self, key: FlowKey, origin: _FlowOrigin) -> None:
-        """Remember a causal source until ``close_flows(key)`` lands."""
+    def register_flow_origins(self, key: FlowKey, origins: List[_FlowOrigin]) -> None:
+        """Remember causal sources until ``close_flows(key)`` lands."""
         with self._flow_lock:
-            self._pending_flows.setdefault(key, []).append(origin)
+            self._pending_flows.setdefault(key, []).extend(origins)
         # Flow accounting: every origin is either closed into an arrow,
         # discarded (late re-sync), or still pending at export.  Lazily
         # created so empty collections stay metric-free.
-        self.metrics.counter("obs.flow_origins_registered").inc()
+        self.metrics.counter("obs.flow_origins_registered").inc(len(origins))
 
     def close_flows(
         self, key: FlowKey, domain: str, track: str, ts: float
@@ -157,18 +152,11 @@ class TraceCollector:
             origins = self._pending_flows.pop(key, [])
         if origins:
             self.metrics.counter("obs.flow_arrows_closed").inc(len(origins))
-        for origin in origins:
-            self.records.append(
-                FlowRecord(
-                    domain=origin.domain,
-                    name=origin.name,
-                    cat=origin.cat,
-                    src_track=origin.track,
-                    src_ts=origin.ts,
-                    dst_track=track,
-                    dst_ts=ts,
-                    args=origin.args,
-                )
+            self.records.extend(
+                [
+                    FlowRecord(o.domain, o.name, o.cat, o.track, o.ts, track, ts, o.args)
+                    for o in origins
+                ]
             )
         return len(origins)
 
@@ -250,13 +238,8 @@ class Tracer:
         """Record a completed ``[start, end]`` span (``end`` defaults to now)."""
         self.collector.append(
             SpanRecord(
-                domain=self._domain,
-                track=track,
-                name=name,
-                cat=cat,
-                start=start,
-                end=self.clock.now() if end is None else end,
-                args=args,
+                self._domain, track, name, cat, start,
+                self.clock.now() if end is None else end, args,
             )
         )
 
@@ -271,12 +254,8 @@ class Tracer:
         """Record a point event (``ts`` defaults to now)."""
         self.collector.append(
             InstantRecord(
-                domain=self._domain,
-                track=track,
-                name=name,
-                cat=cat,
-                ts=self.clock.now() if ts is None else ts,
-                args=args,
+                self._domain, track, name, cat,
+                self.clock.now() if ts is None else ts, args,
             )
         )
 
@@ -303,16 +282,22 @@ class Tracer:
         args: Optional[dict] = None,
     ) -> None:
         """Register a causal source under ``key`` (closed by ``flow_end``)."""
-        self.collector.register_flow_origin(
+        self.flow_begin_many(
+            key, name, [(track, self.clock.now() if ts is None else ts, args)], cat
+        )
+
+    def flow_begin_many(
+        self,
+        key: FlowKey,
+        name: str,
+        sources: Iterable[Tuple[str, float, Optional[dict]]],
+        cat: str = "flow",
+    ) -> None:
+        """Register every ``(track, ts, args)`` source under ``key`` at once."""
+        domain = self._domain
+        self.collector.register_flow_origins(
             key,
-            _FlowOrigin(
-                domain=self._domain,
-                track=track,
-                name=name,
-                cat=cat,
-                ts=self.clock.now() if ts is None else ts,
-                args=args,
-            ),
+            [_FlowOrigin(domain, track, name, cat, ts, args) for track, ts, args in sources],
         )
 
     def flow_end(self, key: FlowKey, track: str, ts: Optional[float] = None) -> int:
@@ -372,6 +357,9 @@ class NullTracer:
         return _NULL_SCOPE
 
     def flow_begin(self, *_args, **_kwargs) -> None:
+        """No-op."""
+
+    def flow_begin_many(self, *_args, **_kwargs) -> None:
         """No-op."""
 
     def flow_end(self, *_args, **_kwargs) -> int:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_left
 from typing import Dict, List, Optional
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
@@ -80,10 +81,14 @@ class Gauge:
 class Histogram:
     """Aggregates observations: count/sum/min/max, exact percentiles, buckets.
 
-    Raw observations are retained (one float per ``observe``) so snapshots
-    report *exact* nearest-rank percentiles rather than bucket-interpolated
-    estimates; collections here are bounded by one run's instrumentation
-    volume, which keeps that affordable.
+    ``observe`` keeps the running count, left-to-right sum, min and max,
+    retains the raw value and bumps one bucket found by bisection (the
+    first bound with ``value <= bound``; past the last bound, and NaN,
+    land in the overflow bucket).  ``snapshot`` derives the rest: the mean
+    from the running sum, and *exact* nearest-rank p50/p90/p99 from one
+    sort of the retained values rather than bucket-interpolated estimates
+    — collections here are bounded by one run's instrumentation volume,
+    which keeps retaining them affordable.
     """
 
     def __init__(self, name: str, buckets: Optional[tuple] = None) -> None:
@@ -105,11 +110,9 @@ class Histogram:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-        for index, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.bucket_counts[index] += 1
-                return
-        self.bucket_counts[-1] += 1
+        # NaN compares false against every bound: overflow, not bucket 0.
+        index = bisect_left(self.bounds, value) if value == value else -1
+        self.bucket_counts[index] += 1
 
     @property
     def mean(self) -> Optional[float]:
@@ -122,11 +125,7 @@ class Histogram:
         """Exact nearest-rank percentile ``q`` in [0, 100] (None when empty)."""
         if not 0 <= q <= 100:
             raise ValueError(f"percentile must be in [0, 100], got {q}")
-        if not self._values:
-            return None
-        ordered = sorted(self._values)
-        rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-        return ordered[rank - 1]
+        return _nearest_rank(sorted(self._values), q)
 
     def snapshot(self) -> dict:
         """Aggregate view: count/sum/min/max/mean, p50/p90/p99, non-empty buckets.
@@ -140,20 +139,28 @@ class Histogram:
                 buckets[f"{bound:g}"] = self.bucket_counts[index]
         if self.bucket_counts[-1]:
             buckets["+inf"] = self.bucket_counts[-1]
+        ordered = sorted(self._values)
         return {
             "count": self.count,
             "sum": self.total,
             "min": self.min,
             "max": self.max,
             "mean": self.mean,
-            "p50": self.percentile(50),
-            "p90": self.percentile(90),
-            "p99": self.percentile(99),
+            "p50": _nearest_rank(ordered, 50),
+            "p90": _nearest_rank(ordered, 90),
+            "p99": _nearest_rank(ordered, 99),
             "buckets": buckets,
         }
 
     def __repr__(self) -> str:
         return f"Histogram({self.name!r}, count={self.count}, mean={self.mean})"
+
+
+def _nearest_rank(ordered: List[float], q: float) -> Optional[float]:
+    """The ``q``-th nearest-rank percentile of sorted values (None when empty)."""
+    if not ordered:
+        return None
+    return ordered[max(1, math.ceil(q / 100.0 * len(ordered))) - 1]
 
 
 class MetricsRegistry:

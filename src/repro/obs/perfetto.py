@@ -17,9 +17,14 @@ key and the profiler's snapshot under ``"perf"`` (the trace-event
 format explicitly allows extra top-level keys); ``repro trace`` and
 ``repro perf report`` read them back for the text summaries.
 
+The file is the header object (every top-level key but ``traceEvents``,
+on one line, reopened to take ``"traceEvents":[`` as its last member),
+then one compact event per line, then ``]}`` — N events, N + 2 lines.
+
 Determinism: event order follows record order, flow ids are assigned
-sequentially, and the JSON is dumped with sorted keys — a seeded DES run
-exports byte-identical files, which the golden-file test pins.
+sequentially, and header and events go through one
+``JSONEncoder(sort_keys=True, separators=(",", ":"))`` — a seeded DES
+run exports byte-identical files, which the golden-file test pins.
 """
 
 from __future__ import annotations
@@ -46,6 +51,10 @@ TRACE_FORMAT_VERSION = 2
 _DOMAIN_PIDS = {"virtual": 1, "wall": 2}
 
 _SECONDS_TO_US = 1e6
+
+#: One prebuilt encoder for the header and every event: ``encode`` (unlike
+#: ``json.dump``, and unlike anything with ``indent``) runs in the C encoder.
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 _WORKER_TRACK = re.compile(r"^(?:rt\.)?worker-(\d+)$")
 
@@ -103,13 +112,18 @@ def to_chrome_trace(collector: TraceCollector) -> dict:
     events: List[dict] = []
 
     # Metadata: name the processes (clock domains) and threads (tracks).
+    # Domains beyond virtual/wall (an injected FunctionClock's) each get
+    # their own pid, by name from 3 up — a shared pid would merge them.
     named_domains = sorted({domain for domain, _track in tids})
+    pids = dict(_DOMAIN_PIDS)
+    custom = [domain for domain in named_domains if domain not in pids]
+    pids.update((domain, pid) for pid, domain in enumerate(custom, start=3))
     for domain in named_domains:
         events.append(
             {
                 "ph": "M",
                 "name": "process_name",
-                "pid": _DOMAIN_PIDS.get(domain, 99),
+                "pid": pids[domain],
                 "tid": 0,
                 "args": {"name": f"{domain} time"},
             }
@@ -119,7 +133,7 @@ def to_chrome_trace(collector: TraceCollector) -> dict:
             {
                 "ph": "M",
                 "name": "thread_name",
-                "pid": _DOMAIN_PIDS.get(domain, 99),
+                "pid": pids[domain],
                 "tid": tid,
                 "args": {"name": track},
             }
@@ -130,7 +144,7 @@ def to_chrome_trace(collector: TraceCollector) -> dict:
 
     flow_id = 0
     for record in records:
-        pid = _DOMAIN_PIDS.get(record.domain, 99)
+        pid = pids[record.domain]
         if isinstance(record, SpanRecord):
             event = {
                 "ph": "X",
@@ -199,6 +213,10 @@ def to_chrome_trace(collector: TraceCollector) -> dict:
 def write_chrome_trace(collector: TraceCollector, destination: IO[str]) -> int:
     """Serialize the trace to an open text file; returns the event count."""
     trace = to_chrome_trace(collector)
-    json.dump(trace, destination, indent=1, sort_keys=True)
-    destination.write("\n")
-    return len(trace["traceEvents"])
+    events = trace.pop("traceEvents")
+    # "traceEvents" sorts after every other top-level key, so the header
+    # object is reopened and the events appended as its last member.
+    destination.write(_ENCODE(trace)[:-1] + ',"traceEvents":[\n')
+    destination.write(",\n".join(map(_ENCODE, events)))
+    destination.write("\n]}\n" if events else "]}\n")
+    return len(events)

@@ -165,6 +165,8 @@ class AbortStormDetector:
         self.min_aborts = min_aborts
         #: recent protocol events: (timestamp, is_abort)
         self._events: Deque[tuple] = deque(maxlen=window)
+        #: aborts among ``_events``, kept in step by ``_record``
+        self._window_aborts = 0
         self.total_pushes = 0
         self.total_aborts = 0
         self.storm_count = 0
@@ -173,16 +175,19 @@ class AbortStormDetector:
     def record_push(self, ts: float) -> None:
         """Record a successful push at ``ts``."""
         self.total_pushes += 1
-        self._events.append((ts, False))
-        self._update_storm_state()
+        self._record(ts, False)
 
     def record_abort(self, ts: float) -> None:
         """Record an abort/re-sync at ``ts``."""
         self.total_aborts += 1
-        self._events.append((ts, True))
-        self._update_storm_state()
+        self._record(ts, True)
 
-    def _update_storm_state(self) -> None:
+    def _record(self, ts: float, is_abort: bool) -> None:
+        events = self._events
+        if len(events) == self.window and events[0][1]:
+            self._window_aborts -= 1  # the append below evicts an abort
+        events.append((ts, is_abort))
+        self._window_aborts += is_abort
         storming = self.storming()
         if storming and not self._in_storm:
             self.storm_count += 1
@@ -192,15 +197,13 @@ class AbortStormDetector:
         """Fraction of the windowed events that are aborts (None when empty)."""
         if not self._events:
             return None
-        aborts = sum(1 for _, is_abort in self._events if is_abort)
-        return aborts / len(self._events)
+        return self._window_aborts / len(self._events)
 
     def storming(self) -> bool:
         """True while the windowed abort ratio exceeds the threshold."""
-        aborts = sum(1 for _, is_abort in self._events if is_abort)
-        if aborts < self.min_aborts:
+        if self._window_aborts < self.min_aborts:
             return False
-        return aborts / len(self._events) >= self.ratio_threshold
+        return self._window_aborts / len(self._events) >= self.ratio_threshold
 
     def report(self) -> dict:
         """JSON-ready deterministic verdict: totals, windowed ratio, and

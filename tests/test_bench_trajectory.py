@@ -183,3 +183,11 @@ def test_compare_reads_the_committed_trajectory(capsys):
     for workload in ("rt_threaded4_adaptive", "rt_mp4_adaptive"):
         assert {rows[workload, metric] for metric in trajectory.METRICS} == {"held"}
     assert "worse" not in rows.values()
+
+
+def test_pr17_sped_up_the_observe_row_and_slowed_none(capsys):
+    assert trajectory.main(["compare", "PR 17 (parent)", "PR 17"]) == 0
+    rows = printed_verdicts(capsys.readouterr().out)
+    assert len(rows) == 6 * len(trajectory.METRICS)  # every workload x end-to-end metric
+    assert rows["observe_mf40_cherrypick", "wall_s"] == "improved"
+    assert "worse" not in rows.values()

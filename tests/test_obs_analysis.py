@@ -162,6 +162,30 @@ class TestCausalGraph:
         assert run.window() == (1.0, 3.0)
 
 
+    def test_track_spans_is_sorted_fresh_and_follows_growth(self):
+        trace = _trace([
+            _span(2, "pull", 0.0, 1.0),
+            _span(1, "push", 3.0, 1.0),
+            _span(1, "compute", 1.0, 2.0),
+            _span(1, "pull", 0.0, 1.0),
+        ])
+        (run,) = CausalGraph.from_trace(trace).runs
+        first = run.track_spans("worker-0")
+        assert [s.name for s in first] == ["pull", "compute", "push"]
+        # the per-track index is not handed out: emptying the returned
+        # list must not empty the next answer
+        first.clear()
+        assert [s.name for s in run.track_spans("worker-0")] == [
+            "pull", "compute", "push"
+        ]
+        assert run.track_spans("no-such-track") == []
+        # a span appended after the index was built is still found
+        run.spans.append(run.spans[0]._replace(track="worker-0", name="late"))
+        assert [s.name for s in run.track_spans("worker-0")] == [
+            "pull", "late", "compute", "push"
+        ]
+
+
 class TestAttribution:
     def _analyze_one(self, events):
         graph = CausalGraph.from_trace(_trace(events))

@@ -2,6 +2,9 @@
 process-wide enablement, and coexistence with the dynamic sanitizers on
 the simulator's multi-tap bus."""
 
+import math
+import random
+
 import pytest
 
 from repro import ClusterSpec, Simulator, SpecSyncPolicy
@@ -10,6 +13,7 @@ from repro.obs import (
     NULL_TRACER,
     FlowRecord,
     FunctionClock,
+    Histogram,
     InstantRecord,
     MetricsRegistry,
     SpanRecord,
@@ -58,6 +62,62 @@ class TestClocks:
         assert clock.now() == 2.5
 
 
+class _ReferenceHistogram:
+    """The pre-bisect ``Histogram``, kept as the reference: a linear
+    ``value <= bound`` bucket scan, running count/sum/min/max, and one
+    sort per percentile."""
+
+    def __init__(self, buckets=None):
+        self.bounds = tuple(buckets) if buckets is not None else Histogram("r").bounds
+        self.bucket_counts = [0] * (len(self.bounds) + 1)
+        self.count = 0
+        self.total = 0.0
+        self.min = None
+        self.max = None
+        self.values = []
+
+    def observe(self, value):
+        self.count += 1
+        self.total += value
+        self.values.append(value)
+        if self.min is None or value < self.min:
+            self.min = value
+        if self.max is None or value > self.max:
+            self.max = value
+        for index, bound in enumerate(self.bounds):
+            if value <= bound:
+                self.bucket_counts[index] += 1
+                return
+        self.bucket_counts[-1] += 1
+
+    def percentile(self, q):
+        if not self.values:
+            return None
+        ordered = sorted(self.values)
+        return ordered[max(1, math.ceil(q / 100.0 * len(ordered))) - 1]
+
+    def snapshot(self):
+        buckets = {
+            f"{bound:g}": count
+            for bound, count in zip(self.bounds, self.bucket_counts) if count
+        }
+        if self.bucket_counts[-1]:
+            buckets["+inf"] = self.bucket_counts[-1]
+        return {
+            "count": self.count, "sum": self.total,
+            "min": self.min, "max": self.max,
+            "mean": self.total / self.count if self.count else None,
+            "p50": self.percentile(50), "p90": self.percentile(90),
+            "p99": self.percentile(99), "buckets": buckets,
+        }
+
+
+def _observed(histogram, values):
+    for value in values:
+        histogram.observe(value)
+    return histogram
+
+
 class TestMetrics:
     def test_counter_accumulates_and_rejects_negative(self):
         registry = MetricsRegistry()
@@ -76,6 +136,38 @@ class TestMetrics:
         assert snap["min"] == 0.1
         assert snap["max"] == 0.3
         assert snap["mean"] == pytest.approx(0.2)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_histogram_matches_the_linear_scan_reference(self, seed):
+        rng = random.Random(seed)
+        bounds = Histogram("h").bounds
+        values = [rng.choice(bounds) for _ in range(40)]      # exactly on a bound
+        values += [rng.lognormvariate(-3.0, 4.0) for _ in range(400)]
+        values += [0.0, -0.0, -1.5, -1e-9, bounds[-1] * 3, math.inf]
+        values += [0.1] * 7 + [0.7] * 5                       # sum order matters
+        rng.shuffle(values)
+        for stream in ([], values[:1], values[:10], values):
+            assert _observed(Histogram("h"), stream).snapshot() == \
+                _observed(_ReferenceHistogram(), stream).snapshot()
+        custom = (0.0, 1.0, 1.0, 2.5)                         # a repeated bound
+        assert _observed(Histogram("h", custom), values).snapshot() == \
+            _observed(_ReferenceHistogram(custom), values).snapshot()
+
+    def test_histogram_sum_is_the_running_left_to_right_total(self):
+        # builtin sum() is compensated on Python >= 3.12 and would export
+        # 1.0 here; the golden files pin the plain running total.
+        snap = _observed(Histogram("h"), [0.1] * 10).snapshot()
+        assert snap["sum"] == 0.9999999999999999
+        assert snap["mean"] == 0.9999999999999999 / 10
+
+    def test_histogram_nan_lands_in_the_overflow_bucket(self):
+        # NaN fails every ``value <= bound``; a bare bisect would file it
+        # under the first bound.
+        histogram = _observed(Histogram("h"), [0.5, math.nan])
+        assert histogram.snapshot()["buckets"] == {"0.5": 1, "+inf": 1}
+        assert histogram.snapshot()["buckets"] == _observed(
+            _ReferenceHistogram(), [0.5, math.nan]
+        ).snapshot()["buckets"]
 
     def test_snapshot_is_sorted_and_render_text_mentions_all(self):
         registry = MetricsRegistry()

@@ -18,6 +18,7 @@ import pytest
 from repro import ClusterSpec, Simulator, SpecSyncPolicy
 from repro.obs import (
     TRACE_FORMAT_VERSION,
+    CausalGraph,
     FunctionClock,
     TraceCollector,
     Tracer,
@@ -174,6 +175,87 @@ class TestDomains:
         assert events[(VIRTUAL_PID, "compute")]["ts"] == pytest.approx(2e6)
         assert events[(WALL_PID, "run")]["ts"] == pytest.approx(0.0)
         assert events[(WALL_PID, "run")]["dur"] == pytest.approx(1e6)
+
+
+    def test_custom_domains_get_distinct_pids_and_segments(self):
+        # Two non-standard clock domains used to share pid 99, so the
+        # analyzer relabelled one as the other and merged their runs.
+        collector = TraceCollector()
+        gpu = Tracer(collector, FunctionClock(lambda: 0.0, domain="gpu"))
+        nic = Tracer(collector, FunctionClock(lambda: 0.0, domain="nic"))
+        virtual = Tracer(collector, VirtualClock(Simulator()))
+        nic.span("queue-0", "send", start=0.0, end=1.0)
+        gpu.span("stream-0", "compute", start=0.0, end=2.0)
+        virtual.span("worker-0", "pull", start=0.0, end=1.0)
+        trace = to_chrome_trace(collector)
+        pids = {
+            e["args"]["name"]: e["pid"] for e in trace["traceEvents"]
+            if e["ph"] == "M" and e["name"] == "process_name"
+        }
+        # virtual/wall keep 1/2; the rest count up from 3 in name order
+        assert pids == {"gpu time": 3, "nic time": 4, "virtual time": VIRTUAL_PID}
+        runs = CausalGraph.from_trace(trace).runs
+        assert {run.domain: [s.name for s in run.spans] for run in runs} == {
+            "gpu": ["compute"], "nic": ["send"], "virtual": ["pull"],
+        }
+
+
+def _mixed_collector() -> TraceCollector:
+    """Spans, instants and flows on wall + virtual domains, with and
+    without ``args`` (an empty dict is dropped like a missing one)."""
+    collector = TraceCollector()
+    collector.metadata["seed"] = 11
+    virtual = Tracer(collector, VirtualClock(Simulator()))
+    ticks = iter([1e9 + 5.0, 1e9 + 6.5])
+    wall = Tracer(collector, FunctionClock(lambda: next(ticks)))
+    virtual.span("worker-0", "compute", start=0.5, end=1.25, args={})
+    virtual.span("worker-1", "pull", start=0.0, end=0.25, args={"version": 3})
+    virtual.instant("scheduler", "notify", ts=1.25)
+    virtual.instant("server", "eval", ts=2.0, args={"loss": 0.125, "ok": True})
+    virtual.flow_begin(("k",), "worker-1", "abort", ts=0.25, cat="abort",
+                       args={"pusher": 1})
+    virtual.flow_begin(("k",), "scheduler", "abort", ts=1.0, cat="abort")
+    virtual.flow_end(("k",), "worker-0", ts=1.25)
+    with wall.measure("rt.run", "run"):
+        pass
+    virtual.count("pushes")
+    virtual.observe("staleness", 2.0)
+    return collector
+
+
+class TestWrittenFile:
+    """``write_chrome_trace`` lays the object out a line per event; what
+    it parses to is exactly ``to_chrome_trace``'s object."""
+
+    @pytest.mark.parametrize(
+        "make_collector", [_seeded_run_collector, _mixed_collector, TraceCollector]
+    )
+    def test_parses_to_the_one_shot_dump_one_line_per_event(self, make_collector):
+        collector = make_collector()
+        buffer = io.StringIO()
+        count = write_chrome_trace(collector, buffer)
+        written = buffer.getvalue()
+        reference = json.loads(json.dumps(to_chrome_trace(collector)))
+        assert json.loads(written) == reference
+        assert count == len(reference["traceEvents"])
+        lines = written.split("\n")
+        assert lines[-1] == "" and len(lines) - 1 == count + 2
+        assert lines[0].startswith('{"displayTimeUnit":"ms",')
+        assert lines[0].endswith(',"traceEvents":[')
+        assert lines[-2] == "]}"
+        # each event line stands alone as one compact sorted-key object
+        events = [json.loads(line.rstrip(",")) for line in lines[1:-2]]
+        assert events == reference["traceEvents"]
+        for line, event in zip(lines[1:-2], events):
+            assert line.rstrip(",") == json.dumps(
+                event, sort_keys=True, separators=(",", ":")
+            )
+
+    def test_identical_seeded_runs_export_identical_bytes(self):
+        first, second = io.StringIO(), io.StringIO()
+        write_chrome_trace(_seeded_run_collector(), first)
+        write_chrome_trace(_seeded_run_collector(), second)
+        assert first.getvalue() == second.getvalue()
 
 
 class TestGoldenFile:

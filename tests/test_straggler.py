@@ -8,6 +8,7 @@ a lone straggler, which is the intended conservatism.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -126,6 +127,34 @@ class TestAbortStormDetector:
         detector.record_abort(1.0)
         assert detector.abort_ratio() == 1.0
         assert not detector.storming()
+
+    def test_running_abort_count_matches_a_window_rescan(self):
+        # Reference kept here: recount the aborts among the last `window`
+        # events after every event, as the detector itself used to.
+        rng = random.Random(5)
+        for window, min_aborts in ((2, 1), (8, 4), (32, 4)):
+            detector = AbortStormDetector(window=window, min_aborts=min_aborts)
+            history, storms, in_storm = [], 0, False
+            for step in range(400):
+                # abort-heavy and push-heavy stretches, so storms come and go
+                is_abort = rng.random() < (0.8 if (step // 50) % 2 else 0.2)
+                history.append(is_abort)
+                if is_abort:
+                    detector.record_abort(float(step))
+                else:
+                    detector.record_push(float(step))
+                recent = history[-window:]
+                aborts = sum(recent)
+                storming = (
+                    aborts >= min_aborts
+                    and aborts / len(recent) >= detector.ratio_threshold
+                )
+                storms += storming and not in_storm
+                in_storm = storming
+                assert detector.abort_ratio() == aborts / len(recent)
+                assert detector.storming() == storming
+                assert detector.storm_count == storms
+            assert storms > 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
