@@ -23,12 +23,12 @@ unit-testable without a simulation and reusable by the threaded runtime.
 
 from __future__ import annotations
 
-import bisect
 from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.hyperparams import SpecSyncHyperparams
 from repro.core.tuning import EpochTrace, HyperparamTuner
+from repro.metrics.traces import PushHistory
 from repro.obs.core import NULL_TRACER, NullTracer, Tracer
 from repro.obs.log import get_logger
 from repro.obs.perf import NULL_PROFILER, NullProfiler, Profiler
@@ -89,9 +89,9 @@ class SpecSyncScheduler:
 
         self.hyperparams: Optional[SpecSyncHyperparams] = tuner.initial()
 
-        # Global push history (time-ordered, append-only).
-        self._push_times: List[float] = []
-        self._push_workers: List[int] = []
+        # Global push history (time-ordered, append-only); a check's peer
+        # count is four bisections on it, whatever the cluster size.
+        self._history = PushHistory()
 
         # Per-worker history for iteration-span estimation.
         self._last_push: Dict[int, float] = {}
@@ -148,8 +148,7 @@ class SpecSyncScheduler:
     # Internals
     # ------------------------------------------------------------------
     def _record_push(self, time: float, worker_id: int) -> None:
-        self._push_times.append(time)
-        self._push_workers.append(worker_id)
+        self._history.append(time, worker_id)
         previous = self._last_push.get(worker_id)
         if previous is not None and time > previous:
             self._span_samples[worker_id].append(time - previous)
@@ -212,7 +211,7 @@ class SpecSyncScheduler:
         """Algorithm 2, ``CheckResync``: fire a re-sync if enough peers pushed."""
         self.checks_run += 1
         now = self._now()
-        count = self._peer_pushes_between(worker_id, window_start, now)
+        count = self._history.count_between(window_start, now, worker_id)
         if self.tracer.enabled:
             self.tracer.count("scheduler.checks")
         if self.profiler.enabled:
@@ -253,9 +252,7 @@ class SpecSyncScheduler:
         closes the key at the abort point; a re-sync that arrives too
         late discards it, so only honored aborts grow arrows.
         """
-        contributing = self._peer_push_events_between(
-            worker_id, window_start, now
-        )
+        contributing = self._history.between(window_start, now, worker_id)
         self.tracer.instant(
             self._self_track, "resync_decision", cat="abort",
             args={"worker": worker_id, "iteration": iteration,
@@ -274,23 +271,6 @@ class SpecSyncScheduler:
         self.tracer.flow_begin_many(
             resync_flow_key(worker_id, iteration), "abort", sources, cat="abort"
         )
-
-    def _peer_pushes_between(self, worker_id: int, start: float, end: float) -> int:
-        lo = bisect.bisect_right(self._push_times, start)
-        hi = bisect.bisect_right(self._push_times, end)
-        return sum(1 for i in range(lo, hi) if self._push_workers[i] != worker_id)
-
-    def _peer_push_events_between(
-        self, worker_id: int, start: float, end: float
-    ) -> List[Tuple[float, int]]:
-        """(time, worker) of each peer push in (start, end] — the causal set."""
-        lo = bisect.bisect_right(self._push_times, start)
-        hi = bisect.bisect_right(self._push_times, end)
-        return [
-            (self._push_times[i], self._push_workers[i])
-            for i in range(lo, hi)
-            if self._push_workers[i] != worker_id
-        ]
 
     # ------------------------------------------------------------------
     # Introspection

@@ -1,8 +1,7 @@
-"""Event objects for the simulation kernel."""
+"""Cancellation handles for the simulation kernel (ordering lives in the
+simulator's tuple heap entries, not here)."""
 
 from __future__ import annotations
-
-from typing import Callable
 
 __all__ = ["Event", "EventCanceled"]
 
@@ -12,28 +11,22 @@ class EventCanceled(Exception):
 
 
 class Event:
-    """One scheduled callback on the virtual timeline.
+    """Handle to one scheduled callback, as returned by ``Simulator.schedule``.
 
-    Events order by ``(time, seq)``; ``seq`` is a monotonically increasing
-    sequence number assigned by the simulator, which makes the ordering a
-    total order and keeps simultaneous events in scheduling order.  Events
-    can be canceled before they fire (lazy deletion: the heap entry stays,
-    the simulator skips it on pop).
+    ``(time, seq)`` is the key the simulator orders by: ``seq`` is a
+    monotonically increasing sequence number assigned at scheduling, which
+    makes the ordering a total order and keeps simultaneous events in
+    scheduling order.  Events can be canceled before they fire (lazy
+    deletion: the heap entry stays, the simulator skips it on pop).
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "canceled", "fired", "recycle")
+    __slots__ = ("time", "seq", "canceled", "fired")
 
-    def __init__(self, time: float, seq: int, fn: Callable, args: tuple):
+    def __init__(self, time: float, seq: int):
         self.time = time
         self.seq = seq
-        self.fn = fn
-        self.args = args
         self.canceled = False
         self.fired = False
-        #: True for fire-and-forget events (``Simulator.defer``): no handle
-        #: escaped to user code, so the simulator may reset and reuse this
-        #: object after the callback runs.
-        self.recycle = False
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Canceling a fired event is an error."""
@@ -46,15 +39,6 @@ class Event:
         """True while the event is scheduled and neither fired nor canceled."""
         return not (self.canceled or self.fired)
 
-    def __lt__(self, other: "Event") -> bool:
-        # Tuple-free compare: this runs O(log n) times per heap operation
-        # on the dispatch path, and (time, seq) < (...) allocates two
-        # tuples per call.
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
     def __repr__(self) -> str:
         state = "canceled" if self.canceled else ("fired" if self.fired else "pending")
-        name = getattr(self.fn, "__qualname__", repr(self.fn))
-        return f"Event(t={self.time:.6g}, seq={self.seq}, fn={name}, {state})"
+        return f"Event(t={self.time:.6g}, seq={self.seq}, {state})"

@@ -1,4 +1,5 @@
-"""The discrete-event simulator: a virtual clock over a binary heap of events."""
+"""The discrete-event simulator: a virtual clock over a binary heap of
+plain tuples (``HeapEntry``), which ``heapq`` orders by C tuple comparison."""
 
 from __future__ import annotations
 
@@ -14,13 +15,15 @@ __all__ = ["Simulator", "SimulationError", "EventTap"]
 EventTap = Callable[[float, int, Callable, tuple], None]
 
 
+#: One heap entry: ``(time, seq, handle, fn, args)``.  ``seq`` is unique, so
+#: comparison is decided by the first two fields and never reaches the rest.
+#: ``handle`` is the :class:`Event` that ``schedule``/``schedule_at`` returned
+#: (consulted for cancellation), or None for ``defer``.
+HeapEntry = Tuple[float, int, Optional[Event], Callable, tuple]
+
+
 class SimulationError(Exception):
-    """Raised on invalid simulator usage (negative delays, time travel)."""
-
-
-def _recycled(*_args) -> None:
-    """Placeholder callback on recycled Event slots, so a slot sitting in
-    the free list retains neither the fired callback nor its arguments."""
+    """Raised on invalid simulator usage (negative or NaN delays, time travel)."""
 
 
 class Simulator:
@@ -47,17 +50,12 @@ class Simulator:
     #: empty-bus fast path is a single truthiness check.
     _taps: Tuple[EventTap, ...] = ()
 
-    #: Upper bound on the fire-and-forget free list (see :meth:`defer`) —
-    #: enough to cover in-flight message bursts without pinning memory.
-    _FREE_MAX = 256
-
     def __init__(self, start_time: float = 0.0):
         self.now = float(start_time)
-        self._heap: list[Event] = []
+        self._heap: list[HeapEntry] = []
         self._seq = 0
         self._events_fired = 0
         self._running = False
-        self._free: list[Event] = []
 
     # ------------------------------------------------------------------
     # Instrumentation tap
@@ -96,77 +94,59 @@ class Simulator:
     # ------------------------------------------------------------------
     def schedule(self, delay: float, fn: Callable, *args) -> Event:
         """Schedule ``fn(*args)`` to fire ``delay`` virtual seconds from now."""
-        if delay < 0:
+        # ``not >=`` also refuses NaN, which as a heap key would fire first
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule into the past: delay={delay}")
         return self.schedule_at(self.now + delay, fn, *args)
 
     def schedule_at(self, time: float, fn: Callable, *args) -> Event:
         """Schedule ``fn(*args)`` at an absolute virtual time."""
-        if time < self.now:
+        if not time >= self.now:
             raise SimulationError(
                 f"cannot schedule at t={time} before current time t={self.now}"
             )
-        event = Event(float(time), self._seq, fn, args)
+        event = Event(float(time), self._seq)
+        heapq.heappush(self._heap, (event.time, event.seq, event, fn, args))
         self._seq += 1
-        heapq.heappush(self._heap, event)
         return event
 
     def defer(self, delay: float, fn: Callable, *args) -> None:
         """Fire-and-forget :meth:`schedule`: no Event handle is returned.
 
-        Because nothing outside the simulator can hold (or cancel) the
-        event, its slotted Event object is recycled through a small free
-        list after it fires — the dominant schedule→fire→discard cycle of
-        the dispatch loop then allocates nothing.  Use :meth:`schedule`
-        whenever the caller needs the handle.
+        Nothing outside the simulator can cancel the event, so none is
+        built: the heap entry is the whole cost, and once it fires the
+        simulator holds no reference to ``fn`` or ``args``.  Use
+        :meth:`schedule` whenever the caller needs the handle.
         """
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule into the past: delay={delay}")
-        time = self.now + delay
-        free = self._free
-        if free:
-            event = free.pop()
-            event.time = time
-            event.seq = self._seq
-            event.fn = fn
-            event.args = args
-            event.canceled = False
-            event.fired = False
-        else:
-            event = Event(time, self._seq, fn, args)
-            event.recycle = True
+        heapq.heappush(self._heap, (self.now + delay, self._seq, None, fn, args))
         self._seq += 1
-        heapq.heappush(self._heap, event)
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def step(self) -> bool:
         """Fire the next pending event.  Returns False if the queue is empty."""
-        heap = self._heap
-        pop = heapq.heappop
-        while heap:
-            event = pop(heap)
-            if event.canceled:
-                continue
-            self._fire(event)
-            return True
-        return False
+        entry = self._peek()
+        if entry is None:
+            return False
+        heapq.heappop(self._heap)
+        self._fire(entry)
+        return True
 
-    def _fire(self, event: Event) -> None:
-        """Dispatch one popped, non-canceled event."""
-        self.now = event.time
-        event.fired = True
+    def _fire(self, entry: HeapEntry) -> None:
+        """Dispatch one popped, non-canceled entry."""
+        time, seq, handle, fn, args = entry
+        self.now = time
+        if handle is not None:
+            handle.fired = True
         self._events_fired += 1
         taps = Simulator._taps
         if taps:
             for tap in taps:
-                tap(event.time, event.seq, event.fn, event.args)
-        event.fn(*event.args)
-        if event.recycle and len(self._free) < self._FREE_MAX:
-            event.fn = _recycled
-            event.args = ()
-            self._free.append(event)
+                tap(time, seq, fn, args)
+        fn(*args)
 
     def run(
         self,
@@ -185,7 +165,7 @@ class Simulator:
             raise SimulationError("simulator is not re-entrant")
         self._running = True
         fired = 0
-        # The loop pops the event it just peeked: binding the heap and
+        # The loop pops the entry it just peeked: binding the heap and
         # dispatching inline avoids the peek-then-step double scan (and
         # the per-iteration self._heap lookups) of the naive form.
         heap = self._heap
@@ -193,15 +173,16 @@ class Simulator:
         fire = self._fire
         try:
             while heap:
-                event = heap[0]
-                if event.canceled:
+                entry = heap[0]
+                handle = entry[2]
+                if handle is not None and handle.canceled:
                     pop(heap)
                     continue
-                if until is not None and event.time > until:
+                if until is not None and entry[0] > until:
                     self.now = max(self.now, until)
                     break
                 pop(heap)
-                fire(event)
+                fire(entry)
                 fired += 1
                 if stop_when is not None and stop_when():
                     break
@@ -210,11 +191,15 @@ class Simulator:
         finally:
             self._running = False
 
-    def _peek(self) -> Optional[Event]:
-        """Return the next pending event without firing it (skips canceled)."""
-        while self._heap and self._heap[0].canceled:
-            heapq.heappop(self._heap)
-        return self._heap[0] if self._heap else None
+    def _peek(self) -> Optional[HeapEntry]:
+        """Return the next pending entry without firing it (skips canceled)."""
+        heap = self._heap
+        while heap:
+            handle = heap[0][2]
+            if handle is None or not handle.canceled:
+                return heap[0]
+            heapq.heappop(heap)
+        return None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -222,7 +207,8 @@ class Simulator:
     @property
     def pending_count(self) -> int:
         """Number of events still scheduled (excluding canceled ones)."""
-        return sum(1 for e in self._heap if not e.canceled)
+        handles = (entry[2] for entry in self._heap)
+        return sum(1 for handle in handles if handle is None or not handle.canceled)
 
     @property
     def events_fired(self) -> int:
@@ -231,8 +217,8 @@ class Simulator:
 
     def peek_time(self) -> Optional[float]:
         """Virtual time of the next pending event, or None if the queue is empty."""
-        event = self._peek()
-        return event.time if event is not None else None
+        entry = self._peek()
+        return entry[0] if entry is not None else None
 
     def __repr__(self) -> str:
         return (

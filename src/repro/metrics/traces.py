@@ -8,15 +8,14 @@ SpecSync adaptive tuner.
 
 from __future__ import annotations
 
-import bisect
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from bisect import bisect_right
+from collections import defaultdict
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
-__all__ = ["PullEvent", "PushEvent", "AbortEvent", "TraceRecorder"]
+__all__ = ["PullEvent", "PushEvent", "AbortEvent", "PushHistory", "TraceRecorder"]
 
 
-@dataclass(frozen=True)
-class PullEvent:
+class PullEvent(NamedTuple):
     """A worker received a parameter snapshot."""
 
     time: float
@@ -26,8 +25,7 @@ class PullEvent:
     is_restart: bool  # True when the pull follows an abort
 
 
-@dataclass(frozen=True)
-class PushEvent:
+class PushEvent(NamedTuple):
     """The store applied a worker's gradient."""
 
     time: float
@@ -38,14 +36,59 @@ class PushEvent:
     iteration: int
 
 
-@dataclass(frozen=True)
-class AbortEvent:
+class AbortEvent(NamedTuple):
     """A worker aborted an in-flight iteration for a re-sync."""
 
     time: float
     worker_id: int
     iteration: int
     wasted_compute_s: float
+
+
+class PushHistory:
+    """Time-ordered (time, worker) push log answering what Algorithm 2's
+    re-sync check and the PAP study (Fig. 3) both ask: how many pushes
+    landed in ``(start, end]``, not counting one worker's own?
+
+    Peers = all pushes − own pushes, two bisections each, so a count is
+    O(log n) however many workers pushed in the window.  Timestamps may
+    repeat (the threaded clock's do) but must not go backwards.
+    """
+
+    def __init__(self) -> None:
+        self.times: List[float] = []
+        self._workers: List[int] = []  # parallel to self.times
+        self._times_of: Dict[int, List[float]] = defaultdict(list)
+
+    def append(self, time: float, worker_id: int) -> None:
+        """Log one push (``time`` must not precede the last one logged)."""
+        self.times.append(time)
+        self._workers.append(worker_id)
+        self._times_of[worker_id].append(time)
+
+    def count_between(
+        self, start: float, end: float, exclude_worker: Optional[int] = None
+    ) -> int:
+        """Pushes in (start, end], minus ``exclude_worker``'s if given."""
+        times = self.times
+        lo = bisect_right(times, start)
+        count = bisect_right(times, end, lo) - lo
+        if count and exclude_worker is not None:
+            own = self._times_of.get(exclude_worker, ())
+            lo = bisect_right(own, start)
+            count -= bisect_right(own, end, lo) - lo
+        return count
+
+    def between(
+        self, start: float, end: float, exclude_worker: int
+    ) -> List[Tuple[float, int]]:
+        """(time, worker) of each push in (start, end] by anyone else."""
+        times, workers = self.times, self._workers
+        return [
+            (times[i], workers[i])
+            for i in range(bisect_right(times, start), bisect_right(times, end))
+            if workers[i] != exclude_worker
+        ]
 
 
 class TraceRecorder:
@@ -55,8 +98,7 @@ class TraceRecorder:
         self.pulls: List[PullEvent] = []
         self.pushes: List[PushEvent] = []
         self.aborts: List[AbortEvent] = []
-        self._push_times: List[float] = []  # parallel to self.pushes
-        self._push_workers: List[int] = []
+        self._push_history = PushHistory()  # of self.pushes, caught up on query
 
     # ------------------------------------------------------------------
     # Recording
@@ -67,11 +109,9 @@ class TraceRecorder:
 
     def record_push(self, event: PushEvent) -> None:
         """Record an applied push (must arrive in time order)."""
-        if self._push_times and event.time < self._push_times[-1]:
+        if self.pushes and event.time < self.pushes[-1].time:
             raise ValueError("pushes must be recorded in time order")
         self.pushes.append(event)
-        self._push_times.append(event.time)
-        self._push_workers.append(event.worker_id)
 
     def record_abort(self, event: AbortEvent) -> None:
         """Record a speculative abort."""
@@ -86,17 +126,16 @@ class TraceRecorder:
         """Number of pushes applied in (start, end], optionally excluding one
         worker's own pushes — the PAP count for that worker.
         """
-        lo = bisect.bisect_right(self._push_times, start)
-        hi = bisect.bisect_right(self._push_times, end)
-        if exclude_worker is None:
-            return hi - lo
-        return sum(
-            1 for i in range(lo, hi) if self._push_workers[i] != exclude_worker
-        )
+        # Nothing asks during a run, so recording does not pay for the
+        # index: it is extended here by the pushes recorded since last asked.
+        history = self._push_history
+        for event in self.pushes[len(history.times):]:
+            history.append(event.time, event.worker_id)
+        return history.count_between(start, end, exclude_worker)
 
     def push_times(self) -> List[float]:
         """All push timestamps, in order."""
-        return list(self._push_times)
+        return [event.time for event in self.pushes]
 
     def pulls_by_worker(self) -> Dict[int, List[PullEvent]]:
         """Pull events grouped per worker, preserving time order."""

@@ -33,11 +33,16 @@ class Partition:
         return len(self.indices)
 
     def sample_batch(self, rng: np.random.Generator, batch_size: int) -> Batch:
-        """Draw a with-replacement mini-batch from this shard."""
+        """Draw a with-replacement mini-batch from this shard.
+
+        ``Generator.choice(indices, replace=True)`` draws exactly these
+        ``integers`` and indexes with them, after a generic prologue that
+        costs more than the draw; a test pins the two streams equal.
+        """
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
-        chosen = rng.choice(self.indices, size=batch_size, replace=True)
-        return self.dataset.gather(chosen)
+        positions = rng.integers(0, len(self.indices), size=batch_size)
+        return self.dataset.gather(self.indices[positions])
 
 
 class Dataset(abc.ABC):

@@ -10,16 +10,14 @@ answers the questions behind the paper's communication figures:
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
-from repro.netsim.messages import Message
+from repro.netsim.messages import Message, MessageKind
 
 __all__ = ["TransferRecord", "TransferLedger"]
 
 
-@dataclass(frozen=True)
-class TransferRecord:
+class TransferRecord(NamedTuple):
     """One accounted transfer: when, what kind, how many bytes."""
 
     time: float
@@ -31,11 +29,19 @@ class TransferRecord:
 
 
 class TransferLedger:
-    """Append-only record of all network transfers in a run."""
+    """Append-only record of all network transfers in a run.
+
+    ``record`` is on the per-message path: it appends to parallel columns
+    and adds to the running totals (in delivery order, so they are the
+    floats a per-record sum gives); :meth:`records` builds the objects.
+    """
 
     def __init__(self):
-        self._records: List[TransferRecord] = []
         self._times: List[float] = []
+        self._kinds: List[MessageKind] = []
+        self._srcs: List[str] = []
+        self._dsts: List[str] = []
+        self._sizes: List[float] = []
         self._cumulative: List[float] = []
         self._total = 0.0
         self._by_category: Dict[str, float] = {}
@@ -43,26 +49,23 @@ class TransferLedger:
 
     def record(self, time: float, message: Message) -> None:
         """Account one delivered message at virtual time ``time``."""
-        rec = TransferRecord(
-            time=time,
-            kind=message.kind.wire_name,
-            category=message.kind.category,
-            src=message.src,
-            dst=message.dst,
-            size_bytes=message.size_bytes,
-        )
-        if self._times and time < self._times[-1]:
+        times = self._times
+        if times and time < times[-1]:
             raise ValueError(
-                f"transfers must be recorded in time order: {time} < {self._times[-1]}"
+                f"transfers must be recorded in time order: {time} < {times[-1]}"
             )
-        self._records.append(rec)
-        self._total += rec.size_bytes
-        self._times.append(time)
+        kind = message.kind
+        size = message.size_bytes
+        times.append(time)
+        self._kinds.append(kind)
+        self._srcs.append(message.src)
+        self._dsts.append(message.dst)
+        self._sizes.append(size)
+        self._total += size
         self._cumulative.append(self._total)
-        self._by_category[rec.category] = (
-            self._by_category.get(rec.category, 0.0) + rec.size_bytes
-        )
-        self._by_kind[rec.kind] = self._by_kind.get(rec.kind, 0.0) + rec.size_bytes
+        # str keys: hashing the enum member itself is a Python-level call
+        self._by_category[kind.category] = self._by_category.get(kind.category, 0.0) + size
+        self._by_kind[kind.wire_name] = self._by_kind.get(kind.wire_name, 0.0) + size
 
     # ------------------------------------------------------------------
     # Queries
@@ -75,7 +78,7 @@ class TransferLedger:
     @property
     def record_count(self) -> int:
         """Number of accounted transfers."""
-        return len(self._records)
+        return len(self._times)
 
     def bytes_by_category(self) -> Dict[str, float]:
         """Total bytes per Fig.-13 bucket (pull / push / control)."""
@@ -95,8 +98,13 @@ class TransferLedger:
         return [(t, self.cumulative_at(t)) for t in sample_times]
 
     def records(self) -> List[TransferRecord]:
-        """A copy of all transfer records, in time order."""
-        return list(self._records)
+        """All transfer records, in time order (built on each call)."""
+        return [
+            TransferRecord(time, kind.wire_name, kind.category, src, dst, size)
+            for time, kind, src, dst, size in zip(
+                self._times, self._kinds, self._srcs, self._dsts, self._sizes
+            )
+        ]
 
     def control_fraction(self) -> float:
         """Fraction of total bytes that is SpecSync control traffic.
@@ -110,6 +118,6 @@ class TransferLedger:
 
     def __repr__(self) -> str:
         return (
-            f"TransferLedger(records={len(self._records)}, "
+            f"TransferLedger(records={len(self._times)}, "
             f"total={self._total:.3g}B)"
         )

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+from math import inf
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -69,11 +70,12 @@ class Message:
     #: parallel_streams`` on the bottleneck link, so delay divides by this
     #: while accounting does not.
     parallel_streams: int = 1
-    msg_id: int = field(default_factory=lambda: next(_message_ids))
+    msg_id: int = field(default_factory=_message_ids.__next__)
 
     def __post_init__(self):
-        if self.size_bytes < 0:
-            raise ValueError(f"size_bytes must be >= 0, got {self.size_bytes}")
+        # NaN passes ``< 0`` and becomes a NaN delay; inf is never delivered.
+        if not 0 <= self.size_bytes < inf:
+            raise ValueError(f"size_bytes must be finite and >= 0, got {self.size_bytes}")
         if self.parallel_streams < 1:
             raise ValueError(
                 f"parallel_streams must be >= 1, got {self.parallel_streams}"

@@ -147,8 +147,8 @@ class Network:
         self._messages_sent += 1
         if message.src == message.dst:
             # Loopback: same-node worker/server co-location is free.  The
-            # delivery events are fire-and-forget, so defer() lets the
-            # simulator recycle their Event slots.
+            # delivery events are fire-and-forget, so defer() spares them
+            # the Event handle.
             self.sim.defer(0.0, self._deliver, message, on_delivery, False)
             return
         delay = self._link_for(message.src, message.dst).delay_for(

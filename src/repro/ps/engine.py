@@ -352,12 +352,7 @@ class TrainingEngine:
             worker_id, worker.iteration, wasted,
         )
         self.traces.record_abort(
-            AbortEvent(
-                time=self.sim.now,
-                worker_id=worker_id,
-                iteration=worker.iteration,
-                wasted_compute_s=wasted,
-            )
+            AbortEvent(self.sim.now, worker_id, worker.iteration, wasted)
         )
         self.policy.on_abort(worker_id, worker.iteration)
         self._issue_pull(worker, is_restart=True)
@@ -493,11 +488,8 @@ class TrainingEngine:
             self.profiler.phase("engine.pull", start=worker.pull_issued_at)
         self.traces.record_pull(
             PullEvent(
-                time=self.sim.now,
-                worker_id=worker.worker_id,
-                version=snapshot.version,
-                iteration=worker.iteration,
-                is_restart=is_restart,
+                self.sim.now, worker.worker_id, snapshot.version,
+                worker.iteration, is_restart,
             )
         )
         self.policy.on_pull(worker.worker_id, snapshot.version)
@@ -562,12 +554,8 @@ class TrainingEngine:
                 )
         self.traces.record_push(
             PushEvent(
-                time=self.sim.now,
-                worker_id=worker.worker_id,
-                version_after=record.version_after,
-                snapshot_version=record.snapshot_version,
-                staleness=record.staleness,
-                iteration=worker.iteration,
+                self.sim.now, worker.worker_id, record.version_after,
+                record.snapshot_version, record.staleness, worker.iteration,
             )
         )
         self.policy.on_push_applied(record)

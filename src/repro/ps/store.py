@@ -14,7 +14,7 @@ missed ``V − v`` peer updates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.ml.optim import SgdUpdateRule
 from repro.ml.params import ParamSet
@@ -22,8 +22,7 @@ from repro.ml.params import ParamSet
 __all__ = ["PullSnapshot", "PushRecord", "ParameterStore"]
 
 
-@dataclass(frozen=True)
-class PullSnapshot:
+class PullSnapshot(NamedTuple):
     """What a pull returns: a deep parameter copy and its version stamp."""
 
     params: ParamSet
@@ -31,8 +30,7 @@ class PullSnapshot:
     time: float
 
 
-@dataclass(frozen=True)
-class PushRecord:
+class PushRecord(NamedTuple):
     """Bookkeeping for one applied push."""
 
     worker_id: int
@@ -68,7 +66,7 @@ class ParameterStore:
     # ------------------------------------------------------------------
     def snapshot(self, time: float) -> PullSnapshot:
         """A consistent deep copy of the current parameters."""
-        return PullSnapshot(params=self._params.copy(), version=self._version, time=time)
+        return PullSnapshot(self._params.copy(), self._version, time)
 
     def apply_push(
         self, worker_id: int, gradient: ParamSet, snapshot_version: int, time: float
@@ -85,12 +83,7 @@ class ParameterStore:
         rate = self._update_rule.apply_stale(self._params, gradient, staleness)
         self._version += 1
         record = PushRecord(
-            worker_id=worker_id,
-            version_after=self._version,
-            snapshot_version=snapshot_version,
-            staleness=self._version - 1 - snapshot_version,
-            learning_rate=rate,
-            time=time,
+            worker_id, self._version, snapshot_version, staleness, rate, time
         )
         self._push_records.append(record)
         return record

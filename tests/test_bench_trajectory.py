@@ -191,3 +191,22 @@ def test_pr17_sped_up_the_observe_row_and_slowed_none(capsys):
     assert len(rows) == 6 * len(trajectory.METRICS)  # every workload x end-to-end metric
     assert rows["observe_mf40_cherrypick", "wall_s"] == "improved"
     assert "worse" not in rows.values()
+
+
+def test_pr18_sped_up_the_event_bound_row_and_slowed_none(capsys):
+    assert trajectory.main(["compare", "PR 18 (parent)", "PR 18"]) == 0
+    rows = printed_verdicts(capsys.readouterr().out)
+    assert len(rows) == 6 * len(trajectory.METRICS)
+    assert rows["des_tiny160_cherrypick", "wall_s"] == "improved"
+    assert "worse" not in rows.values()
+
+
+def test_simulated_behaviour_never_changed_along_the_trajectory():
+    # Every perf PR on record claimed "same simulated run"; the digests say so.
+    digests = {}
+    for entry in trajectory.load(trajectory.HISTORY):
+        for name, workload in entry["workloads"].items():
+            if workload["sim_digest"] is not None:
+                digests.setdefault((name, workload["seed"]), set()).add(workload["sim_digest"])
+    assert len(digests) >= 4
+    assert {key: len(values) for key, values in digests.items() if len(values) > 1} == {}

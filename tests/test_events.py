@@ -1,5 +1,9 @@
 """Tests for the discrete-event simulation kernel."""
 
+import gc
+import random
+import weakref
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,15 +11,41 @@ from repro.events import Event, EventCanceled, SimulationError, Simulator
 
 
 class TestEventOrdering:
+    """Order is decided by the heap entry's (time, seq) prefix, compared in
+    C; the handle reports the same key and takes no part in ordering."""
+
     def test_orders_by_time(self):
-        a = Event(1.0, 0, lambda: None, ())
-        b = Event(2.0, 1, lambda: None, ())
-        assert a < b
+        sim = Simulator()
+        fired = []
+        late = sim.schedule(2.0, fired.append, "late")
+        early = sim.schedule(1.0, fired.append, "early")
+        assert (early.time, early.seq) < (late.time, late.seq)
+        sim.run()
+        assert fired == ["early", "late"]
 
     def test_ties_break_by_sequence(self):
-        a = Event(1.0, 0, lambda: None, ())
-        b = Event(1.0, 1, lambda: None, ())
-        assert a < b and not b < a
+        sim = Simulator()
+        fired = []
+        a = sim.schedule(1.0, fired.append, "a")
+        b = sim.schedule_at(1.0, fired.append, "b")
+        assert a.time == b.time and a.seq < b.seq
+        sim.run()
+        assert fired == ["a", "b"]
+
+    def test_handles_define_no_python_comparison(self):
+        assert Event.__lt__ is object.__lt__ and Event.__gt__ is object.__gt__
+        # 12k simultaneous events, handles and handle-less entries mixed: a
+        # comparison that got past the unique seq would have to order an
+        # Event against an Event or None, and raise TypeError.
+        sim = Simulator()
+        fired = []
+        for tag in range(12_000):
+            if tag % 3:
+                sim.defer(1.0, fired.append, tag)
+            else:
+                sim.schedule(1.0, fired.append, tag)
+        sim.run()
+        assert fired == list(range(12_000))
 
 
 class TestScheduling:
@@ -54,6 +84,19 @@ class TestScheduling:
         sim = Simulator()
         with pytest.raises(SimulationError):
             sim.schedule(-1.0, lambda: None)
+
+    def test_nan_delay_or_time_rejected(self):
+        # NaN fails every comparison: as a heap key it would fire first and
+        # leave the clock at NaN for the rest of the run.
+        sim = Simulator()
+        nan = float("nan")
+        with pytest.raises(SimulationError):
+            sim.schedule(nan, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule_at(nan, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.defer(nan, lambda: None)
+        assert sim.pending_count == 0 and sim.peek_time() is None
 
     def test_schedule_at_past_rejected(self):
         sim = Simulator()
@@ -264,7 +307,7 @@ class TestTapBus:
 
 
 class TestDeferRecycling:
-    """defer(): fire-and-forget scheduling with Event slot recycling."""
+    """defer(): fire-and-forget scheduling — a heap entry and no handle."""
 
     def test_defer_fires_in_time_order_with_scheduled_events(self):
         sim = Simulator()
@@ -291,42 +334,26 @@ class TestDeferRecycling:
         with pytest.raises(SimulationError):
             sim.defer(-0.1, lambda: None)
 
-    def test_fired_event_slot_is_reused(self):
-        sim = Simulator()
-        sim.defer(1.0, lambda: None)
-        sim.run()
-        assert len(sim._free) == 1
-        recycled = sim._free[0]
-        hits = []
-        sim.defer(1.0, hits.append, "again")
-        assert sim._free == []  # the slot was taken back out
-        sim.run()
-        assert hits == ["again"]
-        assert sim._free[0] is recycled
+    def test_fired_deferred_event_is_released(self):
+        # once a deferred event fired, the simulator keeps neither its
+        # callback nor its arguments alive — already while the run goes on
+        class Payload:
+            pass
 
-    def test_recycled_slot_drops_callback_references(self):
-        # the free list must not pin the callback or its arguments alive
-        sim = Simulator()
-        payload = object()
-        sim.defer(0.5, lambda _p: None, payload)
-        sim.run()
-        (slot,) = sim._free
-        assert slot.args == ()
-        assert slot.fn.__name__ == "_recycled"
+        def callback(_payload):
+            pass
 
-    def test_free_list_is_bounded(self):
         sim = Simulator()
-        for _ in range(Simulator._FREE_MAX + 50):
-            sim.defer(1.0, lambda: None)
+        payload = Payload()
+        refs = [weakref.ref(callback), weakref.ref(payload)]
+        sim.defer(0.5, callback, payload)
+        del callback, payload
+        alive_during_run = []
+        sim.defer(1.0, lambda: alive_during_run.extend(r() for r in refs))
         sim.run()
-        assert len(sim._free) == Simulator._FREE_MAX
-
-    def test_scheduled_events_are_never_recycled(self):
-        sim = Simulator()
-        handle = sim.schedule(1.0, lambda: None)
-        sim.run()
-        assert sim._free == []
-        assert handle.fired and not handle.recycle
+        gc.collect()
+        assert alive_during_run == [None, None]
+        assert [r() for r in refs] == [None, None]
 
     def test_taps_see_deferred_events(self):
         seen = []
@@ -338,3 +365,115 @@ class TestDeferRecycling:
         finally:
             Simulator.remove_tap()
         assert seen == [(1.0, ("x",))]
+
+
+class _ReferenceSimulator:
+    """The kernel's contract, restated with a sort per step: fire pending
+    entries in (time, seq) order, seq counting every scheduling call."""
+
+    class Handle:
+        def __init__(self, time, seq):
+            self.time, self.seq = time, seq
+            self.canceled = self.fired = False
+
+        def cancel(self):
+            self.canceled = True
+
+        @property
+        def pending(self):
+            return not (self.canceled or self.fired)
+
+    def __init__(self):
+        self.now = 0.0
+        self.tapped = []
+        self._seq = 0
+        self._pending = []
+
+    def schedule_at(self, time, fn, *args):
+        handle = self.Handle(float(time), self._seq)
+        self._pending.append((handle, fn, args))
+        self._seq += 1
+        return handle
+
+    def schedule(self, delay, fn, *args):
+        return self.schedule_at(self.now + delay, fn, *args)
+
+    def defer(self, delay, fn, *args):
+        self.schedule(delay, fn, *args)
+
+    def run(self):
+        while self._pending:
+            self._pending.sort(key=lambda entry: (entry[0].time, entry[0].seq))
+            handle, fn, args = self._pending.pop(0)
+            if handle.canceled:
+                continue
+            self.now = handle.time
+            handle.fired = True
+            self.tapped.append((handle.time, handle.seq, fn, args))
+            fn(*args)
+
+
+def _drive(sim, seed):
+    """A seeded schedule on ``sim``: the three scheduling calls, repeated
+    timestamps (a coarse time grid), zero delays, callbacks that schedule
+    more work and cancel handles that are still pending."""
+    rng = random.Random(seed)
+    fired, handles = [], []
+    budget = [400]
+    tags = iter(range(10**6))
+
+    def schedule_one():
+        tag = next(tags)
+        delay = rng.choice([0.0, 0.0, 0.25, 0.5, 0.5, 1.0, rng.random()])
+        how = rng.randrange(3)
+        if how == 0:
+            handles.append(sim.schedule(delay, callback, tag))
+        elif how == 1:
+            handles.append(sim.schedule_at(sim.now + delay, callback, tag))
+        else:
+            sim.defer(delay, callback, tag)
+
+    def callback(tag):
+        fired.append((sim.now, tag))
+        for _ in range(rng.randrange(4)):
+            if budget[0] > 0:
+                budget[0] -= 1
+                schedule_one()
+        pending = [h for h in handles if h.pending]
+        if pending and rng.random() < 0.3:
+            rng.choice(pending).cancel()
+
+    for _ in range(40):
+        schedule_one()
+    sim.run()
+    return fired, callback
+
+
+class TestAgainstSortedReference:
+    @pytest.fixture(autouse=True)
+    def _clean_bus(self):
+        Simulator.remove_tap()
+        yield
+        Simulator.remove_tap()
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_fire_order_and_taps_match_a_sort_per_step(self, seed):
+        reference = _ReferenceSimulator()
+        expected, expected_fn = _drive(reference, seed)
+
+        tapped = []
+        Simulator.install_tap(lambda t, s, f, a: tapped.append((t, s, f, a)))
+        sim = Simulator()
+        fired, fn = _drive(sim, seed)
+
+        assert len(fired) > 100
+        assert fired == expected
+        assert len({t for t, _ in fired}) < len(fired)  # timestamps did repeat
+        assert sim.events_fired == len(fired) and sim.pending_count == 0
+        assert [(t, s, a) for t, s, _, a in tapped] == [
+            (t, s, a) for t, s, _, a in reference.tapped
+        ]
+        assert all(f is fn for _, _, f, _ in tapped)
+        assert all(f is expected_fn for _, _, f, _ in reference.tapped)
+        keys = [(t, s) for t, s, _, _ in tapped]
+        assert keys == sorted(keys)

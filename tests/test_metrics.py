@@ -1,5 +1,7 @@
 """Tests for traces, PAP analysis, curves, and convergence detection."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,6 +19,7 @@ from repro.metrics import (
     pap_box_stats,
     pap_interval_counts,
 )
+from repro.metrics.traces import PushHistory
 
 
 def pull(time, worker, version=0, iteration=0, restart=False):
@@ -43,6 +46,52 @@ class TestTraceRecorder:
         traces.record_push(push(1.0, worker=0))
         traces.record_push(push(2.0, worker=1, version=2))
         assert traces.pushes_in_window(0.0, 3.0, exclude_worker=0) == 1
+
+    def test_window_counts_follow_pushes_recorded_after_a_query(self):
+        # the bisect index is caught up lazily, on query
+        traces = TraceRecorder()
+        traces.record_push(push(1.0, worker=0))
+        assert traces.pushes_in_window(0.0, 5.0, exclude_worker=1) == 1
+        traces.record_push(push(2.0, worker=1, version=2))
+        traces.record_push(push(2.0, worker=0, version=3))
+        assert traces.pushes_in_window(0.0, 5.0) == 3
+        assert traces.pushes_in_window(1.0, 2.0, exclude_worker=1) == 1
+        assert traces.push_times() == [1.0, 2.0, 2.0]
+
+    def test_window_counts_match_a_linear_scan(self):
+        # The bisect form (all pushes − own pushes) against the scan it
+        # replaced, kept here as the reference.
+        def scan(times, workers, start, end, exclude):
+            return sum(
+                1 for t, w in zip(times, workers)
+                if start < t <= end and w != exclude
+            )
+
+        for seed in range(40):
+            rng = random.Random(seed)
+            num_workers = rng.choice([1, 2, 5, 16])
+            # a coarse grid, so timestamps repeat (the threaded clock does)
+            times = sorted(rng.randrange(60) / 4 for _ in range(rng.randrange(1, 200)))
+            workers = [rng.randrange(num_workers) for _ in times]
+            history, traces = PushHistory(), TraceRecorder()
+            for i, (t, w) in enumerate(zip(times, workers)):
+                history.append(t, w)
+                traces.record_push(push(t, w, version=i + 1))
+            pushless = num_workers  # an id that never pushed
+            edges = times + [-1.0, 0.1, 7.3, 99.0]
+            for _ in range(150):
+                start, end = sorted((rng.choice(edges), rng.choice(edges)))
+                if rng.random() < 0.1:
+                    end = start
+                for exclude in (None, rng.randrange(num_workers), pushless):
+                    expected = scan(times, workers, start, end, exclude)
+                    assert history.count_between(start, end, exclude) == expected
+                    assert traces.pushes_in_window(start, end, exclude) == expected
+                own = rng.randrange(num_workers)
+                assert history.between(start, end, own) == [
+                    (t, w) for t, w in zip(times, workers)
+                    if start < t <= end and w != own
+                ]
 
     def test_out_of_order_push_rejected(self):
         traces = TraceRecorder()

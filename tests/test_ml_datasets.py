@@ -152,6 +152,28 @@ class TestPartitioning:
             chosen = rng.choice(parts[0].indices, size=10, replace=True)
             assert set(chosen.tolist()) <= own
 
+    @pytest.mark.parametrize("shard_size", [1, 7, 1500])
+    def test_sample_batch_is_the_stream_choice_would_draw(self, shard_size):
+        # sample_batch indexes with rng.integers instead of calling
+        # rng.choice(indices, replace=True).  Every run digest in the
+        # repo rests on the two consuming the bit stream identically, so
+        # a NumPy whose choice() diverges must fail here, not silently
+        # change every simulated result.
+        ds = SyntheticImageDataset(num_classes=3, feature_dim=4, num_samples=4000, seed=0)
+        shard = np.random.default_rng(2).permutation(ds.num_samples)[:shard_size]
+        part = Partition(ds, shard)
+        ours, reference = np.random.default_rng(9), np.random.default_rng(9)
+        for draw in range(200):
+            batch_size = 1 + draw % 33
+            batch = part.sample_batch(ours, batch_size)
+            expected = ds.gather(
+                reference.choice(part.indices, size=batch_size, replace=True)
+            )
+            assert len(batch) == len(expected)
+            for got, want in zip(batch, expected):
+                np.testing.assert_array_equal(got, want)
+        assert ours.integers(1 << 62) == reference.integers(1 << 62)
+
     def test_too_many_workers_rejected(self):
         ds = SyntheticImageDataset(num_classes=3, feature_dim=4, num_samples=100, seed=0)
         with pytest.raises(ValueError):

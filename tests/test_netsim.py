@@ -12,6 +12,7 @@ from repro.netsim import (
     MessageKind,
     Network,
     TransferLedger,
+    TransferRecord,
 )
 
 
@@ -31,6 +32,13 @@ class TestMessage:
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
             make_message(size=-1)
+
+    @pytest.mark.parametrize("size", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_size_rejected(self, size):
+        # NaN passes `size < 0`; its NaN delay would be popped first and
+        # leave sim.now and the ledger totals NaN.  inf is never delivered.
+        with pytest.raises(ValueError):
+            make_message(size=size)
 
     def test_zero_streams_rejected(self):
         with pytest.raises(ValueError):
@@ -149,6 +157,61 @@ class TestTransferLedger:
         ledger.record(2.0, make_message())
         with pytest.raises(ValueError):
             ledger.record(1.0, make_message())
+
+    def test_out_of_order_record_leaves_the_ledger_untouched(self):
+        ledger = TransferLedger()
+        ledger.record(2.0, make_message(size=10.5))
+        with pytest.raises(ValueError):
+            ledger.record(1.0, make_message(size=99.0))
+        assert ledger.record_count == 1 and ledger.total_bytes == 10.5
+        assert [r.size_bytes for r in ledger.records()] == [10.5]
+
+    def test_matches_a_per_message_reference(self):
+        # The ledger keeps columns and running totals; the reference keeps
+        # one record per message and sums them when asked.  Same floats:
+        # both add in delivery order.
+        rng = np.random.default_rng(11)
+        kinds = list(MessageKind)
+        nodes = ["servers", "scheduler", "worker-0", "worker-1", "worker-2"]
+        ledger = TransferLedger()
+        reference = []
+        now = 0.0
+        for _ in range(2000):
+            now += float(rng.choice([0.0, 0.0, rng.random()]))  # times repeat
+            kind = kinds[rng.integers(len(kinds))]
+            src, dst = rng.choice(nodes, size=2, replace=False)
+            size = float(rng.choice([CONTROL_MESSAGE_BYTES, rng.random() * 1e6 + 0.1]))
+            ledger.record(now, make_message(kind, size, str(src), str(dst)))
+            reference.append(TransferRecord(
+                now, kind.wire_name, kind.category, str(src), str(dst), size
+            ))
+
+        def totals_by(attr):
+            totals = {}
+            for rec in reference:
+                key = getattr(rec, attr)
+                totals[key] = totals.get(key, 0.0) + rec.size_bytes
+            return totals
+
+        def cumulative_at(time):
+            total = 0.0
+            for rec in reference:
+                if rec.time <= time:
+                    total += rec.size_bytes
+            return total
+
+        assert ledger.records() == reference
+        assert ledger.records() is not ledger.records()
+        assert ledger.record_count == len(reference)
+        assert ledger.bytes_by_kind() == totals_by("kind")
+        assert ledger.bytes_by_category() == totals_by("category")
+        assert set(ledger.bytes_by_kind()) == {k.wire_name for k in kinds}
+        assert ledger.total_bytes == cumulative_at(now)
+        for time in [-1.0, 0.0, now / 3, reference[500].time, now, now + 1.0]:
+            assert ledger.cumulative_at(time) == cumulative_at(time)
+        assert ledger.control_fraction() == (
+            totals_by("category")["control"] / cumulative_at(now)
+        )
 
     def test_control_fraction(self):
         ledger = TransferLedger()

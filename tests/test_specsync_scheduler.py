@@ -1,6 +1,8 @@
 """Unit tests for the SpecSync central scheduler (Algorithm 2) with a fake
 clock — no simulation, just the callback surface."""
 
+import random
+
 import pytest
 
 from repro.core.hyperparams import SpecSyncHyperparams
@@ -93,6 +95,48 @@ class TestResyncDecision:
         # AdaptiveTuner.initial() is None -> no speculation in epoch 0
         scheduler.handle_notify(0, iteration=1)
         assert clock.timers == []
+
+
+class TestPeerCountAgainstScan:
+    """The check's peer count (two bisections on all pushes minus two on
+    the worker's own) against the linear scan it replaced."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_every_check_counts_what_a_scan_counts(self, seed):
+        rng = random.Random(seed)
+        num_workers = rng.choice([2, 3, 8])
+        window = 1.0
+        clock = FakeClock()
+        decided = []  # (iteration tag, check time, peer count)
+        scheduler = SpecSyncScheduler(
+            num_workers=num_workers + 1,  # the last worker never pushes
+            # rate 0: every check re-syncs, so every count is reported
+            tuner=FixedTuner(SpecSyncHyperparams(window, 0.0)),
+            schedule_fn=clock.schedule,
+            now_fn=lambda: clock.now,
+            send_resync_fn=lambda w, i, n: decided.append((i, clock.now, n)),
+        )
+        notified = []  # (time, worker), index = iteration tag
+        # Quarter-second ticks, several notifies per tick, checks fired
+        # after the tick's notifies: timestamps repeat, and every window
+        # (t, t + 1.0] starts and ends exactly on other pushes.
+        for tick in range(125):
+            clock.now = tick / 4
+            for _ in range(rng.choice([0, 0, 1, 1, 2, 4]) if tick < 120 else 0):
+                worker = rng.randrange(num_workers)
+                scheduler.handle_notify(worker, iteration=len(notified))
+                notified.append((clock.now, worker))
+            clock.advance(clock.now)
+
+        assert len(decided) == scheduler.checks_run == len(notified) > 100
+        for tag, end, count in decided:
+            start, worker = notified[tag]
+            assert end == start + window
+            assert count == sum(
+                1 for t, w in notified if start < t <= end and w != worker
+            )
+        assert any(count == 0 for _, _, count in decided)
+        assert any(count > 3 for _, _, count in decided)
 
 
 class TestEpochs:
