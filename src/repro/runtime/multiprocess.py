@@ -245,7 +245,16 @@ def _worker_main(worker_id, model, partition, compute_model, batch_size,
         while True:
             duration = compute_model.sample(compute_rng) * time_scale
             compute_started = writer.now() if writer.enabled else 0.0
-            interrupted = abort_event.wait(timeout=duration)
+            deadline = time.monotonic() + duration
+            while True:
+                interrupted = abort_event.wait(
+                    timeout=deadline - time.monotonic()
+                )
+                if not interrupted or aborts_left > 0 or stop_event.is_set():
+                    break
+                # No abort budget left: like the DES, ignore the re-sync
+                # and compute to the end of the duration.
+                abort_event.clear()
             if stop_event.is_set():
                 break
             if interrupted and aborts_left > 0:
@@ -350,6 +359,8 @@ class MultiprocessRun:
             raise ValueError("need at least one partition/worker")
         if time_scale <= 0:
             raise ValueError(f"time_scale must be positive, got {time_scale}")
+        if max_aborts_per_iteration < 0:
+            raise ValueError("max_aborts_per_iteration must be >= 0")
         if live_session is not None and live_session.num_workers < len(partitions):
             raise ValueError(
                 f"live session has rings for {live_session.num_workers} "
@@ -555,14 +566,16 @@ class MultiprocessRun:
                     worker.join(timeout=10.0)
                 server_stop.set()
                 server.join(timeout=10.0)
-                if scheduler is not None:
-                    scheduler.close()
-                # Children are joined (or timed out as daemons): the
-                # parent, as single owner, unmaps and frees every
-                # shared-memory segment.
-                for store in (param_store, *grad_stores):
-                    store.close()
-                    store.unlink()
+                try:
+                    if scheduler is not None:
+                        scheduler.close()  # re-raises a callback's exception
+                finally:
+                    # Children are joined (or timed out as daemons): the
+                    # parent, as single owner, unmaps and frees every
+                    # shared-memory segment.
+                    for store in (param_store, *grad_stores):
+                        store.close()
+                        store.unlink()
         wall = time.monotonic() - started
         if live_writer.enabled:
             # The run container span anchors the drained trace's time

@@ -9,16 +9,18 @@ Concurrency structure:
   interruptible wait of the sampled duration (``Event.wait``), after which
   the gradient is evaluated on the pulled snapshot, exactly like the DES.
 * ``SpecSyncScheduler`` from :mod:`repro.core.scheduler`, adapted with a
-  lock and ``threading.Timer`` — the identical Algorithm 1/2 logic runs on
-  real time.
+  lock and one scheduler thread over a heap of ``(deadline, seq, fn)``
+  checks (``_ThreadSafeScheduler`` has the wake, lazy-start and
+  close/raise rules) — the identical Algorithm 1/2 logic runs on real time.
 """
 
 from __future__ import annotations
 
+import heapq
 import threading
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -146,7 +148,19 @@ class ThreadedParameterServer:
 
 
 class _ThreadSafeScheduler:
-    """Lock + Timer adapter putting :class:`SpecSyncScheduler` on wall time."""
+    """Lock + deadline heap putting :class:`SpecSyncScheduler` on wall time.
+
+    One scheduler thread serves every pending check.  ``_schedule`` pushes
+    ``(deadline, seq, fn)`` under ``_lock`` and wakes the thread only when
+    the new entry became the earliest; the thread runs every due callback
+    under ``_lock``, then sleeps until the next deadline or a wake.  The
+    thread starts lazily, on the first scheduled callback, so an adapter
+    that is built and dropped without a run costs no thread.
+
+    A callback that raises is logged and the thread keeps serving later
+    deadlines; :meth:`close` re-raises the first such exception once the
+    thread is joined, so the run fails loudly instead of one check short.
+    """
 
     def __init__(
         self,
@@ -157,9 +171,12 @@ class _ThreadSafeScheduler:
         profiler: Optional[ProfilerLike] = None,
     ):
         self._lock = threading.RLock()
-        self._timers: List[threading.Timer] = []
+        self._heap: List[Tuple[float, int, Callable[[], None]]] = []
+        self._seq = 0  # tie-break: equal deadlines fire in schedule order
+        self._wake = threading.Event()
+        self._thread: Optional[threading.Thread] = None
         self._closed = False
-        self._tracer: TracerLike = tracer if tracer is not None else NULL_TRACER
+        self._error: Optional[Exception] = None
         self.inner = SpecSyncScheduler(
             num_workers=num_workers,
             tuner=tuner,
@@ -178,33 +195,43 @@ class _ThreadSafeScheduler:
         with self._lock:
             if self._closed:
                 return
-            timer = threading.Timer(delay, self._fire, args=(fn,))
-            timer.daemon = True
-            self._timers.append(timer)
-            timer.start()
-            if self._tracer.enabled:
-                self._tracer.gauge(
-                    "rt.scheduler.pending_timers", len(self._timers)
+            entry = (time.monotonic() + delay, self._seq, fn)
+            self._seq += 1
+            heapq.heappush(self._heap, entry)
+            if self._thread is None:
+                self._thread = threading.Thread(
+                    target=self._serve, args=(self._wake,),
+                    name="specsync-scheduler", daemon=True,
                 )
+                self._thread.start()
+            elif self._heap[0] is entry:
+                # The thread sleeps towards a later deadline (or none).
+                self._wake.set()
 
-    def _fire(self, fn) -> None:
-        # A Timer is a Thread: the timer executing this callback is the
-        # current thread, so it can drop itself from the outstanding list
-        # (otherwise _timers grows for the whole run).  The finally
-        # guarantees the prune even when fn() raises.
-        try:
+    def _serve(self, wake) -> None:
+        """Scheduler-thread body: fire due callbacks, sleep to the next."""
+        while True:
             with self._lock:
+                # Cleared under the lock every wake-up is set under, so a
+                # deadline pushed after this point re-arms the event.
+                wake.clear()
+                # close() empties the heap, also from inside a callback.
+                while self._heap and self._heap[0][0] <= time.monotonic():
+                    fn = heapq.heappop(self._heap)[2]
+                    try:
+                        fn()
+                    except Exception as exc:
+                        get_logger("runtime").exception(
+                            "scheduler callback raised; close() re-raises"
+                        )
+                        if self._error is None:
+                            self._error = exc
                 if self._closed:
                     return
-                fn()
-        finally:
-            me = threading.current_thread()
-            with self._lock:
-                self._timers = [t for t in self._timers if t is not me]
-                if self._tracer.enabled:
-                    self._tracer.gauge(
-                        "rt.scheduler.pending_timers", len(self._timers)
-                    )
+                timeout = (
+                    self._heap[0][0] - time.monotonic() if self._heap else None
+                )
+            wake.wait(timeout)
 
     def handle_notify(self, worker_id: int, iteration: int) -> None:
         with self._lock:
@@ -212,27 +239,24 @@ class _ThreadSafeScheduler:
                 self.inner.handle_notify(worker_id, iteration)
 
     def close(self) -> None:
-        """Mark closed and cancel every outstanding timer.
+        """Mark closed, drop every pending callback, join the thread.
 
-        Idempotent.  Cancellation happens outside the lock (a timer that
-        already started firing blocks on the lock in :meth:`_fire`; holding
-        it here would serialize against every such straggler) and pops
-        timers one by one, so an exception from one ``cancel`` cannot
-        strand the rest un-cancelled.
+        Idempotent, and safe from inside a callback (the scheduler thread
+        does not join itself; it exits when the callback returns).  Nothing
+        fires once this returns.  Re-raises, once, the first exception a
+        scheduled callback raised.
         """
         with self._lock:
             self._closed = True
-            timers, self._timers = self._timers, []
-        try:
-            while timers:
-                timers[-1].cancel()
-                timers.pop()
-        finally:
-            if timers:
-                # A cancel raised: re-stash the remainder so a retrying
-                # close() still cancels them instead of leaking threads.
-                with self._lock:
-                    self._timers.extend(timers)
+            self._heap.clear()
+            self._wake.set()
+            thread = self._thread
+            # Final: callbacks run under this lock and none starts after it.
+            error, self._error = self._error, None
+        if thread is not None and thread is not threading.current_thread():
+            thread.join(timeout=5.0)
+        if error is not None:
+            raise error
 
 
 class ThreadedWorker(threading.Thread):
@@ -314,7 +338,17 @@ class ThreadedWorker(threading.Thread):
                     self.compute_model.sample(self.compute_rng) * self.time_scale
                 )
                 compute_started = time.monotonic()
-                interrupted = self.abort_event.wait(timeout=duration)
+                deadline = compute_started + duration
+                while True:
+                    interrupted = self.abort_event.wait(
+                        timeout=deadline - time.monotonic()
+                    )
+                    if (not interrupted or aborts_left > 0
+                            or self.stop_event.is_set()):
+                        break
+                    # No abort budget left: like the DES, ignore the
+                    # re-sync and compute to the end of the duration.
+                    self.abort_event.clear()
                 if self.stop_event.is_set():
                     return
                 if interrupted and aborts_left > 0:
@@ -379,6 +413,8 @@ class ThreadedRun:
             raise ValueError("need at least one partition/worker")
         if time_scale <= 0:
             raise ValueError(f"time_scale must be positive, got {time_scale}")
+        if max_aborts_per_iteration < 0:
+            raise ValueError("max_aborts_per_iteration must be >= 0")
         streams = RngStreams(seed)
         self.model = model
         self.eval_batch = eval_batch

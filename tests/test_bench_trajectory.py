@@ -201,6 +201,14 @@ def test_pr18_sped_up_the_event_bound_row_and_slowed_none(capsys):
     assert "worse" not in rows.values()
 
 
+def test_pr21_sped_up_the_threaded_row_and_slowed_none(capsys):
+    assert trajectory.main(["compare", "PR 21 (parent)", "PR 21"]) == 0
+    rows = printed_verdicts(capsys.readouterr().out)
+    assert len(rows) == 6 * len(trajectory.METRICS)
+    assert rows["rt_threaded4_adaptive", "iter_per_s"] == "improved"
+    assert "worse" not in rows.values()
+
+
 def test_simulated_behaviour_never_changed_along_the_trajectory():
     # Every perf PR on record claimed "same simulated run"; the digests say so.
     digests = {}

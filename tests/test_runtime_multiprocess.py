@@ -67,7 +67,58 @@ class TestSpecSyncMode:
         assert result.total_aborts == 0
 
 
+class TestExhaustedAbortBudget:
+    def test_resync_without_budget_does_not_cut_the_compute_short(self):
+        # 16 ms emulated compute, 4 workers: a re-sync the budget cannot
+        # honour must be ignored, not end the wait (see the threaded twin).
+        tuner = FixedTuner(SpecSyncHyperparams(abort_time_s=0.003, abort_rate=0.2))
+        result = build_run(
+            num_workers=4, tuner=tuner, max_aborts_per_iteration=0
+        ).run(1.0)
+        ceiling = 4 * result.wall_time_s / (4.0 * 0.004)
+        assert result.resyncs_sent > 30
+        assert result.total_aborts == 0
+        assert 0 < result.total_iterations <= 1.05 * ceiling
+
+
+class TestSchedulerCallbackRaises:
+    def test_run_fails_loudly_after_unlinking_every_segment(self, monkeypatch):
+        import multiprocessing
+        import os
+        import threading
+
+        from repro.runtime import threaded
+
+        raised = []
+
+        class RaisingOnce(threaded._ThreadSafeScheduler):
+            def __init__(self, send_resync, **kwargs):
+                def raise_once(worker_id, iteration, peer_pushes):
+                    if not raised:
+                        raised.append(iteration)
+                        raise RuntimeError("resync wire down")
+                    send_resync(worker_id, iteration, peer_pushes)
+
+                super().__init__(send_resync=raise_once, **kwargs)
+
+        monkeypatch.setattr(threaded, "_ThreadSafeScheduler", RaisingOnce)
+        shm_before = set(os.listdir("/dev/shm"))
+        tuner = FixedTuner(SpecSyncHyperparams(abort_time_s=0.008, abort_rate=0.3))
+        with pytest.raises(RuntimeError, match="resync wire down"):
+            build_run(num_workers=4, tuner=tuner).run(0.7)
+        assert raised
+        assert not multiprocessing.active_children()
+        assert set(os.listdir("/dev/shm")) - shm_before == set()
+        # (The raised traceback keeps run()'s queues — and the feeder thread
+        # of the one the parent wrote to — alive until it is dropped.)
+        assert "specsync-scheduler" not in [t.name for t in threading.enumerate()]
+
+
 class TestValidation:
+    def test_negative_abort_budget_rejected(self):
+        with pytest.raises(ValueError, match="max_aborts_per_iteration"):
+            build_run(max_aborts_per_iteration=-1)
+
     def test_empty_partitions_rejected(self):
         with pytest.raises(ValueError):
             MultiprocessRun(

@@ -121,7 +121,67 @@ class TestThreadedRunSpecSync:
         assert result.total_aborts == 0
 
 
+class TestNoThreadBeforeRun:
+    def test_built_and_dropped_run_starts_no_thread(self):
+        # The benchmark harness discards four set-ups per rep and counts
+        # threads afterwards: the scheduler thread must start lazily.
+        import threading
+
+        before = threading.active_count()
+        run = build_run(tuner=AdaptiveTuner())
+        assert run.scheduler is not None
+        assert threading.active_count() == before
+        del run
+        assert threading.active_count() == before
+
+
+class TestExhaustedAbortBudget:
+    def test_resync_without_budget_does_not_cut_the_compute_short(self):
+        # 12 ms emulated compute, 4 workers, 1 s: at most 333 iterations
+        # can physically fit.  A re-sync the budget cannot honour must be
+        # ignored (as TrainingEngine.request_resync does), not end the wait.
+        tuner = FixedTuner(SpecSyncHyperparams(abort_time_s=0.003, abort_rate=0.2))
+        run = build_run(
+            num_workers=4, tuner=tuner, time_scale=0.004,
+            max_aborts_per_iteration=0,
+        )
+        result = run.run(1.0)
+        ceiling = 4 * result.wall_time_s / (3.0 * 0.004)
+        assert result.resyncs_sent > 50
+        assert result.total_aborts == 0
+        assert 0 < result.total_iterations <= 1.05 * ceiling
+
+
+class TestSchedulerCallbackRaises:
+    def test_run_fails_loudly_and_leaves_no_thread(self):
+        import threading
+
+        before = threading.active_count()
+        tuner = FixedTuner(SpecSyncHyperparams(abort_time_s=0.003, abort_rate=0.2))
+        run = build_run(num_workers=4, tuner=tuner)
+        send_resync, raised = run.scheduler.inner._send_resync, []
+
+        def raise_once(worker_id, iteration, peer_pushes):
+            if not raised:
+                raised.append(iteration)
+                raise RuntimeError("resync wire down")
+            send_resync(worker_id, iteration, peer_pushes)
+
+        run.scheduler.inner._send_resync = raise_once
+        with pytest.raises(RuntimeError, match="resync wire down"):
+            run.run(0.3)
+        # Speculation went on after the failed check ...
+        assert run.scheduler.inner.resyncs_sent > 1
+        assert sum(worker.aborts for worker in run.workers) > 0
+        # ... and the failure surfaced only after everything was joined.
+        assert threading.active_count() == before
+
+
 class TestValidation:
+    def test_negative_abort_budget_rejected(self):
+        with pytest.raises(ValueError, match="max_aborts_per_iteration"):
+            build_run(max_aborts_per_iteration=-1)
+
     def test_empty_partitions_rejected(self):
         with pytest.raises(ValueError):
             ThreadedRun(
