@@ -30,6 +30,7 @@ timestamps are stamped by the caller (the runtime backends inject
 
 from __future__ import annotations
 
+import json
 import struct
 from dataclasses import dataclass
 from multiprocessing import shared_memory
@@ -496,12 +497,13 @@ class RingWriter:
         name: str,
         ts: Optional[float] = None,
         cat: str = "instant",
-        args_json: str = "",
+        args: Optional[dict] = None,
     ) -> None:
         self.ring.push(
             LiveInstant(
                 track=track, name=name, cat=cat,
-                ts=self._now() if ts is None else ts, args_json=args_json,
+                ts=self._now() if ts is None else ts,
+                args_json=json.dumps(args) if args else "",
             )
         )
 

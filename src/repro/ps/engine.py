@@ -17,6 +17,9 @@ Each worker loops:
 
 Gradients are evaluated numerically on the exact snapshot pulled, so every
 staleness effect in the results is real SGD arithmetic, not a model.
+
+Each worker's protocol state is a :class:`repro.ps.loop.WorkerLoop`, the one
+machine the wall-clock backends also drive; this is its event-callback driver.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from repro.obs.log import VirtualTimeLoggerAdapter, get_logger
 from repro.obs.perf import profiler_for
 from repro.obs.straggler import AbortStormDetector, StragglerDetector
 from repro.obs.tracks import SERVER_TRACK, resync_flow_key, worker_track
+from repro.ps.loop import COMPUTING, WorkerLoop
 from repro.ps.policy import SyncPolicy, WorkerView
 from repro.ps.result import RunResult, WorkerStats
 from repro.ps.store import ParameterStore, PullSnapshot
@@ -99,8 +103,9 @@ class EngineConfig:
         )
 
 
-class WorkerRuntime:
-    """Mutable per-worker state the engine drives."""
+class WorkerRuntime(WorkerLoop):
+    """Mutable per-worker state the engine drives: the protocol machine
+    plus what the DES driver keeps around it."""
 
     def __init__(
         self,
@@ -110,7 +115,9 @@ class WorkerRuntime:
         compute_model: ComputeTimeModel,
         batch_rng: np.random.Generator,
         compute_rng: np.random.Generator,
+        max_aborts_per_iteration: int = 1,
     ):
+        super().__init__(max_aborts_per_iteration)
         self.worker_id = worker_id
         self.node_name = node_name
         self.partition = partition
@@ -119,15 +126,12 @@ class WorkerRuntime:
         self.compute_rng = compute_rng
 
         # Iteration state
-        self.iteration = 0  # index of the in-progress iteration
         self.iteration_started_at = 0.0
         self.snapshot: Optional[PullSnapshot] = None
         self.batch: Optional[Batch] = None
-        self.computing = False
         self.parked = False
         self.compute_event = None
         self.compute_started_at = 0.0
-        self.aborts_in_iteration = 0
         # Span anchors (observability): when the in-flight pull/push began.
         self.pull_issued_at = 0.0
         self.push_started_at = 0.0
@@ -136,7 +140,6 @@ class WorkerRuntime:
         # Counters
         self.pulls = 0
         self.pushes = 0
-        self.aborts = 0
         self.clean_spans: List[float] = []  # spans of abort-free iterations
         self.all_spans: List[float] = []
 
@@ -153,7 +156,7 @@ class WorkerRuntime:
             worker_id=self.worker_id,
             node_name=self.node_name,
             iterations_completed=self.iteration,
-            computing=self.computing,
+            computing=self.phase is COMPUTING,
             parked=self.parked,
         )
 
@@ -241,6 +244,7 @@ class TrainingEngine:
                     ),
                     batch_rng=self.streams.get("batch", i),
                     compute_rng=self.streams.get("compute", i),
+                    max_aborts_per_iteration=config.max_aborts_per_iteration,
                 )
             )
 
@@ -303,24 +307,16 @@ class TrainingEngine:
 
         Returns False (no abort) when the worker already moved past
         ``for_iteration``, is not computing, or exhausted its abort budget —
-        the "too late" cases of paper Section IV-A.
+        the "too late" cases of paper Section IV-A (``WorkerLoop.resync``).
         """
         worker = self.workers[worker_id]
-        if (
-            self._stopped
-            or not worker.computing
-            or worker.iteration != for_iteration
-            or worker.aborts_in_iteration >= self.config.max_aborts_per_iteration
-        ):
+        if self._stopped or not worker.resync(for_iteration):
             # Too late: drop any causal-flow origins the scheduler staged.
             self.tracer.flow_discard(resync_flow_key(worker_id, for_iteration))
             return False
 
         worker.compute_event.cancel()
-        worker.computing = False
         wasted = self.sim.now - worker.compute_started_at
-        worker.aborts += 1
-        worker.aborts_in_iteration += 1
         if self.tracer.enabled:
             # The aborted portion of the compute, the abort point itself,
             # and the causal arrows from the peer pushes (and scheduler
@@ -428,13 +424,13 @@ class TrainingEngine:
         if self._stopped or self._iteration_budget_exhausted():
             return
         worker.iteration_started_at = self.sim.now
-        worker.aborts_in_iteration = 0
         if not self.policy.can_start_iteration(worker.worker_id):
             worker.parked = True
             return
         self._schedule_pull(worker)
 
     def _schedule_pull(self, worker: WorkerRuntime) -> None:
+        worker.begin()
         delay = self.policy.pull_delay(worker.worker_id)
         if delay < 0:
             raise ValueError(f"policy returned negative pull delay {delay}")
@@ -500,14 +496,14 @@ class TrainingEngine:
                 worker.batch_rng, self.config.batch_size
             )
         duration = worker.compute_model.sample_at(worker.compute_rng, self.sim.now)
-        worker.computing = True
+        worker.pulled()
         worker.compute_started_at = self.sim.now
         worker.compute_event = self.sim.schedule(
             duration, self._on_compute_done, worker
         )
 
     def _on_compute_done(self, worker: WorkerRuntime) -> None:
-        worker.computing = False
+        worker.computed()
         if self.tracer.enabled:
             self.tracer.span(
                 worker.track, "compute", start=worker.compute_started_at,
@@ -590,9 +586,8 @@ class TrainingEngine:
                 "engine.iteration", start=worker.iteration_started_at,
             )
         worker.pushes += 1
-        worker.iteration += 1
         worker.batch = None
-        self.policy.on_iteration_complete(worker.worker_id, worker.iteration)
+        self.policy.on_iteration_complete(worker.worker_id, worker.acked())
         self._start_next_iteration(worker)
 
     def _iteration_budget_exhausted(self) -> bool:

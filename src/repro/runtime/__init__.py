@@ -1,16 +1,17 @@
-"""Real-time threaded backend.
+"""Real-time backends: the same protocol on threads and on OS processes.
 
 The discrete-event simulator is the primary substrate for experiments; this
-package runs the *same protocol* — pull / compute / push workers, a shared
-versioned store, and the SpecSync scheduler with notify / re-sync — on real
-threads with wall-clock timers.  It exists to validate that nothing in
-SpecSync depends on virtual-time conveniences: the scheduler class is
-literally the one from :mod:`repro.core.scheduler`, driven by
+package runs the *same protocol* on wall-clock time, to validate that
+nothing in SpecSync depends on virtual-time conveniences.  The worker's
+protocol state is the machine the simulator drives
+(:class:`repro.ps.loop.WorkerLoop`); :class:`repro.runtime.worker.Worker` is
+its one blocking driver, and a backend only supplies what carries it:
+``threaded`` a locked in-process server and ``threading`` events,
+``multiprocess`` queues, shared-memory stores and ``multiprocessing``
+events.  The scheduler is literally :mod:`repro.core.scheduler`, driven by
 ``time.monotonic`` and one scheduler thread over a deadline heap instead of
-the event heap.  That thread starts with the first scheduled check, is woken
-only by a check due earlier than the one it sleeps towards, and is joined
-when the run closes the scheduler — which then re-raises the first exception
-a check raised, so a run never carries on with speculation silently dead.
+the event heap.  A check or a worker loop that raises fails the run, after
+everything is joined, instead of leaving it silently one part short.
 
 Iteration times are scaled down (milliseconds instead of seconds) so a
 whole multi-iteration run finishes in well under a second of wall time.
@@ -20,7 +21,6 @@ from repro.runtime.threaded import (
     ThreadedParameterServer,
     ThreadedRun,
     ThreadedRunResult,
-    ThreadedWorker,
 )
 from repro.runtime.multiprocess import MultiprocessRun, MultiprocessRunResult
 
@@ -28,7 +28,6 @@ __all__ = [
     "ThreadedParameterServer",
     "ThreadedRun",
     "ThreadedRunResult",
-    "ThreadedWorker",
     "MultiprocessRun",
     "MultiprocessRunResult",
 ]

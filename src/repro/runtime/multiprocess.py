@@ -4,9 +4,10 @@ The strongest form of protocol validation this package offers: workers are
 ``multiprocessing`` processes, the parameter server is its own process
 owning the model, and every pull/push/notify *control* message crosses a
 real OS pipe.  The SpecSync scheduler runs in the parent (exactly the
-centralized architecture of paper Fig. 7) and signals aborts through
-per-worker ``multiprocessing.Event`` objects — the worker's interruptible
-compute wait is the abort point, as in the threaded backend.
+centralized architecture of paper Fig. 7).  Each worker process runs the
+shared loop (:class:`repro.runtime.worker.Worker`) over two closures on its
+queues and stores; a re-sync crosses the fork as ``[for_iteration,
+peer_pushes]`` in a lock-free ``ctx.Array("q", 2)``, then the abort event.
 
 Array payloads do not travel the queues: the backend splits control plane
 from data plane.  Parameters live in a fenced shared-memory store
@@ -29,6 +30,7 @@ import multiprocessing as mp
 import queue as queue_module
 import time
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.compute import ComputeTimeModel
@@ -49,13 +51,8 @@ from repro.obs.log import get_logger
 from repro.obs.perf import profiler_for
 from repro.obs.straggler import StragglerDetector
 from repro.ps.shm import ShmParamStore
-from repro.obs.tracks import (
-    RT_RUN_TRACK,
-    RT_SCHEDULER_TRACK,
-    RT_SERVER_TRACK,
-    resync_flow_key,
-    rt_worker_track,
-)
+from repro.obs.tracks import RT_RUN_TRACK, RT_SCHEDULER_TRACK, RT_SERVER_TRACK
+from repro.runtime.worker import Worker, signal_resync
 from repro.utils.rng import RngStreams
 
 __all__ = [
@@ -205,14 +202,11 @@ def _server_main(param_store, grad_stores, update_rule, request_queue,
 # ----------------------------------------------------------------------
 def _worker_main(worker_id, model, partition, compute_model, batch_size,
                  time_scale, seed, param_store, grad_store, request_queue,
-                 response_queue, notify_queue, abort_event, stop_event,
-                 stats_queue, max_aborts_per_iteration,
+                 response_queue, notify_queue, abort_event, resync_slot,
+                 stop_event, stats_queue, max_aborts_per_iteration,
                  live_ring=None):  # pragma: no cover - separate process
+    """Build this process's store closures, run the shared loop, report."""
     streams = RngStreams(seed)
-    batch_rng = streams.get("batch", worker_id)
-    compute_rng = streams.get("compute", worker_id)
-    iterations = 0
-    aborts = 0
     # Live telemetry exporter: ring created by the parent pre-fork; this
     # worker process is its single writer.
     writer = (
@@ -220,94 +214,48 @@ def _worker_main(worker_id, model, partition, compute_model, batch_size,
                    meta_json=_LIVE_META)
         if live_ring is not None else NULL_RING_WRITER
     )
-    track = rt_worker_track(worker_id)
 
     def pull():
-        if stop_event.is_set():
-            return None, None
-        started = writer.now() if writer.enabled else 0.0
         # Control plane only: the tag keeps the server's wire trace (and
         # the pull-before-push protocol shape) intact; the payload is a
         # fenced shared-memory snapshot, not a pickled queue reply.
         request_queue.put(("pull", worker_id), timeout=_PUT_TIMEOUT_S)
-        result = param_store.read()
-        if writer.enabled:
-            writer.span(track, "pull", started)
-        return result
+        return param_store.read()
 
-    while not stop_event.is_set():
-        iteration_started = writer.now() if writer.enabled else 0.0
-        batch = partition.sample_batch(batch_rng, batch_size)
-        snapshot, version = pull()
-        if snapshot is None:
-            break
-        aborts_left = max_aborts_per_iteration
-        while True:
-            duration = compute_model.sample(compute_rng) * time_scale
-            compute_started = writer.now() if writer.enabled else 0.0
-            deadline = time.monotonic() + duration
-            while True:
-                interrupted = abort_event.wait(
-                    timeout=deadline - time.monotonic()
-                )
-                if not interrupted or aborts_left > 0 or stop_event.is_set():
-                    break
-                # No abort budget left: like the DES, ignore the re-sync
-                # and compute to the end of the duration.
-                abort_event.clear()
-            if stop_event.is_set():
-                break
-            if interrupted and aborts_left > 0:
-                abort_event.clear()
-                if writer.enabled:
-                    now = writer.now()
-                    # The aborted wait is still compute time spent — the
-                    # abort instant carries how much of it was wasted.
-                    writer.span(track, "compute", compute_started, now,
-                                cat="compute")
-                    writer.instant(
-                        track, "abort", now, cat="abort",
-                        args_json=json.dumps({
-                            "worker": worker_id,
-                            "wasted_s": round(now - compute_started, 9),
-                        }),
-                    )
-                    writer.count("rt.aborts")
-                snapshot, version = pull()
-                if snapshot is None:
-                    break
-                aborts += 1
-                aborts_left -= 1
-                continue
-            abort_event.clear()
-            if writer.enabled:
-                writer.span(track, "compute", compute_started, cat="compute")
-            break
-        if stop_event.is_set() or snapshot is None:
-            break
-        _, gradient = model.loss_and_grad(snapshot, batch)
+    def push(gradient, version):
         # Zero-copy push: the gradient travels through this worker's own
         # fenced shared-memory slot (stamped with the snapshot version the
         # server needs for staleness math); the queue carries only the
-        # small control tuple.
-        push_started = writer.now() if writer.enabled else 0.0
+        # small control tuple.  A stop ends the wait for the ack, not the
+        # push: the server applies it before it answers the stats request.
         grad_store.write(gradient, version)
         request_queue.put(("push", worker_id, version), timeout=_PUT_TIMEOUT_S)
-        while True:
+        while not stop_event.is_set():
             try:
                 kind, _version = response_queue.get(timeout=_POLL_S)
             except queue_module.Empty:
-                if stop_event.is_set():
-                    break
                 continue
             assert kind == "ack"
-            break
-        if writer.enabled:
-            writer.span(track, "push", push_started)
-        iterations += 1
-        notify_queue.put((worker_id, iterations), timeout=_PUT_TIMEOUT_S)
-        if writer.enabled:
-            writer.span(track, "iteration", iteration_started, cat="iteration")
+            return
+
+    worker = Worker(
+        worker_id=worker_id,
+        store=SimpleNamespace(pull=pull, push=push),
+        model=model,
+        partition=partition,
+        compute_model=compute_model,
+        batch_size=batch_size,
+        time_scale=time_scale,
+        batch_rng=streams.get("batch", worker_id),
+        compute_rng=streams.get("compute", worker_id),
+        stop_event=stop_event,
+        abort_event=abort_event,
+        resync_slot=resync_slot,
+        notify=lambda *tagged: notify_queue.put(tagged, timeout=_PUT_TIMEOUT_S),
+        max_aborts_per_iteration=max_aborts_per_iteration,
+        recorder=writer,
+    )
+    worker.run()
     if writer.enabled:
         # Final fence statistics: the previously-invisible retry counts
         # of this worker's shared-memory mappings.
@@ -315,7 +263,11 @@ def _worker_main(worker_id, model, partition, compute_model, batch_size,
             writer.count(f"shm.param.{name}", value)
         for name, value in grad_store.counters().items():
             writer.count(f"shm.grad.{name}", value)
-    stats_queue.put((worker_id, iterations, aborts), timeout=_PUT_TIMEOUT_S)
+    stats_queue.put(
+        (worker_id, worker.iterations, worker.aborts,
+         repr(worker.error) if worker.error is not None else None),
+        timeout=_PUT_TIMEOUT_S,
+    )
 
 
 @dataclass
@@ -405,6 +357,11 @@ class MultiprocessRun:
         stats_queue = ctx.Queue()
         stop_event = ctx.Event()
         abort_events = [ctx.Event() for _ in range(num_workers)]
+        # A re-sync's [for_iteration, peer_pushes], written before the
+        # abort event is set (which orders the two): one writer, no lock.
+        resync_slots = [
+            ctx.Array("q", [-1, 0], lock=False) for _ in range(num_workers)
+        ]
 
         streams = RngStreams(self.seed)
         initial_params = self.model.init_params(streams.get("init"))
@@ -447,7 +404,7 @@ class MultiprocessRun:
                       self.batch_size, self.time_scale, self.seed,
                       param_store, grad_stores[i], request_queue,
                       response_queues[i], notify_queue,
-                      abort_events[i], stop_event, stats_queue,
+                      abort_events[i], resync_slots[i], stop_event, stats_queue,
                       self.max_aborts_per_iteration,
                       live.worker_ring(i) if live else None),
                 daemon=True,
@@ -462,19 +419,10 @@ class MultiprocessRun:
             from repro.runtime.threaded import _ThreadSafeScheduler
 
             def send_resync(worker_id: int, iteration: int, peer_pushes: int) -> None:
-                if tracer.enabled:
-                    # Close the scheduler's staged causal flow at the moment
-                    # the abort signal crosses into the worker process.
-                    tracer.flow_end(
-                        resync_flow_key(worker_id, iteration),
-                        rt_worker_track(worker_id),
-                    )
-                    tracer.instant(
-                        rt_worker_track(worker_id), "resync_signal",
-                        cat="abort", args={"worker": worker_id,
-                                           "peer_pushes": peer_pushes},
-                    )
-                abort_events[worker_id].set()
+                signal_resync(
+                    tracer, worker_id, iteration, peer_pushes,
+                    resync_slots[worker_id], abort_events[worker_id],
+                )
 
             scheduler = _ThreadSafeScheduler(
                 num_workers=num_workers,
@@ -533,14 +481,17 @@ class MultiprocessRun:
 
                 per_worker: Dict[int, int] = {}
                 total_aborts = 0
+                errors: List[str] = []
                 with tracer.measure(RT_SCHEDULER_TRACK, "collect_stats"), \
                         profiler.measure("rt.collect_stats"):
                     for _ in range(num_workers):
-                        worker_id, iterations, aborts = stats_queue.get(
+                        worker_id, iterations, aborts, error = stats_queue.get(
                             timeout=10.0
                         )
                         per_worker[worker_id] = iterations
                         total_aborts += aborts
+                        if error is not None:
+                            errors.append(f"worker {worker_id} raised {error}")
 
                     for worker in workers:
                         worker.join(timeout=10.0)
@@ -577,6 +528,8 @@ class MultiprocessRun:
                         store.close()
                         store.unlink()
         wall = time.monotonic() - started
+        if errors:
+            raise RuntimeError("; ".join(errors))
         if live_writer.enabled:
             # The run container span anchors the drained trace's time
             # window to the same bracket the parent's conventional

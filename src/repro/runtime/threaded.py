@@ -5,9 +5,10 @@ Concurrency structure:
 * ``ThreadedParameterServer`` — the store under a lock (MXNet's per-key
   atomic apply collapses to one lock here because every update touches all
   keys).
-* ``ThreadedWorker`` — one thread per worker; "computation" is an
-  interruptible wait of the sampled duration (``Event.wait``), after which
-  the gradient is evaluated on the pulled snapshot, exactly like the DES.
+* :class:`repro.runtime.worker.Worker` — the shared wall-clock driver of
+  the protocol machine (:class:`repro.ps.loop.WorkerLoop`), one thread each,
+  handed the server above as its store, ``threading`` events, a two-slot
+  list for the re-sync tag, a ``handle_notify`` call and the wall tracer.
 * ``SpecSyncScheduler`` from :mod:`repro.core.scheduler`, adapted with a
   lock and one scheduler thread over a heap of ``(deadline, seq, fn)``
   checks (``_ThreadSafeScheduler`` has the wake, lazy-start and
@@ -22,8 +23,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple, Union
 
-import numpy as np
-
 from repro.cluster.compute import ComputeTimeModel
 from repro.core.scheduler import SpecSyncScheduler
 from repro.core.tuning import HyperparamTuner
@@ -35,22 +34,20 @@ from repro.obs.clock import FunctionClock
 from repro.obs.core import NULL_TRACER, NullTracer, Tracer
 from repro.obs.core import tracer_for
 from repro.obs.log import get_logger
-from repro.obs.perf import NULL_PROFILER, NullProfiler, Profiler, profiler_for
+from repro.obs.perf import ProfilerLike, profiler_for
 from repro.obs.tracks import (
     RT_RUN_TRACK,
     RT_SCHEDULER_TRACK,
     RT_SERVER_TRACK,
-    resync_flow_key,
     rt_worker_track,
 )
+from repro.runtime.worker import Worker, signal_resync
 from repro.utils.rng import RngStreams
 
 TracerLike = Union[Tracer, NullTracer]
-ProfilerLike = Union[Profiler, NullProfiler]
 
 __all__ = [
     "ThreadedParameterServer",
-    "ThreadedWorker",
     "ThreadedRun",
     "ThreadedRunResult",
     "install_threading_shim",
@@ -70,10 +67,9 @@ def install_threading_shim(shim) -> None:
     The shim is a proxy for the stdlib module whose ``Lock``/``RLock``
     factories return traced wrappers, so every lock the runtime creates
     while the shim is installed records per-thread acquire/release events.
-    Classes defined at import time (``ThreadedWorker``) keep their real
-    ``threading.Thread`` base; only *construction* sites in this module
-    are redirected.  Call :func:`uninstall_threading_shim` to restore the
-    real module — instrumented runs must always pair the two.
+    Only *construction* sites in this module are redirected.  Call
+    :func:`uninstall_threading_shim` to restore the real module —
+    instrumented runs must always pair the two.
     """
     global threading
     threading = shim
@@ -259,127 +255,6 @@ class _ThreadSafeScheduler:
             raise error
 
 
-class ThreadedWorker(threading.Thread):
-    """One training worker on its own thread."""
-
-    def __init__(
-        self,
-        worker_id: int,
-        server: ThreadedParameterServer,
-        model: Model,
-        partition: Partition,
-        compute_model: ComputeTimeModel,
-        batch_size: int,
-        time_scale: float,
-        batch_rng: np.random.Generator,
-        compute_rng: np.random.Generator,
-        stop_event: threading.Event,
-        scheduler: Optional[_ThreadSafeScheduler] = None,
-        max_aborts_per_iteration: int = 1,
-        tracer: Optional[TracerLike] = None,
-        profiler: Optional[ProfilerLike] = None,
-    ):
-        super().__init__(name=f"worker-{worker_id}", daemon=True)
-        self.tracer: TracerLike = tracer if tracer is not None else NULL_TRACER
-        self.profiler: ProfilerLike = (
-            profiler if profiler is not None else NULL_PROFILER
-        )
-        self.track = rt_worker_track(worker_id)
-        self.worker_id = worker_id
-        self.server = server
-        self.model = model
-        self.partition = partition
-        self.compute_model = compute_model
-        self.batch_size = batch_size
-        self.time_scale = time_scale
-        self.batch_rng = batch_rng
-        self.compute_rng = compute_rng
-        self.stop_event = stop_event
-        self.scheduler = scheduler
-        self.max_aborts_per_iteration = max_aborts_per_iteration
-
-        self.abort_event = threading.Event()
-        self.iterations = 0
-        self.aborts = 0
-        self._last_resync_peer_pushes: Optional[int] = None
-
-    def request_resync(self, peer_pushes: Optional[int] = None) -> None:
-        """Called by the scheduler adapter: abort the in-flight computation.
-
-        ``peer_pushes`` (the triggering count from the scheduler's
-        decision) is stored so the worker-side abort instant can carry it;
-        the read is racy against a concurrent abort but only decorates
-        observability output, never control flow.
-        """
-        self._last_resync_peer_pushes = peer_pushes
-        if self.tracer.enabled:
-            self.tracer.instant(
-                self.track, "resync_signal", cat="abort",
-                args={"worker": self.worker_id, "peer_pushes": peer_pushes},
-            )
-        self.abort_event.set()
-
-    def run(self) -> None:  # pragma: no cover - exercised via integration tests
-        while not self.stop_event.is_set():
-            self._one_iteration()
-
-    def _one_iteration(self) -> None:
-        iteration_scope = self.tracer.measure(
-            self.track, "iteration", cat="iteration"
-        )
-        with iteration_scope, self.profiler.measure("rt.iteration"):
-            batch = self.partition.sample_batch(self.batch_rng, self.batch_size)
-            with self.tracer.measure(self.track, "pull"), \
-                    self.profiler.measure("rt.pull"):
-                snapshot, version = self.server.pull()
-            aborts_left = self.max_aborts_per_iteration
-            while True:
-                duration = (
-                    self.compute_model.sample(self.compute_rng) * self.time_scale
-                )
-                compute_started = time.monotonic()
-                deadline = compute_started + duration
-                while True:
-                    interrupted = self.abort_event.wait(
-                        timeout=deadline - time.monotonic()
-                    )
-                    if (not interrupted or aborts_left > 0
-                            or self.stop_event.is_set()):
-                        break
-                    # No abort budget left: like the DES, ignore the
-                    # re-sync and compute to the end of the duration.
-                    self.abort_event.clear()
-                if self.stop_event.is_set():
-                    return
-                if interrupted and aborts_left > 0:
-                    # Re-sync: discard the wait, pull fresher parameters,
-                    # restart the same batch (Algorithm 2, worker lines 5-7).
-                    self.abort_event.clear()
-                    if self.tracer.enabled:
-                        wasted = time.monotonic() - compute_started
-                        self.tracer.instant(
-                            self.track, "abort", cat="abort",
-                            args={"worker": self.worker_id,
-                                  "wasted_s": round(wasted, 9),
-                                  "peer_pushes": self._last_resync_peer_pushes},
-                        )
-                        self.tracer.count("rt.aborts")
-                    with self.tracer.measure(self.track, "pull"):
-                        snapshot, version = self.server.pull()
-                    self.aborts += 1
-                    aborts_left -= 1
-                    continue
-                self.abort_event.clear()
-                break
-            _, gradient = self.model.loss_and_grad(snapshot, batch)
-            with self.tracer.measure(self.track, "push"), \
-                    self.profiler.measure("rt.push"):
-                self.server.push(gradient, version)
-            self.iterations += 1
-            if self.scheduler is not None:
-                self.scheduler.handle_notify(self.worker_id, self.iterations)
-
-
 @dataclass
 class ThreadedRunResult:
     """Counters from one threaded run."""
@@ -441,9 +316,9 @@ class ThreadedRun:
             )
 
         self.workers = [
-            ThreadedWorker(
+            Worker(
                 worker_id=i,
-                server=self.server,
+                store=self.server,
                 model=model,
                 partition=partition,
                 compute_model=compute_model,
@@ -452,32 +327,33 @@ class ThreadedRun:
                 batch_rng=streams.get("batch", i),
                 compute_rng=streams.get("compute", i),
                 stop_event=self.stop_event,
-                scheduler=self.scheduler,
+                abort_event=threading.Event(),
+                resync_slot=[-1, 0],
+                notify=self._notify,
                 max_aborts_per_iteration=max_aborts_per_iteration,
-                tracer=self.tracer,
-                profiler=self.profiler,
+                recorder=self.tracer,
             )
             for i, partition in enumerate(partitions)
         ]
 
+    def _notify(self, worker_id: int, iteration: int) -> None:
+        if self.scheduler is not None:
+            self.scheduler.handle_notify(worker_id, iteration)
+
     def _send_resync(self, worker_id: int, iteration: int, peer_pushes: int) -> None:
-        # The threaded worker guards against late re-syncs itself (the
-        # abort flag is cleared at each iteration boundary), so the
-        # iteration tag needs no extra check here.
-        if self.tracer.enabled:
-            # Close the causal flow the scheduler staged for this decision:
-            # arrows land on the worker's track at the signal time.
-            self.tracer.flow_end(
-                resync_flow_key(worker_id, iteration), rt_worker_track(worker_id)
-            )
-        self.workers[worker_id].request_resync(peer_pushes)
+        worker = self.workers[worker_id]
+        signal_resync(
+            self.tracer, worker_id, iteration, peer_pushes,
+            worker.resync_slot, worker.abort_event,
+        )
 
     def run(self, duration_s: float = 0.5) -> ThreadedRunResult:
         """Run all workers for ``duration_s`` wall seconds, then stop.
 
         Worker joins and scheduler close happen in a ``finally`` so that a
-        raising worker ``start()`` (or an interrupt during the sleep)
-        cannot leak running threads or live timers past this call.
+        raising thread ``start()`` (or an interrupt during the sleep)
+        cannot leak running threads past this call.  A worker's loop that
+        raised is re-raised once every thread is joined, the scheduler closed.
         """
         if duration_s <= 0:
             raise ValueError(f"duration_s must be positive, got {duration_s}")
@@ -488,25 +364,31 @@ class ThreadedRun:
         started = time.monotonic()
         with self.tracer.measure(RT_RUN_TRACK, "run"), \
                 self.profiler.measure("rt.run"):
-            # Joining only the started workers matters: if a start() in the
+            # Joining only the started threads matters: if a start() in the
             # middle of the loop raises, joining a never-started thread
-            # would itself raise and mask the original error, while the
-            # old is_alive() gate left a path that skipped a live join.
-            started_workers: List[ThreadedWorker] = []
+            # would itself raise and mask the original error.
+            started_threads: List[threading.Thread] = []
             try:
                 for worker in self.workers:
-                    worker.start()
-                    started_workers.append(worker)
+                    thread = threading.Thread(
+                        target=worker.run, name=f"worker-{worker.worker_id}",
+                        daemon=True,
+                    )
+                    thread.start()
+                    started_threads.append(thread)
                 time.sleep(duration_s)
             finally:
                 self.stop_event.set()
                 for worker in self.workers:
                     worker.abort_event.set()  # release any in-flight waits
-                for worker in started_workers:
-                    worker.join(timeout=5.0)
+                for thread in started_threads:
+                    thread.join(timeout=5.0)
                 if self.scheduler is not None:
                     self.scheduler.close()
         wall = time.monotonic() - started
+        for worker in self.workers:
+            if worker.error is not None:
+                raise worker.error
 
         final_params, _ = self.server.pull()
         inner = self.scheduler.inner if self.scheduler is not None else None

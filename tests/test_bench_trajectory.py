@@ -209,6 +209,23 @@ def test_pr21_sped_up_the_threaded_row_and_slowed_none(capsys):
     assert "worse" not in rows.values()
 
 
+def test_pr22_merged_the_worker_loops_and_slowed_none(capsys):
+    # A simplicity PR: no gain claimed, nothing may read worse, and the
+    # machine under the DES engine left every simulated run as it was.
+    assert trajectory.main(["compare", "PR 22 (parent)", "PR 22"]) == 0
+    rows = printed_verdicts(capsys.readouterr().out)
+    assert len(rows) == 6 * len(trajectory.METRICS)
+    assert "worse" not in rows.values()
+    by_label = {e["label"]: e["workloads"] for e in trajectory.load(trajectory.HISTORY)}
+    digests = {
+        label: {name: w["sim_digest"] for name, w in by_label[label].items()
+                if w["sim_digest"] is not None}
+        for label in ("PR 21", "PR 22 (parent)", "PR 22")
+    }
+    assert len(digests["PR 22"]) == 4
+    assert digests["PR 22"] == digests["PR 22 (parent)"] == digests["PR 21"]
+
+
 def test_simulated_behaviour_never_changed_along_the_trajectory():
     # Every perf PR on record claimed "same simulated run"; the digests say so.
     digests = {}

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import ClusterSpec
+from repro.events import Simulator
+from repro.ps.loop import Phase
 from repro.ps.policy import SyncPolicy
 from repro.workloads import tiny_workload
 
@@ -58,11 +60,38 @@ class ChaosPolicy(SyncPolicy):
             self.engine.release_worker(self._parked.pop(0))
 
 
+def assert_phase_legal(worker):
+    """The machine's phase agrees with what the engine holds around it."""
+    assert isinstance(worker.phase, Phase)
+    assert 0 <= worker.aborts_in_iteration <= worker.max_aborts_per_iteration
+    event = worker.compute_event
+    if worker.phase is Phase.COMPUTING:
+        assert event is not None and not event.canceled
+    else:
+        assert event is None or not event.pending
+    if worker.phase is Phase.IDLE:
+        assert worker.batch is None
+    if worker.phase is Phase.PUSHING:
+        assert worker.batch is not None and worker.snapshot is not None
+    if worker.parked:
+        assert worker.phase is Phase.IDLE
+
+
 def run_chaos(seed, resync_prob, delay_max, park_prob, horizon=40.0):
     policy = ChaosPolicy(seed, resync_prob, delay_max, park_prob)
-    return tiny_workload().run(
-        ClusterSpec.homogeneous(4), policy, seed=seed, horizon_s=horizon
-    )
+
+    def check_phases(_time, _seq, _fn, _args):
+        # Fires before each event, i.e. after every previous one.
+        for worker in policy.engine.workers:
+            assert_phase_legal(worker)
+
+    Simulator.install_tap(check_phases)
+    try:
+        return tiny_workload().run(
+            ClusterSpec.homogeneous(4), policy, seed=seed, horizon_s=horizon
+        )
+    finally:
+        Simulator.remove_tap(check_phases)
 
 
 class TestChaosInvariants:

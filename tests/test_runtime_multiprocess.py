@@ -114,6 +114,36 @@ class TestSchedulerCallbackRaises:
         assert "specsync-scheduler" not in [t.name for t in threading.enumerate()]
 
 
+class TestWorkerLoopRaises:
+    def test_run_names_the_worker_and_leaves_nothing_behind(self):
+        import multiprocessing
+        import os
+        import time
+
+        class RaisesOnThirdCall(SoftmaxRegressionModel):
+            calls = 0  # per process: every forked worker reaches its third
+
+            def loss_and_grad(self, params, batch):
+                self.calls += 1
+                if self.calls == 3:
+                    raise ArithmeticError("gradient blew up")
+                return super().loss_and_grad(params, batch)
+
+        run = build_run(num_workers=2, tuner=AdaptiveTuner())
+        run.model = RaisesOnThirdCall(input_dim=8, num_classes=3)
+        shm_before = set(os.listdir("/dev/shm"))
+        started = time.monotonic()
+        with pytest.raises(
+            RuntimeError,
+            match=r"worker [01] raised ArithmeticError\('gradient blew up'\); worker [01]",
+        ):
+            run.run(0.5)
+        # The dead workers still reported: no 10 s stats timeout was waited out.
+        assert time.monotonic() - started < 5.0
+        assert not multiprocessing.active_children()
+        assert set(os.listdir("/dev/shm")) - shm_before == set()
+
+
 class TestValidation:
     def test_negative_abort_budget_rejected(self):
         with pytest.raises(ValueError, match="max_aborts_per_iteration"):

@@ -177,6 +177,29 @@ class TestSchedulerCallbackRaises:
         assert threading.active_count() == before
 
 
+class TestWorkerLoopRaises:
+    def test_run_reraises_after_joining_every_thread(self):
+        import threading
+
+        before = threading.active_count()
+        run = build_run(num_workers=4, tuner=AdaptiveTuner())
+        real, calls = run.model.loss_and_grad, []
+
+        def third_call_raises(params, batch):
+            calls.append(None)
+            if len(calls) == 3:
+                raise ArithmeticError("gradient blew up")
+            return real(params, batch)
+
+        run.model.loss_and_grad = third_call_raises
+        with pytest.raises(ArithmeticError, match="gradient blew up"):
+            run.run(0.3)
+        # One worker stopped at its failure; the others ran on to the end.
+        assert sorted(w.error is None for w in run.workers) == [False, True, True, True]
+        assert sum(w.iterations for w in run.workers) > 3
+        assert threading.active_count() == before
+
+
 class TestValidation:
     def test_negative_abort_budget_rejected(self):
         with pytest.raises(ValueError, match="max_aborts_per_iteration"):
