@@ -12,7 +12,7 @@ from repro.ps.store import ParameterStore, PullSnapshot, PushRecord
 from repro.ps.policy import SyncPolicy, WorkerView
 from repro.ps.engine import TrainingEngine, EngineConfig, WorkerRuntime
 from repro.ps.result import RunResult, WorkerStats
-from repro.ps.shm import ShmArraySegment, ShmParamStore, ShmStoreSpec, ShmTornRead
+from repro.ps.shm import ShmArraySegment, ShmParamStore, ShmTornRead
 
 __all__ = [
     "ParameterStore",
@@ -27,6 +27,5 @@ __all__ = [
     "WorkerStats",
     "ShmArraySegment",
     "ShmParamStore",
-    "ShmStoreSpec",
     "ShmTornRead",
 ]

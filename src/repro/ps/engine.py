@@ -92,6 +92,8 @@ class EngineConfig:
             raise ValueError("param_wire_bytes must be >= 0")
         if self.max_aborts_per_iteration < 0:
             raise ValueError("max_aborts_per_iteration must be >= 0")
+        if self.num_shards is not None and self.num_shards < 1:
+            raise ValueError(f"num_shards must be >= 1, got {self.num_shards}")
 
     @property
     def push_wire_bytes(self) -> float:
@@ -210,8 +212,9 @@ class TrainingEngine:
         self.store = ParameterStore(
             initial_params=model.init_params(self.streams.get("init")),
             update_rule=update_rule,
-            num_shards=config.num_shards or cluster.num_workers,
         )
+        #: Sharding is transfer timing only: the streams a pull/push fans over.
+        self.num_shards = config.num_shards or cluster.num_workers
         self.traces = TraceRecorder()
         self.curve = LossCurve()
         # Observability: live against the enabled collector, or the shared
@@ -453,14 +456,14 @@ class TrainingEngine:
         )
 
     def _serve_pull(self, worker: WorkerRuntime, is_restart: bool) -> None:
-        snapshot = self.store.snapshot(self.sim.now)
+        snapshot = self.store.snapshot()
         response = Message(
             kind=MessageKind.PULL_RESPONSE,
             src=SERVERS_NODE,
             dst=worker.node_name,
             size_bytes=self.config.param_wire_bytes,
             payload=snapshot,
-            parallel_streams=self.store.num_shards,
+            parallel_streams=self.num_shards,
         )
         self.network.send(
             response, lambda msg: self._on_pull_response(worker, snapshot, is_restart)
@@ -519,15 +522,13 @@ class TrainingEngine:
             dst=SERVERS_NODE,
             size_bytes=self.config.push_wire_bytes,
             payload=(gradient, worker.snapshot.version),
-            parallel_streams=self.store.num_shards,
+            parallel_streams=self.num_shards,
         )
         self.network.send(push, lambda msg: self._apply_push(worker, msg))
 
     def _apply_push(self, worker: WorkerRuntime, message: Message) -> None:
         gradient, snapshot_version = message.payload
-        record = self.store.apply_push(
-            worker.worker_id, gradient, snapshot_version, self.sim.now
-        )
+        record = self.store.apply_push(worker.worker_id, gradient, snapshot_version)
         if self.tracer.enabled:
             self.tracer.instant(
                 SERVER_TRACK, "push_applied",

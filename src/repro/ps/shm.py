@@ -30,11 +30,12 @@ second concurrent writer loudly.
 Ownership
 ---------
 The parent process creates every segment and children inherit the mapped
-objects across ``fork`` — no child ever calls ``attach``, so none of them
+objects across ``fork`` — nothing attaches by name, so no process
 double-registers with the resource tracker (the Python < 3.13 pitfall
 where an attaching process unlinks segments its creator still owns at
 exit).  The parent is the single owner: :meth:`close` drops the local
-mapping, :meth:`unlink` frees the OS objects.
+mapping, :meth:`unlink` frees the OS objects.  The tracker helpers below
+serve :mod:`repro.obs.live.ring`, whose rings other processes do attach.
 
 Raw segment buffers (``ShmArraySegment.array``) must only be touched
 inside a fence ``with`` block; the ``BUF-SHM-UNFENCED`` rule of the
@@ -45,9 +46,8 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
@@ -56,7 +56,6 @@ from repro.ml.params import ParamSet
 __all__ = [
     "ShmArraySegment",
     "ShmParamStore",
-    "ShmStoreSpec",
     "ShmTornRead",
 ]
 
@@ -146,20 +145,6 @@ class ShmArraySegment:
         segment.array[...] = initial
         return segment
 
-    @classmethod
-    def attach(
-        cls, key: str, shape: Tuple[int, ...], name: str
-    ) -> "ShmArraySegment":
-        """Map an existing segment by name (non-owning)."""
-        shm = shared_memory.SharedMemory(name=name)
-        _untrack(shm)
-        return cls(key, tuple(shape), shm)
-
-    @property
-    def name(self) -> str:
-        """OS-level segment name (for :class:`ShmStoreSpec` / attach)."""
-        return self._shm.name
-
     @property
     def array(self) -> np.ndarray:
         """Live view onto the shared buffer — fence-guarded access only."""
@@ -177,25 +162,10 @@ class ShmArraySegment:
 
     def unlink(self) -> None:
         """Free the OS object (owner only, after every process closed)."""
-        _retrack(self._shm)
         self._shm.unlink()
 
     def __repr__(self) -> str:
         return f"ShmArraySegment({self.key!r}, shape={self.shape})"
-
-
-@dataclass(frozen=True)
-class ShmStoreSpec:
-    """Picklable description of a store, for explicit cross-process attach.
-
-    The multiprocess backend does not need it (children inherit the
-    mapped objects across ``fork``), but spawn-based consumers and tests
-    attach through this.
-    """
-
-    meta_name: str
-    #: ``(key, segment_name, shape)`` per parameter, in key order.
-    segments: Tuple[Tuple[str, str, Tuple[int, ...]], ...]
 
 
 class _ReadFence:
@@ -221,14 +191,12 @@ class ShmParamStore:
         self,
         meta_shm: shared_memory.SharedMemory,
         segments: Dict[str, ShmArraySegment],
-        owner: bool,
     ):
         self._meta_shm = meta_shm
         self._meta: np.ndarray = np.ndarray(
             (_HEADER_SLOTS,), dtype=np.int64, buffer=meta_shm.buf
         )
         self._segments = segments
-        self._owner = owner
         # Per-process retry visibility (satellite of the live telemetry
         # plane): retries were always bounded but previously invisible.
         self._counters: Dict[str, int] = {
@@ -247,31 +215,9 @@ class ShmParamStore:
         store = cls(
             meta,
             {key: ShmArraySegment.create(key, value) for key, value in params.items()},
-            owner=True,
         )
         store._meta[:] = 0
         return store
-
-    @classmethod
-    def attach(cls, spec: ShmStoreSpec) -> "ShmParamStore":
-        """Map an existing store from its :class:`ShmStoreSpec`."""
-        meta = shared_memory.SharedMemory(name=spec.meta_name)
-        _untrack(meta)
-        segments = {
-            key: ShmArraySegment.attach(key, shape, name)
-            for key, name, shape in spec.segments
-        }
-        return cls(meta, segments, owner=False)
-
-    def spec(self) -> ShmStoreSpec:
-        """The picklable attach handle for this store."""
-        return ShmStoreSpec(
-            meta_name=self._meta_shm.name,
-            segments=tuple(
-                (key, segment.name, segment.shape)
-                for key, segment in self._segments.items()
-            ),
-        )
 
     # ------------------------------------------------------------------
     # Fences
@@ -369,10 +315,6 @@ class ShmParamStore:
     # ------------------------------------------------------------------
     # Introspection / lifecycle
     # ------------------------------------------------------------------
-    def keys(self) -> List[str]:
-        """Parameter names, in creation order."""
-        return list(self._segments)
-
     def counters(self) -> Dict[str, int]:
         """This process's fence statistics, as a metrics-ready dict.
 
@@ -394,15 +336,10 @@ class ShmParamStore:
         self._meta_shm.close()
 
     def unlink(self) -> None:
-        """Free the OS objects; only the creating (owner) store may."""
-        if not self._owner:
-            raise RuntimeError("only the owning store may unlink its segments")
+        """Free the OS objects (the creating process, once children exit)."""
         for segment in self._segments.values():
             segment.unlink()
-        _retrack(self._meta_shm)
         self._meta_shm.unlink()
 
     def __repr__(self) -> str:
-        return (
-            f"ShmParamStore(keys={list(self._segments)}, owner={self._owner})"
-        )
+        return f"ShmParamStore(keys={list(self._segments)})"

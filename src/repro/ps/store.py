@@ -1,15 +1,19 @@
-"""The versioned parameter store (the servers' shared state).
+"""The versioned parameter store: the one server state every substrate hosts.
 
-A single logical store holds the global model parameters.  Sharding across
-server machines affects only *transfer timing* (a pull fans out over
-``num_shards`` parallel streams) — the store's semantics are those of
-MXNet's KVStore: atomically apply one pushed gradient at a time, serve
-consistent snapshots, and stamp everything with a global version (the count
-of pushes applied so far).
+The store's semantics are those of MXNet's KVStore (paper §V, Fig. 7):
+atomically apply one pushed gradient at a time, serve consistent snapshots,
+and stamp everything with a global version (the count of pushes applied so
+far).  Version arithmetic gives the staleness measure used throughout the
+paper: a gradient computed on snapshot version ``v`` and applied at version
+``V`` missed ``V − v`` peer updates.
 
-Version arithmetic gives the staleness measure used throughout the paper:
-a gradient computed on snapshot version ``v`` and applied at version ``V``
-missed ``V − v`` peer updates.
+This class is written once and hosted three ways: the DES engine calls it
+from its event callbacks (``TrainingEngine.store``), the threaded backend
+wraps it in a lock and wall-clock instrumentation
+(``ThreadedParameterServer``), and the server process runs it over the
+live backing of its shared-memory store, applying each push inside the
+write fence that publishes the new version.  Serialisation is the host's
+job; the store itself holds no lock and reads no clock.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ class PullSnapshot(NamedTuple):
 
     params: ParamSet
     version: int
-    time: float
 
 
 class PushRecord(NamedTuple):
@@ -38,38 +41,29 @@ class PushRecord(NamedTuple):
     snapshot_version: int
     staleness: int
     learning_rate: float
-    time: float
 
 
 class ParameterStore:
     """Global parameters + update rule + version counter.
 
-    ``num_shards`` is exposed so clients can size their parallel transfers,
-    but all shards share this one consistent state — the simulation treats
-    the shard set as a single serialization point, which matches MXNet's
-    per-key atomic updates (each of our updates touches every key, so the
-    per-key and whole-model orderings coincide).
+    The store *adopts* ``initial_params``: it applies every push to those
+    arrays in place, so the caller hands over freshly made arrays it does
+    not read again — or, in the server process, the shared-memory backing
+    that the write fence publishes.
     """
 
-    def __init__(self, initial_params: ParamSet, update_rule: SgdUpdateRule,
-                 num_shards: int = 1):
-        if num_shards < 1:
-            raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-        self._params = initial_params.copy()
+    def __init__(self, initial_params: ParamSet, update_rule: SgdUpdateRule):
+        self._params = initial_params  # repro: allow[BUF-ALIAS-STORE] adoption is the contract (see class docstring): the server process must update its shared-memory backing in place
         self._update_rule = update_rule
-        self.num_shards = int(num_shards)
         self._version = 0
-        self._push_records: list[PushRecord] = []
+        self._missed = 0  # staleness summed over every applied push
 
-    # ------------------------------------------------------------------
-    # Server operations
-    # ------------------------------------------------------------------
-    def snapshot(self, time: float) -> PullSnapshot:
+    def snapshot(self) -> PullSnapshot:
         """A consistent deep copy of the current parameters."""
-        return PullSnapshot(self._params.copy(), self._version, time)
+        return PullSnapshot(self._params.copy(), self._version)
 
     def apply_push(
-        self, worker_id: int, gradient: ParamSet, snapshot_version: int, time: float
+        self, worker_id: int, gradient: ParamSet, snapshot_version: int
     ) -> PushRecord:
         """Apply one pushed gradient; returns the push's bookkeeping record."""
         if snapshot_version > self._version:
@@ -82,15 +76,9 @@ class ParameterStore:
         # out-of-date gradients; the store is where staleness is known.
         rate = self._update_rule.apply_stale(self._params, gradient, staleness)
         self._version += 1
-        record = PushRecord(
-            worker_id, self._version, snapshot_version, staleness, rate, time
-        )
-        self._push_records.append(record)
-        return record
+        self._missed += staleness
+        return PushRecord(worker_id, self._version, snapshot_version, staleness, rate)
 
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
     @property
     def version(self) -> int:
         """Number of pushes applied so far."""
@@ -101,15 +89,9 @@ class ParameterStore:
         """Live view of the parameters (read-only by convention)."""
         return self._params
 
-    def push_records(self) -> list:
-        """All applied pushes, in apply order."""
-        return list(self._push_records)
-
     def mean_staleness(self) -> float:
         """Average missed-updates count over all applied pushes."""
-        if not self._push_records:
-            return 0.0
-        return sum(r.staleness for r in self._push_records) / len(self._push_records)
+        return self._missed / self._version if self._version else 0.0
 
     def __repr__(self) -> str:
-        return f"ParameterStore(version={self._version}, shards={self.num_shards})"
+        return f"ParameterStore(version={self._version})"

@@ -2,12 +2,16 @@
 
 The strongest form of protocol validation this package offers: workers are
 ``multiprocessing`` processes, the parameter server is its own process
-owning the model, and every pull/push/notify *control* message crosses a
-real OS pipe.  The SpecSync scheduler runs in the parent (exactly the
-centralized architecture of paper Fig. 7).  Each worker process runs the
-shared loop (:class:`repro.runtime.worker.Worker`) over two closures on its
-queues and stores; a re-sync crosses the fork as ``[for_iteration,
-peer_pushes]`` in a lock-free ``ctx.Array("q", 2)``, then the abort event.
+hosting the one :class:`repro.ps.store.ParameterStore` (version, staleness,
+apply) over the live shared-memory backing, and every pull/push/notify
+*control* message crosses a real OS pipe.  A server that raises reports
+the exception in its stats reply; the run re-raises it by name once every
+child is joined and every segment unlinked.  The SpecSync scheduler runs
+in the parent (exactly the centralized architecture of paper Fig. 7).
+Each worker process runs the shared loop
+(:class:`repro.runtime.worker.Worker`) over two closures on its queues and
+stores; a re-sync crosses the fork as ``[for_iteration, peer_pushes]`` in a
+lock-free ``ctx.Array("q", 2)``, then the abort event.
 
 Array payloads do not travel the queues: the backend splits control plane
 from data plane.  Parameters live in a fenced shared-memory store
@@ -51,6 +55,7 @@ from repro.obs.log import get_logger
 from repro.obs.perf import profiler_for
 from repro.obs.straggler import StragglerDetector
 from repro.ps.shm import ShmParamStore
+from repro.ps.store import ParameterStore
 from repro.obs.tracks import RT_RUN_TRACK, RT_SCHEDULER_TRACK, RT_SERVER_TRACK
 from repro.runtime.worker import Worker, signal_resync
 from repro.utils.rng import RngStreams
@@ -115,13 +120,13 @@ def uninstall_mp_shim() -> None:
 def _server_main(param_store, grad_stores, update_rule, request_queue,
                  response_queues, stats_reply_queue, server_stop,
                  wire_queue=None, live_ring=None):  # pragma: no cover - separate process
-    # The server is the parameter store's single writer, so its live
-    # backing view is safe to mutate under the write fence and to read
+    """Host the one :class:`ParameterStore` until stopped.  An exception
+    ends the loop and goes out as the stats reply, as a worker's does."""
+    # The server is the parameter store's single writer, so the store may
+    # update the live backing in place under the write fence and read it
     # without one; workers only ever see fenced read() snapshots.
     params = param_store.backing()
-    version = 0
-    staleness_sum = 0
-    staleness_count = 0
+    store = ParameterStore(params, update_rule)
     # Live telemetry exporter: the ring was created by the parent and
     # inherited across fork; the server is its single writer.
     writer = (
@@ -130,71 +135,76 @@ def _server_main(param_store, grad_stores, update_rule, request_queue,
         if live_ring is not None else NULL_RING_WRITER
     )
     message_bytes = params.num_elements * 8
-    while not server_stop.is_set():
-        try:
-            message = request_queue.get(timeout=_POLL_S)
-        except queue_module.Empty:
-            continue
-        received = writer.now() if writer.enabled else 0.0
-        kind = message[0]
-        if kind == "pull":
-            _, worker_id = message
-            if wire_queue is not None:
-                # Mirror the wire tag in processing order, for replay
-                # through the protocol model (trace conformance).
-                wire_queue.put(("pull", worker_id), timeout=_PUT_TIMEOUT_S)
-            # Zero-copy pull: no reply — the worker snapshots the fenced
-            # shared-memory store directly.  The pull message is control
-            # plane only, kept so the server-visible wire trace (and the
-            # protocol shape the model replays) stays intact.
-            if writer.enabled:
-                writer.sample(
-                    "rt.msg.pull.latency_s", writer.now() - received
+    try:
+        while not server_stop.is_set():
+            try:
+                message = request_queue.get(timeout=_POLL_S)
+            except queue_module.Empty:
+                continue
+            received = writer.now() if writer.enabled else 0.0
+            kind = message[0]
+            if kind == "pull":
+                _, worker_id = message
+                if wire_queue is not None:
+                    # Mirror the wire tag in processing order, for replay
+                    # through the protocol model (trace conformance).
+                    wire_queue.put(("pull", worker_id), timeout=_PUT_TIMEOUT_S)
+                # Zero-copy pull: no reply — the worker snapshots the fenced
+                # shared-memory store directly.  The pull message is control
+                # plane only, kept so the server-visible wire trace (and the
+                # protocol shape the model replays) stays intact.
+                if writer.enabled:
+                    writer.sample(
+                        "rt.msg.pull.latency_s", writer.now() - received
+                    )
+                    writer.sample("rt.msg.pull.bytes", message_bytes)
+                    depth = _queue_depth(request_queue)
+                    if depth >= 0:
+                        writer.gauge("rt.queue.request_depth", depth)
+            elif kind == "push":
+                _, worker_id, snapshot_version = message
+                if wire_queue is not None:
+                    wire_queue.put(("push", worker_id), timeout=_PUT_TIMEOUT_S)
+                # The pushing worker blocks on this ack, so its gradient slot
+                # is stable for the duration of the apply: the live backing
+                # view (no copy, no pickle) is race-free by protocol.  The
+                # fence version cross-checks that claim cheaply.
+                grad_store = grad_stores[worker_id]
+                if grad_store.version != snapshot_version:
+                    raise RuntimeError(
+                        f"gradient slot of worker {worker_id} is at fence "
+                        f"version {grad_store.version}, push says "
+                        f"{snapshot_version}; single-writer protocol violated"
+                    )
+                # The fence publishes the version the apply moves the store to.
+                with param_store.write_fence(store.version + 1):
+                    record = store.apply_push(
+                        worker_id, grad_store.backing(), snapshot_version
+                    )
+                response_queues[worker_id].put(
+                    ("ack", record.version_after), timeout=_PUT_TIMEOUT_S
                 )
-                writer.sample("rt.msg.pull.bytes", message_bytes)
-                depth = _queue_depth(request_queue)
-                if depth >= 0:
-                    writer.gauge("rt.queue.request_depth", depth)
-        elif kind == "push":
-            _, worker_id, snapshot_version = message
-            if wire_queue is not None:
-                wire_queue.put(("push", worker_id), timeout=_PUT_TIMEOUT_S)
-            staleness = version - snapshot_version
-            staleness_sum += staleness
-            staleness_count += 1
-            # The pushing worker blocks on this ack, so its gradient slot
-            # is stable for the duration of the apply: the live backing
-            # view (no copy, no pickle) is race-free by protocol.  The
-            # fence version cross-checks that claim cheaply.
-            grad_store = grad_stores[worker_id]
-            if grad_store.version != snapshot_version:
-                raise RuntimeError(
-                    f"gradient slot of worker {worker_id} is at fence "
-                    f"version {grad_store.version}, push says "
-                    f"{snapshot_version}; single-writer protocol violated"
+                if writer.enabled:
+                    now = writer.now()
+                    writer.span(RT_SERVER_TRACK, "apply", received, now)
+                    writer.sample("rt.msg.push.latency_s", now - received)
+                    writer.sample("rt.msg.push.bytes", message_bytes)
+                    writer.count("rt.pushes")
+                    writer.gauge(f"rt.staleness.w{worker_id}", record.staleness)
+                    depth = _queue_depth(request_queue)
+                    if depth >= 0:
+                        writer.gauge("rt.queue.request_depth", depth)
+            elif kind == "stats":
+                # repro: allow[PERF-PICKLE-PAYLOAD] one-shot shutdown stats snapshot pickled by design — a single reply at teardown, not the per-iteration transfer the zero-copy shm store eliminated
+                stats_reply_queue.put(
+                    (store.version, store.mean_staleness(), params.copy(), None),
+                    timeout=_PUT_TIMEOUT_S,
                 )
-            version += 1
-            with param_store.write_fence(version):
-                update_rule.apply_stale(params, grad_store.backing(), staleness)
-            response_queues[worker_id].put(("ack", version), timeout=_PUT_TIMEOUT_S)
-            if writer.enabled:
-                now = writer.now()
-                writer.span(RT_SERVER_TRACK, "apply", received, now)
-                writer.sample("rt.msg.push.latency_s", now - received)
-                writer.sample("rt.msg.push.bytes", message_bytes)
-                writer.count("rt.pushes")
-                writer.gauge(f"rt.staleness.w{worker_id}", staleness)
-                depth = _queue_depth(request_queue)
-                if depth >= 0:
-                    writer.gauge("rt.queue.request_depth", depth)
-        elif kind == "stats":
-            mean = staleness_sum / staleness_count if staleness_count else 0.0
-            # repro: allow[PERF-PICKLE-PAYLOAD] one-shot shutdown stats snapshot pickled by design — a single reply at teardown, not the per-iteration transfer the zero-copy shm store eliminated
-            stats_reply_queue.put(
-                ("stats", version, mean, params.copy()), timeout=_PUT_TIMEOUT_S
-            )
-        else:  # pragma: no cover - defensive
-            raise RuntimeError(f"unknown server message {kind!r}")
+            else:  # pragma: no cover - defensive
+                raise RuntimeError(f"unknown server message {kind!r}")
+    except Exception as exc:
+        get_logger("runtime").exception("parameter server raised")
+        stats_reply_queue.put((None, None, None, repr(exc)), timeout=_PUT_TIMEOUT_S)
 
 
 # ----------------------------------------------------------------------
@@ -500,9 +510,11 @@ class MultiprocessRun:
                     # server keeps serving after worker stop so late pushes
                     # and this request drain).
                     request_queue.put(("stats",))
-                    _, version, mean_staleness, final_params = stats_reply_queue.get(
-                        timeout=10.0
+                    version, mean_staleness, final_params, error = (
+                        stats_reply_queue.get(timeout=10.0)
                     )
+                    if error is not None:
+                        errors.append(f"parameter server raised {error}")
             finally:
                 # Idempotent on the clean path (joining a finished process
                 # is a no-op).  On an exception path — a worker dying

@@ -2,9 +2,10 @@
 
 Concurrency structure:
 
-* ``ThreadedParameterServer`` — the store under a lock (MXNet's per-key
-  atomic apply collapses to one lock here because every update touches all
-  keys).
+* ``ThreadedParameterServer`` — the one :class:`repro.ps.store.ParameterStore`
+  (version, staleness, apply) under a lock, plus wall-clock pull/push
+  instrumentation (MXNet's per-key atomic apply collapses to one lock here
+  because every update touches all keys).
 * :class:`repro.runtime.worker.Worker` — the shared wall-clock driver of
   the protocol machine (:class:`repro.ps.loop.WorkerLoop`), one thread each,
   handed the server above as its store, ``threading`` events, a two-slot
@@ -41,6 +42,7 @@ from repro.obs.tracks import (
     RT_SERVER_TRACK,
     rt_worker_track,
 )
+from repro.ps.store import ParameterStore, PullSnapshot
 from repro.runtime.worker import Worker, signal_resync
 from repro.utils.rng import RngStreams
 
@@ -82,7 +84,7 @@ def uninstall_threading_shim() -> None:
 
 
 class ThreadedParameterServer:
-    """The global parameters behind a lock, with version stamping."""
+    """A :class:`ParameterStore` behind a lock, timed on the wall clock."""
 
     def __init__(
         self,
@@ -90,28 +92,25 @@ class ThreadedParameterServer:
         update_rule: SgdUpdateRule,
         tracer: Optional[TracerLike] = None,
     ):
-        self._params = initial_params.copy()
-        self._update_rule = update_rule
+        self._store = ParameterStore(initial_params.copy(), update_rule)
         self._lock = threading.Lock()
-        self._version = 0
-        self._staleness_log: List[int] = []
         self.tracer: TracerLike = tracer if tracer is not None else NULL_TRACER
         #: Payload size a pull snapshot / push gradient moves (float64).
         #: The comms instrumentation the socket backend will inherit:
         #: per-message-kind byte histograms alongside the latencies.
         self.message_bytes = initial_params.num_elements * 8
 
-    def pull(self) -> Tuple[ParamSet, int]:
+    def pull(self) -> PullSnapshot:
         """A consistent snapshot and its version."""
         tracer = self.tracer
         started = time.monotonic() if tracer.enabled else 0.0
         with tracer.measure(RT_SERVER_TRACK, "pull"):
             with self._lock:
-                snapshot, version = self._params.copy(), self._version
+                snapshot = self._store.snapshot()
         if tracer.enabled:
             tracer.observe("rt.msg.pull.latency_s", time.monotonic() - started)
             tracer.observe("rt.msg.pull.bytes", self.message_bytes)
-        return snapshot, version
+        return snapshot
 
     def push(self, gradient: ParamSet, snapshot_version: int) -> int:
         """Apply one gradient; returns the staleness it experienced."""
@@ -119,10 +118,8 @@ class ThreadedParameterServer:
         started = time.monotonic() if tracer.enabled else 0.0
         with tracer.measure(RT_SERVER_TRACK, "push"):
             with self._lock:
-                staleness = self._version - snapshot_version
-                self._update_rule.apply_stale(self._params, gradient, staleness)
-                self._version += 1
-                self._staleness_log.append(staleness)
+                # The loop's push names no sender, and the record stays here.
+                staleness = self._store.apply_push(-1, gradient, snapshot_version).staleness
         if tracer.enabled:
             tracer.count("rt.pushes")
             tracer.observe("rt.staleness", staleness)
@@ -133,14 +130,12 @@ class ThreadedParameterServer:
     @property
     def version(self) -> int:
         with self._lock:
-            return self._version
+            return self._store.version
 
     def mean_staleness(self) -> float:
         """Average staleness over all applied pushes."""
         with self._lock:
-            if not self._staleness_log:
-                return 0.0
-            return sum(self._staleness_log) / len(self._staleness_log)
+            return self._store.mean_staleness()
 
 
 class _ThreadSafeScheduler:

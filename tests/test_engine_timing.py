@@ -94,11 +94,11 @@ class TestPullDelayTiming:
 class TestDefaultSharding:
     def test_default_shards_equal_workers(self):
         engine = build_engine(num_workers=5)
-        assert engine.store.num_shards == 5
+        assert engine.num_shards == 5
 
     def test_explicit_shards_respected(self):
         engine = build_engine(num_workers=5, num_shards=2)
-        assert engine.store.num_shards == 2
+        assert engine.num_shards == 2
 
 
 class TestCongestionOption:

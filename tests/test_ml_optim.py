@@ -238,28 +238,43 @@ class TestStalenessAware:
 
         rule = StalenessAwareUpdateRule(ConstantSchedule(1.0))
         store = ParameterStore(params(0.0), rule)
-        snap = store.snapshot(0.0)  # version 0
-        store.apply_push(1, grad(1.0), 0, 1.0)   # staleness 0 -> rate 1
-        record = store.apply_push(0, grad(1.0), snap.version, 2.0)
+        snap = store.snapshot()  # version 0
+        store.apply_push(1, grad(1.0), 0)   # staleness 0 -> rate 1
+        record = store.apply_push(0, grad(1.0), snap.version)
         # second push has staleness 1 -> rate 0.5
         assert record.learning_rate == pytest.approx(0.5)
         np.testing.assert_allclose(store.params["w"], [-1.5, -1.5])
 
     def test_every_store_routes_staleness(self):
-        """The wall-clock server damps stale pushes exactly as the DES
-        store does: one stream, staleness 0/1/2, equal parameters."""
+        """The three hosts of the one store — the DES engine, the threaded
+        server, the server process over shared memory (run in-process here)
+        — damp stale pushes alike: staleness 0/1/2, equal parameters."""
         from repro.ml.optim import StalenessAwareUpdateRule
-        from repro.ps import ParameterStore
+        from repro.ps import ParameterStore, ShmParamStore
         from repro.runtime.threaded import ThreadedParameterServer
 
-        store = ParameterStore(
-            params(0.0), StalenessAwareUpdateRule(ConstantSchedule(1.0)))
-        server = ThreadedParameterServer(
-            params(0.0), StalenessAwareUpdateRule(ConstantSchedule(1.0)))
-        for push, value in enumerate((1.0, 0.5, 0.25)):
-            record = store.apply_push(0, grad(value), 0, float(push))
-            assert server.push(grad(value), 0) == record.staleness == push
+        def rule():
+            return StalenessAwareUpdateRule(ConstantSchedule(1.0))
+
+        store = ParameterStore(params(0.0), rule())
+        server = ThreadedParameterServer(params(0.0), rule())
+        shm = ShmParamStore.create(params(0.0))
+        try:
+            shm_store = ParameterStore(shm.backing(), rule())
+            for push, value in enumerate((1.0, 0.5, 0.25)):
+                record = store.apply_push(0, grad(value), 0)
+                assert server.push(grad(value), 0) == record.staleness == push
+                with shm.write_fence(shm_store.version + 1):
+                    assert shm_store.apply_push(0, grad(value), 0) == record
+            published, version = shm.read()
+            assert version == shm_store.version == server.version == store.version == 3
+            assert np.array_equal(published["w"], store.params["w"])
+            assert shm_store.mean_staleness() == server.mean_staleness() == 1.0
+        finally:
+            shm.close()
+            shm.unlink()
         assert np.array_equal(server.pull()[0]["w"], store.params["w"])
+        assert store.mean_staleness() == 1.0
         # rates 1, 1/2, 1/3 — not three full-rate SGD steps
         np.testing.assert_allclose(store.params["w"], [-4 / 3, -4 / 3])
 

@@ -1,8 +1,8 @@
 """Tests for the zero-copy shared-memory parameter store (repro.ps.shm).
 
 Covers the seqlock fence semantics in-process, the cross-process path
-(fork inheritance and explicit spec/attach), and the ownership protocol
-(single writer, owner-only unlink, closed-segment access).
+(fork inheritance), and the ownership protocol (single writer,
+closed-segment access).
 """
 
 import multiprocessing
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.ml.params import ParamSet
-from repro.ps.shm import ShmArraySegment, ShmParamStore, ShmStoreSpec
+from repro.ps.shm import ShmArraySegment, ShmParamStore
 
 
 def make_params():
@@ -50,9 +50,6 @@ class TestRoundTrip:
         snapshot["w"][...] = -1.0
         again, _ = store.read()
         np.testing.assert_allclose(again["w"], make_params()["w"])
-
-    def test_keys_preserved_in_order(self, store):
-        assert store.keys() == ["w", "b"]
 
 
 class TestFences:
@@ -106,26 +103,6 @@ class TestCrossProcess:
         snapshot, version = store.read()
         assert version == 11
         np.testing.assert_allclose(snapshot["w"], np.full((2, 3), 4.0))
-
-    def test_spec_attach_maps_same_segments(self, store):
-        spec = store.spec()
-        assert isinstance(spec, ShmStoreSpec)
-        other = ShmParamStore.attach(spec)
-        try:
-            store.write(make_params().copy(), version=2)
-            snapshot, version = other.read()
-            assert version == 2
-            np.testing.assert_allclose(snapshot["w"], make_params()["w"])
-        finally:
-            other.close()
-
-    def test_attached_store_may_not_unlink(self, store):
-        other = ShmParamStore.attach(store.spec())
-        try:
-            with pytest.raises(RuntimeError, match="own"):
-                other.unlink()
-        finally:
-            other.close()
 
 
 class TestQueuePathEquivalence:

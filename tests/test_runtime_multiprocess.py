@@ -11,7 +11,8 @@ from repro.ml.optim import ConstantSchedule, SgdUpdateRule
 from repro.runtime import MultiprocessRun
 
 
-def build_run(num_workers=4, tuner=None, time_scale=0.004, seed=0, **kwargs):
+def build_run(num_workers=4, tuner=None, time_scale=0.004, seed=0,
+              update_rule=None, **kwargs):
     dataset = SyntheticImageDataset(
         num_classes=3, feature_dim=8, num_samples=800,
         class_separation=3.0, warp=False, seed=0,
@@ -21,7 +22,7 @@ def build_run(num_workers=4, tuner=None, time_scale=0.004, seed=0, **kwargs):
         model=SoftmaxRegressionModel(input_dim=8, num_classes=3),
         partitions=partitions,
         eval_batch=dataset.eval_batch(),
-        update_rule=SgdUpdateRule(ConstantSchedule(0.2)),
+        update_rule=update_rule or SgdUpdateRule(ConstantSchedule(0.2)),
         compute_model=ComputeTimeModel(mean_time_s=4.0, jitter_sigma=0.1),
         batch_size=32,
         time_scale=time_scale,

@@ -13,7 +13,7 @@ from repro.runtime import ThreadedParameterServer, ThreadedRun
 
 
 def build_run(num_workers=4, tuner=None, time_scale=0.002, seed=0,
-              mean_time_s=3.0, **kwargs):
+              mean_time_s=3.0, update_rule=None, **kwargs):
     dataset = SyntheticImageDataset(
         num_classes=3, feature_dim=8, num_samples=800,
         class_separation=3.0, warp=False, seed=0,
@@ -24,7 +24,7 @@ def build_run(num_workers=4, tuner=None, time_scale=0.002, seed=0,
         model=model,
         partitions=partitions,
         eval_batch=dataset.eval_batch(),
-        update_rule=SgdUpdateRule(ConstantSchedule(0.2)),
+        update_rule=update_rule or SgdUpdateRule(ConstantSchedule(0.2)),
         compute_model=ComputeTimeModel(mean_time_s=mean_time_s, jitter_sigma=0.1),
         batch_size=32,
         time_scale=time_scale,
