@@ -19,10 +19,16 @@ Batch = Any
 class Model(abc.ABC):
     """A differentiable model: parameters, loss, and gradient.
 
-    Implementations must be pure functions of ``(params, batch)`` — no
-    hidden state — so the same gradient call can be replayed on any
-    parameter snapshot.  That purity is what lets the simulator evaluate a
-    worker's gradient on exactly the (possibly stale) snapshot it pulled.
+    The interface is two pure functions of ``(params, batch)``: ``loss``,
+    read at evaluation points, and ``gradient``, the one call a training
+    iteration makes (every training loop — the simulator, threads and
+    processes — calls ``gradient`` and nothing else).  Neither computes
+    the other, so each formula is written once.
+
+    Implementations must keep no hidden state, so the same gradient call
+    can be replayed on any parameter snapshot.  That purity is what lets
+    the simulator evaluate a worker's gradient on exactly the (possibly
+    stale) snapshot it pulled.
     """
 
     @abc.abstractmethod
@@ -34,12 +40,12 @@ class Model(abc.ABC):
         """Mean loss of ``params`` on ``batch``."""
 
     @abc.abstractmethod
-    def loss_and_grad(self, params: ParamSet, batch: Batch) -> Tuple[float, ParamSet]:
-        """Mean loss and its gradient with respect to every parameter."""
-
     def gradient(self, params: ParamSet, batch: Batch) -> ParamSet:
-        """Gradient only (default: discard the loss from loss_and_grad)."""
-        return self.loss_and_grad(params, batch)[1]
+        """Gradient of the mean loss with respect to every parameter."""
+
+    def loss_and_grad(self, params: ParamSet, batch: Batch) -> Tuple[float, ParamSet]:
+        """Mean loss and its gradient, for tests and gradient checks."""
+        return self.loss(params, batch), self.gradient(params, batch)
 
     def check_gradient(
         self,
@@ -54,7 +60,7 @@ class Model(abc.ABC):
         random sample of coordinates.  Test helper — not used in training.
         """
         rng = rng if rng is not None else np.random.default_rng(0)
-        _, grad = self.loss_and_grad(params, batch)
+        grad = self.gradient(params, batch)
         vector = params.to_vector()
         # Align the gradient to the *parameter* key order — implementations
         # may build their gradient dict in backward (reverse-layer) order.

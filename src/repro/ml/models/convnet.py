@@ -116,11 +116,10 @@ class ConvNetModel(Model):
         probs, _ = self._forward(params, X)
         return cross_entropy(probs, y) + self._reg_loss(params)
 
-    def loss_and_grad(self, params: ParamSet, batch) -> Tuple[float, ParamSet]:
+    def gradient(self, params: ParamSet, batch) -> ParamSet:
         X, y = self._unpack(batch)
         n = len(y)
         probs, (images, cols, pre, act, pooled) = self._forward(params, X)
-        loss = cross_entropy(probs, y) + self._reg_loss(params)
 
         delta_logits = probs.copy()
         delta_logits[np.arange(n), y] -= 1.0
@@ -143,7 +142,7 @@ class ConvNetModel(Model):
         grad_conv_w = flat_cols.T @ flat_delta + self.reg * params["conv_w"]
         grad_conv_b = flat_delta.sum(axis=0)
 
-        grad = ParamSet(
+        return ParamSet(
             {
                 "conv_w": grad_conv_w,
                 "conv_b": grad_conv_b,
@@ -151,7 +150,6 @@ class ConvNetModel(Model):
                 "fc_b": grad_fc_b,
             }
         )
-        return loss, grad
 
     def accuracy(self, params: ParamSet, batch) -> float:
         """Fraction of correct argmax predictions on ``batch``."""

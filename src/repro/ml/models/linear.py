@@ -7,8 +7,6 @@ weights approach the least-squares solution.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from repro.ml.models.base import Model
@@ -38,27 +36,25 @@ class LinearRegressionModel(Model):
             }
         )
 
-    def loss(self, params: ParamSet, batch) -> float:
+    def _errors(self, params: ParamSet, batch):
         X, y = self._unpack(batch)
-        errors = X @ params["weights"] + params["bias"][0] - y
+        return X, X @ params["weights"] + params["bias"][0] - y
+
+    def loss(self, params: ParamSet, batch) -> float:
+        _, errors = self._errors(params, batch)
         return float(np.mean(errors**2)) + 0.5 * self.reg * float(
             np.sum(params["weights"] ** 2)
         )
 
-    def loss_and_grad(self, params: ParamSet, batch) -> Tuple[float, ParamSet]:
-        X, y = self._unpack(batch)
-        n = len(y)
-        errors = X @ params["weights"] + params["bias"][0] - y
-        loss = float(np.mean(errors**2)) + 0.5 * self.reg * float(
-            np.sum(params["weights"] ** 2)
-        )
-        grad = ParamSet(
+    def gradient(self, params: ParamSet, batch) -> ParamSet:
+        X, errors = self._errors(params, batch)
+        n = len(errors)
+        return ParamSet(
             {
                 "weights": (2.0 / n) * (X.T @ errors) + self.reg * params["weights"],
                 "bias": np.array([(2.0 / n) * float(errors.sum())]),
             }
         )
-        return loss, grad
 
     def solve_exact(self, X: np.ndarray, y: np.ndarray) -> ParamSet:
         """Closed-form ridge solution (with intercept), for test oracles."""

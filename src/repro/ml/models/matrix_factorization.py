@@ -7,6 +7,11 @@ MovieLens workload in the paper uses.  Gradients are sparse (only rows of
 users/items in the batch are touched) but returned as dense ParamSets to
 match the parameter-server push interface.
 
+The model interface is ``loss`` + ``gradient``, sharing one forward pass
+(``_errors``) and nothing else.  The training loops call ``gradient``
+alone, so a training step never pays for the loss or its regularization
+term, which the gradient does not need.
+
 The scatter of per-sample terms into those dense arrays is one
 ``np.bincount`` per array over flattened ``row * rank + column`` indices.
 ``bincount`` walks its input once, front to back, adding each weight to
@@ -17,8 +22,6 @@ batch), and the gradient is bit-for-bit the same at a third of the cost.
 """
 
 from __future__ import annotations
-
-from typing import Tuple
 
 import numpy as np
 
@@ -69,24 +72,10 @@ class MatrixFactorizationModel(Model):
             }
         )
 
-    def _predict(self, params: ParamSet, users: np.ndarray, items: np.ndarray):
-        u_vecs = params["user_factors"][users]
-        i_vecs = params["item_factors"][items]
-        dots = np.sum(u_vecs * i_vecs, axis=1)
-        return dots + params["user_bias"][users] + params["item_bias"][items] + self.global_mean
-
-    def loss(self, params: ParamSet, batch) -> float:
+    def _errors(self, params: ParamSet, batch):
+        """The batch's ids, its gathered embedding rows and the prediction
+        errors ``r̂ - r`` — the forward pass ``loss`` and ``gradient`` share."""
         users, items, ratings = self._unpack(batch)
-        errors = self._predict(params, users, items) - ratings
-        data_loss = float(np.mean(errors**2))
-        u_vecs = params["user_factors"][users]
-        i_vecs = params["item_factors"][items]
-        reg_loss = self.reg * float(np.mean(np.sum(u_vecs**2 + i_vecs**2, axis=1)))
-        return data_loss + reg_loss
-
-    def loss_and_grad(self, params: ParamSet, batch) -> Tuple[float, ParamSet]:
-        users, items, ratings = self._unpack(batch)
-        n = len(ratings)
         u_vecs = params["user_factors"][users]
         i_vecs = params["item_factors"][items]
         errors = (
@@ -96,12 +85,19 @@ class MatrixFactorizationModel(Model):
             + self.global_mean
             - ratings
         )
+        return users, items, u_vecs, i_vecs, errors
+
+    def loss(self, params: ParamSet, batch) -> float:
+        _, _, u_vecs, i_vecs, errors = self._errors(params, batch)
         data_loss = float(np.mean(errors**2))
         reg_loss = self.reg * float(np.mean(np.sum(u_vecs**2 + i_vecs**2, axis=1)))
+        return data_loss + reg_loss
 
+    def gradient(self, params: ParamSet, batch) -> ParamSet:
+        users, items, u_vecs, i_vecs, errors = self._errors(params, batch)
         # d/dU[u] mean(err^2 + reg*(|U[u]|^2+|V[i]|^2))
         #   = (2/n) * (err * V[i] + reg * U[u]) summed over batch occurrences.
-        coeff = 2.0 / n
+        coeff = 2.0 / len(errors)
         per_sample_u = coeff * (errors[:, None] * i_vecs + self.reg * u_vecs)
         per_sample_i = coeff * (errors[:, None] * u_vecs + self.reg * i_vecs)
         per_sample_bias = coeff * errors
@@ -114,7 +110,7 @@ class MatrixFactorizationModel(Model):
             items, weights=per_sample_bias, minlength=self.num_items
         )
 
-        grad = ParamSet(
+        return ParamSet(
             {
                 "user_factors": grad_u,
                 "item_factors": grad_i,
@@ -122,7 +118,6 @@ class MatrixFactorizationModel(Model):
                 "item_bias": grad_bi,
             }
         )
-        return data_loss + reg_loss, grad
 
     @staticmethod
     def _scatter_rows(

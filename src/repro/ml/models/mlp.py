@@ -10,7 +10,7 @@ do; an MLP provides both at simulation-friendly cost.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -77,12 +77,13 @@ class MLPModel(Model):
         probs, _ = self._forward(params, X)
         return cross_entropy(probs, y) + self._reg_loss(params)
 
-    def loss_and_grad(self, params: ParamSet, batch) -> Tuple[float, ParamSet]:
+    def gradient(self, params: ParamSet, batch) -> ParamSet:
         X, y = self._unpack(batch)
         n = len(y)
         probs, activations = self._forward(params, X)
-        loss = cross_entropy(probs, y) + self._reg_loss(params)
 
+        # Built last layer first: ParamSet.norm() sums in key order, so the
+        # clip scale depends on it.
         grads = {}
         delta = probs.copy()
         delta[np.arange(n), y] -= 1.0
@@ -95,7 +96,7 @@ class MLPModel(Model):
                 # Backprop through tanh: d tanh(z) = 1 - tanh(z)^2, and
                 # activations[layer] already holds tanh(z).
                 delta = (delta @ params[f"w{layer}"].T) * (1.0 - a_prev**2)
-        return loss, ParamSet(grads)
+        return ParamSet(grads)
 
     def accuracy(self, params: ParamSet, batch) -> float:
         """Fraction of correct argmax predictions on ``batch``."""

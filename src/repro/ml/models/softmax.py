@@ -8,8 +8,6 @@ assert).
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from repro.ml.models.base import Model
@@ -56,29 +54,27 @@ class SoftmaxRegressionModel(Model):
             }
         )
 
-    def loss(self, params: ParamSet, batch) -> float:
+    def _forward(self, params: ParamSet, batch):
         X, y = self._unpack(batch)
-        probs = softmax(X @ params["weights"] + params["bias"])
+        return X, y, softmax(X @ params["weights"] + params["bias"])
+
+    def loss(self, params: ParamSet, batch) -> float:
+        _, y, probs = self._forward(params, batch)
         reg_loss = 0.5 * self.reg * float(np.sum(params["weights"] ** 2))
         return cross_entropy(probs, y) + reg_loss
 
-    def loss_and_grad(self, params: ParamSet, batch) -> Tuple[float, ParamSet]:
-        X, y = self._unpack(batch)
+    def gradient(self, params: ParamSet, batch) -> ParamSet:
+        X, y, probs = self._forward(params, batch)
         n = len(y)
-        probs = softmax(X @ params["weights"] + params["bias"])
-        loss = cross_entropy(probs, y) + 0.5 * self.reg * float(
-            np.sum(params["weights"] ** 2)
-        )
         delta = probs.copy()
         delta[np.arange(n), y] -= 1.0
         delta /= n
-        grad = ParamSet(
+        return ParamSet(
             {
                 "weights": X.T @ delta + self.reg * params["weights"],
                 "bias": delta.sum(axis=0),
             }
         )
-        return loss, grad
 
     def accuracy(self, params: ParamSet, batch) -> float:
         """Fraction of correct argmax predictions on ``batch``."""

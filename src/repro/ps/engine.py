@@ -515,7 +515,7 @@ class TrainingEngine:
         if self.profiler.enabled:
             self.profiler.phase("engine.compute", start=worker.compute_started_at)
         worker.push_started_at = self.sim.now
-        _, gradient = self.model.loss_and_grad(worker.snapshot.params, worker.batch)
+        gradient = self.model.gradient(worker.snapshot.params, worker.batch)
         push = Message(
             kind=MessageKind.PUSH,
             src=worker.node_name,

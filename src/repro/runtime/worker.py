@@ -122,7 +122,7 @@ class Worker:
                     )
                     recorder.count("rt.aborts")
                 loop.computed()
-                _, gradient = self.model.loss_and_grad(snapshot, batch)
+                gradient = self.model.gradient(snapshot, batch)
                 push_started = now()
                 self.store.push(gradient, version)
                 recorder.span(track, "push", push_started, now())

@@ -226,6 +226,14 @@ def test_pr22_merged_the_worker_loops_and_slowed_none(capsys):
     assert digests["PR 22"] == digests["PR 22 (parent)"] == digests["PR 21"]
 
 
+def test_pr26_dropped_the_unread_loss_and_slowed_none(capsys):
+    assert trajectory.main(["compare", "PR 26 (parent)", "PR 26"]) == 0
+    rows = printed_verdicts(capsys.readouterr().out)
+    assert len(rows) == 6 * len(trajectory.METRICS)
+    assert rows["des_tiny160_cherrypick", "wall_s"] == "improved"
+    assert "worse" not in rows.values()
+
+
 def test_simulated_behaviour_never_changed_along_the_trajectory():
     # Every perf PR on record claimed "same simulated run"; the digests say so.
     digests = {}

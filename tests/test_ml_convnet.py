@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from repro.ml.models.convnet import ConvNetModel, _col2im, _im2col
+from repro.ml.models.softmax import cross_entropy
+from repro.ml.params import ParamSet
+from tests.test_ml_models import PAIRS, assert_matches_reference, perturbed
 
 
 def rng():
@@ -44,6 +47,45 @@ class TestIm2Col:
         assert lhs == pytest.approx(rhs)
 
 
+def reference_loss_and_grad(self, params, batch):
+    """The combined body the model had before ``gradient`` was split from
+    ``loss``; the gradient and loss must stay bit-for-bit this."""
+    X, y = self._unpack(batch)
+    n = len(y)
+    probs, (images, cols, pre, act, pooled) = self._forward(params, X)
+    loss = cross_entropy(probs, y) + self._reg_loss(params)
+
+    delta_logits = probs.copy()
+    delta_logits[np.arange(n), y] -= 1.0
+    delta_logits /= n
+
+    grad_fc_w = pooled.T @ delta_logits + self.reg * params["fc_w"]
+    grad_fc_b = delta_logits.sum(axis=0)
+
+    delta_pooled = delta_logits @ params["fc_w"].T
+    out_h, out_w = act.shape[1], act.shape[2]
+    delta_act = (
+        delta_pooled[:, None, None, :]
+        * np.ones((1, out_h, out_w, 1))
+        / (out_h * out_w)
+    )
+    delta_pre = delta_act * (pre > 0.0)
+    flat_cols = cols.reshape(-1, cols.shape[-1])
+    flat_delta = delta_pre.reshape(-1, self.num_filters)
+    grad_conv_w = flat_cols.T @ flat_delta + self.reg * params["conv_w"]
+    grad_conv_b = flat_delta.sum(axis=0)
+
+    grad = ParamSet(
+        {
+            "conv_w": grad_conv_w,
+            "conv_b": grad_conv_b,
+            "fc_w": grad_fc_w,
+            "fc_b": grad_fc_b,
+        }
+    )
+    return loss, grad
+
+
 class TestConvNet:
     def make(self, **kwargs):
         defaults = dict(image_shape=(2, 6, 6), num_classes=3,
@@ -68,6 +110,15 @@ class TestConvNet:
         model = self.make(reg=1e-2)
         params = model.init_params(rng())
         assert model.check_gradient(params, batch(model), sample_size=30) < 1e-4
+
+    def test_gradient_bit_identical_to_reference(self):
+        for seed in range(PAIRS):
+            r = np.random.default_rng(seed)
+            model = self.make(num_filters=2 + seed % 3, kernel=2 + seed % 2,
+                              reg=(0.0, 1e-2)[seed // 2 % 2])
+            params = perturbed(model.init_params(r), r)
+            assert_matches_reference(model, params, batch(model, n=3 + seed % 7, seed=seed),
+                                     reference_loss_and_grad, 1e-4)
 
     def test_loss_decreases_under_gd(self):
         model = self.make()

@@ -10,6 +10,7 @@ from repro.ml import (
     SoftmaxRegressionModel,
 )
 from repro.ml.models.softmax import cross_entropy, softmax
+from repro.ml.params import ParamSet
 
 
 def rng():
@@ -175,7 +176,7 @@ class TestMatrixFactorization:
     @staticmethod
     def add_at_gradient(model, params, batch):
         """The gradient as a per-sample ``np.add.at`` scatter — the form
-        ``loss_and_grad`` had before ``np.bincount``; kept as the reference."""
+        gradient had before ``np.bincount``; kept as the reference."""
         users, items, ratings = (np.asarray(a) for a in batch)
         u_vecs = params["user_factors"][users]
         i_vecs = params["item_factors"][items]
@@ -239,6 +240,177 @@ class TestMatrixFactorization:
         params = model.init_params(rng())
         with pytest.raises(ValueError):
             model.loss(params, (np.array([]), np.array([]), np.array([])))
+
+
+# ----------------------------------------------------------------------
+# Bit identity with the combined loss_and_grad each model used to have.
+#
+# Training calls ``gradient`` alone; each model once computed its loss and
+# gradient in one ``loss_and_grad``.  Those bodies are kept below as the
+# references: the gradient must be bit-for-bit theirs, in the same key
+# order (ParamSet.norm() sums per key in insertion order, and a clipped
+# update scales by it), and the loss ``loss_and_grad`` now assembles from
+# ``loss`` must equal theirs exactly.
+# ----------------------------------------------------------------------
+PAIRS = 50
+
+
+def reference_softmax_loss_and_grad(self, params, batch):
+    X, y = self._unpack(batch)
+    n = len(y)
+    probs = softmax(X @ params["weights"] + params["bias"])
+    loss = cross_entropy(probs, y) + 0.5 * self.reg * float(
+        np.sum(params["weights"] ** 2)
+    )
+    delta = probs.copy()
+    delta[np.arange(n), y] -= 1.0
+    delta /= n
+    grad = ParamSet(
+        {
+            "weights": X.T @ delta + self.reg * params["weights"],
+            "bias": delta.sum(axis=0),
+        }
+    )
+    return loss, grad
+
+
+def reference_mlp_loss_and_grad(self, params, batch):
+    X, y = self._unpack(batch)
+    n = len(y)
+    probs, activations = self._forward(params, X)
+    loss = cross_entropy(probs, y) + self._reg_loss(params)
+
+    grads = {}
+    delta = probs.copy()
+    delta[np.arange(n), y] -= 1.0
+    delta /= n
+    for layer in range(self.num_layers - 1, -1, -1):
+        a_prev = activations[layer]
+        grads[f"w{layer}"] = a_prev.T @ delta + self.reg * params[f"w{layer}"]
+        grads[f"b{layer}"] = delta.sum(axis=0)
+        if layer > 0:
+            delta = (delta @ params[f"w{layer}"].T) * (1.0 - a_prev**2)
+    return loss, ParamSet(grads)
+
+
+def reference_mf_loss_and_grad(self, params, batch):
+    users, items, ratings = self._unpack(batch)
+    n = len(ratings)
+    u_vecs = params["user_factors"][users]
+    i_vecs = params["item_factors"][items]
+    errors = (
+        np.sum(u_vecs * i_vecs, axis=1)
+        + params["user_bias"][users]
+        + params["item_bias"][items]
+        + self.global_mean
+        - ratings
+    )
+    data_loss = float(np.mean(errors**2))
+    reg_loss = self.reg * float(np.mean(np.sum(u_vecs**2 + i_vecs**2, axis=1)))
+
+    coeff = 2.0 / n
+    per_sample_u = coeff * (errors[:, None] * i_vecs + self.reg * u_vecs)
+    per_sample_i = coeff * (errors[:, None] * u_vecs + self.reg * i_vecs)
+    per_sample_bias = coeff * errors
+    grad_u = self._scatter_rows(users, per_sample_u, self.num_users)
+    grad_i = self._scatter_rows(items, per_sample_i, self.num_items)
+    grad_bu = np.bincount(users, weights=per_sample_bias, minlength=self.num_users)
+    grad_bi = np.bincount(items, weights=per_sample_bias, minlength=self.num_items)
+
+    grad = ParamSet(
+        {
+            "user_factors": grad_u,
+            "item_factors": grad_i,
+            "user_bias": grad_bu,
+            "item_bias": grad_bi,
+        }
+    )
+    return data_loss + reg_loss, grad
+
+
+def reference_linear_loss_and_grad(self, params, batch):
+    X, y = self._unpack(batch)
+    n = len(y)
+    errors = X @ params["weights"] + params["bias"][0] - y
+    loss = float(np.mean(errors**2)) + 0.5 * self.reg * float(
+        np.sum(params["weights"] ** 2)
+    )
+    grad = ParamSet(
+        {
+            "weights": (2.0 / n) * (X.T @ errors) + self.reg * params["weights"],
+            "bias": np.array([(2.0 / n) * float(errors.sum())]),
+        }
+    )
+    return loss, grad
+
+
+def assert_matches_reference(model, params, batch, reference, max_error):
+    """The three checks every (params, batch) pair must pass."""
+    ref_loss, ref_grad = reference(model, params, batch)
+    grad = model.gradient(params, batch)
+    assert list(grad.keys()) == list(ref_grad.keys())
+    for key in ref_grad.keys():
+        assert np.array_equal(grad[key], ref_grad[key]), key
+    assert model.loss_and_grad(params, batch)[0] == ref_loss
+    assert model.check_gradient(params, batch, sample_size=12) < max_error
+
+
+def perturbed(params, r):
+    """``params`` with every array (biases too) moved off its init value."""
+    for key in params.keys():
+        params[key][...] += r.normal(0.0, 0.3, size=params[key].shape)
+    return params
+
+
+class TestGradientBitIdentity:
+    def test_softmax(self):
+        for seed in range(PAIRS):
+            r = np.random.default_rng(seed)
+            model = SoftmaxRegressionModel(input_dim=6, num_classes=3 + seed % 3,
+                                           reg=(0.0, 1e-3)[seed % 2])
+            params = perturbed(model.init_params(r), r)
+            batch = classification_batch(n=5 + seed, classes=model.num_classes, seed=seed)
+            assert_matches_reference(model, params, batch,
+                                     reference_softmax_loss_and_grad, 1e-4)
+
+    def test_mlp_one_and_two_hidden_layers(self):
+        for seed in range(PAIRS):
+            r = np.random.default_rng(seed)
+            model = MLPModel(input_dim=5, hidden_dims=([7], [6, 5])[seed % 2],
+                             num_classes=3, reg=(0.0, 1e-3)[seed // 2 % 2])
+            params = perturbed(model.init_params(r), r)
+            batch = classification_batch(n=8 + seed, dim=5, seed=seed)
+            assert_matches_reference(model, params, batch,
+                                     reference_mlp_loss_and_grad, 1e-4)
+
+    @pytest.mark.parametrize("distinct", [False, True], ids=["repeated", "distinct"])
+    def test_matrix_factorization(self, distinct):
+        for seed in range(PAIRS):
+            r = np.random.default_rng(seed)
+            num_users, num_items = (60, 50) if distinct else (12, 9)
+            model = MatrixFactorizationModel(num_users=num_users, num_items=num_items,
+                                             rank=4, reg=0.05, global_mean=3.0)
+            params = perturbed(model.init_params(r), r)
+            n = 10 + seed % 30
+            if distinct:
+                users = r.permutation(num_users)[:n]
+                items = r.permutation(num_items)[:n]
+            else:
+                users = r.integers(0, num_users, size=n)
+                items = r.integers(0, num_items, size=n)
+            batch = (users, items, r.uniform(1, 5, size=n))
+            assert_matches_reference(model, params, batch,
+                                     reference_mf_loss_and_grad, 1e-4)
+
+    def test_linear(self):
+        for seed in range(PAIRS):
+            r = np.random.default_rng(seed)
+            model = LinearRegressionModel(input_dim=5, reg=(0.0, 0.01)[seed % 2])
+            params = perturbed(model.init_params(r), r)
+            n = 4 + seed
+            batch = (r.normal(size=(n, 5)), r.normal(size=n))
+            assert_matches_reference(model, params, batch,
+                                     reference_linear_loss_and_grad, 1e-6)
 
 
 class TestLinearRegression:

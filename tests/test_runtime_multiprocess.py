@@ -124,11 +124,11 @@ class TestWorkerLoopRaises:
         class RaisesOnThirdCall(SoftmaxRegressionModel):
             calls = 0  # per process: every forked worker reaches its third
 
-            def loss_and_grad(self, params, batch):
+            def gradient(self, params, batch):
                 self.calls += 1
                 if self.calls == 3:
                     raise ArithmeticError("gradient blew up")
-                return super().loss_and_grad(params, batch)
+                return super().gradient(params, batch)
 
         run = build_run(num_workers=2, tuner=AdaptiveTuner())
         run.model = RaisesOnThirdCall(input_dim=8, num_classes=3)

@@ -183,7 +183,7 @@ class TestWorkerLoopRaises:
 
         before = threading.active_count()
         run = build_run(num_workers=4, tuner=AdaptiveTuner())
-        real, calls = run.model.loss_and_grad, []
+        real, calls = run.model.gradient, []
 
         def third_call_raises(params, batch):
             calls.append(None)
@@ -191,7 +191,7 @@ class TestWorkerLoopRaises:
                 raise ArithmeticError("gradient blew up")
             return real(params, batch)
 
-        run.model.loss_and_grad = third_call_raises
+        run.model.gradient = third_call_raises
         with pytest.raises(ArithmeticError, match="gradient blew up"):
             run.run(0.3)
         # One worker stopped at its failure; the others ran on to the end.
