@@ -6,10 +6,9 @@ Subcommands::
     repro run --workload mf --scheme adaptive --workers 40
     repro compare --workload cifar10 --schemes original adaptive
     repro experiment fig8               # regenerate a paper table/figure
-    repro trace out.json                # summarize a --trace capture
-    repro analyze out.json              # causal analytics: critical path,
-                                        # speculation ledger, staleness
-    repro perf report out.json          # profiler/straggler dashboard
+    repro analyze out.json              # the one trace report: critical
+                                        # path, speculation ledger,
+                                        # staleness, what was recorded
     repro top --smoke --once --json     # live telemetry dashboard over the
                                         # shm ring-buffer exporters
     repro lint [--format json] [paths…] # codebase-specific static analysis
@@ -58,7 +57,7 @@ from repro.experiments import (
     scheme_catalog,
 )
 from repro.experiments import ablations as _ablations
-from repro.metrics.serialize import run_summary_to_dict, traces_to_jsonl
+from repro.metrics.serialize import run_summary_to_dict
 from repro.utils.ascii_plot import ascii_plot
 from repro.utils.tables import TextTable, format_bytes
 from repro.workloads import (
@@ -118,8 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="scheme key (see `repro list`)")
     run_parser.add_argument("--json", metavar="PATH",
                             help="write a JSON run summary to PATH")
-    run_parser.add_argument("--traces", metavar="PATH",
-                            help="write the pull/push/abort trace (JSONL) to PATH")
     run_parser.add_argument("--plot", action="store_true",
                             help="render the loss curve as ASCII art")
 
@@ -148,17 +145,10 @@ def build_parser() -> argparse.ArgumentParser:
              "whole experiment",
     )
 
-    trace_parser = sub.add_parser(
-        "trace", help="summarize a Chrome trace captured with --trace"
-    )
-    trace_parser.add_argument("path", help="trace JSON file to summarize")
-    trace_parser.add_argument("--format", choices=["text", "json"],
-                              default="text")
-
     analyze_parser = sub.add_parser(
         "analyze",
-        help="causal trace analytics: critical-path attribution, "
-             "speculation ledger, staleness distributions",
+        help="the trace report: critical-path attribution, speculation "
+             "ledger, staleness, data quality, profiler and detectors",
     )
     analyze_parser.add_argument("path", help="trace JSON file to analyze")
     analyze_parser.add_argument("--format", choices=["text", "json"],
@@ -173,33 +163,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_fail_on_argument(analyze_parser)
 
-    perf_parser = sub.add_parser(
-        "perf", help="performance dashboards built from --trace captures"
-    )
-    perf_sub = perf_parser.add_subparsers(dest="perf_command", required=True)
-    perf_report_parser = perf_sub.add_parser(
-        "report",
-        help="render the profiler/straggler dashboard from a trace file",
-    )
-    perf_report_parser.add_argument("path", help="trace JSON file to inspect")
-    perf_report_parser.add_argument("--format", choices=["text", "json"],
-                                    default="text")
-
     top_parser = sub.add_parser(
         "top",
         help="live telemetry dashboard: attach to a live-exported run, "
-             "replay a recorded trace, or run the multiprocess smoke "
-             "workload with the shm ring exporter enabled",
+             "or run the multiprocess smoke workload with the shm ring "
+             "exporter enabled",
     )
     top_mode = top_parser.add_mutually_exclusive_group(required=True)
     top_mode.add_argument(
         "--attach", metavar="SPEC.json",
         help="attach to a running live-exported session via its ring "
              "spec file (this process becomes the single consumer)",
-    )
-    top_mode.add_argument(
-        "--replay", metavar="TRACE.json",
-        help="feed a recorded trace-format-v2 file through the dashboard",
     )
     top_mode.add_argument(
         "--smoke", action="store_true",
@@ -216,10 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
              "attach default: until interrupted)",
     )
     top_parser.add_argument(
-        "--speed", type=float, default=0.0,
-        help="--replay pacing as a multiple of recorded time (0 = instant)",
-    )
-    top_parser.add_argument(
         "--once", action="store_true",
         help="emit a single final snapshot instead of a refreshing view",
     )
@@ -232,8 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     top_parser.add_argument(
         "--drain", metavar="PATH",
         help="serialize the captured stream to a trace-format-v2 file at "
-             "PATH when the dashboard ends (repro analyze/trace/perf "
-             "consume it unchanged)",
+             "PATH when the dashboard ends (repro analyze reads it)",
     )
 
     lint_parser = sub.add_parser(
@@ -450,10 +419,6 @@ def _cmd_run(args) -> int:
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(run_summary_to_dict(result), handle, indent=2)
         print(f"\nsummary written to {args.json}")
-    if args.traces:
-        with open(args.traces, "w", encoding="utf-8") as handle:
-            count = traces_to_jsonl(result.traces, handle)
-        print(f"{count} trace events written to {args.traces}")
     return 0
 
 
@@ -496,39 +461,6 @@ def _cmd_experiment(args) -> int:
     driver = EXPERIMENTS[args.name]
     result = driver(scale, seed=args.seed)
     print(result.render())
-    return 0
-
-
-def _cmd_trace(args) -> int:
-    try:
-        with open(args.path, "r", encoding="utf-8") as handle:
-            trace = obs.load_trace(handle)
-    except (OSError, ValueError) as exc:
-        print(f"repro trace: error: {exc}", file=sys.stderr)
-        return 2
-    summary = obs.summarize_trace(trace)
-    if args.format == "json":
-        print(json.dumps({
-            "total_events": summary.total_events,
-            "tracks": summary.tracks,
-            "spans": {
-                name: {"count": count, "total_us": total}
-                for name, (count, total) in sorted(summary.spans.items())
-            },
-            "instants": dict(sorted(summary.instants.items())),
-            "flow_pairs": dict(sorted(summary.flows.items())),
-            "unpaired_flows": summary.unpaired_flows,
-            "abort_flow_pairs": summary.abort_flow_pairs,
-            "flow_accounting": summary.flow_accounting,
-            "aborts_by_track": dict(sorted(summary.aborts_by_track.items())),
-            "counters": dict(sorted(summary.counters.items())),
-            "gauges": dict(sorted(summary.gauges.items())),
-            "histograms": dict(sorted(summary.histograms.items())),
-            "perf": summary.perf,
-            "metadata": dict(sorted(summary.metadata.items())),
-        }, indent=2))
-    else:
-        print(obs.render_summary(summary))
     return 0
 
 
@@ -588,21 +520,23 @@ def _cmd_analyze(args) -> int:
             json.dump(analysis, handle, indent=1, sort_keys=True)
             handle.write("\n")
         print(f"analytics written to {args.output}", file=sys.stderr)
-    return gate_exit_code([], args.fail_on)
 
-
-def _cmd_perf(args) -> int:
-    try:
-        with open(args.path, "r", encoding="utf-8") as handle:
-            trace = obs.load_trace(handle)
-    except (OSError, ValueError) as exc:
-        print(f"repro perf: error: {exc}", file=sys.stderr)
-        return 2
-    if args.format == "json":
-        print(json.dumps(trace.get("perf", {}), indent=2, sort_keys=True))
-    else:
-        print(obs.render_perf_report(trace))
-    return 0
+    # A collector-only multiprocess capture holds the parent's view alone:
+    # its workers wrote nowhere it could read, so nothing can be attributed.
+    findings = [
+        Finding(
+            rule_id="TRACE-NO-WORKER-SPANS", severity=Severity.WARNING,
+            path=args.path, line=1,
+            message=f"run {run['index']} ({run['domain']} time) has no "
+                    "worker spans, so its critical path and ledger are "
+                    "empty; a multiprocess run's workers record only into "
+                    "live rings: capture it with `repro top --drain`",
+        )
+        for run in analysis["runs"] if run["critical_path"]["track"] is None
+    ]
+    if findings:
+        print(render_text(findings), file=sys.stderr)
+    return gate_exit_code(findings, args.fail_on)
 
 
 def _drain_live_capture(aggregator, path: str) -> None:
@@ -620,11 +554,8 @@ def _cmd_top(args) -> int:
 
     from repro.obs.live import (
         LiveTelemetrySession,
-        TelemetryAggregator,
         render_dashboard,
-        replay_trace,
         run_dashboard,
-        trace_worker_count,
     )
 
     def emit(snapshot: dict) -> None:
@@ -632,33 +563,6 @@ def _cmd_top(args) -> int:
             print(json.dumps(snapshot, indent=1, sort_keys=True))
         else:
             print(render_dashboard(snapshot))
-
-    if args.replay:
-        try:
-            with open(args.replay, "r", encoding="utf-8") as handle:
-                trace = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"repro top: error: {exc}", file=sys.stderr)
-            return 2
-        aggregator = TelemetryAggregator(
-            num_workers=trace_worker_count(trace)
-        )
-        try:
-            if args.speed > 0 and not args.once and not args.json:
-                snapshot = replay_trace(
-                    trace, aggregator, speed=args.speed, sleep_fn=time.sleep,
-                    on_frame=lambda s: print("\x1b[2J\x1b[H" + render_dashboard(s)),
-                    frame_interval_s=args.interval,
-                )
-            else:
-                snapshot = replay_trace(trace, aggregator)
-        except ValueError as exc:
-            print(f"repro top: error: {exc}", file=sys.stderr)
-            return 2
-        emit(snapshot)
-        if args.drain:
-            _drain_live_capture(aggregator, args.drain)
-        return 0
 
     if args.attach:
         try:
@@ -846,12 +750,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "experiment":
         with _maybe_trace(args):
             return _cmd_experiment(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
     if args.command == "analyze":
         return _cmd_analyze(args)
-    if args.command == "perf":
-        return _cmd_perf(args)
     if args.command == "top":
         return _cmd_top(args)
     if args.command == "lint":

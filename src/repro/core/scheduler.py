@@ -76,7 +76,7 @@ class SpecSyncScheduler:
         )
         #: Online anomaly detectors over the notify stream — the runtime
         #: monitoring input SpecSync-Adaptive's retuning wants (and what
-        #: `repro perf report` surfaces).  Allocated only while profiling
+        #: `repro analyze` surfaces).  Allocated only while profiling
         #: so the disabled path stays free.
         self.straggler: Optional[StragglerDetector] = None
         self.abort_storm: Optional[AbortStormDetector] = None
@@ -99,9 +99,8 @@ class SpecSyncScheduler:
             w: deque(maxlen=span_window) for w in range(num_workers)
         }
 
-        # Current-epoch state.
-        self._epoch_started_at = 0.0
-        self._epoch_pushes: List[Tuple[float, int]] = []
+        # Current-epoch state: its pushes are the history from this index on.
+        self._epoch_start = 0
         self._epoch_seen: set = set()
 
         # Stats for reports.
@@ -153,7 +152,6 @@ class SpecSyncScheduler:
         if previous is not None and time > previous:
             self._span_samples[worker_id].append(time - previous)
         self._last_push[worker_id] = time
-        self._epoch_pushes.append((time, worker_id))
         self._epoch_seen.add(worker_id)
         if self.straggler is not None and self.abort_storm is not None:
             interval = self.straggler.record_push(worker_id, time)
@@ -168,16 +166,12 @@ class SpecSyncScheduler:
     def _advance_epoch(self, now: float, worker_id: int) -> None:
         if len(self._epoch_seen) < self.num_workers:
             return
-        # Each worker's latest push time, in one pass over the epoch (a max,
-        # not "the last entry": the threaded clock can repeat a timestamp).
-        last_push_by_worker: Dict[int, float] = {}
-        for time, wid in self._epoch_pushes:
-            if time >= last_push_by_worker.get(wid, time):
-                last_push_by_worker[wid] = time
+        # Every worker pushed this epoch, and push times never go backwards,
+        # so each one's last push overall is its latest in the epoch.
         trace = EpochTrace(
             num_workers=self.num_workers,
-            pushes=list(self._epoch_pushes),
-            last_push_by_worker=last_push_by_worker,
+            pushes=self._history.since(self._epoch_start),
+            last_push_by_worker=dict(self._last_push),
             iteration_spans={
                 w: sum(samples) / len(samples)
                 for w, samples in self._span_samples.items()
@@ -196,8 +190,7 @@ class SpecSyncScheduler:
             "epoch %d retuned: %s", self.epochs_completed, self.hyperparams
         )
         self.hyperparam_log.append((now, self.hyperparams))
-        self._epoch_started_at = now
-        self._epoch_pushes = []
+        self._epoch_start = len(self._history.times)
         self._epoch_seen = set()
 
     def _check_resync(

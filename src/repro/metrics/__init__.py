@@ -11,13 +11,7 @@ from repro.metrics.pap import PapAnalysis, pap_interval_counts, pap_box_stats, B
 from repro.metrics.curves import LossCurve, EvalPoint
 from repro.metrics.convergence import ConvergenceCriterion, detect_convergence
 from repro.metrics.staleness import StalenessAnalysis, StalenessStats, compare_staleness
-from repro.metrics.serialize import (
-    curve_from_dict,
-    curve_to_dict,
-    run_summary_to_dict,
-    traces_from_jsonl,
-    traces_to_jsonl,
-)
+from repro.metrics.serialize import curve_from_dict, curve_to_dict, run_summary_to_dict
 
 __all__ = [
     "TraceRecorder",
@@ -37,7 +31,5 @@ __all__ = [
     "compare_staleness",
     "curve_to_dict",
     "curve_from_dict",
-    "traces_to_jsonl",
-    "traces_from_jsonl",
     "run_summary_to_dict",
 ]

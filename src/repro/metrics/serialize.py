@@ -1,26 +1,17 @@
 """JSON (de)serialization of run artifacts.
 
-The paper's Section III empirical study is built on *collected workload
-traces*; this module makes our traces and curves durable: export a run's
-measurements to a JSON document (or JSONL stream for traces), reload them
-later for analysis without re-simulating.
+Export a run's curve and headline measurements to a JSON document, and
+reload the curve later without re-simulating.  A run's event-level record
+is its ``--trace`` file, read back by ``repro analyze``.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Dict, List, TextIO, Union
+from typing import Dict
 
 from repro.metrics.curves import EvalPoint, LossCurve
-from repro.metrics.traces import AbortEvent, PullEvent, PushEvent, TraceRecorder
 
-__all__ = [
-    "curve_to_dict",
-    "curve_from_dict",
-    "traces_to_jsonl",
-    "traces_from_jsonl",
-    "run_summary_to_dict",
-]
+__all__ = ["curve_to_dict", "curve_from_dict", "run_summary_to_dict"]
 
 
 # ----------------------------------------------------------------------
@@ -57,82 +48,12 @@ def curve_from_dict(data: Dict) -> LossCurve:
 
 
 # ----------------------------------------------------------------------
-# Traces (JSONL: one event per line, replayable in order)
-# ----------------------------------------------------------------------
-def traces_to_jsonl(traces: TraceRecorder, stream: TextIO) -> int:
-    """Write all events, merged in time order, one JSON object per line.
-
-    Returns the number of lines written.  Each line carries an ``event``
-    discriminator (``pull`` / ``push`` / ``abort``).
-    """
-    events: List[tuple] = []
-    for pull in traces.pulls:
-        events.append((pull.time, 0, {
-            "event": "pull", "time": pull.time, "worker_id": pull.worker_id,
-            "version": pull.version, "iteration": pull.iteration,
-            "is_restart": pull.is_restart,
-        }))
-    for push in traces.pushes:
-        events.append((push.time, 1, {
-            "event": "push", "time": push.time, "worker_id": push.worker_id,
-            "version_after": push.version_after,
-            "snapshot_version": push.snapshot_version,
-            "staleness": push.staleness, "iteration": push.iteration,
-        }))
-    for abort in traces.aborts:
-        events.append((abort.time, 2, {
-            "event": "abort", "time": abort.time, "worker_id": abort.worker_id,
-            "iteration": abort.iteration,
-            "wasted_compute_s": abort.wasted_compute_s,
-        }))
-    events.sort(key=lambda e: (e[0], e[1]))
-    for _, _, payload in events:
-        stream.write(json.dumps(payload) + "\n")
-    return len(events)
-
-
-def traces_from_jsonl(stream: Union[TextIO, List[str]]) -> TraceRecorder:
-    """Rebuild a :class:`TraceRecorder` from a JSONL stream."""
-    traces = TraceRecorder()
-    for line in stream:
-        line = line.strip()
-        if not line:
-            continue
-        data = json.loads(line)
-        kind = data.get("event")
-        if kind == "pull":
-            traces.record_pull(PullEvent(
-                time=float(data["time"]), worker_id=int(data["worker_id"]),
-                version=int(data["version"]), iteration=int(data["iteration"]),
-                is_restart=bool(data["is_restart"]),
-            ))
-        elif kind == "push":
-            traces.record_push(PushEvent(
-                time=float(data["time"]), worker_id=int(data["worker_id"]),
-                version_after=int(data["version_after"]),
-                snapshot_version=int(data["snapshot_version"]),
-                staleness=int(data["staleness"]),
-                iteration=int(data["iteration"]),
-            ))
-        elif kind == "abort":
-            traces.record_abort(AbortEvent(
-                time=float(data["time"]), worker_id=int(data["worker_id"]),
-                iteration=int(data["iteration"]),
-                wasted_compute_s=float(data["wasted_compute_s"]),
-            ))
-        else:
-            raise ValueError(f"unknown trace event kind: {kind!r}")
-    return traces
-
-
-# ----------------------------------------------------------------------
 # Run summaries
 # ----------------------------------------------------------------------
 def run_summary_to_dict(result) -> Dict:
     """A JSON-ready digest of a :class:`repro.ps.RunResult`.
 
-    Includes the full curve plus the headline aggregates; traces are left
-    to :func:`traces_to_jsonl` (they can be large).
+    Includes the full curve plus the headline aggregates.
     """
     return {
         "scheme": result.scheme,

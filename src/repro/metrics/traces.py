@@ -79,6 +79,10 @@ class PushHistory:
             count -= bisect_right(own, end, lo) - lo
         return count
 
+    def since(self, index: int) -> List[Tuple[float, int]]:
+        """(time, worker) of every push logged from position ``index`` on."""
+        return list(zip(self.times[index:], self._workers[index:]))
+
     def between(
         self, start: float, end: float, exclude_worker: int
     ) -> List[Tuple[float, int]]:

@@ -59,7 +59,6 @@ from repro.obs.perf import (
     Profiler,
     profiler_for,
 )
-from repro.obs.perf_report import render_perf_report
 from repro.obs.perfetto import (
     TRACE_FORMAT_VERSION,
     to_chrome_trace,
@@ -76,12 +75,6 @@ from repro.obs.tracks import (
     resync_flow_key,
     rt_worker_track,
     worker_track,
-)
-from repro.obs.summary import (
-    TraceSummary,
-    load_trace,
-    render_summary,
-    summarize_trace,
 )
 
 __all__ = [
@@ -116,7 +109,6 @@ __all__ = [
     "PerfProfile",
     "Profiler",
     "profiler_for",
-    "render_perf_report",
     "AbortStormDetector",
     "StragglerDetector",
     "Ewma",
@@ -131,10 +123,6 @@ __all__ = [
     "analyze_trace",
     "render_analysis_comparison",
     "render_analysis_text",
-    "TraceSummary",
-    "load_trace",
-    "render_summary",
-    "summarize_trace",
     "SERVER_TRACK",
     "SCHEDULER_TRACK",
     "RT_SERVER_TRACK",

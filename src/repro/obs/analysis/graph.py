@@ -170,11 +170,19 @@ class RunSegment:
 
 @dataclass
 class CausalGraph:
-    """Every run segment reconstructed from one trace file."""
+    """Every run segment reconstructed from one trace file, plus what the
+    file recorded, counted in the same walk."""
 
     runs: List[RunSegment] = field(default_factory=list)
     metadata: Dict[str, object] = field(default_factory=dict)
     format_version: Optional[int] = None
+    events: int = 0
+    tracks: int = 0
+    #: span name -> [count, total duration in µs]
+    span_totals: Dict[str, List[float]] = field(default_factory=dict)
+    instant_counts: Dict[str, int] = field(default_factory=dict)
+    #: flow name -> re-joined (start, finish) pairs
+    flow_pairs: Dict[str, int] = field(default_factory=dict)
 
     @classmethod
     def from_trace(cls, trace: dict) -> "CausalGraph":
@@ -185,7 +193,7 @@ class CausalGraph:
                 ``traceEvents``, events on unnamed threads, or flow
                 pairs with a missing parent.
         """
-        events = trace.get("traceEvents")
+        events = trace.get("traceEvents") if isinstance(trace, dict) else None
         if not isinstance(events, list):
             raise AnalysisError(
                 "not a Chrome trace-event object (missing 'traceEvents' list)"
@@ -221,7 +229,10 @@ class CausalGraph:
             for key, track in tracks.items()
         }
 
-        graph = cls(metadata=dict(metadata), format_version=format_version)
+        graph = cls(
+            metadata=dict(metadata), format_version=format_version,
+            events=len(events), tracks=len(tracks),
+        )
         #: current segment per domain (created lazily / on run_start)
         current: Dict[str, RunSegment] = {}
         #: open flow starts by id: (segment, name, cat, track, ts, args)
@@ -260,6 +271,7 @@ class CausalGraph:
                 segment.flows.append(
                     AnalyzedFlow(name, cat, src_track, src_ts, track, ts, args)
                 )
+                graph.flow_pairs[name] = graph.flow_pairs.get(name, 0) + 1
                 continue
             name = str(event.get("name", ""))
             cat = str(event.get("cat", ""))
@@ -278,13 +290,19 @@ class CausalGraph:
                     },
                 ))
             if phase == "X":
-                end = ts + float(event.get("dur", 0.0)) * _US_TO_S
-                segment.spans.append(AnalyzedSpan(track, name, cat, ts, end, args))
+                dur = float(event.get("dur", 0.0))
+                segment.spans.append(
+                    AnalyzedSpan(track, name, cat, ts, ts + dur * _US_TO_S, args)
+                )
+                totals = graph.span_totals.setdefault(name, [0, 0.0])
+                totals[0] += 1
+                totals[1] += dur
             elif phase == "i":
                 if name == "run_end":
                     segment.end_meta = args
                     segment.end_ts = ts
                 segment.instants.append(AnalyzedInstant(track, name, cat, ts, args))
+                graph.instant_counts[name] = graph.instant_counts.get(name, 0) + 1
             else:
                 flow_id = event.get("id")
                 if flow_id in open_flows:

@@ -1,34 +1,44 @@
-"""``repro analyze`` — the analytics bundle and its renderers.
+"""``repro analyze`` — the analytics bundle and its renderers, the one
+post-hoc reader of a trace file.
 
 :func:`analyze_trace` reduces a parsed trace file to one JSON-ready
 object::
 
     {
-      "schema_version": 1,
+      "schema_version": 2,
       "trace_format_version": 2,
       "runs": [
         {"index": 0, "domain": "virtual", "scheme": "...", ...,
          "critical_path": {...}, "per_worker": {...},
          "ledger": {...}, "staleness": {...}}
-      ]
+      ],
+      "recording": {
+        "events": 276, "tracks": 5, "metadata": {...},
+        "spans": {"pull": {"count": 43, "total_s": 0.045}, ...},
+        "instants": {"abort": 5, ...}, "flow_pairs": {"abort": 10},
+        "metrics": {...}, "perf": {...}
+      }
     }
 
-Determinism: every float is rounded to 9 decimals and consumers dump
-with ``sort_keys=True``, so a seeded DES run produces a byte-identical
-analytics file (pinned by a golden test, ``REPRO_REGEN_GOLDEN=1`` to
-regenerate).
+``recording.metrics`` and ``recording.perf`` are the trace's own
+sections, copied unchanged.
+
+Determinism: every other float is rounded to 9 decimals and consumers
+dump with ``sort_keys=True``, so a seeded DES run produces a
+byte-identical analytics file (pinned by a golden test,
+``REPRO_REGEN_GOLDEN=1`` to regenerate).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.obs.analysis.critical_path import (
     ATTRIBUTION_CATEGORIES,
     critical_path,
     per_worker_breakdown,
 )
-from repro.obs.analysis.graph import CausalGraph
+from repro.obs.analysis.graph import AnalysisError, CausalGraph
 from repro.obs.analysis.ledger import speculation_ledger, staleness_distributions
 from repro.utils.tables import TextTable
 
@@ -40,7 +50,10 @@ __all__ = [
 ]
 
 #: Bumped whenever the analytics JSON changes shape.
-ANALYSIS_SCHEMA_VERSION = 1
+#: v2: the top-level "recording" block.
+ANALYSIS_SCHEMA_VERSION = 2
+
+_US_TO_S = 1e-6
 
 
 def _rounded(value):
@@ -61,9 +74,14 @@ def analyze_trace(trace: dict) -> dict:
 
     Raises:
         AnalysisError: when the trace cannot support causal analysis
-            (see :class:`repro.obs.analysis.graph.CausalGraph`).
+            (see :class:`repro.obs.analysis.graph.CausalGraph`), or its
+            ``metrics`` / ``perf`` section is not an object.
     """
     graph = CausalGraph.from_trace(trace)
+    sections = {key: trace.get(key, {}) for key in ("metrics", "perf")}
+    for key, section in sections.items():
+        if not isinstance(section, dict):
+            raise AnalysisError(f"'{key}' must be an object")
     runs: List[dict] = []
     for run in graph.runs:
         runs.append(
@@ -84,13 +102,29 @@ def analyze_trace(trace: dict) -> dict:
                 "staleness": staleness_distributions(run),
             }
         )
-    return _rounded(
+    analysis = _rounded(
         {
             "schema_version": ANALYSIS_SCHEMA_VERSION,
             "trace_format_version": graph.format_version,
             "runs": runs,
+            "recording": {
+                "events": graph.events,
+                "tracks": graph.tracks,
+                "metadata": {
+                    key: value for key, value in graph.metadata.items()
+                    if key != "format_version"
+                },
+                "spans": {
+                    name: {"count": count, "total_s": total_us * _US_TO_S}
+                    for name, (count, total_us) in graph.span_totals.items()
+                },
+                "instants": graph.instant_counts,
+                "flow_pairs": graph.flow_pairs,
+            },
         }
     )
+    analysis["recording"].update(sections)
+    return analysis
 
 
 # ----------------------------------------------------------------------
@@ -115,12 +149,109 @@ def _category_row(by_category: Dict[str, float], total: float) -> List[str]:
     return cells
 
 
-def render_analysis_text(analysis: dict) -> str:
-    """Human-readable analytics report, one section group per run."""
-    sections: List[str] = [
-        f"trace analytics (schema v{analysis['schema_version']}, "
-        f"{len(analysis['runs'])} run(s))"
+def _fmt(value: Optional[float]) -> str:
+    return f"{value:.6g}" if value is not None else "-"
+
+
+def _render_metrics(metrics: dict) -> Optional[str]:
+    scalars = {**metrics.get("counters", {}), **metrics.get("gauges", {})}
+    histograms = metrics.get("histograms", {})
+    if not (scalars or histograms):
+        return None
+    table = TextTable(["metric", "value"], title="metrics")
+    for name in sorted(scalars):
+        table.add_row([name, f"{scalars[name]:g}"])
+    for name in sorted(histograms):
+        agg = histograms[name]
+        table.add_row([
+            name, f"count={agg.get('count')} mean={_fmt(agg.get('mean'))} "
+                  f"p99={_fmt(agg.get('p99'))}",
+        ])
+    return table.render()
+
+
+def _render_data_quality(metrics: dict) -> str:
+    """Is the recording complete?  Flow origins, ring drops, torn reads."""
+    counters = metrics.get("counters", {})
+    lines = [
+        "data quality",
+        f"  flow origins: {counters.get('obs.flow_origins_registered', 0):g} "
+        f"emitted, {counters.get('obs.flow_arrows_closed', 0):g} closed, "
+        f"{counters.get('obs.flow_origins_discarded', 0):g} discarded",
     ]
+    for label, values, prefix, suffix in (
+        ("live ring drops", metrics.get("gauges", {}), "live.ring.", ".dropped"),
+        ("shm torn-read retries", counters, "shm.", ".torn_read_retries"),
+    ):
+        found = [
+            f"{name[len(prefix):-len(suffix)]}={values[name]:g}"
+            for name in sorted(values)
+            if name.startswith(prefix) and name.endswith(suffix)
+        ]
+        if found:
+            lines.append(f"  {label}: {', '.join(found)}")
+    return "\n".join(lines)
+
+
+def _render_phases(phases: Dict[str, dict]) -> str:
+    table = TextTable(
+        ["phase", "count", "mean s", "p50 s", "p90 s", "p99 s", "max s"],
+        title="profiler phase percentiles",
+    )
+    for name in sorted(phases):
+        agg = phases[name]
+        table.add_row([name, str(agg.get("count"))] + [
+            _fmt(agg.get(key)) for key in ("mean", "p50", "p90", "p99", "max")
+        ])
+    return table.render()
+
+
+def _render_detectors(reports: Dict[str, dict]) -> str:
+    lines = ["anomaly detectors"]
+    for name in sorted(reports):
+        verdicts = []
+        straggler = reports[name].get("straggler")
+        if isinstance(straggler, dict):
+            flagged = ", ".join(f"w{w}" for w in straggler.get("stragglers", []))
+            verdicts.append(f"STRAGGLERS {flagged}" if flagged else "no stragglers")
+        storm = reports[name].get("abort_storm")
+        if isinstance(storm, dict):
+            verdicts.append(
+                f"abort storm {'STORMING' if storm.get('storming') else 'calm'} "
+                f"(ratio {_fmt(storm.get('abort_ratio'))}, "
+                f"{storm.get('storm_count', 0)} storms, "
+                f"{storm.get('total_aborts', 0)} aborts)"
+            )
+        if verdicts:
+            lines.append(f"  {name}: {'; '.join(verdicts)}")
+    return "\n".join(lines)
+
+
+def render_analysis_text(analysis: dict) -> str:
+    """Human-readable analytics report: one section group per run, then
+    what the trace recorded (data quality, metrics, profiler phases,
+    detector verdicts)."""
+    recording = analysis["recording"]
+    metrics, perf = recording["metrics"], recording["perf"]
+    header = (
+        f"trace analytics (schema v{analysis['schema_version']}, "
+        f"{len(analysis['runs'])} run(s)): {recording['events']} events "
+        f"on {recording['tracks']} tracks"
+    )
+    context = ", ".join(
+        f"{key}={value}" for key, value in sorted(recording["metadata"].items())
+    )
+    sections: List[str] = [f"{header} ({context})" if context else header]
+    if not recording["events"]:
+        if not (any(metrics.values()) or any(
+            perf.get(key) for key in ("phases", "counters", "series", "reports")
+        )):
+            sections.append(
+                "trace file is empty (no events, metrics, or perf data) — "
+                "was instrumentation enabled during capture?"
+            )
+            return "\n\n".join(sections)
+        sections.append("no trace events (metrics-only capture)")
     for run in analysis["runs"]:
         path = run["critical_path"]
         table = TextTable(
@@ -192,6 +323,15 @@ def render_analysis_text(analysis: dict) -> str:
                     ]
                 )
             sections.append(table.render())
+
+    sections.append(_render_data_quality(metrics))
+    rendered = _render_metrics(metrics)
+    if rendered:
+        sections.append(rendered)
+    if perf.get("phases"):
+        sections.append(_render_phases(perf["phases"]))
+    if perf.get("reports"):
+        sections.append(_render_detectors(perf["reports"]))
     return "\n\n".join(sections)
 
 

@@ -6,7 +6,7 @@ of running processes through per-process lock-free shared-memory rings
 (:mod:`repro.obs.live.aggregate`), wires whole runs together through
 :mod:`repro.obs.live.session`, and renders them as the ``repro top``
 dashboard (:mod:`repro.obs.live.top`).  A drained capture serializes to
-trace-format-v2, so every post-hoc tool works unchanged on live runs.
+trace-format-v2, so ``repro analyze`` reads live runs unchanged.
 """
 
 from repro.obs.live.aggregate import (
@@ -37,13 +37,7 @@ from repro.obs.live.session import (
     LiveTelemetrySession,
     worker_source,
 )
-from repro.obs.live.top import (
-    iter_trace_records,
-    render_dashboard,
-    replay_trace,
-    run_dashboard,
-    trace_worker_count,
-)
+from repro.obs.live.top import render_dashboard, run_dashboard
 
 __all__ = [
     "DEFAULT_RING_BYTES",
@@ -67,10 +61,7 @@ __all__ = [
     "TelemetryAggregator",
     "decode_record",
     "encode_record",
-    "iter_trace_records",
     "render_dashboard",
-    "replay_trace",
     "run_dashboard",
-    "trace_worker_count",
     "worker_source",
 ]

@@ -177,8 +177,7 @@ class TelemetryAggregator:
     def apply(self, source: str, record: LiveRecord, recv_ts: float) -> None:
         """Fold one record into the rolling state.
 
-        Public so the trace replayer (``repro top --replay``) and the
-        tests can feed synthetic streams without a ring.
+        Public so tests can feed synthetic streams without a ring.
         """
         state = self._source(source)
         state.records_seen += 1
@@ -348,8 +347,8 @@ class TelemetryAggregator:
         samples as metrics/perf entries — the exact shapes
         :func:`repro.obs.perfetto.to_chrome_trace` serializes, so the
         resulting file is a first-class trace-format-v2 artifact that
-        ``repro analyze``, ``repro trace``, and ``repro perf report``
-        consume unchanged.  Returns the number of records drained.
+        ``repro analyze`` reads unchanged.  Returns the number of records
+        drained.
         """
         if not self.retain_records:
             raise RuntimeError(

@@ -1,10 +1,9 @@
-"""``repro top`` — the live telemetry dashboard (render + replay logic).
+"""``repro top`` — the live telemetry dashboard (render + refresh loop).
 
 This module owns everything the CLI command needs except the clock: the
-text renderer over :meth:`TelemetryAggregator.snapshot`, the refresh
-loop, and the trace replayer that feeds a recorded trace-format-v2 file
-back through the same aggregation path (so the dashboard works on saved
-runs exactly as on live ones).
+text renderer over :meth:`TelemetryAggregator.snapshot` and the refresh
+loop.  It reads live rings only; a finished run's trace file is read by
+``repro analyze``.
 
 Determinism: ``repro.obs`` is inside the determinism lint zone, so no
 wall clock or sleep is read here — ``repro.cli`` injects ``now_fn`` and
@@ -15,25 +14,15 @@ timestamps, the dashboard output is reproducible.
 from __future__ import annotations
 
 import json
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, List, Optional
 
-from repro.obs.analysis.graph import WORKER_TRACK_RE
 from repro.obs.live.aggregate import TelemetryAggregator
-from repro.obs.live.ring import LiveInstant, LiveRecord, LiveSpan
 from repro.utils.tables import TextTable
 
-__all__ = [
-    "render_dashboard",
-    "run_dashboard",
-    "iter_trace_records",
-    "replay_trace",
-    "trace_worker_count",
-]
+__all__ = ["render_dashboard", "run_dashboard"]
 
 #: ANSI: clear screen + cursor home (the refresh between frames).
 _CLEAR = "\x1b[2J\x1b[H"
-
-_US_TO_S = 1e-6
 
 
 def _fmt(value: Optional[float], pattern: str = "{:.2f}") -> str:
@@ -149,110 +138,3 @@ def run_dashboard(
                 write(json.dumps(snapshot, indent=1, sort_keys=True) + "\n")
             return snapshot
         sleep_fn(interval_s)
-
-
-# ----------------------------------------------------------------------
-# Trace replay
-# ----------------------------------------------------------------------
-def trace_worker_count(trace: dict) -> int:
-    """Worker count implied by a trace's track metadata (at least 1)."""
-    events = trace.get("traceEvents")
-    if not isinstance(events, list):
-        return 1
-    worker_ids = []
-    for event in events:
-        if event.get("ph") != "M" or event.get("name") != "thread_name":
-            continue
-        match = WORKER_TRACK_RE.match(
-            str(event.get("args", {}).get("name", ""))
-        )
-        if match:
-            worker_ids.append(int(match.group(1)))
-    return max(worker_ids) + 1 if worker_ids else 1
-
-
-def iter_trace_records(
-    trace: dict,
-) -> Iterator[Tuple[float, str, LiveRecord]]:
-    """Spans/instants of a trace-format-v2 file as live records.
-
-    Yields ``(ts_seconds, source, record)`` in timestamp order; the
-    source is derived from the track (worker tracks map to their worker
-    ring name, everything else to ``"replay"``).  Flow events and
-    metrics are skipped — the dashboard aggregates what the live plane
-    exports.
-    """
-    events = trace.get("traceEvents")
-    if not isinstance(events, list):
-        raise ValueError("not a Chrome trace-event object (no 'traceEvents')")
-    tracks = {
-        (event.get("pid"), event.get("tid")): str(
-            event.get("args", {}).get("name", "")
-        )
-        for event in events
-        if event.get("ph") == "M" and event.get("name") == "thread_name"
-    }
-
-    decoded: List[Tuple[float, str, LiveRecord]] = []
-    for event in events:
-        phase = event.get("ph")
-        track = tracks.get((event.get("pid"), event.get("tid")), "")
-        if not track:
-            continue
-        match = WORKER_TRACK_RE.match(track)
-        source = f"worker-{match.group(1)}" if match else "replay"
-        if phase == "X":
-            start = float(event.get("ts", 0.0)) * _US_TO_S
-            end = start + float(event.get("dur", 0.0)) * _US_TO_S
-            decoded.append((
-                end, source,
-                LiveSpan(
-                    track=track, name=str(event.get("name", "")),
-                    cat=str(event.get("cat", "")), start=start, end=end,
-                ),
-            ))
-        elif phase == "i":
-            ts = float(event.get("ts", 0.0)) * _US_TO_S
-            args = event.get("args") or {}
-            decoded.append((
-                ts, source,
-                LiveInstant(
-                    track=track, name=str(event.get("name", "")),
-                    cat=str(event.get("cat", "")), ts=ts,
-                    args_json=json.dumps(args) if args else "",
-                ),
-            ))
-    decoded.sort(key=lambda item: item[0])
-    return iter(decoded)
-
-
-def replay_trace(
-    trace: dict,
-    aggregator: TelemetryAggregator,
-    *,
-    speed: float = 0.0,
-    sleep_fn: Optional[Callable[[float], None]] = None,
-    on_frame: Optional[Callable[[dict], None]] = None,
-    frame_interval_s: float = 0.5,
-) -> dict:
-    """Feed a recorded trace through the aggregator.
-
-    With ``speed`` > 0 (and a ``sleep_fn``), replays at that multiple of
-    recorded time and emits a dashboard frame via ``on_frame`` roughly
-    every ``frame_interval_s`` of *replayed* time; with ``speed`` == 0
-    the whole trace is applied instantly.  Returns the final snapshot.
-    """
-    last_ts: Optional[float] = None
-    next_frame: Optional[float] = None
-    for ts, source, record in iter_trace_records(trace):
-        if speed > 0 and sleep_fn is not None and last_ts is not None:
-            delay = (ts - last_ts) / speed
-            if delay > 0:
-                sleep_fn(delay)
-        last_ts = ts
-        aggregator.apply(source, record, recv_ts=ts)
-        if on_frame is not None:
-            if next_frame is None or ts >= next_frame:
-                on_frame(aggregator.snapshot(ts))
-                next_frame = ts + frame_interval_s
-    return aggregator.snapshot(last_ts if last_ts is not None else None)

@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 #: Version stamp embedded in every perf snapshot so downstream consumers
-#: (``repro perf report``, the bench compare gate) can detect drift.
+#: (``repro analyze``, the bench compare gate) can detect drift.
 PERF_SCHEMA_VERSION = 1
 
 

@@ -14,8 +14,8 @@ Lays a collected trace out in the JSON object format both
 
 The run's metrics snapshot rides along under a top-level ``"metrics"``
 key and the profiler's snapshot under ``"perf"`` (the trace-event
-format explicitly allows extra top-level keys); ``repro trace`` and
-``repro perf report`` read them back for the text summaries.
+format explicitly allows extra top-level keys); ``repro analyze``
+reports them back.
 
 The file is the header object (every top-level key but ``traceEvents``,
 on one line, reopened to take ``"traceEvents":[`` as its last member),

@@ -45,7 +45,7 @@ class WindowedSeries:
     """A named, bounded window of ``(timestamp, value)`` samples.
 
     Keeps the most recent ``window`` samples for windowed statistics
-    (mean, rate, sparkline rendering) plus stream-lifetime aggregates
+    (mean, rate) plus stream-lifetime aggregates
     (count, EWMA) that survive window eviction.
     """
 

@@ -539,8 +539,9 @@ class TrainingEngine:
             self.tracer.count("engine.pushes")
             self.tracer.observe("engine.staleness", record.staleness)
         if self.profiler.enabled:
-            # Per-worker push cadence feeds the straggler detector; the
-            # interval series is what `repro perf report` sparklines.
+            # Per-worker push cadence feeds the straggler detector, whose
+            # verdict `repro analyze` prints; the interval series rides
+            # along in the trace's perf section.
             interval = self._straggler.record_push(worker.worker_id, self.sim.now)
             self._abort_storm.record_push(self.sim.now)
             if interval is not None:

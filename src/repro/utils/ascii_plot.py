@@ -7,37 +7,11 @@ axis labels, supporting multiple named series.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-__all__ = ["ascii_plot", "sparkline"]
+__all__ = ["ascii_plot"]
 
 _SERIES_MARKS = "*+ox#@%&"
-_SPARK_LEVELS = " .:-=+*#%@"
-
-
-def sparkline(values: Sequence[float], width: int = 60) -> str:
-    """A one-line intensity strip of ``values`` resampled to ``width``.
-
-    >>> sparkline([0, 1, 2, 3], width=4)
-    ' -*@'
-    """
-    values = [float(v) for v in values]
-    if not values:
-        return ""
-    if width <= 0:
-        raise ValueError(f"width must be positive, got {width}")
-    # Resample by nearest index.
-    resampled = [
-        values[min(len(values) - 1, int(i * len(values) / width))]
-        for i in range(min(width, len(values)) if len(values) < width else width)
-    ]
-    lo, hi = min(resampled), max(resampled)
-    span = hi - lo
-    chars = []
-    for value in resampled:
-        level = 0 if span == 0 else int((value - lo) / span * (len(_SPARK_LEVELS) - 1))
-        chars.append(_SPARK_LEVELS[level])
-    return "".join(chars)
 
 
 def ascii_plot(
@@ -52,6 +26,12 @@ def ascii_plot(
     Each series gets a distinct mark; a legend maps marks to names.  Points
     are nearest-cell rasterized; later series overwrite earlier ones where
     they collide (acceptable for shape comparison).
+
+    >>> plot = ascii_plot({"loss": [(0, 2.0), (1, 1.0), (2, 0.5)]}, width=12, height=4)
+    >>> plot.splitlines()[3]
+    ' 0.5|           *'
+    >>> plot.splitlines()[-1].strip()
+    '* = loss'
     """
     if not series:
         raise ValueError("need at least one series")

@@ -58,18 +58,15 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "asp" in out
 
-    def test_run_writes_json_and_traces(self, tmp_path, capsys):
+    def test_run_writes_json(self, tmp_path, capsys):
         json_path = tmp_path / "run.json"
-        trace_path = tmp_path / "trace.jsonl"
         code = main(
             ["run", "--workload", "tiny", "--workers", "3", "--horizon", "15",
-             "--json", str(json_path), "--traces", str(trace_path)]
+             "--json", str(json_path)]
         )
         assert code == 0
         payload = json.loads(json_path.read_text())
         assert payload["workload"] == "tiny"
-        lines = trace_path.read_text().splitlines()
-        assert lines and json.loads(lines[0])["event"] in {"pull", "push", "abort"}
 
     def test_run_unknown_scheme_exits(self):
         with pytest.raises(SystemExit):
@@ -313,7 +310,7 @@ class TestExperimentCommand:
 
 
 class TestTraceCapture:
-    """--trace capture on run, and the `repro trace` summary command."""
+    """--trace capture on run."""
 
     def test_run_trace_writes_valid_chrome_trace(self, tmp_path, capsys):
         trace_path = tmp_path / "trace.json"
@@ -334,122 +331,9 @@ class TestTraceCapture:
         # SpecSync on the tiny workload aborts: causality arrows exist.
         assert "s" in phases and "f" in phases
 
-    def test_trace_command_summarizes(self, tmp_path, capsys):
-        trace_path = tmp_path / "trace.json"
-        assert main(
-            ["run", "--workload", "tiny", "--workers", "3", "--seed", "3",
-             "--scheme", "adaptive", "--horizon", "30",
-             "--trace", str(trace_path)]
-        ) == 0
-        capsys.readouterr()
-        assert main(["trace", str(trace_path)]) == 0
-        out = capsys.readouterr().out
-        assert "trace events on" in out
-        assert "abort causality" in out
-        assert "iteration" in out
-
-    def test_trace_command_json_format(self, tmp_path, capsys):
-        trace_path = tmp_path / "trace.json"
-        assert main(
-            ["run", "--workload", "tiny", "--workers", "2", "--seed", "1",
-             "--scheme", "original", "--horizon", "10",
-             "--trace", str(trace_path)]
-        ) == 0
-        capsys.readouterr()
-        assert main(["trace", str(trace_path), "--format", "json"]) == 0
-        summary = json.loads(capsys.readouterr().out)
-        assert summary["total_events"] > 0
-        assert "iteration" in summary["spans"]
-        assert summary["metadata"]["workload"] == "tiny"
-
-    def test_trace_command_rejects_missing_file(self, tmp_path, capsys):
-        assert main(["trace", str(tmp_path / "nope.json")]) == 2
-        assert "error" in capsys.readouterr().err
-
-    def test_trace_command_accepts_empty_trace(self, tmp_path, capsys):
-        empty = tmp_path / "empty.json"
-        empty.write_text('{"traceEvents": []}', encoding="utf-8")
-        assert main(["trace", str(empty)]) == 0
-        out = capsys.readouterr().out
-        assert "trace file is empty" in out
-
-    def test_trace_command_accepts_metrics_only_trace(self, tmp_path, capsys):
-        metrics_only = tmp_path / "metrics.json"
-        metrics_only.write_text(json.dumps({
-            "traceEvents": [],
-            "metrics": {
-                "counters": {"sim.events_fired": 42},
-                "gauges": {},
-                "histograms": {},
-            },
-        }), encoding="utf-8")
-        assert main(["trace", str(metrics_only)]) == 0
-        out = capsys.readouterr().out
-        assert "metrics-only capture" in out
-        assert "sim.events_fired" in out
-
-    def test_perf_report_renders_dashboard(self, tmp_path, capsys):
-        trace_path = tmp_path / "trace.json"
-        assert main(
-            ["run", "--workload", "tiny", "--workers", "3", "--seed", "3",
-             "--scheme", "adaptive", "--horizon", "30",
-             "--trace", str(trace_path)]
-        ) == 0
-        capsys.readouterr()
-        assert main(["perf", "report", str(trace_path)]) == 0
-        out = capsys.readouterr().out
-        assert "phase latency percentiles" in out
-        assert "engine.compute" in out
-        assert "anomaly detectors" in out
-
-    def test_perf_report_json_format(self, tmp_path, capsys):
-        trace_path = tmp_path / "trace.json"
-        assert main(
-            ["run", "--workload", "tiny", "--workers", "2", "--seed", "1",
-             "--scheme", "adaptive", "--horizon", "10",
-             "--trace", str(trace_path)]
-        ) == 0
-        capsys.readouterr()
-        assert main(["perf", "report", str(trace_path),
-                     "--format", "json"]) == 0
-        perf = json.loads(capsys.readouterr().out)
-        assert perf["schema_version"] == 1
-        assert "engine.iteration" in perf["phases"]
-
-    def test_perf_report_missing_file(self, tmp_path, capsys):
-        assert main(["perf", "report", str(tmp_path / "nope.json")]) == 2
-        assert "error" in capsys.readouterr().err
-
-    def test_trace_command_rejects_non_trace_json(self, tmp_path, capsys):
-        bogus = tmp_path / "bogus.json"
-        bogus.write_text('{"not": "a trace"}', encoding="utf-8")
-        assert main(["trace", str(bogus)]) == 2
-        assert "traceEvents" in capsys.readouterr().err
-
-    def test_trace_json_reports_flow_accounting_and_aborts(
-        self, tmp_path, capsys
-    ):
-        trace_path = tmp_path / "trace.json"
-        assert main(
-            ["run", "--workload", "tiny", "--workers", "3", "--seed", "3",
-             "--scheme", "adaptive", "--horizon", "30",
-             "--trace", str(trace_path)]
-        ) == 0
-        capsys.readouterr()
-        assert main(["trace", str(trace_path), "--format", "json"]) == 0
-        summary = json.loads(capsys.readouterr().out)
-        accounting = summary["flow_accounting"]
-        assert accounting["emitted"] > 0
-        assert accounting["closed"] + accounting["discarded"] <= (
-            accounting["emitted"]
-        )
-        aborts = summary["aborts_by_track"]
-        assert aborts and all(t.startswith("worker-") for t in aborts)
-        assert sum(aborts.values()) == summary["instants"]["abort"]
-
 
 class TestAnalyzeCommand:
-    """`repro analyze` — the causal analytics entry point."""
+    """`repro analyze` — the one post-hoc reader of a trace file."""
 
     @pytest.fixture(scope="class")
     def trace_path(self, tmp_path_factory):
@@ -469,6 +353,101 @@ class TestAnalyzeCommand:
         assert "speculation ledger" in out
         assert "staleness of applied pushes" in out
 
+    def test_text_report_shows_what_was_recorded(self, trace_path, capsys):
+        capsys.readouterr()
+        assert main(["analyze", str(trace_path)]) == 0
+        out = capsys.readouterr().out
+        assert "events on 5 tracks (command=run" in out
+        assert "data quality\n  flow origins: 10 emitted, 10 closed, 0 discarded" in out
+        assert "sim.events_fired" in out
+
+    def test_text_report_shows_profiler_and_detectors(self, trace_path, capsys):
+        capsys.readouterr()
+        assert main(["analyze", str(trace_path)]) == 0
+        out = capsys.readouterr().out
+        assert "profiler phase percentiles" in out
+        assert "engine.compute" in out
+        assert "anomaly detectors" in out
+        assert "no stragglers; abort storm calm" in out
+
+    def test_json_recording_accounts_for_the_trace(self, trace_path, capsys):
+        trace = json.loads(trace_path.read_text(encoding="utf-8"))
+        capsys.readouterr()
+        assert main(["analyze", str(trace_path), "--format", "json"]) == 0
+        recording = json.loads(capsys.readouterr().out)["recording"]
+        assert recording["events"] == len(trace["traceEvents"])
+        assert recording["metadata"]["workload"] == "tiny"
+        assert recording["spans"]["iteration"]["count"] > 0
+        assert recording["metrics"] == trace["metrics"]
+
+    def test_json_recording_carries_the_perf_section(self, trace_path, capsys):
+        trace = json.loads(trace_path.read_text(encoding="utf-8"))
+        capsys.readouterr()
+        assert main(["analyze", str(trace_path), "--format", "json"]) == 0
+        perf = json.loads(capsys.readouterr().out)["recording"]["perf"]
+        assert perf == trace["perf"]
+        assert perf["schema_version"] == 1
+        assert "engine.iteration" in perf["phases"]
+
+    def test_json_reports_flow_accounting_and_aborts(self, trace_path, capsys):
+        capsys.readouterr()
+        assert main(["analyze", str(trace_path), "--format", "json"]) == 0
+        analysis = json.loads(capsys.readouterr().out)
+        recording = analysis["recording"]
+        counters = recording["metrics"]["counters"]
+        assert counters["obs.flow_origins_registered"] > 0
+        closed = counters["obs.flow_arrows_closed"]
+        assert closed + counters.get("obs.flow_origins_discarded", 0) <= (
+            counters["obs.flow_origins_registered"]
+        )
+        assert recording["flow_pairs"] == {"abort": closed}
+        (run,) = analysis["runs"]
+        per_worker = run["ledger"]["per_worker"]
+        assert all(track.startswith("worker-") for track in per_worker)
+        aborts = [w["aborts"] for w in per_worker.values()]
+        assert sum(aborts) == recording["instants"]["abort"] > 0
+
+    def test_empty_trace(self, tmp_path, capsys):
+        empty = tmp_path / "empty.json"
+        empty.write_text('{"traceEvents": []}', encoding="utf-8")
+        assert main(["analyze", str(empty)]) == 0
+        assert "trace file is empty" in capsys.readouterr().out
+        assert main(["analyze", str(empty), "--format", "json"]) == 0
+        analysis = json.loads(capsys.readouterr().out)
+        assert analysis["runs"] == []
+        assert analysis["recording"]["events"] == 0
+
+    def test_metrics_only_trace(self, tmp_path, capsys):
+        metrics_only = tmp_path / "metrics.json"
+        metrics_only.write_text(json.dumps({
+            "traceEvents": [],
+            "metrics": {
+                "counters": {"sim.events_fired": 42},
+                "gauges": {},
+                "histograms": {},
+            },
+        }), encoding="utf-8")
+        assert main(["analyze", str(metrics_only)]) == 0
+        out = capsys.readouterr().out
+        assert "metrics-only capture" in out
+        assert "sim.events_fired | 42" in out
+        assert main(["analyze", str(metrics_only), "--format", "json"]) == 0
+        analysis = json.loads(capsys.readouterr().out)
+        assert analysis["recording"]["metrics"]["counters"] == {
+            "sim.events_fired": 42
+        }
+
+    def test_missing_file_trips_the_gate(self, tmp_path, capsys):
+        assert main(["analyze", str(tmp_path / "nope.json")]) == 1
+        assert "TRACE-PARSE" in capsys.readouterr().out
+
+    def test_missing_file_trips_the_gate_in_json_format(self, tmp_path, capsys):
+        missing = tmp_path / "nope.json"
+        assert main(["analyze", str(missing), "--format", "json"]) == 1
+        out = capsys.readouterr().out
+        assert "TRACE-PARSE" in out
+        assert str(missing) in out
+
     def test_json_output(self, trace_path, tmp_path, capsys):
         out_path = tmp_path / "analysis.json"
         capsys.readouterr()
@@ -479,7 +458,7 @@ class TestAnalyzeCommand:
         printed = json.loads(capsys.readouterr().out)
         saved = json.loads(out_path.read_text(encoding="utf-8"))
         assert printed == saved
-        assert saved["schema_version"] == 1
+        assert saved["schema_version"] == 2
         (run,) = saved["runs"]
         total = sum(run["critical_path"]["by_category"].values())
         assert abs(total - run["critical_path"]["total_s"]) <= (
@@ -510,6 +489,24 @@ class TestAnalyzeCommand:
         bogus = tmp_path / "bogus.json"
         bogus.write_text('{"not": "a trace"}', encoding="utf-8")
         assert main(["analyze", str(bogus)]) == 1
+        assert "TRACE-SCHEMA" in capsys.readouterr().out
+
+    def test_non_object_json_trips_the_gate(self, tmp_path, capsys):
+        bogus = tmp_path / "list.json"
+        bogus.write_text("[1, 2]", encoding="utf-8")
+        assert main(["analyze", str(bogus)]) == 1
+        out = capsys.readouterr().out
+        assert "TRACE-SCHEMA" in out
+        assert "'traceEvents'" in out
+
+    def test_garbage_trips_the_gate(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json", encoding="utf-8")
+        assert main(["analyze", str(bad)]) == 1
+        assert "TRACE-PARSE" in capsys.readouterr().out
+        not_a_trace = tmp_path / "plain.json"
+        not_a_trace.write_text('{"foo": 1}', encoding="utf-8")
+        assert main(["analyze", str(not_a_trace)]) == 1
         assert "TRACE-SCHEMA" in capsys.readouterr().out
 
     def test_fail_on_never_reports_without_failing(self, tmp_path, capsys):
@@ -553,7 +550,7 @@ class TestTopCommand:
             build_parser().parse_args(["top"])
         with pytest.raises(SystemExit):
             build_parser().parse_args(
-                ["top", "--smoke", "--replay", "trace.json"]
+                ["top", "--smoke", "--attach", "live.json"]
             )
         args = build_parser().parse_args(["top", "--smoke", "--once"])
         assert args.smoke and args.once and not args.json
@@ -586,32 +583,14 @@ class TestTopCommand:
         analysis = json.loads(capsys.readouterr().out)
         assert analysis["runs"]
 
-    def test_replay_once_renders_dashboard(self, tmp_path, capsys):
-        trace_path = self._live_trace(tmp_path)
-        capsys.readouterr()
-        code = main(["top", "--replay", str(trace_path), "--once"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "repro top" in out
-        assert "workers" in out
-
-    def test_replay_json_matches_live_totals(self, tmp_path, capsys):
+    def test_drained_capture_analysis_matches_live_totals(self, tmp_path, capsys):
         trace_path = self._live_trace(tmp_path)
         live_snapshot = json.loads(capsys.readouterr().out)
-        code = main(["top", "--replay", str(trace_path), "--once", "--json"])
+        code = main(["analyze", str(trace_path), "--format", "json"])
         assert code == 0
-        replayed = json.loads(capsys.readouterr().out)
-        assert replayed["totals"]["iterations"] == (
-            live_snapshot["totals"]["iterations"]
-        )
-
-    def test_replay_rejects_garbage(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert main(["top", "--replay", str(bad), "--once"]) == 2
-        not_a_trace = tmp_path / "plain.json"
-        not_a_trace.write_text("{\"foo\": 1}")
-        assert main(["top", "--replay", str(not_a_trace), "--once"]) == 2
+        (run,) = json.loads(capsys.readouterr().out)["runs"]
+        pushes = sum(w["pushes"] for w in run["ledger"]["per_worker"].values())
+        assert pushes == live_snapshot["totals"]["iterations"]
 
     def test_attach_rejects_missing_spec(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"

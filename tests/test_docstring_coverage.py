@@ -46,9 +46,9 @@ MODULES = [
     "repro.netsim.ledger",
     "repro.netsim.messages",
     "repro.netsim.network",
+    "repro.obs.analysis.report",
     "repro.obs.metrics",
     "repro.obs.perf",
-    "repro.obs.perf_report",
     "repro.obs.straggler",
     "repro.obs.timeseries",
     "repro.ps.engine",

@@ -1,6 +1,5 @@
-"""Tests for trace/curve JSON serialization."""
+"""Tests for curve and run-summary JSON serialization."""
 
-import io
 import json
 
 import pytest
@@ -11,8 +10,6 @@ from repro.metrics.serialize import (
     curve_from_dict,
     curve_to_dict,
     run_summary_to_dict,
-    traces_from_jsonl,
-    traces_to_jsonl,
 )
 from repro.workloads import tiny_workload
 
@@ -45,48 +42,6 @@ class TestCurveRoundTrip:
         rebuilt = curve_from_dict(curve_to_dict(run_result.curve))
         assert rebuilt.losses() == run_result.curve.losses()
         assert rebuilt.times() == run_result.curve.times()
-
-
-class TestTracesRoundTrip:
-    def test_round_trip_preserves_all_events(self, run_result):
-        buffer = io.StringIO()
-        count = traces_to_jsonl(run_result.traces, buffer)
-        assert count == (
-            len(run_result.traces.pulls)
-            + len(run_result.traces.pushes)
-            + len(run_result.traces.aborts)
-        )
-        buffer.seek(0)
-        rebuilt = traces_from_jsonl(buffer)
-        assert len(rebuilt.pulls) == len(run_result.traces.pulls)
-        assert len(rebuilt.pushes) == len(run_result.traces.pushes)
-        assert len(rebuilt.aborts) == len(run_result.traces.aborts)
-        assert rebuilt.mean_staleness() == run_result.traces.mean_staleness()
-
-    def test_lines_are_time_ordered(self, run_result):
-        buffer = io.StringIO()
-        traces_to_jsonl(run_result.traces, buffer)
-        times = [json.loads(l)["time"] for l in buffer.getvalue().splitlines()]
-        assert times == sorted(times)
-
-    def test_blank_lines_skipped(self):
-        rebuilt = traces_from_jsonl(["", "  ", ""])
-        assert len(rebuilt.pushes) == 0
-
-    def test_unknown_event_rejected(self):
-        with pytest.raises(ValueError):
-            traces_from_jsonl([json.dumps({"event": "mystery"})])
-
-    def test_pap_analysis_survives_round_trip(self, run_result):
-        from repro.metrics.pap import pap_interval_counts
-
-        buffer = io.StringIO()
-        traces_to_jsonl(run_result.traces, buffer)
-        buffer.seek(0)
-        rebuilt = traces_from_jsonl(buffer)
-        original = pap_interval_counts(run_result.traces, 0.5, 2)
-        recovered = pap_interval_counts(rebuilt, 0.5, 2)
-        assert original == recovered
 
 
 class TestRunSummary:

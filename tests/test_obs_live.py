@@ -36,9 +36,7 @@ from repro.obs.live import (
     decode_record,
     encode_record,
     render_dashboard,
-    replay_trace,
     run_dashboard,
-    trace_worker_count,
 )
 from repro.runtime import MultiprocessRun
 
@@ -513,33 +511,6 @@ class TestLiveCaptureEndToEnd:
         finally:
             session.close()
             session.unlink()
-
-    def test_replay_reproduces_live_aggregation(self):
-        session = LiveTelemetrySession.create(num_workers=4)
-        try:
-            _build_live_run(session).run(0.6)
-            aggregator = session.aggregator()
-            import time
-
-            aggregator.poll(time.monotonic())
-            live_snapshot = aggregator.snapshot()
-            collector = obs.TraceCollector()
-            aggregator.drain_to_collector(collector)
-            trace = obs.to_chrome_trace(collector)
-        finally:
-            session.close()
-            session.unlink()
-
-        assert trace_worker_count(trace) == 4
-        replayed = TelemetryAggregator(num_workers=trace_worker_count(trace))
-        final = replay_trace(trace, replayed)
-        assert final["totals"]["iterations"] == (
-            live_snapshot["totals"]["iterations"]
-        )
-        for worker_id in range(4):
-            assert final["workers"][str(worker_id)]["iterations"] == (
-                live_snapshot["workers"][str(worker_id)]["iterations"]
-            )
 
     def test_run_rejects_undersized_session(self):
         session = LiveTelemetrySession.create(num_workers=1, ring_bytes=4096)

@@ -16,8 +16,9 @@ from repro.obs import (
     PerfProfile,
     Profiler,
     collecting,
+    analyze_trace,
     profiler_for,
-    render_perf_report,
+    render_analysis_text,
     write_chrome_trace,
 )
 from repro.obs.clock import FunctionClock
@@ -120,7 +121,7 @@ class TestTraceExport:
         assert trace["perf"]["schema_version"] == PERF_SCHEMA_VERSION
         assert trace["perf"]["phases"]
 
-    def test_render_perf_report_covers_all_sections(self):
+    def test_analysis_text_renders_profiler_sections(self):
         workload = tiny_workload()
         with collecting() as collector:
             workload.run(
@@ -131,12 +132,17 @@ class TestTraceExport:
             )
         handle = io.StringIO()
         write_chrome_trace(collector, handle)
-        text = render_perf_report(json.loads(handle.getvalue()))
-        assert "phase latency percentiles" in text
-        assert "hot paths" in text
-        assert "time series" in text
+        text = render_analysis_text(analyze_trace(json.loads(handle.getvalue())))
+        assert "profiler phase percentiles" in text
+        assert "engine.iteration" in text
         assert "anomaly detectors" in text
+        assert "scheduler:specsync-adaptive: no stragglers" in text
 
-    def test_render_perf_report_without_perf_section(self):
-        text = render_perf_report({"traceEvents": []})
-        assert "no perf data" in text
+    def test_analysis_text_without_perf_section(self):
+        text = render_analysis_text(analyze_trace({
+            "traceEvents": [],
+            "metrics": {"counters": {"engine.pushes": 1}},
+        }))
+        assert "metrics-only capture" in text
+        assert "profiler phase percentiles" not in text
+        assert "anomaly detectors" not in text

@@ -23,10 +23,9 @@ from repro.obs import (
     TraceCollector,
     Tracer,
     VirtualClock,
+    analyze_trace,
     collecting,
-    load_trace,
-    render_summary,
-    summarize_trace,
+    render_analysis_text,
     to_chrome_trace,
     write_chrome_trace,
 )
@@ -273,15 +272,14 @@ class TestGoldenFile:
             "REPRO_REGEN_GOLDEN=1"
         )
 
-    def test_golden_round_trips_through_the_summarizer(self):
+    def test_golden_round_trips_through_the_analyzer(self):
         with GOLDEN_PATH.open(encoding="utf-8") as handle:
-            trace = load_trace(handle)
-        summary = summarize_trace(trace)
-        assert summary.total_events == len(trace["traceEvents"])
-        assert {"pull", "compute", "push", "iteration"} <= set(summary.spans)
-        assert summary.instants["resync_decision"] >= 1
-        assert summary.abort_flow_pairs >= 1
-        assert summary.unpaired_flows == 0
-        text = render_summary(summary)
-        assert "abort causality" in text
-        assert "spans" in text
+            trace = json.load(handle)
+        recording = analyze_trace(trace)["recording"]
+        assert recording["events"] == len(trace["traceEvents"])
+        assert {"pull", "compute", "push", "iteration"} <= set(recording["spans"])
+        assert recording["instants"]["resync_decision"] >= 1
+        assert recording["flow_pairs"]["abort"] >= 1
+        text = render_analysis_text(analyze_trace(trace))
+        assert "flow origins:" in text
+        assert "critical-path attribution" in text

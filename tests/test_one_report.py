@@ -1,0 +1,119 @@
+"""One report on every substrate: ``repro analyze`` reads a DES, a
+threaded and a multiprocess capture of the same seed through one schema.
+
+The multiprocess run is captured twice at once: drained from its live
+session (every worker's spans) and by the parent's collector alone (the
+parent's view only — its workers' spans went to their rings), which the
+gate must flag instead of passing an empty analysis.
+"""
+
+import json
+import time
+
+import numpy as np
+import pytest
+
+from repro import ClusterSpec, SpecSyncPolicy, obs
+from repro.cli import main
+from repro.cluster.compute import ComputeTimeModel
+from repro.core.tuning import AdaptiveTuner
+from repro.ml import SoftmaxRegressionModel, SyntheticImageDataset
+from repro.ml.optim import ConstantSchedule, SgdUpdateRule
+from repro.obs.live import LiveTelemetrySession
+from repro.runtime import MultiprocessRun, ThreadedRun
+from repro.workloads import tiny_workload
+
+SEED = 3
+WORKERS = 4
+
+
+def _wall_clock_run(backend, **kwargs):
+    dataset = SyntheticImageDataset(
+        num_classes=3, feature_dim=8, num_samples=800,
+        class_separation=3.0, warp=False, seed=0,
+    )
+    return backend(
+        model=SoftmaxRegressionModel(input_dim=8, num_classes=3),
+        partitions=dataset.partition(WORKERS, np.random.default_rng(0)),
+        eval_batch=dataset.eval_batch(),
+        update_rule=SgdUpdateRule(ConstantSchedule(0.2)),
+        compute_model=ComputeTimeModel(mean_time_s=3.0, jitter_sigma=0.1),
+        batch_size=32,
+        time_scale=0.004,
+        tuner=AdaptiveTuner(),
+        seed=SEED,
+        **kwargs,
+    )
+
+
+@pytest.fixture(scope="module")
+def captures(tmp_path_factory):
+    """Per substrate: the trace file and each worker track's iterations."""
+    directory = tmp_path_factory.mktemp("one_report")
+
+    def write(name, collector):
+        path = directory / f"{name}.json"
+        with open(path, "w", encoding="utf-8") as handle:
+            obs.write_chrome_trace(collector, handle)
+        return path
+
+    captured = {}
+    with obs.collecting() as collector:
+        result = tiny_workload().run(
+            ClusterSpec.homogeneous(WORKERS), SpecSyncPolicy.adaptive(),
+            seed=SEED, horizon_s=30.0,
+        )
+    captured["des"] = (write("des", collector), {
+        f"worker-{w.worker_id}": w.iterations for w in result.worker_stats
+    })
+
+    with obs.collecting() as collector:
+        threaded = _wall_clock_run(ThreadedRun)
+        threaded.run(0.4)
+    captured["threads"] = (write("threads", collector), {
+        f"rt.worker-{w.worker_id}": w.iterations for w in threaded.workers
+    })
+
+    session = LiveTelemetrySession.create(num_workers=WORKERS)
+    try:
+        with obs.collecting() as collector:
+            result = _wall_clock_run(MultiprocessRun, live_session=session).run(0.4)
+        aggregator = session.aggregator()
+        aggregator.poll(time.monotonic())
+        drained = obs.TraceCollector()
+        aggregator.drain_to_collector(drained)
+    finally:
+        session.close()
+        session.unlink()
+    captured["processes"] = (write("processes", drained), {
+        f"rt.worker-{worker}": count
+        for worker, count in result.per_worker_iterations.items()
+    })
+    captured["collector only"] = (write("collector_only", collector), None)
+    return captured
+
+
+@pytest.mark.parametrize("substrate", ["des", "threads", "processes"])
+def test_one_report_on_every_substrate(captures, substrate, capsys):
+    path, iterations = captures[substrate]
+    capsys.readouterr()
+    code = main(["analyze", str(path), "--format", "json", "--fail-on", "warning"])
+    assert code == 0
+    analysis = json.loads(capsys.readouterr().out)
+    (run,) = analysis["runs"]
+    pushes = {
+        track: worker["pushes"]
+        for track, worker in run["ledger"]["per_worker"].items()
+    }
+    assert pushes == iterations
+    assert sum(pushes.values()) > 0
+    assert analysis["recording"]["metrics"]
+
+
+def test_collector_only_multiprocess_capture_trips_the_gate(captures, capsys):
+    path, _ = captures["collector only"]
+    capsys.readouterr()
+    assert main(["analyze", str(path), "--fail-on", "warning"]) == 1
+    err = capsys.readouterr().err
+    assert "TRACE-NO-WORKER-SPANS" in err
+    assert "repro top --drain" in err

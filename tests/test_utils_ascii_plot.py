@@ -1,34 +1,8 @@
-"""Tests for the terminal plotting helpers."""
+"""Tests for the terminal plotting helper."""
 
 import pytest
 
-from repro.utils.ascii_plot import ascii_plot, sparkline
-
-
-class TestSparkline:
-    def test_monotone_ramp(self):
-        line = sparkline([0, 1, 2, 3], width=4)
-        assert len(line) == 4
-        # levels must be non-decreasing for a ramp
-        levels = " .:-=+*#%@"
-        assert [levels.index(c) for c in line] == sorted(
-            levels.index(c) for c in line
-        )
-
-    def test_constant_series(self):
-        line = sparkline([5, 5, 5], width=3)
-        assert len(set(line)) == 1
-
-    def test_empty(self):
-        assert sparkline([]) == ""
-
-    def test_resampling_long_series(self):
-        line = sparkline(list(range(1000)), width=10)
-        assert len(line) == 10
-
-    def test_bad_width(self):
-        with pytest.raises(ValueError):
-            sparkline([1, 2], width=0)
+from repro.utils.ascii_plot import ascii_plot
 
 
 class TestAsciiPlot:
