@@ -8,7 +8,8 @@ Subcommands::
     repro experiment fig8               # regenerate a paper table/figure
     repro analyze out.json              # the one trace report: critical
                                         # path, speculation ledger,
-                                        # staleness, what was recorded
+                                        # staleness, phases, detectors,
+                                        # what was recorded
     repro top --smoke --once --json     # live telemetry dashboard over the
                                         # shm ring-buffer exporters
     repro lint [--format json] [paths…] # codebase-specific static analysis
@@ -148,7 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
     analyze_parser = sub.add_parser(
         "analyze",
         help="the trace report: critical-path attribution, speculation "
-             "ledger, staleness, data quality, profiler and detectors",
+             "ledger, staleness, worker phase percentiles, straggler and "
+             "abort-storm verdicts, data quality",
     )
     analyze_parser.add_argument("path", help="trace JSON file to analyze")
     analyze_parser.add_argument("--format", choices=["text", "json"],
@@ -201,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="--smoke workload seed")
     top_parser.add_argument(
         "--drain", metavar="PATH",
-        help="serialize the captured stream to a trace-format-v2 file at "
+        help="serialize the captured stream to a trace file at "
              "PATH when the dashboard ends (repro analyze reads it)",
     )
 
@@ -540,7 +542,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _drain_live_capture(aggregator, path: str) -> None:
-    """Serialize an aggregator's retained stream to trace-format-v2."""
+    """Serialize an aggregator's retained stream to a trace file."""
     collector = obs.TraceCollector()
     collector.metadata["command"] = "top"
     aggregator.drain_to_collector(collector)

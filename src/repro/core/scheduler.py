@@ -31,17 +31,12 @@ from repro.core.tuning import EpochTrace, HyperparamTuner
 from repro.metrics.traces import PushHistory
 from repro.obs.core import NULL_TRACER, NullTracer, Tracer
 from repro.obs.log import get_logger
-from repro.obs.perf import NULL_PROFILER, NullProfiler, Profiler
-from repro.obs.straggler import AbortStormDetector, StragglerDetector
 from repro.obs.tracks import SCHEDULER_TRACK, resync_flow_key, worker_track
 
 __all__ = ["SpecSyncScheduler"]
 
 #: What the scheduler accepts as a tracer (live or the shared no-op).
 TracerLike = Union[Tracer, NullTracer]
-
-#: Likewise for the profiler.
-ProfilerLike = Union[Profiler, NullProfiler]
 
 
 class SpecSyncScheduler:
@@ -56,7 +51,6 @@ class SpecSyncScheduler:
         send_resync_fn: Callable[[int, int, int], None],
         span_window: int = 8,
         tracer: Optional[TracerLike] = None,
-        profiler: Optional[ProfilerLike] = None,
         worker_track_fn: Callable[[int], str] = worker_track,
         self_track: str = SCHEDULER_TRACK,
     ):
@@ -71,18 +65,6 @@ class SpecSyncScheduler:
         #: tracer bound to *its* clock, plus its track-name convention, so
         #: the engine-agnostic scheduler never chooses a clock domain.
         self.tracer: TracerLike = tracer if tracer is not None else NULL_TRACER
-        self.profiler: ProfilerLike = (
-            profiler if profiler is not None else NULL_PROFILER
-        )
-        #: Online anomaly detectors over the notify stream — the runtime
-        #: monitoring input SpecSync-Adaptive's retuning wants (and what
-        #: `repro analyze` surfaces).  Allocated only while profiling
-        #: so the disabled path stays free.
-        self.straggler: Optional[StragglerDetector] = None
-        self.abort_storm: Optional[AbortStormDetector] = None
-        if self.profiler.enabled:
-            self.straggler = StragglerDetector(num_workers)
-            self.abort_storm = AbortStormDetector()
         self._worker_track = worker_track_fn
         self._self_track = self_track
         self._log = get_logger("scheduler")
@@ -136,11 +118,10 @@ class SpecSyncScheduler:
 
         if self.hyperparams is None:
             return
-        window = self.hyperparams.abort_time_s
         threshold = self.hyperparams.threshold_count(self.num_workers)
         self._schedule(
-            window,
-            lambda: self._check_resync(worker_id, now, iteration, threshold, window),
+            self.hyperparams.abort_time_s,
+            lambda: self._check_resync(worker_id, now, iteration, threshold),
         )
 
     # ------------------------------------------------------------------
@@ -153,15 +134,6 @@ class SpecSyncScheduler:
             self._span_samples[worker_id].append(time - previous)
         self._last_push[worker_id] = time
         self._epoch_seen.add(worker_id)
-        if self.straggler is not None and self.abort_storm is not None:
-            interval = self.straggler.record_push(worker_id, time)
-            self.abort_storm.record_push(time)
-            if interval is not None:
-                self.profiler.sample(
-                    f"scheduler.notify_interval.w{worker_id:03d}",
-                    interval,
-                    ts=time,
-                )
 
     def _advance_epoch(self, now: float, worker_id: int) -> None:
         if len(self._epoch_seen) < self.num_workers:
@@ -199,7 +171,6 @@ class SpecSyncScheduler:
         window_start: float,
         iteration: int,
         threshold: float,
-        window: float,
     ) -> None:
         """Algorithm 2, ``CheckResync``: fire a re-sync if enough peers pushed."""
         self.checks_run += 1
@@ -207,16 +178,8 @@ class SpecSyncScheduler:
         count = self._history.count_between(window_start, now, worker_id)
         if self.tracer.enabled:
             self.tracer.count("scheduler.checks")
-        if self.profiler.enabled:
-            # Decision latency: how late the timer fired past the end of
-            # the speculation window (0 on the DES, timer skew on wall).
-            self.profiler.phase(
-                "scheduler.check_skew", start=window_start + window, end=now
-            )
         if count >= threshold:
             self.resyncs_sent += 1
-            if self.abort_storm is not None:
-                self.abort_storm.record_abort(now)
             if self.tracer.enabled:
                 self._trace_resync_decision(
                     worker_id, window_start, iteration, threshold, count, now
@@ -275,28 +238,14 @@ class SpecSyncScheduler:
             return None
         return sum(samples) / len(samples)
 
-    def anomaly_report(self) -> dict:
-        """The detectors' current verdicts (empty when profiling is off)."""
-        if self.straggler is None or self.abort_storm is None:
-            return {}
-        return {
-            "straggler": self.straggler.report(),
-            "abort_storm": self.abort_storm.report(),
-        }
-
     def summary(self) -> dict:
         """Counters for run reports (epochs, checks, re-syncs, hyperparams)."""
-        summary: Dict[str, object] = {
+        return {
             "epochs_completed": self.epochs_completed,
             "checks_run": self.checks_run,
             "resyncs_sent": self.resyncs_sent,
             "current_hyperparams": str(self.hyperparams) if self.hyperparams else None,
         }
-        if self.straggler is not None:
-            summary["stragglers"] = ",".join(
-                str(w) for w in self.straggler.stragglers()
-            )
-        return summary
 
     def __repr__(self) -> str:
         return (

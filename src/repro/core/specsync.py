@@ -77,21 +77,15 @@ class SpecSyncPolicy(SyncPolicy):
             schedule_fn=lambda delay, fn: engine.sim.defer(delay, fn),
             now_fn=lambda: engine.now,
             send_resync_fn=self._send_resync,
-            # The scheduler shares the engine's virtual-time tracer and
-            # profiler, so its decision events land on the same timeline as
-            # the worker spans and the abort flow arrows pair up across the
-            # two layers.
+            # The scheduler shares the engine's virtual-time tracer, so its
+            # decision events land on the same timeline as the worker spans
+            # and the abort flow arrows pair up across the two layers.
             tracer=engine.tracer,
-            profiler=engine.profiler,
         )
 
     def on_run_end(self) -> None:
         if self.base_policy is not None:
             self.base_policy.on_run_end()
-        if self.scheduler is not None and self.scheduler.profiler.enabled:
-            report = self.scheduler.anomaly_report()
-            if report:
-                self.scheduler.profiler.report(f"scheduler:{self.name}", report)
 
     # ------------------------------------------------------------------
     # Gating delegates to the base scheme (ASP when none)

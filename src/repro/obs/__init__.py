@@ -51,21 +51,12 @@ from repro.obs.log import (
     install_null_handler,
 )
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.perf import (
-    NULL_PROFILER,
-    PERF_SCHEMA_VERSION,
-    NullProfiler,
-    PerfProfile,
-    Profiler,
-    profiler_for,
-)
 from repro.obs.perfetto import (
     TRACE_FORMAT_VERSION,
     to_chrome_trace,
     write_chrome_trace,
 )
 from repro.obs.straggler import AbortStormDetector, StragglerDetector
-from repro.obs.timeseries import Ewma, WindowedSeries
 from repro.obs.tracks import (
     RT_RUN_TRACK,
     RT_SCHEDULER_TRACK,
@@ -103,16 +94,8 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_PROFILER",
-    "PERF_SCHEMA_VERSION",
-    "NullProfiler",
-    "PerfProfile",
-    "Profiler",
-    "profiler_for",
     "AbortStormDetector",
     "StragglerDetector",
-    "Ewma",
-    "WindowedSeries",
     "TRACE_FORMAT_VERSION",
     "to_chrome_trace",
     "write_chrome_trace",

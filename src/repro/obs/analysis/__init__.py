@@ -1,6 +1,6 @@
 """repro.obs.analysis — causal trace analytics.
 
-Turns a trace-format-v2 capture (the write side: :mod:`repro.obs.perfetto`)
+Turns a trace file (the write side: :mod:`repro.obs.perfetto`)
 back into explanations:
 
 * :mod:`graph` rebuilds the causal graph — spans, instants, and the
@@ -11,6 +11,8 @@ back into explanations:
 * :mod:`ledger` computes the speculation ledger: PAP counts, aborted
   compute seconds, realized post-abort freshness gains, and the
   empirical F(Δ) curve replayed through :mod:`repro.core.tuning`;
+* :mod:`phases` derives worker-loop phase percentiles and the
+  straggler / abort-storm verdicts from the worker spans;
 * :mod:`report` bundles all of it into schema-versioned JSON plus the
   text/comparison renderers behind ``repro analyze``.
 

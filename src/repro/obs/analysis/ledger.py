@@ -32,6 +32,7 @@ from repro.core.tuning import (
     freshness_gains,
 )
 from repro.obs.analysis.graph import RunSegment, WORKER_TRACK_RE
+from repro.obs.metrics import summary_stats
 
 __all__ = ["speculation_ledger", "staleness_distributions"]
 
@@ -52,27 +53,6 @@ _SSP_BOUND_RE = re.compile(r"\bssp\(s=(\d+)\)")
 def _worker_id(track: str) -> Optional[int]:
     match = WORKER_TRACK_RE.match(track)
     return int(match.group(1)) if match else None
-
-
-def _stats(values: List[float]) -> Dict[str, object]:
-    """count/mean/max plus exact nearest-rank p50/p95 — tiny and stable."""
-    if not values:
-        return {"count": 0, "mean": None, "p50": None, "p95": None, "max": None}
-    ordered = sorted(values)
-    count = len(ordered)
-
-    def _percentile(q: int) -> float:
-        # exact nearest-rank: ceil(q/100 * n)
-        rank = max(1, (q * count + 99) // 100)
-        return ordered[rank - 1]
-
-    return {
-        "count": count,
-        "mean": sum(ordered) / count,
-        "p50": _percentile(50),
-        "p95": _percentile(95),
-        "max": ordered[-1],
-    }
 
 
 def _push_history(run: RunSegment) -> List[tuple]:
@@ -192,7 +172,7 @@ def speculation_ledger(run: RunSegment) -> Dict[str, object]:
             "aborts": len(aborts),
             "aborted_compute_s": wasted,
             "peer_push_counts": peer_pushes,
-            "realized_freshness_gain": _stats([float(g) for g in gains]),
+            "realized_freshness_gain": summary_stats([float(g) for g in gains], (50, 95)),
         }
 
     ledger: Dict[str, object] = {
@@ -256,7 +236,7 @@ def staleness_distributions(run: RunSegment) -> Dict[str, object]:
     return {
         "bound": bound,
         "per_worker": {
-            str(worker): _stats(values)
+            str(worker): summary_stats(values, (50, 95))
             for worker, values in sorted(by_worker.items())
         },
     }

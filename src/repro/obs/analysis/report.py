@@ -5,23 +5,26 @@ post-hoc reader of a trace file.
 object::
 
     {
-      "schema_version": 2,
-      "trace_format_version": 2,
+      "schema_version": 3,
+      "trace_format_version": 3,
       "runs": [
         {"index": 0, "domain": "virtual", "scheme": "...", ...,
          "critical_path": {...}, "per_worker": {...},
-         "ledger": {...}, "staleness": {...}}
+         "ledger": {...}, "staleness": {...},
+         "phases": {"pull": {"count": 43, "p50": ...}, ...},
+         "detectors": {"straggler": {...}, "abort_storm": {...}}}
       ],
       "recording": {
         "events": 276, "tracks": 5, "metadata": {...},
         "spans": {"pull": {"count": 43, "total_s": 0.045}, ...},
         "instants": {"abort": 5, ...}, "flow_pairs": {"abort": 10},
-        "metrics": {...}, "perf": {...}
+        "metrics": {...}
       }
     }
 
-``recording.metrics`` and ``recording.perf`` are the trace's own
-sections, copied unchanged.
+``phases`` and ``detectors`` are derived from the run's worker spans
+(:mod:`repro.obs.analysis.phases`); ``recording.metrics`` is the trace's
+own section, copied unchanged.
 
 Determinism: every other float is rounded to 9 decimals and consumers
 dump with ``sort_keys=True``, so a seeded DES run produces a
@@ -40,6 +43,7 @@ from repro.obs.analysis.critical_path import (
 )
 from repro.obs.analysis.graph import AnalysisError, CausalGraph
 from repro.obs.analysis.ledger import speculation_ledger, staleness_distributions
+from repro.obs.analysis.phases import detector_reports, phase_stats
 from repro.utils.tables import TextTable
 
 __all__ = [
@@ -51,7 +55,8 @@ __all__ = [
 
 #: Bumped whenever the analytics JSON changes shape.
 #: v2: the top-level "recording" block.
-ANALYSIS_SCHEMA_VERSION = 2
+#: v3: per-run "phases" and "detectors"; no "recording.perf".
+ANALYSIS_SCHEMA_VERSION = 3
 
 _US_TO_S = 1e-6
 
@@ -75,13 +80,12 @@ def analyze_trace(trace: dict) -> dict:
     Raises:
         AnalysisError: when the trace cannot support causal analysis
             (see :class:`repro.obs.analysis.graph.CausalGraph`), or its
-            ``metrics`` / ``perf`` section is not an object.
+            ``metrics`` section is not an object.
     """
     graph = CausalGraph.from_trace(trace)
-    sections = {key: trace.get(key, {}) for key in ("metrics", "perf")}
-    for key, section in sections.items():
-        if not isinstance(section, dict):
-            raise AnalysisError(f"'{key}' must be an object")
+    metrics = trace.get("metrics", {})
+    if not isinstance(metrics, dict):
+        raise AnalysisError("'metrics' must be an object")
     runs: List[dict] = []
     for run in graph.runs:
         runs.append(
@@ -100,6 +104,8 @@ def analyze_trace(trace: dict) -> dict:
                 "per_worker": per_worker_breakdown(run),
                 "ledger": speculation_ledger(run),
                 "staleness": staleness_distributions(run),
+                "phases": phase_stats(run),
+                "detectors": detector_reports(run),
             }
         )
     analysis = _rounded(
@@ -123,7 +129,7 @@ def analyze_trace(trace: dict) -> dict:
             },
         }
     )
-    analysis["recording"].update(sections)
+    analysis["recording"]["metrics"] = metrics
     return analysis
 
 
@@ -196,43 +202,32 @@ def _render_data_quality(metrics: dict) -> str:
 def _render_phases(phases: Dict[str, dict]) -> str:
     table = TextTable(
         ["phase", "count", "mean s", "p50 s", "p90 s", "p99 s", "max s"],
-        title="profiler phase percentiles",
+        title="worker phase percentiles",
     )
-    for name in sorted(phases):
-        agg = phases[name]
-        table.add_row([name, str(agg.get("count"))] + [
-            _fmt(agg.get(key)) for key in ("mean", "p50", "p90", "p99", "max")
+    for name, agg in phases.items():
+        table.add_row([name, str(agg["count"])] + [
+            _fmt(agg[key]) for key in ("mean", "p50", "p90", "p99", "max")
         ])
     return table.render()
 
 
-def _render_detectors(reports: Dict[str, dict]) -> str:
-    lines = ["anomaly detectors"]
-    for name in sorted(reports):
-        verdicts = []
-        straggler = reports[name].get("straggler")
-        if isinstance(straggler, dict):
-            flagged = ", ".join(f"w{w}" for w in straggler.get("stragglers", []))
-            verdicts.append(f"STRAGGLERS {flagged}" if flagged else "no stragglers")
-        storm = reports[name].get("abort_storm")
-        if isinstance(storm, dict):
-            verdicts.append(
-                f"abort storm {'STORMING' if storm.get('storming') else 'calm'} "
-                f"(ratio {_fmt(storm.get('abort_ratio'))}, "
-                f"{storm.get('storm_count', 0)} storms, "
-                f"{storm.get('total_aborts', 0)} aborts)"
-            )
-        if verdicts:
-            lines.append(f"  {name}: {'; '.join(verdicts)}")
-    return "\n".join(lines)
+def _render_detectors(detectors: Dict[str, dict]) -> str:
+    straggler, storm = detectors["straggler"], detectors["abort_storm"]
+    flagged = ", ".join(f"w{w}" for w in straggler["stragglers"])
+    return (
+        f"detectors: {f'STRAGGLERS {flagged}' if flagged else 'no stragglers'}; "
+        f"abort storm {'STORMING' if storm['storming'] else 'calm'} "
+        f"(ratio {_fmt(storm['abort_ratio'])}, {storm['storm_count']} storms, "
+        f"{storm['total_aborts']} aborts)"
+    )
 
 
 def render_analysis_text(analysis: dict) -> str:
-    """Human-readable analytics report: one section group per run, then
-    what the trace recorded (data quality, metrics, profiler phases,
-    detector verdicts)."""
+    """Human-readable analytics report: one section group per run (with
+    its phase percentiles and detector verdicts), then what the trace
+    recorded (data quality, metrics)."""
     recording = analysis["recording"]
-    metrics, perf = recording["metrics"], recording["perf"]
+    metrics = recording["metrics"]
     header = (
         f"trace analytics (schema v{analysis['schema_version']}, "
         f"{len(analysis['runs'])} run(s)): {recording['events']} events "
@@ -243,11 +238,9 @@ def render_analysis_text(analysis: dict) -> str:
     )
     sections: List[str] = [f"{header} ({context})" if context else header]
     if not recording["events"]:
-        if not (any(metrics.values()) or any(
-            perf.get(key) for key in ("phases", "counters", "series", "reports")
-        )):
+        if not any(metrics.values()):
             sections.append(
-                "trace file is empty (no events, metrics, or perf data) — "
+                "trace file is empty (no events or metrics) — "
                 "was instrumentation enabled during capture?"
             )
             return "\n\n".join(sections)
@@ -323,15 +316,13 @@ def render_analysis_text(analysis: dict) -> str:
                     ]
                 )
             sections.append(table.render())
+        sections.append(_render_phases(run["phases"]))
+        sections.append(_render_detectors(run["detectors"]))
 
     sections.append(_render_data_quality(metrics))
     rendered = _render_metrics(metrics)
     if rendered:
         sections.append(rendered)
-    if perf.get("phases"):
-        sections.append(_render_phases(perf["phases"]))
-    if perf.get("reports"):
-        sections.append(_render_detectors(perf["reports"]))
     return "\n\n".join(sections)
 
 

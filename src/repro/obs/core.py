@@ -36,8 +36,7 @@ from contextlib import contextmanager, nullcontext
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from repro.obs.clock import Clock
-from repro.obs.metrics import Counter, MetricsRegistry
-from repro.obs.perf import PerfProfile
+from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
     "SpanRecord",
@@ -118,8 +117,6 @@ class TraceCollector:
     def __init__(self) -> None:
         self.records: List[Union[SpanRecord, InstantRecord, FlowRecord]] = []
         self.metrics = MetricsRegistry()
-        #: profiler sink (phase histograms, hot-path counters, series)
-        self.perf = PerfProfile()
         #: free-form run context (workload, scheme, seed) for the export
         self.metadata: Dict[str, object] = {}
         self._flow_lock = threading.Lock()
@@ -403,9 +400,7 @@ def enable(collector: TraceCollector) -> None:
 
     Also installs a simulator tap (on the multi-tap bus, so the replay
     sanitizer can run concurrently) that counts fired DES events into
-    the ``sim.events_fired`` metric and per-callback dispatch counts
-    (``sim.dispatch.<qualname>``) into the collector's perf profile —
-    the event loop's hot-path breakdown.
+    the ``sim.events_fired`` metric.
     """
     global _ACTIVE, _SIM_TAP
     if _ACTIVE is not None:
@@ -413,17 +408,9 @@ def enable(collector: TraceCollector) -> None:
     from repro.events.simulator import Simulator
 
     counter = collector.metrics.counter("sim.events_fired")
-    perf = collector.perf
-    dispatch_counters: Dict[str, Counter] = {}
 
-    def _tap(_time: float, _seq: int, fn, _tap_args: tuple) -> None:
+    def _tap(_time: float, _seq: int, _fn, _tap_args: tuple) -> None:
         counter.inc()
-        name = getattr(fn, "__qualname__", None) or type(fn).__name__
-        dispatch = dispatch_counters.get(name)
-        if dispatch is None:
-            dispatch = perf.counter(f"sim.dispatch.{name}")
-            dispatch_counters[name] = dispatch
-        dispatch.inc()
 
     Simulator.install_tap(_tap)
     _SIM_TAP = _tap

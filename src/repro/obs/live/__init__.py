@@ -1,12 +1,12 @@
 """Live cross-process telemetry plane.
 
-``repro.obs.live`` streams spans, counters, gauges, and perf samples out
+``repro.obs.live`` streams spans, counters, gauges, and samples out
 of running processes through per-process lock-free shared-memory rings
 (:mod:`repro.obs.live.ring`), aggregates them online in the parent
 (:mod:`repro.obs.live.aggregate`), wires whole runs together through
 :mod:`repro.obs.live.session`, and renders them as the ``repro top``
 dashboard (:mod:`repro.obs.live.top`).  A drained capture serializes to
-trace-format-v2, so ``repro analyze`` reads live runs unchanged.
+a trace file, so ``repro analyze`` reads live runs unchanged.
 """
 
 from repro.obs.live.aggregate import (

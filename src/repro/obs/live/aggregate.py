@@ -112,7 +112,7 @@ class TelemetryAggregator:
 
     Records are retained (in arrival order, with their source) so
     :meth:`drain_to_collector` can serialize the whole captured stream
-    to trace-format-v2 after the run; pass ``retain_records=False`` for
+    to a trace file after the run; pass ``retain_records=False`` for
     a pure monitoring deployment where memory must stay bounded.
     """
 
@@ -338,17 +338,17 @@ class TelemetryAggregator:
         }
 
     # ------------------------------------------------------------------
-    # Drain to trace-format-v2
+    # Drain to a trace file
     # ------------------------------------------------------------------
     def drain_to_collector(self, collector: TraceCollector) -> int:
         """Serialize the retained stream into ``collector``.
 
-        Spans and instants land as wall-domain records, counts and
-        samples as metrics/perf entries — the exact shapes
+        Spans and instants land as wall-domain records, counts, gauges
+        and samples as metrics — the exact shapes
         :func:`repro.obs.perfetto.to_chrome_trace` serializes, so the
-        resulting file is a first-class trace-format-v2 artifact that
-        ``repro analyze`` reads unchanged.  Returns the number of records
-        drained.
+        resulting file is a first-class trace file that ``repro analyze``
+        reads unchanged (and judges with the same detector feed as
+        :meth:`apply`).  Returns the number of records drained.
         """
         if not self.retain_records:
             raise RuntimeError(
@@ -388,9 +388,6 @@ class TelemetryAggregator:
                 collector.metrics.gauge(record.name).set(record.value)
             elif isinstance(record, LiveSample):
                 collector.metrics.histogram(record.name).observe(record.value)
-                collector.perf.series(record.name).append(
-                    record.ts + offset, record.value
-                )
             elif isinstance(record, LiveAnnounce):
                 collector.metadata.setdefault(
                     f"live.source.{source}", record.source
@@ -403,10 +400,6 @@ class TelemetryAggregator:
             collector.metrics.gauge(f"live.ring.{source}.dropped").set(
                 stats["dropped"]
             )
-        collector.perf.add_report("live.telemetry", {
-            "straggler": self.straggler.report(),
-            "abort_storm": self.abort_storm.report(),
-        })
         collector.metadata.setdefault("live_capture", True)
         return drained
 

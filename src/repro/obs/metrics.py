@@ -17,9 +17,9 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_left
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "summary_stats"]
 
 #: Default histogram bucket upper bounds (seconds-flavored but unitless):
 #: covers microseconds to hours with ~3 buckets per decade.
@@ -161,6 +161,20 @@ def _nearest_rank(ordered: List[float], q: float) -> Optional[float]:
     if not ordered:
         return None
     return ordered[max(1, math.ceil(q / 100.0 * len(ordered))) - 1]
+
+
+def summary_stats(values: List[float], percentiles: Tuple[int, ...]) -> Dict[str, object]:
+    """count/mean/max plus ``p<q>`` for each ``q``, by the :class:`Histogram`'s
+    exact nearest-rank rule; every value but the count is None when empty."""
+    ordered = sorted(values)
+    count = len(ordered)
+    stats: Dict[str, object] = {
+        "count": count, "mean": sum(ordered) / count if count else None,
+    }
+    for q in percentiles:
+        stats[f"p{q}"] = _nearest_rank(ordered, q)
+    stats["max"] = ordered[-1] if count else None
+    return stats
 
 
 class MetricsRegistry:

@@ -13,9 +13,8 @@ Lays a collected trace out in the JSON object format both
   from every peer push that triggered it.
 
 The run's metrics snapshot rides along under a top-level ``"metrics"``
-key and the profiler's snapshot under ``"perf"`` (the trace-event
-format explicitly allows extra top-level keys); ``repro analyze``
-reports them back.
+key (the trace-event format explicitly allows extra top-level keys);
+``repro analyze`` reports it back.
 
 The file is the header object (every top-level key but ``traceEvents``,
 on one line, reopened to take ``"traceEvents":[`` as its last member),
@@ -45,7 +44,8 @@ __all__ = ["to_chrome_trace", "write_chrome_trace", "TRACE_FORMAT_VERSION"]
 #: Bumped whenever the layout of the exported JSON changes shape.
 #: v2: top-level "perf" section; histogram snapshots carry exact
 #: percentiles and non-empty buckets; metrics gained "gauges".
-TRACE_FORMAT_VERSION = 2
+#: v3: no "perf" section (``repro analyze`` derives phases from spans).
+TRACE_FORMAT_VERSION = 3
 
 #: Stable pid per clock domain (virtual first: it is the primary substrate).
 _DOMAIN_PIDS = {"virtual": 1, "wall": 2}
@@ -206,7 +206,6 @@ def to_chrome_trace(collector: TraceCollector) -> dict:
         "displayTimeUnit": "ms",
         "otherData": other_data,
         "metrics": collector.metrics.snapshot(),
-        "perf": collector.perf.snapshot(),
     }
 
 

@@ -11,9 +11,12 @@ for re-sync storms (aborts feeding aborts).
 
 Both detectors are fed timestamps by the caller and never read a clock,
 so on the DES substrate their reports are deterministic for a fixed
-seed.  The scheduler keeps a detector pair and exposes their verdicts
-through ``SpecSyncScheduler.anomaly_report()``; the engine keeps its own
-pair (covering non-SpecSync schemes) when profiling is enabled.
+seed.  Two callers feed them the same events — the end of each worker
+``push`` span and each worker ``abort`` instant: ``repro analyze``
+post hoc, for every run of a trace
+(:func:`repro.obs.analysis.phases.detector_reports`), and the live
+aggregator online, for ``repro top``
+(:class:`repro.obs.live.aggregate.TelemetryAggregator`).
 """
 
 from __future__ import annotations

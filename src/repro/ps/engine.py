@@ -44,8 +44,6 @@ from repro.netsim.network import LinkModel, Network
 from repro.obs.clock import VirtualClock
 from repro.obs.core import tracer_for
 from repro.obs.log import VirtualTimeLoggerAdapter, get_logger
-from repro.obs.perf import profiler_for
-from repro.obs.straggler import AbortStormDetector, StragglerDetector
 from repro.obs.tracks import SERVER_TRACK, resync_flow_key, worker_track
 from repro.ps.loop import COMPUTING, WorkerLoop
 from repro.ps.policy import SyncPolicy, WorkerView
@@ -221,14 +219,6 @@ class TrainingEngine:
         # no-op tracer (the default).  Bound at construction — enable
         # observability (repro.obs.collecting) *before* building engines.
         self.tracer = tracer_for(VirtualClock(self.sim))
-        # Profiler (same enablement rules): per-phase virtual-time
-        # histograms plus the online straggler/abort-storm detectors.
-        self.profiler = profiler_for(VirtualClock(self.sim))
-        self._straggler: Optional[StragglerDetector] = None
-        self._abort_storm: Optional[AbortStormDetector] = None
-        if self.profiler.enabled:
-            self._straggler = StragglerDetector(cluster.num_workers)
-            self._abort_storm = AbortStormDetector()
         self._log = VirtualTimeLoggerAdapter(
             get_logger("engine"), lambda: self.sim.now
         )
@@ -341,11 +331,6 @@ class TrainingEngine:
             )
             self.tracer.count("engine.aborts")
             self.tracer.observe("engine.wasted_compute_s", wasted)
-        if self.profiler.enabled:
-            self.profiler.phase(
-                "engine.compute_aborted", start=worker.compute_started_at
-            )
-            self._abort_storm.record_abort(self.sim.now)
         self._log.debug(
             "worker %d aborted iteration %d (wasted %.3gs)",
             worker_id, worker.iteration, wasted,
@@ -399,14 +384,6 @@ class TrainingEngine:
         self._schedule_eval()
         self.sim.run(until=self.config.horizon_s, stop_when=lambda: self._stopped)
         self.policy.on_run_end()
-        if self.profiler.enabled:
-            self.profiler.report(
-                f"engine:{self.workload_name}:{self.policy.name}:seed{self.seed}",
-                {
-                    "straggler": self._straggler.report(),
-                    "abort_storm": self._abort_storm.report(),
-                },
-            )
         if self.tracer.enabled:
             self.tracer.instant(
                 SERVER_TRACK, "run_end", cat="run",
@@ -483,8 +460,6 @@ class TrainingEngine:
                       "version": snapshot.version, "restart": is_restart},
             )
             self.tracer.count("engine.pulls")
-        if self.profiler.enabled:
-            self.profiler.phase("engine.pull", start=worker.pull_issued_at)
         self.traces.record_pull(
             PullEvent(
                 self.sim.now, worker.worker_id, snapshot.version,
@@ -512,8 +487,6 @@ class TrainingEngine:
                 worker.track, "compute", start=worker.compute_started_at,
                 args={"iteration": worker.iteration, "aborted": False},
             )
-        if self.profiler.enabled:
-            self.profiler.phase("engine.compute", start=worker.compute_started_at)
         worker.push_started_at = self.sim.now
         gradient = self.model.gradient(worker.snapshot.params, worker.batch)
         push = Message(
@@ -538,18 +511,6 @@ class TrainingEngine:
             )
             self.tracer.count("engine.pushes")
             self.tracer.observe("engine.staleness", record.staleness)
-        if self.profiler.enabled:
-            # Per-worker push cadence feeds the straggler detector, whose
-            # verdict `repro analyze` prints; the interval series rides
-            # along in the trace's perf section.
-            interval = self._straggler.record_push(worker.worker_id, self.sim.now)
-            self._abort_storm.record_push(self.sim.now)
-            if interval is not None:
-                self.profiler.sample(
-                    f"engine.push_interval.w{worker.worker_id:03d}",
-                    interval,
-                    ts=self.sim.now,
-                )
         self.traces.record_push(
             PushEvent(
                 self.sim.now, worker.worker_id, record.version_after,
@@ -582,11 +543,6 @@ class TrainingEngine:
                       "aborts": worker.aborts_in_iteration},
             )
             self.tracer.observe("engine.iteration_s", span)
-        if self.profiler.enabled:
-            self.profiler.phase("engine.push", start=worker.push_started_at)
-            self.profiler.phase(
-                "engine.iteration", start=worker.iteration_started_at,
-            )
         worker.pushes += 1
         worker.batch = None
         self.policy.on_iteration_complete(worker.worker_id, worker.acked())

@@ -52,8 +52,6 @@ from repro.obs.live.session import (
     worker_source,
 )
 from repro.obs.log import get_logger
-from repro.obs.perf import profiler_for
-from repro.obs.straggler import StragglerDetector
 from repro.ps.shm import ShmParamStore
 from repro.ps.store import ParameterStore
 from repro.obs.tracks import RT_RUN_TRACK, RT_SCHEDULER_TRACK, RT_SERVER_TRACK
@@ -355,10 +353,6 @@ class MultiprocessRun:
         # the collector (no shared memory), so the parent traces what it can
         # see — the notify stream, scheduler decisions, and abort signals.
         tracer = tracer_for(FunctionClock(time.monotonic))
-        profiler = profiler_for(FunctionClock(time.monotonic))
-        # The parent sees every notify, so it can run its own straggler
-        # detector over the drained stream even without a scheduler.
-        straggler = StragglerDetector(num_workers) if profiler.enabled else None
         log = get_logger("runtime")
 
         request_queue = ctx.Queue()
@@ -439,7 +433,6 @@ class MultiprocessRun:
                 tuner=self.tuner,
                 send_resync=send_resync,
                 tracer=tracer,
-                profiler=profiler,
             )
 
         log.info(
@@ -447,7 +440,7 @@ class MultiprocessRun:
             num_workers, duration_s,
         )
         started = time.monotonic()
-        with tracer.measure(RT_RUN_TRACK, "run"), profiler.measure("rt.run"):
+        with tracer.measure(RT_RUN_TRACK, "run"):
             server.start()
             started_workers: List[mp.process.BaseProcess] = []
             try:
@@ -474,14 +467,6 @@ class MultiprocessRun:
                         depth = _queue_depth(notify_queue)
                         if depth >= 0:
                             live_writer.gauge("rt.queue.notify_depth", depth)
-                    if straggler is not None:
-                        interval = straggler.record_push(
-                            worker_id, time.monotonic()
-                        )
-                        if interval is not None:
-                            profiler.sample(
-                                f"rt.notify_interval.w{worker_id:03d}", interval
-                            )
                     if scheduler is not None:
                         scheduler.handle_notify(worker_id, iteration)
 
@@ -492,8 +477,7 @@ class MultiprocessRun:
                 per_worker: Dict[int, int] = {}
                 total_aborts = 0
                 errors: List[str] = []
-                with tracer.measure(RT_SCHEDULER_TRACK, "collect_stats"), \
-                        profiler.measure("rt.collect_stats"):
+                with tracer.measure(RT_SCHEDULER_TRACK, "collect_stats"):
                     for _ in range(num_workers):
                         worker_id, iterations, aborts, error = stats_queue.get(
                             timeout=10.0
@@ -559,10 +543,6 @@ class MultiprocessRun:
                     break
 
         inner = scheduler.inner if scheduler is not None else None
-        if straggler is not None:
-            profiler.report(
-                "runtime.multiprocess", {"straggler": straggler.report()}
-            )
         return MultiprocessRunResult(
             total_iterations=version,
             total_aborts=total_aborts,

@@ -35,7 +35,6 @@ from repro.obs.clock import FunctionClock
 from repro.obs.core import NULL_TRACER, NullTracer, Tracer
 from repro.obs.core import tracer_for
 from repro.obs.log import get_logger
-from repro.obs.perf import ProfilerLike, profiler_for
 from repro.obs.tracks import (
     RT_RUN_TRACK,
     RT_SCHEDULER_TRACK,
@@ -159,7 +158,6 @@ class _ThreadSafeScheduler:
         tuner: HyperparamTuner,
         send_resync,
         tracer: Optional[TracerLike] = None,
-        profiler: Optional[ProfilerLike] = None,
     ):
         self._lock = threading.RLock()
         self._heap: List[Tuple[float, int, Callable[[], None]]] = []
@@ -177,7 +175,6 @@ class _ThreadSafeScheduler:
             # Wall-clock tracer + runtime track names: the identical
             # Algorithm 2 logic reports on the wall-time domain here.
             tracer=tracer,
-            profiler=profiler,
             worker_track_fn=rt_worker_track,
             self_track=RT_SCHEDULER_TRACK,
         )
@@ -292,7 +289,6 @@ class ThreadedRun:
         # real time, so it injects the clock into the (clock-agnostic) obs
         # layer here.  The shared no-op when observability is disabled.
         self.tracer = tracer_for(FunctionClock(time.monotonic))
-        self.profiler = profiler_for(FunctionClock(time.monotonic))
         self._log = get_logger("runtime")
         self.server = ThreadedParameterServer(
             model.init_params(streams.get("init")), update_rule,
@@ -307,7 +303,6 @@ class ThreadedRun:
                 tuner=tuner,
                 send_resync=self._send_resync,
                 tracer=self.tracer,
-                profiler=self.profiler,
             )
 
         self.workers = [
@@ -357,8 +352,7 @@ class ThreadedRun:
             len(self.workers), duration_s,
         )
         started = time.monotonic()
-        with self.tracer.measure(RT_RUN_TRACK, "run"), \
-                self.profiler.measure("rt.run"):
+        with self.tracer.measure(RT_RUN_TRACK, "run"):
             # Joining only the started threads matters: if a start() in the
             # middle of the loop raises, joining a never-started thread
             # would itself raise and mask the original error.
@@ -387,10 +381,6 @@ class ThreadedRun:
 
         final_params, _ = self.server.pull()
         inner = self.scheduler.inner if self.scheduler is not None else None
-        if self.profiler.enabled and inner is not None:
-            report = inner.anomaly_report()
-            if report:
-                self.profiler.report("runtime.threaded", report)
         return ThreadedRunResult(
             total_iterations=sum(w.iterations for w in self.workers),
             total_aborts=sum(w.aborts for w in self.workers),

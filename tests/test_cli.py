@@ -361,14 +361,13 @@ class TestAnalyzeCommand:
         assert "data quality\n  flow origins: 10 emitted, 10 closed, 0 discarded" in out
         assert "sim.events_fired" in out
 
-    def test_text_report_shows_profiler_and_detectors(self, trace_path, capsys):
+    def test_text_report_shows_phases_and_detectors(self, trace_path, capsys):
         capsys.readouterr()
         assert main(["analyze", str(trace_path)]) == 0
         out = capsys.readouterr().out
-        assert "profiler phase percentiles" in out
-        assert "engine.compute" in out
-        assert "anomaly detectors" in out
-        assert "no stragglers; abort storm calm" in out
+        assert "worker phase percentiles" in out
+        assert "compute_aborted" in out
+        assert "detectors: no stragglers; abort storm calm" in out
 
     def test_json_recording_accounts_for_the_trace(self, trace_path, capsys):
         trace = json.loads(trace_path.read_text(encoding="utf-8"))
@@ -380,14 +379,18 @@ class TestAnalyzeCommand:
         assert recording["spans"]["iteration"]["count"] > 0
         assert recording["metrics"] == trace["metrics"]
 
-    def test_json_recording_carries_the_perf_section(self, trace_path, capsys):
+    def test_json_runs_carry_phases_and_detectors(self, trace_path, capsys):
         trace = json.loads(trace_path.read_text(encoding="utf-8"))
+        assert "perf" not in trace
         capsys.readouterr()
         assert main(["analyze", str(trace_path), "--format", "json"]) == 0
-        perf = json.loads(capsys.readouterr().out)["recording"]["perf"]
-        assert perf == trace["perf"]
-        assert perf["schema_version"] == 1
-        assert "engine.iteration" in perf["phases"]
+        analysis = json.loads(capsys.readouterr().out)
+        assert "perf" not in analysis["recording"]
+        (run,) = analysis["runs"]
+        pushes = sum(w["pushes"] for w in run["ledger"]["per_worker"].values())
+        assert run["phases"]["iteration"]["count"] == pushes > 0
+        assert run["detectors"]["straggler"]["num_workers"] == 3
+        assert run["detectors"]["abort_storm"]["total_aborts"] == run["total_aborts"]
 
     def test_json_reports_flow_accounting_and_aborts(self, trace_path, capsys):
         capsys.readouterr()
@@ -458,7 +461,7 @@ class TestAnalyzeCommand:
         printed = json.loads(capsys.readouterr().out)
         saved = json.loads(out_path.read_text(encoding="utf-8"))
         assert printed == saved
-        assert saved["schema_version"] == 2
+        assert saved["schema_version"] == 3
         (run,) = saved["runs"]
         total = sum(run["critical_path"]["by_category"].values())
         assert abs(total - run["critical_path"]["total_s"]) <= (
@@ -568,7 +571,7 @@ class TestTopCommand:
             for gauges in snapshot["gauges"].values()
         )
         assert "straggler" in snapshot["detectors"]
-        # The drained artifact is a real trace-format-v2 file.
+        # The drained artifact is a real trace file.
         trace = json.loads(trace_path.read_text())
         assert "traceEvents" in trace
 
@@ -591,6 +594,10 @@ class TestTopCommand:
         (run,) = json.loads(capsys.readouterr().out)["runs"]
         pushes = sum(w["pushes"] for w in run["ledger"]["per_worker"].values())
         assert pushes == live_snapshot["totals"]["iterations"]
+        # Live and post hoc feed the straggler detector the same push ends.
+        live, drained = live_snapshot["detectors"]["straggler"], run["detectors"]["straggler"]
+        assert drained["total_pushes"] == live["total_pushes"] == pushes
+        assert drained["stragglers"] == live["stragglers"]
 
     def test_attach_rejects_missing_spec(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"

@@ -46,11 +46,10 @@ MODULES = [
     "repro.netsim.ledger",
     "repro.netsim.messages",
     "repro.netsim.network",
+    "repro.obs.analysis.phases",
     "repro.obs.analysis.report",
     "repro.obs.metrics",
-    "repro.obs.perf",
     "repro.obs.straggler",
-    "repro.obs.timeseries",
     "repro.ps.engine",
     "repro.ps.policy",
     "repro.ps.result",

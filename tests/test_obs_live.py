@@ -4,7 +4,7 @@ Covers the binary wire format, the SPSC ring (wraparound, overflow
 drop-counting, cross-process visibility under fork), the writer facades,
 the online aggregator (rates, phases, clock alignment, detector feeds),
 the session lifecycle, and the end-to-end multiprocess capture: a
-live-exported run must drain to a trace-format-v2 file whose analysis
+live-exported run must drain to a trace file whose analysis
 agrees with the conventionally-traced copy of the same run.
 """
 
@@ -340,8 +340,33 @@ class TestAggregator:
         snapshot = collector.metrics.snapshot()
         assert snapshot["counters"]["rt.pushes"] == 4
         assert snapshot["histograms"]["rt.msg.push.latency_s"]["count"] == 4
-        perf = collector.perf.snapshot()
-        assert "live.telemetry" in perf["reports"]
+
+    def test_drained_trace_judges_the_events_the_live_detectors_saw(self):
+        # Worker 5 pushes at a quarter of its peers' rate; an abort burst.
+        records = [
+            (end, LiveSpan(f"rt.worker-{worker}", "push", "span", end - 0.5, end))
+            for worker in range(8)
+            for end in ((4.0 if worker == 5 else 1.0) * i for i in range(1, 7))
+        ] + [
+            (ts, LiveInstant("rt.worker-0", "abort", "abort", ts))
+            for ts in (2.0 + 0.05 * i for i in range(1, 17))
+        ]
+        aggregator = TelemetryAggregator(num_workers=8)
+        for ts, record in sorted(records, key=lambda pair: pair[0]):
+            aggregator.apply("w", record, recv_ts=ts)
+        collector = obs.TraceCollector()
+        aggregator.drain_to_collector(collector)
+        (run,) = analyze_trace(obs.to_chrome_trace(collector))["runs"]
+        live = aggregator.snapshot()["detectors"]
+        # analyze rounds its floats to 9 decimals: compare those approximately
+        for name in ("straggler", "abort_storm"):
+            drained, online = dict(run["detectors"][name]), dict(live[name])
+            for key in ("mean_intervals", "z_scores", "abort_ratio"):
+                if key in online:
+                    assert drained.pop(key) == pytest.approx(online.pop(key))
+            assert drained == online
+        assert live["straggler"]["stragglers"] == [5]
+        assert live["abort_storm"]["storm_count"] == 1
 
 
 class TestSession:
@@ -490,7 +515,7 @@ class TestLiveCaptureEndToEnd:
             assert "pull" in snapshot["phases"]
             assert "push" in snapshot["phases"]
 
-            # The drained capture is a first-class trace-format-v2 file.
+            # The drained capture is a first-class trace file.
             live_collector = obs.TraceCollector()
             drained = aggregator.drain_to_collector(live_collector)
             assert drained == snapshot["totals"]["records"]

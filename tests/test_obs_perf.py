@@ -1,142 +1,145 @@
-"""Profiler correctness: determinism on the DES, trace export, null path.
+"""Performance phases and detector verdicts that ``repro analyze`` derives
+from the worker spans of a trace (:mod:`repro.obs.analysis.phases`).
 
-The headline guarantee (ISSUE acceptance): two identical seeded DES runs
-produce **byte-identical** perf snapshots, because every phase duration
-comes from the virtual clock and every snapshot renders sorted.
+The headline guarantee: two identical seeded DES runs produce
+byte-identical ``phases`` and ``detectors``, because every duration is
+virtual time and every report renders sorted.
 """
 
 import io
 import json
 
+import pytest
+
 from repro.cluster.spec import ClusterSpec
 from repro.core.specsync import SpecSyncPolicy
-from repro.obs import (
-    NULL_PROFILER,
-    PERF_SCHEMA_VERSION,
-    PerfProfile,
-    Profiler,
-    collecting,
-    analyze_trace,
-    profiler_for,
-    render_analysis_text,
-    write_chrome_trace,
-)
-from repro.obs.clock import FunctionClock
+from repro.obs import analyze_trace, collecting, render_analysis_text, write_chrome_trace
+from repro.obs.analysis.phases import PHASES
 from repro.workloads import tiny_workload
 
+_US = 1_000_000
 
-def _seeded_perf_snapshot() -> dict:
-    workload = tiny_workload()
+
+def _seeded_analysis() -> dict:
     with collecting() as collector:
-        workload.run(
-            ClusterSpec.homogeneous(3),
-            SpecSyncPolicy.adaptive(),
-            seed=3,
-            horizon_s=30.0,
+        tiny_workload().run(
+            ClusterSpec.homogeneous(3), SpecSyncPolicy.adaptive(),
+            seed=3, horizon_s=30.0,
         )
-    return collector.perf.snapshot()
+    handle = io.StringIO()
+    write_chrome_trace(collector, handle)
+    return analyze_trace(json.loads(handle.getvalue()))
 
 
 class TestDeterminism:
     def test_identical_runs_have_byte_identical_snapshots(self):
-        first = json.dumps(_seeded_perf_snapshot(), sort_keys=True)
-        second = json.dumps(_seeded_perf_snapshot(), sort_keys=True)
-        assert first == second
+        first, second = (_seeded_analysis()["runs"] for _ in range(2))
+        for key in ("phases", "detectors"):
+            assert json.dumps([r[key] for r in first], sort_keys=True) == json.dumps(
+                [r[key] for r in second], sort_keys=True
+            )
 
     def test_expected_phases_and_reports_are_present(self):
-        perf = _seeded_perf_snapshot()
-        assert perf["schema_version"] == PERF_SCHEMA_VERSION
-        for phase in ("engine.pull", "engine.compute", "engine.push",
-                      "engine.iteration", "scheduler.check_skew"):
-            assert phase in perf["phases"], phase
-            assert perf["phases"][phase]["count"] > 0
-        assert "engine:tiny:specsync-adaptive:seed3" in perf["reports"]
-        assert "scheduler:specsync-adaptive" in perf["reports"]
-        assert any(
-            name.startswith("engine.push_interval.w") for name in perf["series"]
-        )
-        assert any(
-            name.startswith("sim.dispatch.") for name in perf["counters"]
-        )
+        (run,) = _seeded_analysis()["runs"]
+        assert list(run["phases"]) == list(PHASES)
+        for name in PHASES:
+            stats = run["phases"][name]
+            assert stats["count"] > 0, name
+            assert stats["p50"] <= stats["p90"] <= stats["p99"] <= stats["max"]
+        # Every completed iteration is one push and one iteration span.
+        pushes = sum(w["pushes"] for w in run["ledger"]["per_worker"].values())
+        assert run["phases"]["iteration"]["count"] == pushes
+        assert run["phases"]["compute_aborted"]["count"] == run["ledger"]["total_aborts"]
+        straggler, storm = run["detectors"]["straggler"], run["detectors"]["abort_storm"]
+        assert straggler["num_workers"] == 3
+        assert straggler["total_pushes"] == pushes
+        assert storm["total_aborts"] == run["ledger"]["total_aborts"]
 
 
-class TestProfilerUnit:
-    def test_phase_measure_hit_sample_report(self):
-        ticks = iter(float(i) for i in range(100))
-        profiler = Profiler(PerfProfile(), FunctionClock(lambda: next(ticks)))
-        profiler.phase("p", start=0.0, end=2.5)
-        with profiler.measure("m"):
-            pass
-        profiler.hit("h", 3.0)
-        profiler.sample("s", 42.0, ts=1.0)
-        profiler.report("r", {"ok": True})
-        snap = profiler.profile.snapshot()
-        assert snap["phases"]["p"]["mean"] == 2.5
-        assert snap["phases"]["m"]["count"] == 1
-        assert snap["counters"]["h"] == 3.0
-        assert snap["series"]["s"]["last"] == 42.0
-        assert snap["reports"]["r"] == {"ok": True}
+# ----------------------------------------------------------------------
+# Synthetic traces: which spans count, and the detectors' feed
+# ----------------------------------------------------------------------
+def _trace(events, workers=2, meta=None):
+    layout = [{"ph": "M", "pid": 1, "tid": 0, "name": "process_name",
+               "args": {"name": "virtual time"}}]
+    layout += [{"ph": "M", "pid": 1, "tid": w + 1, "name": "thread_name",
+                "args": {"name": f"worker-{w}"}} for w in range(workers)]
+    layout.append({"ph": "M", "pid": 1, "tid": 99, "name": "thread_name",
+                   "args": {"name": "server"}})
+    return {"traceEvents": layout + events, "otherData": dict(meta or {})}
 
-    def test_profile_empty_flag(self):
-        profile = PerfProfile()
-        assert profile.empty
-        profile.counter("c").inc()
-        assert not profile.empty
 
-    def test_profiler_for_returns_null_when_disabled(self):
-        profiler = profiler_for(FunctionClock(lambda: 0.0))
-        assert profiler is NULL_PROFILER
-        assert not profiler.enabled
+def _span(tid, name, start_s, dur_s, args=None):
+    return {"ph": "X", "pid": 1, "tid": tid, "name": name, "cat": "span",
+            "ts": start_s * _US, "dur": dur_s * _US, "args": args or {}}
 
-    def test_profiler_for_binds_active_collector(self):
-        with collecting() as collector:
-            profiler = profiler_for(FunctionClock(lambda: 0.0))
-            assert profiler.enabled
-            profiler.hit("x")
-        assert collector.perf.snapshot()["counters"]["x"] == 1.0
 
-    def test_null_profiler_is_inert(self):
-        NULL_PROFILER.phase("p", 0.0, 1.0)
-        NULL_PROFILER.hit("h")
-        NULL_PROFILER.sample("s", 1.0)
-        NULL_PROFILER.report("r", {})
-        with NULL_PROFILER.measure("m"):
-            pass
+def _abort(tid, ts_s):
+    return {"ph": "i", "s": "t", "pid": 1, "tid": tid, "name": "abort",
+            "cat": "abort", "ts": ts_s * _US}
+
+
+class TestPhaseStats:
+    def test_server_spans_do_not_count_and_aborted_compute_is_split(self):
+        (run,) = analyze_trace(_trace([
+            _span(1, "pull", 0.0, 1.0),
+            _span(99, "pull", 0.0, 5.0),   # the server's side of the pull
+            _span(1, "compute", 1.0, 0.5, {"aborted": True}),
+            _span(1, "compute", 1.5, 2.0, {"aborted": False}),
+            _span(2, "compute", 0.0, 4.0),
+            _span(1, "push", 3.5, 0.25),
+            _span(99, "push", 3.5, 9.0),
+        ]))["runs"]
+        phases = run["phases"]
+        assert phases["pull"]["count"] == 1 and phases["pull"]["max"] == 1.0
+        assert phases["compute_aborted"]["count"] == 1
+        assert phases["compute_aborted"]["max"] == 0.5
+        assert phases["compute"]["count"] == 2
+        assert phases["compute"]["mean"] == 3.0
+        assert phases["push"]["max"] == 0.25
+        assert phases["iteration"] == {
+            "count": 0, "mean": None, "p50": None, "p90": None, "p99": None, "max": None,
+        }
+
+    def test_percentiles_are_nearest_rank(self):
+        (run,) = analyze_trace(_trace([
+            _span(1, "iteration", float(i), float(i)) for i in range(1, 11)
+        ]))["runs"]
+        stats = run["phases"]["iteration"]
+        assert (stats["p50"], stats["p90"], stats["p99"], stats["max"]) == (5.0, 9.0, 10.0, 10.0)
+
+
+class TestDetectorFeed:
+    def test_push_ends_feed_both_detectors_and_aborts_the_storm_detector(self):
+        (run,) = analyze_trace(_trace([
+            _span(1, "push", 0.0, 1.0),
+            _abort(2, 1.5),
+            _span(2, "push", 1.0, 2.0),
+        ]))["runs"]
+        straggler, storm = run["detectors"]["straggler"], run["detectors"]["abort_storm"]
+        assert straggler["total_pushes"] == 2
+        assert (storm["total_pushes"], storm["total_aborts"]) == (2, 1)
+        assert storm["abort_ratio"] == pytest.approx(1 / 3)
+
+    def test_worker_count_prefers_run_metadata(self):
+        events = [_span(1, "push", 0.0, 1.0), _span(2, "pull", 0.0, 1.0)]
+        (bare,) = analyze_trace(_trace(events))["runs"]
+        (declared,) = analyze_trace(_trace(events, meta={"workers": 8}))["runs"]
+        assert bare["detectors"]["straggler"]["num_workers"] == 2
+        assert declared["detectors"]["straggler"]["num_workers"] == 8
+
+    def test_a_run_without_workers_still_gets_a_report(self):
+        (run,) = analyze_trace(_trace([_span(99, "push", 0.0, 1.0)], workers=0))["runs"]
+        assert run["detectors"]["straggler"]["stragglers"] == []
+        assert run["detectors"]["abort_storm"]["total_pushes"] == 0
 
 
 class TestTraceExport:
-    def test_perf_section_lands_in_trace_file(self):
-        workload = tiny_workload()
-        with collecting() as collector:
-            workload.run(
-                ClusterSpec.homogeneous(3),
-                SpecSyncPolicy.adaptive(),
-                seed=3,
-                horizon_s=30.0,
-            )
-        handle = io.StringIO()
-        write_chrome_trace(collector, handle)
-        trace = json.loads(handle.getvalue())
-        assert trace["otherData"]["format_version"] == 2
-        assert trace["perf"]["schema_version"] == PERF_SCHEMA_VERSION
-        assert trace["perf"]["phases"]
-
-    def test_analysis_text_renders_profiler_sections(self):
-        workload = tiny_workload()
-        with collecting() as collector:
-            workload.run(
-                ClusterSpec.homogeneous(3),
-                SpecSyncPolicy.adaptive(),
-                seed=3,
-                horizon_s=30.0,
-            )
-        handle = io.StringIO()
-        write_chrome_trace(collector, handle)
-        text = render_analysis_text(analyze_trace(json.loads(handle.getvalue())))
-        assert "profiler phase percentiles" in text
-        assert "engine.iteration" in text
-        assert "anomaly detectors" in text
-        assert "scheduler:specsync-adaptive: no stragglers" in text
+    def test_analysis_text_renders_phases_and_detectors(self):
+        text = render_analysis_text(_seeded_analysis())
+        assert "worker phase percentiles" in text
+        assert "compute_aborted" in text
+        assert "detectors: no stragglers; abort storm calm" in text
 
     def test_analysis_text_without_perf_section(self):
         text = render_analysis_text(analyze_trace({
@@ -144,5 +147,5 @@ class TestTraceExport:
             "metrics": {"counters": {"engine.pushes": 1}},
         }))
         assert "metrics-only capture" in text
-        assert "profiler phase percentiles" not in text
-        assert "anomaly detectors" not in text
+        assert "worker phase percentiles" not in text
+        assert "detectors:" not in text

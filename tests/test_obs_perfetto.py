@@ -58,16 +58,13 @@ def run_trace() -> dict:
 class TestSchema:
     def test_top_level_layout(self, run_trace):
         assert set(run_trace) == {
-            "traceEvents", "displayTimeUnit", "otherData", "metrics", "perf"
+            "traceEvents", "displayTimeUnit", "otherData", "metrics"
         }
         assert run_trace["displayTimeUnit"] == "ms"
         assert run_trace["otherData"]["format_version"] == TRACE_FORMAT_VERSION
         assert run_trace["otherData"]["workload"] == "tiny"
         assert set(run_trace["metrics"]) == {
             "counters", "gauges", "histograms"
-        }
-        assert set(run_trace["perf"]) == {
-            "schema_version", "phases", "counters", "series", "reports"
         }
 
     def test_every_event_is_well_formed(self, run_trace):

@@ -1,5 +1,6 @@
 """One report on every substrate: ``repro analyze`` reads a DES, a
-threaded and a multiprocess capture of the same seed through one schema.
+threaded and a multiprocess capture of the same seed through one schema,
+phase percentiles and straggler verdicts included.
 
 The multiprocess run is captured twice at once: drained from its live
 session (every worker's spans) and by the parent's collector alone (the
@@ -108,6 +109,22 @@ def test_one_report_on_every_substrate(captures, substrate, capsys):
     assert pushes == iterations
     assert sum(pushes.values()) > 0
     assert analysis["recording"]["metrics"]
+
+
+@pytest.mark.parametrize("substrate", ["des", "threads", "processes"])
+def test_phases_and_detectors_on_every_substrate(captures, substrate):
+    """Every substrate gets its phases and straggler verdict from the same
+    worker spans — not from whichever online detector it happened to host."""
+    path, _ = captures[substrate]
+    with open(path, encoding="utf-8") as handle:
+        (run,) = obs.analyze_trace(json.load(handle))["runs"]
+    pushes = sum(worker["pushes"] for worker in run["ledger"]["per_worker"].values())
+    assert run["phases"]["iteration"]["count"] == pushes > 0
+    assert run["phases"]["push"]["count"] == pushes
+    straggler = run["detectors"]["straggler"]
+    assert straggler["num_workers"] == WORKERS
+    assert straggler["total_pushes"] == pushes
+    assert isinstance(straggler["stragglers"], list)
 
 
 def test_collector_only_multiprocess_capture_trips_the_gate(captures, capsys):

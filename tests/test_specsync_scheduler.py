@@ -241,3 +241,26 @@ class TestValidation:
         summary = scheduler.summary()
         assert summary["checks_run"] == 2
         assert summary["resyncs_sent"] == len(resyncs)
+
+
+def test_observing_a_run_leaves_its_summary_unchanged():
+    """An enabled collector records the run; it must not add summary keys."""
+    from repro.cluster.spec import ClusterSpec
+    from repro.core.specsync import SpecSyncPolicy
+    from repro.obs import collecting
+    from repro.workloads import tiny_workload
+
+    def summary():
+        result = tiny_workload().run(
+            ClusterSpec.homogeneous(3), SpecSyncPolicy.adaptive(), seed=3, horizon_s=30.0,
+        )
+        return result.summary()
+
+    plain = summary()
+    with collecting():
+        observed = summary()
+    assert sorted(observed) == sorted(plain)
+    # Tuning time is host wall time; every simulated figure is equal.
+    plain.pop("tuning_wall_s")
+    observed.pop("tuning_wall_s")
+    assert observed == plain

@@ -7,6 +7,8 @@ default threshold); tiny 3–4 worker clusters mathematically cannot flag
 a lone straggler, which is the intended conservatism.
 """
 
+import io
+import json
 import math
 import random
 
@@ -15,7 +17,13 @@ import pytest
 
 from repro.cluster.scenarios import SlowdownWindow, build_scenario_models
 from repro.cluster.spec import ClusterSpec
-from repro.obs import AbortStormDetector, StragglerDetector, collecting
+from repro.obs import (
+    AbortStormDetector,
+    StragglerDetector,
+    analyze_trace,
+    collecting,
+    write_chrome_trace,
+)
 from repro.ps.engine import EngineConfig, TrainingEngine
 from repro.sync import AspPolicy
 from repro.workloads import tiny_workload
@@ -165,7 +173,8 @@ class TestAbortStormDetector:
 
 class TestEngineIntegration:
     def _run_scenario_engine(self, events):
-        """Seeded tiny-workload DES run with scripted slowdowns, profiled."""
+        """Seeded tiny-workload DES run with scripted slowdowns: the
+        verdicts ``repro analyze`` derives from its trace."""
         workload = tiny_workload()
         cluster = ClusterSpec.homogeneous(8)
         dataset = workload.dataset_factory(0)
@@ -189,19 +198,21 @@ class TestEngineIntegration:
                 workload_name="tiny",
             )
             engine.run()
-        return collector.perf.snapshot()
+        handle = io.StringIO()
+        write_chrome_trace(collector, handle)
+        (run,) = analyze_trace(json.loads(handle.getvalue()))["runs"]
+        return run["detectors"]
 
     def test_scenario_slowdown_is_flagged_in_engine_report(self):
-        perf = self._run_scenario_engine(
+        report = self._run_scenario_engine(
             {2: [SlowdownWindow(0.0, 60.0, factor=6.0)]}
         )
-        report = perf["reports"]["engine:tiny:asp:seed0"]
+        assert report["straggler"]["num_workers"] == 8
         assert report["straggler"]["stragglers"] == [2]
         assert not report["abort_storm"]["storming"]
 
     def test_homogeneous_run_flags_nothing(self):
-        perf = self._run_scenario_engine({})
-        report = perf["reports"]["engine:tiny:asp:seed0"]
+        report = self._run_scenario_engine({})
         assert report["straggler"]["stragglers"] == []
 
 
