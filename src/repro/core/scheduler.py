@@ -31,7 +31,7 @@ from repro.core.tuning import EpochTrace, HyperparamTuner
 from repro.metrics.traces import PushHistory
 from repro.obs.core import NULL_TRACER, NullTracer, Tracer
 from repro.obs.log import get_logger
-from repro.obs.tracks import SCHEDULER_TRACK, resync_flow_key, worker_track
+from repro.obs.tracks import SCHEDULER_TRACK, resync_flow_key
 
 __all__ = ["SpecSyncScheduler"]
 
@@ -51,7 +51,6 @@ class SpecSyncScheduler:
         send_resync_fn: Callable[[int, int, int], None],
         span_window: int = 8,
         tracer: Optional[TracerLike] = None,
-        worker_track_fn: Callable[[int], str] = worker_track,
         self_track: str = SCHEDULER_TRACK,
     ):
         if num_workers < 1:
@@ -62,10 +61,9 @@ class SpecSyncScheduler:
         self._now = now_fn
         self._send_resync = send_resync_fn
         #: Observability: the host (DES policy / runtime adapter) passes a
-        #: tracer bound to *its* clock, plus its track-name convention, so
+        #: tracer bound to *its* clock, plus its own track name, so
         #: the engine-agnostic scheduler never chooses a clock domain.
         self.tracer: TracerLike = tracer if tracer is not None else NULL_TRACER
-        self._worker_track = worker_track_fn
         self._self_track = self_track
         self._log = get_logger("scheduler")
 
@@ -203,12 +201,13 @@ class SpecSyncScheduler:
         count: int,
         now: float,
     ) -> None:
-        """Emit the decision event and stage one causal-flow origin per
-        contributing peer push (plus the decision itself).  The engine
-        closes the key at the abort point; a re-sync that arrives too
-        late discards it, so only honored aborts grow arrows.
+        """Emit the decision event and stage its one causal-flow origin.
+
+        The engine closes the key at the abort point; a re-sync that
+        arrives too late discards it, so only honoured aborts grow an
+        arrow.  The pushes that triggered the decision are the other
+        workers' ``notify`` instants in (``window_start``, now].
         """
-        contributing = self._history.between(window_start, now, worker_id)
         self.tracer.instant(
             self._self_track, "resync_decision", cat="abort",
             args={"worker": worker_id, "iteration": iteration,
@@ -216,16 +215,9 @@ class SpecSyncScheduler:
                   "window_start": round(window_start, 9)},
         )
         self.tracer.count("scheduler.resyncs_sent")
-        track_of = self._worker_track
-        sources: List[Tuple[str, float, Optional[dict]]] = [
-            (track_of(pusher), push_time, {"pusher": pusher})
-            for push_time, pusher in contributing
-        ]
-        sources.append(
-            (self._self_track, now, {"decision": True, "peer_pushes": count})
-        )
-        self.tracer.flow_begin_many(
-            resync_flow_key(worker_id, iteration), "abort", sources, cat="abort"
+        self.tracer.flow_begin(
+            resync_flow_key(worker_id, iteration), self._self_track, "abort",
+            ts=now, cat="abort", args={"decision": True, "peer_pushes": count},
         )
 
     # ------------------------------------------------------------------

@@ -83,17 +83,6 @@ class PushHistory:
         """(time, worker) of every push logged from position ``index`` on."""
         return list(zip(self.times[index:], self._workers[index:]))
 
-    def between(
-        self, start: float, end: float, exclude_worker: int
-    ) -> List[Tuple[float, int]]:
-        """(time, worker) of each push in (start, end] by anyone else."""
-        times, workers = self.times, self._workers
-        return [
-            (times[i], workers[i])
-            for i in range(bisect_right(times, start), bisect_right(times, end))
-            if workers[i] != exclude_worker
-        ]
-
 
 class TraceRecorder:
     """Append-only trace store with the index structures analyses need."""

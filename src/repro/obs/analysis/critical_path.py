@@ -29,7 +29,7 @@ from __future__ import annotations
 import bisect
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.analysis.graph import AnalyzedSpan, RunSegment
+from repro.obs.analysis.graph import TS_TOLERANCE, AnalyzedSpan, RunSegment
 
 __all__ = ["ATTRIBUTION_CATEGORIES", "critical_path", "per_worker_breakdown"]
 
@@ -42,10 +42,6 @@ ATTRIBUTION_CATEGORIES = (
     "abort_wasted_work",
 )
 
-#: matching tolerance for "this flow arrow lands on this abort" — trace
-#: timestamps are rounded to 1e-3 µs by the exporter, i.e. 1e-9 s
-_TS_TOLERANCE = 1e-8
-
 #: leaf span names attributed as wire/server time
 _NETWORK_SPANS = frozenset({"pull", "push"})
 
@@ -53,10 +49,10 @@ _NETWORK_SPANS = frozenset({"pull", "push"})
 def _decision_times(run: RunSegment) -> Dict[Tuple[str, float], float]:
     """(dst_track, rounded abort ts) → scheduler decision time.
 
-    The scheduler stages one flow origin per contributing peer push plus
-    one *decision* origin (``args.decision``); all close at the abort
-    point.  The decision origin's source timestamp is when the scheduler
-    committed to the re-sync.
+    The scheduler stages one flow origin per re-sync decision
+    (``args.decision``), closed at the abort point, so every honoured
+    abort has exactly one arrow; its source timestamp is when the
+    scheduler committed to the re-sync.
     """
     decisions: Dict[Tuple[str, float], float] = {}
     for flow in run.flows:
@@ -72,7 +68,7 @@ def _decision_for(
     if exact is not None:
         return exact
     for (track, ts), decided in decisions.items():
-        if track == span.track and abs(ts - span.end) <= _TS_TOLERANCE:
+        if track == span.track and abs(ts - span.end) <= TS_TOLERANCE:
             return decided
     return None
 

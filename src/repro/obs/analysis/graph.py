@@ -22,6 +22,7 @@ which id broke.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -33,9 +34,14 @@ __all__ = [
     "RunSegment",
     "CausalGraph",
     "WORKER_TRACK_RE",
+    "TS_TOLERANCE",
 ]
 
 _US_TO_S = 1e-6
+
+#: matching tolerance for "these two events share one clock read" — trace
+#: timestamps are rounded to 1e-3 µs by the exporter, i.e. 1e-9 s
+TS_TOLERANCE = 1e-8
 
 #: the phases the graph is built from: spans, instants, flow start/finish
 _ANALYZED_PHASES = ("s", "f", "X", "i")
@@ -316,4 +322,27 @@ class CausalGraph:
                 f"{len(open_flows)} flow start(s) never finished "
                 f"(dangling ids: {ids})"
             )
+        for run in graph.runs:
+            _flag_aborted_computes(run)
         return graph
+
+
+def _flag_aborted_computes(run: RunSegment) -> None:
+    """Flag ``aborted: true`` on each ``compute`` span that ends at an
+    ``abort`` instant on its own track.
+
+    The DES flags its own.  A wall-clock worker's span carries no args,
+    but the worker stamps its end and the abort instant with one clock
+    read, so the analysis counts its aborted compute the same way.
+    """
+    aborts: Dict[str, List[float]] = {}
+    for instant in run.named_instants("abort"):
+        aborts.setdefault(instant.track, []).append(instant.ts)
+    for times in aborts.values():
+        times.sort()
+    for span in run.spans:
+        times = aborts.get(span.track)
+        if span.name == "compute" and times and not span.args.get("aborted"):
+            index = bisect_left(times, span.end - TS_TOLERANCE)
+            if index < len(times) and times[index] <= span.end + TS_TOLERANCE:
+                span.args["aborted"] = True

@@ -23,17 +23,19 @@ began and emits one complete span when it ends.  The runtime backends,
 where operations *are* lexically scoped, use :meth:`Tracer.measure`.
 
 Causality (the paper's re-sync decisions) is recorded with *pending
-flows*: the scheduler registers flow origins under a key — one per peer
-push that contributed to a re-sync decision, plus the decision itself —
-and the engine closes the key at the abort point.  Origins whose re-sync
-arrived too late are never closed and never exported.
+flows*: the scheduler registers one flow origin per re-sync decision
+under a key, and the engine closes the key at the abort point — one
+arrow per honoured abort.  The peer pushes behind a decision are already
+in the trace as ``notify`` instants, so they get no arrows of their own.
+Origins whose re-sync arrived too late are never closed and never
+exported.
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager, nullcontext
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from repro.obs.clock import Clock
 from repro.obs.metrics import MetricsRegistry
@@ -127,14 +129,14 @@ class TraceCollector:
         """Add one finished record."""
         self.records.append(record)
 
-    def register_flow_origins(self, key: FlowKey, origins: List[_FlowOrigin]) -> None:
-        """Remember causal sources until ``close_flows(key)`` lands."""
+    def register_flow_origin(self, key: FlowKey, origin: _FlowOrigin) -> None:
+        """Remember a causal source until ``close_flows(key)`` lands."""
         with self._flow_lock:
-            self._pending_flows.setdefault(key, []).extend(origins)
+            self._pending_flows.setdefault(key, []).append(origin)
         # Flow accounting: every origin is either closed into an arrow,
         # discarded (late re-sync), or still pending at export.  Lazily
         # created so empty collections stay metric-free.
-        self.metrics.counter("obs.flow_origins_registered").inc(len(origins))
+        self.metrics.counter("obs.flow_origins_registered").inc()
 
     def close_flows(
         self, key: FlowKey, domain: str, track: str, ts: float
@@ -279,22 +281,10 @@ class Tracer:
         args: Optional[dict] = None,
     ) -> None:
         """Register a causal source under ``key`` (closed by ``flow_end``)."""
-        self.flow_begin_many(
-            key, name, [(track, self.clock.now() if ts is None else ts, args)], cat
-        )
-
-    def flow_begin_many(
-        self,
-        key: FlowKey,
-        name: str,
-        sources: Iterable[Tuple[str, float, Optional[dict]]],
-        cat: str = "flow",
-    ) -> None:
-        """Register every ``(track, ts, args)`` source under ``key`` at once."""
-        domain = self._domain
-        self.collector.register_flow_origins(
+        self.collector.register_flow_origin(
             key,
-            [_FlowOrigin(domain, track, name, cat, ts, args) for track, ts, args in sources],
+            _FlowOrigin(self._domain, track, name, cat,
+                        self.clock.now() if ts is None else ts, args),
         )
 
     def flow_end(self, key: FlowKey, track: str, ts: Optional[float] = None) -> int:
@@ -354,9 +344,6 @@ class NullTracer:
         return _NULL_SCOPE
 
     def flow_begin(self, *_args, **_kwargs) -> None:
-        """No-op."""
-
-    def flow_begin_many(self, *_args, **_kwargs) -> None:
         """No-op."""
 
     def flow_end(self, *_args, **_kwargs) -> int:

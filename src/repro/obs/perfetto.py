@@ -9,8 +9,8 @@ Lays a collected trace out in the JSON object format both
   tracks, named via ``M`` metadata events;
 * spans as complete events (``ph: "X"``, microsecond ``ts``/``dur``),
   point events as instants (``ph: "i"``), causal links as flow pairs
-  (``ph: "s"`` → ``ph: "f"``) — a re-synced worker's abort shows arrows
-  from every peer push that triggered it.
+  (``ph: "s"`` → ``ph: "f"``) — a re-synced worker's abort shows one
+  arrow from the scheduler's decision that triggered it.
 
 The run's metrics snapshot rides along under a top-level ``"metrics"``
 key (the trace-event format explicitly allows extra top-level keys);

@@ -312,8 +312,8 @@ class TrainingEngine:
         wasted = self.sim.now - worker.compute_started_at
         if self.tracer.enabled:
             # The aborted portion of the compute, the abort point itself,
-            # and the causal arrows from the peer pushes (and scheduler
-            # decision) that triggered this re-sync.
+            # and the causal arrow from the scheduler decision that
+            # triggered this re-sync.
             self.tracer.span(
                 worker.track, "compute", start=worker.compute_started_at,
                 args={"iteration": worker.iteration, "aborted": True,

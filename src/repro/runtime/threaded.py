@@ -35,12 +35,7 @@ from repro.obs.clock import FunctionClock
 from repro.obs.core import NULL_TRACER, NullTracer, Tracer
 from repro.obs.core import tracer_for
 from repro.obs.log import get_logger
-from repro.obs.tracks import (
-    RT_RUN_TRACK,
-    RT_SCHEDULER_TRACK,
-    RT_SERVER_TRACK,
-    rt_worker_track,
-)
+from repro.obs.tracks import RT_RUN_TRACK, RT_SCHEDULER_TRACK, RT_SERVER_TRACK
 from repro.ps.store import ParameterStore, PullSnapshot
 from repro.runtime.worker import Worker, signal_resync
 from repro.utils.rng import RngStreams
@@ -172,10 +167,9 @@ class _ThreadSafeScheduler:
             schedule_fn=self._schedule,
             now_fn=time.monotonic,
             send_resync_fn=send_resync,
-            # Wall-clock tracer + runtime track names: the identical
+            # Wall-clock tracer + the runtime scheduler track: the identical
             # Algorithm 2 logic reports on the wall-time domain here.
             tracer=tracer,
-            worker_track_fn=rt_worker_track,
             self_track=RT_SCHEDULER_TRACK,
         )
 

@@ -358,7 +358,7 @@ class TestAnalyzeCommand:
         assert main(["analyze", str(trace_path)]) == 0
         out = capsys.readouterr().out
         assert "events on 5 tracks (command=run" in out
-        assert "data quality\n  flow origins: 10 emitted, 10 closed, 0 discarded" in out
+        assert "data quality\n  flow origins: 5 emitted, 5 closed, 0 discarded" in out
         assert "sim.events_fired" in out
 
     def test_text_report_shows_phases_and_detectors(self, trace_path, capsys):

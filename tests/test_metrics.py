@@ -87,11 +87,6 @@ class TestTraceRecorder:
                     expected = scan(times, workers, start, end, exclude)
                     assert history.count_between(start, end, exclude) == expected
                     assert traces.pushes_in_window(start, end, exclude) == expected
-                own = rng.randrange(num_workers)
-                assert history.between(start, end, own) == [
-                    (t, w) for t, w in zip(times, workers)
-                    if start < t <= end and w != own
-                ]
 
     def test_out_of_order_push_rejected(self):
         traces = TraceRecorder()

@@ -59,6 +59,32 @@ class TestSyntheticRatings:
         users, items, ratings = ds.gather(np.arange(ds.num_samples))
         assert ratings.std() > 0.3  # structure + noise, not constant
 
+    @pytest.mark.parametrize("num_ratings,seed", [(60_000, 0), (9_001, 3)])
+    def test_ratings_bit_identical_to_unblocked_reference(self, num_ratings, seed):
+        rng = np.random.default_rng(seed)
+        true_u = rng.normal(0.0, 0.5, size=(600, 8))
+        true_v = rng.normal(0.0, 0.5, size=(400, 8))
+        user_bias = rng.normal(0.0, 0.3, size=600)
+        item_bias = rng.normal(0.0, 0.3, size=400)
+        weights = 1.0 / np.arange(1, 401) ** 0.8
+        weights /= weights.sum()
+        users = rng.integers(0, 600, size=num_ratings)
+        items = rng.choice(400, size=num_ratings, p=weights)
+        ratings = np.clip(
+            3.0 + np.sum(true_u[users] * true_v[items], axis=1)
+            + user_bias[users] + item_bias[items]
+            + rng.normal(0.0, 0.25, size=num_ratings),
+            1.0, 5.0,
+        )
+        ds = SyntheticRatingsDataset(
+            num_users=600, num_items=400, num_ratings=num_ratings, seed=seed,
+        )
+        columns = zip(
+            (users, items, ratings), ds.eval_batch(), ds.gather(np.arange(ds.num_samples))
+        )
+        for expected, held_out, trained in columns:
+            assert expected.tobytes() == np.concatenate([held_out, trained]).tobytes()
+
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             self.make(num_ratings=5)

@@ -49,7 +49,8 @@ def _wall_clock_run(backend, **kwargs):
 
 @pytest.fixture(scope="module")
 def captures(tmp_path_factory):
-    """Per substrate: the trace file and each worker track's iterations."""
+    """Per substrate: the trace file, each worker track's iterations and
+    the re-syncs the scheduler sent."""
     directory = tmp_path_factory.mktemp("one_report")
 
     def write(name, collector):
@@ -66,14 +67,14 @@ def captures(tmp_path_factory):
         )
     captured["des"] = (write("des", collector), {
         f"worker-{w.worker_id}": w.iterations for w in result.worker_stats
-    })
+    }, result.policy_summary["resyncs_sent"])
 
     with obs.collecting() as collector:
         threaded = _wall_clock_run(ThreadedRun)
-        threaded.run(0.4)
+        result = threaded.run(0.4)
     captured["threads"] = (write("threads", collector), {
         f"rt.worker-{w.worker_id}": w.iterations for w in threaded.workers
-    })
+    }, result.resyncs_sent)
 
     session = LiveTelemetrySession.create(num_workers=WORKERS)
     try:
@@ -89,14 +90,14 @@ def captures(tmp_path_factory):
     captured["processes"] = (write("processes", drained), {
         f"rt.worker-{worker}": count
         for worker, count in result.per_worker_iterations.items()
-    })
-    captured["collector only"] = (write("collector_only", collector), None)
+    }, result.resyncs_sent)
+    captured["collector only"] = (write("collector_only", collector), None, None)
     return captured
 
 
 @pytest.mark.parametrize("substrate", ["des", "threads", "processes"])
 def test_one_report_on_every_substrate(captures, substrate, capsys):
-    path, iterations = captures[substrate]
+    path, iterations, _ = captures[substrate]
     capsys.readouterr()
     code = main(["analyze", str(path), "--format", "json", "--fail-on", "warning"])
     assert code == 0
@@ -115,7 +116,7 @@ def test_one_report_on_every_substrate(captures, substrate, capsys):
 def test_phases_and_detectors_on_every_substrate(captures, substrate):
     """Every substrate gets its phases and straggler verdict from the same
     worker spans — not from whichever online detector it happened to host."""
-    path, _ = captures[substrate]
+    path, _, _ = captures[substrate]
     with open(path, encoding="utf-8") as handle:
         (run,) = obs.analyze_trace(json.load(handle))["runs"]
     pushes = sum(worker["pushes"] for worker in run["ledger"]["per_worker"].values())
@@ -127,8 +128,26 @@ def test_phases_and_detectors_on_every_substrate(captures, substrate):
     assert isinstance(straggler["stragglers"], list)
 
 
+@pytest.mark.parametrize("substrate", ["des", "threads", "processes"])
+def test_aborts_counted_once_on_every_substrate(captures, substrate):
+    """Every abort is one aborted compute span — the wall-clock worker's
+    span carries no args, so it is known by the abort instant it ends at —
+    and draws at most one arrow, decision → abort (exactly one per re-sync
+    on the DES, where every re-sync here is honoured)."""
+    path, _, resyncs_sent = captures[substrate]
+    with open(path, encoding="utf-8") as handle:
+        analysis = obs.analyze_trace(json.load(handle))
+    (run,) = analysis["runs"]
+    aborts = run["ledger"]["total_aborts"]
+    assert run["phases"]["compute_aborted"]["count"] == aborts > 0
+    arrows = analysis["recording"]["flow_pairs"].get("abort", 0)
+    assert arrows <= resyncs_sent
+    if substrate == "des":
+        assert arrows == resyncs_sent
+
+
 def test_collector_only_multiprocess_capture_trips_the_gate(captures, capsys):
-    path, _ = captures["collector only"]
+    path, _, _ = captures["collector only"]
     capsys.readouterr()
     assert main(["analyze", str(path), "--fail-on", "warning"]) == 1
     err = capsys.readouterr().err
