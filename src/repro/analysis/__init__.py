@@ -16,11 +16,12 @@ Suppress a finding in source with a justification::
 
     started = _time.perf_counter()  # repro: allow[DET-WALLCLOCK] measures real tuner cost
 
-Beyond the lint engine, :mod:`repro.analysis.dynamic` hosts the runtime
-sanitizers (``repro sanitize``) and :mod:`repro.analysis.model` the
+Beyond the lint engine, :mod:`repro.analysis.model` hosts the
 explicit-state model checker for the abort/re-sync protocol
-(``repro modelcheck``); all three gate CI through the shared
-:func:`gate_exit_code` / ``--fail-on`` policy.
+(``repro modelcheck``), which gates CI through the same shared
+:func:`gate_exit_code` / ``--fail-on`` policy, and
+:mod:`repro.analysis.replay` the replay-determinism checker: two
+same-seed DES runs must fire identical event streams.
 
 See ``docs/static_analysis.md`` for every rule id and the extension
 guide.

@@ -1,6 +1,6 @@
 """Shared ``--fail-on`` exit-code policy for every analysis command.
 
-``repro lint``, ``repro sanitize``, and ``repro modelcheck`` all gate CI
+``repro lint``, ``repro analyze`` and ``repro modelcheck`` all gate CI
 the same way: findings are collected, then one policy decides the exit
 code.  ``never`` always exits 0 (report-only mode), ``error`` fails only
 on :attr:`~repro.analysis.findings.Severity.ERROR` findings, and

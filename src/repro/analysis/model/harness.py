@@ -224,7 +224,7 @@ def run_mutation_harness(
     outcomes: List[MutantOutcome] = []
     for mutation in MUTATIONS:
         model = _mutant_model(mutation, num_workers, max_iterations)
-        result = explore(model, max_states=max_states, max_violations=3)
+        result = explore(model, max_states=max_states, max_violations=1)
         first = result.violations[0] if result.violations else None
         outcomes.append(
             MutantOutcome(

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.analysis.astutil import (
     dotted_name,
@@ -35,14 +35,12 @@ from repro.analysis.astutil import (
 )
 from repro.analysis.engine import ModuleInfo, Rule
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.graphs import find_cycles
 
 __all__ = [
     "RUNTIME_PACKAGE",
     "StaticLockGraph",
-    "GuardedClass",
     "build_lock_order_graph",
-    "guarded_class_state",
+    "find_cycles",
     "LockOrderRule",
     "ThreadDaemonRule",
     "QueueTimeoutRule",
@@ -64,16 +62,6 @@ def in_runtime_zone(module: ModuleInfo) -> bool:
     return module.module == RUNTIME_PACKAGE or module.module.startswith(
         RUNTIME_PACKAGE + "."
     )
-
-
-@dataclass
-class GuardedClass:
-    """One lock-owning class: its lock attributes and the state they guard."""
-
-    #: lock attribute name -> reentrant?
-    lock_attrs: Dict[str, bool] = field(default_factory=dict)
-    #: underscore attributes assigned in ``__init__`` (guarded by convention)
-    guarded: Set[str] = field(default_factory=set)
 
 
 @dataclass
@@ -144,16 +132,11 @@ class StaticLockGraph:
 
     ``edges[src][dst]`` holds the first witness ``(module, line)`` where
     ``dst`` is acquired while ``src`` is held; ``self_deadlocks`` lists
-    non-reentrant locks re-acquired while already held.  The dynamic
-    lock-order oracle diffs its observed graph against this structure.
+    non-reentrant locks re-acquired while already held.
     """
 
     edges: Dict[str, Dict[str, Tuple[ModuleInfo, int]]] = field(default_factory=dict)
     self_deadlocks: List[Tuple[str, ModuleInfo, int]] = field(default_factory=list)
-
-    def edge_pairs(self) -> Set[Tuple[str, str]]:
-        """The ``(src, dst)`` pairs, without witnesses."""
-        return {(src, dst) for src, dsts in self.edges.items() for dst in dsts}
 
 
 def build_lock_order_graph(modules: Sequence[ModuleInfo]) -> StaticLockGraph:
@@ -162,9 +145,7 @@ def build_lock_order_graph(modules: Sequence[ModuleInfo]) -> StaticLockGraph:
     Edges ``A -> B`` are added whenever lock B is acquired while A is
     held — directly through nested ``with`` blocks, or one call deep
     through ``self.method()`` / module-function calls made under a lock.
-    Lock names are fully qualified (``module.Class.attr`` / ``module.var``)
-    and match the names the runtime tracer infers, so the two graphs are
-    directly comparable.
+    Lock names are fully qualified (``module.Class.attr`` / ``module.var``).
     """
     graph = StaticLockGraph()
     direct: Dict[Tuple[str, Optional[str], str], Set[str]] = {}
@@ -247,6 +228,35 @@ def build_lock_order_graph(modules: Sequence[ModuleInfo]) -> StaticLockGraph:
     return graph
 
 
+def find_cycles(edges: Mapping[str, Mapping[str, object]]) -> List[Tuple[str, ...]]:
+    """Elementary cycles in a directed graph, deduped by member set.
+
+    ``edges`` maps source node -> {destination node -> payload}; payloads
+    are ignored.  Each cycle is reported once, as the node tuple starting
+    from its smallest member, in deterministic (sorted) order.
+    """
+    cycles: List[Tuple[str, ...]] = []
+    seen: Set[frozenset] = set()
+
+    def dfs(start: str, node: str, path: List[str], visited: Set[str]) -> None:
+        for succ in sorted(edges.get(node, ())):
+            if succ == start and len(path) > 1:
+                key = frozenset(path)
+                if key not in seen:
+                    seen.add(key)
+                    cycles.append(tuple(path))
+            elif succ not in visited and succ > start:
+                # Only explore nodes ordered after the start so each cycle
+                # is discovered from its smallest member exactly once.
+                visited.add(succ)
+                dfs(start, succ, path + [succ], visited)
+                visited.discard(succ)
+
+    for start in sorted(edges):
+        dfs(start, start, [start], {start})
+    return cycles
+
+
 class LockOrderRule(Rule):
     """CONC-LOCK-ORDER: cyclic lock-acquisition order across the runtime.
 
@@ -286,33 +296,6 @@ class LockOrderRule(Rule):
                 f"lock-order cycle {chain}; two paths can acquire these "
                 f"locks in opposite orders and deadlock",
             )
-
-
-def guarded_class_state(module: ModuleInfo) -> Dict[str, GuardedClass]:
-    """Lock-owning classes in ``module`` and the state their lock guards.
-
-    Returns ``{class name: (lock attrs, guarded attrs)}`` using exactly
-    the convention the ``CONC-UNLOCKED-STATE`` rule enforces: every
-    underscore attribute a lock-owning class assigns in ``__init__`` is
-    guarded by its lock.  The dynamic lockset race detector instruments
-    precisely these fields, so the static and runtime checks agree on
-    what "guarded" means.
-    """
-    aliases = import_aliases(module.tree)
-    table = _collect_locks(module, aliases)
-    result: Dict[str, GuardedClass] = {}
-    for node in module.tree.body:
-        if not isinstance(node, ast.ClassDef):
-            continue
-        lock_attrs = table.class_locks.get(node.name)
-        if not lock_attrs:
-            continue
-        guarded = UnlockedStateRule._guarded_attrs(node, lock_attrs)
-        if guarded:
-            result[node.name] = GuardedClass(
-                lock_attrs=dict(lock_attrs), guarded=set(guarded)
-            )
-    return result
 
 
 class ThreadDaemonRule(Rule):

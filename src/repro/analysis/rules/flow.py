@@ -5,9 +5,8 @@ call graph), complementing the per-node packs:
 
 * **FLOW-RELEASE** — typestate: a lock/file/socket/thread resource
   acquired in a function must reach its release on *every* CFG path,
-  including exception edges.  This is the static counterpart of the
-  dynamic lockset tracer, and subsumes the syntactic "acquire not in a
-  ``with``" approximation.
+  including exception edges.  It subsumes the syntactic "acquire not in
+  a ``with``" approximation.
 * **FLOW-BLOCKING** — no blocking primitive (``time.sleep``, untimed
   ``Queue.get``/``put``, ``socket.recv``/``accept``, untimed
   ``Thread.join``/``Event.wait``) may be reachable from an ``async def``
@@ -70,8 +69,8 @@ __all__ = [
 # ----------------------------------------------------------------------
 # FLOW-RELEASE
 # ----------------------------------------------------------------------
-#: functions that are themselves resource-management plumbing; a wrapper
-#: like ``TracedLock.acquire`` intentionally acquires without releasing.
+#: functions that are themselves resource-management plumbing; a lock
+#: wrapper's ``acquire`` intentionally acquires without releasing.
 _WRAPPER_NAMES = {
     "acquire",
     "release",

@@ -13,8 +13,6 @@ Subcommands::
     repro top --smoke --once --json     # live telemetry dashboard over the
                                         # shm ring-buffer exporters
     repro lint [--format json] [paths…] # codebase-specific static analysis
-    repro sanitize [--backend threaded] # runtime sanitizers (locks, races,
-                                        # replay determinism)
     repro modelcheck [--workers 3]      # explicit-state model checking of
                                         # the abort/re-sync protocol
 
@@ -236,31 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the findings (in the selected --format) to PATH",
     )
     add_fail_on_argument(lint_parser)
-
-    sanitize_parser = sub.add_parser(
-        "sanitize",
-        help="run the dynamic sanitizers: lock-order recorder, lockset "
-             "race detector, replay-determinism checker",
-    )
-    sanitize_parser.add_argument(
-        "--backend", choices=["threaded", "multiprocess"], default="threaded",
-        help="which real-time backend to instrument",
-    )
-    sanitize_parser.add_argument("--duration", type=float, default=0.3,
-                                 help="instrumented run length in wall seconds")
-    sanitize_parser.add_argument("--workers", type=int, default=4)
-    sanitize_parser.add_argument("--seed", type=int, default=0)
-    sanitize_parser.add_argument("--format", choices=["text", "json"],
-                                 default="text")
-    sanitize_parser.add_argument(
-        "--output", metavar="PATH",
-        help="also write the JSON report to PATH (for CI artifacts)",
-    )
-    sanitize_parser.add_argument(
-        "--no-replay", action="store_true",
-        help="skip the (slower) replay-determinism check",
-    )
-    add_fail_on_argument(sanitize_parser)
 
     model_parser = sub.add_parser(
         "modelcheck",
@@ -688,27 +661,6 @@ def _cmd_lint(args) -> int:
     return gate_exit_code(findings, args.fail_on)
 
 
-def _cmd_sanitize(args) -> int:
-    from repro.analysis.dynamic import run_sanitizers
-
-    report = run_sanitizers(
-        backend=args.backend,
-        duration_s=args.duration,
-        workers=args.workers,
-        seed=args.seed,
-        replay=not args.no_replay,
-    )
-    if args.format == "json":
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        print(report.render_text())
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(report.to_dict(), handle, indent=2)
-        print(f"report written to {args.output}", file=sys.stderr)
-    return gate_exit_code(report.findings, args.fail_on)
-
-
 def _cmd_modelcheck(args) -> int:
     from repro.analysis.model import run_modelcheck
 
@@ -758,8 +710,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_top(args)
     if args.command == "lint":
         return _cmd_lint(args)
-    if args.command == "sanitize":
-        return _cmd_sanitize(args)
     if args.command == "modelcheck":
         return _cmd_modelcheck(args)
     raise AssertionError(f"unhandled command {args.command}")

@@ -16,9 +16,12 @@ F̃(Δ) = Σ_i (ũ_i(Δ) − l̃_i(Δ))  (Eq. 7).
 Because ũ_i is a step function increasing only when Δ crosses a push-gap,
 the optimum lies where a window right-aligns with a push; the candidate set
 is therefore the pairwise time differences between pushes in the epoch
-(O(n²) values for n pushes, n ≈ m at the paper's scale), and the scan is
-exact.  ABORT_RATE is then set to Δ*·(m−1)/(T̄·m) so a re-sync only fires
-when the realized gain exceeds the estimated loss (Algorithm 1, line 7).
+(O(n²) values for n pushes).  The scan is *not* exact: the set is cut down
+to ``max_candidates`` (512) evenly spaced values, and an MF epoch at m = 40
+already holds 40–151 pushes (up to ~11k differences), so every epoch there
+is subsampled.  The exact sweep is ROADMAP item 2.  ABORT_RATE is then set
+to Δ*·(m−1)/(T̄·m) so a re-sync only fires when the realized gain exceeds
+the estimated loss (Algorithm 1, line 7).
 
 Cost.  All k ≤ ``max_candidates`` candidates are evaluated at once by one
 batched kernel (:func:`freshness_gains` / :func:`freshness_curve`): per
@@ -202,10 +205,11 @@ def candidate_windows(
     """The Δ candidates: positive pairwise push-time differences.
 
     The optimum of Eq. 7 right-aligns the window with a push, so scanning
-    these values is exact.  When the epoch contains many pushes the O(n²)
-    set is subsampled evenly (after sorting) to bound tuning cost — a pure
-    implementation guard; at the paper's scale (n ≈ m per epoch) the set is
-    complete.
+    every such value would be exact.  When the O(n²) set exceeds
+    ``max_candidates`` it is subsampled evenly (after sorting) to bound
+    tuning cost, which already happens at the paper's scale: MF at m = 40
+    has 40–151 pushes per epoch, and every epoch is cut to 512 candidates.
+    The exact sweep is ROADMAP item 2.
     """
     times = sorted(push_times)
     raw = {

@@ -260,11 +260,6 @@ class TrainingEngine:
     def num_workers(self) -> int:
         return len(self.workers)
 
-    @property
-    def store_version(self) -> int:
-        """Global pushes applied so far."""
-        return self.store.version
-
     def worker_view(self, worker_id: int) -> WorkerView:
         """Read-only facts about one worker (for policies)."""
         return self.workers[worker_id].view()
@@ -272,10 +267,6 @@ class TrainingEngine:
     def worker_node(self, worker_id: int) -> str:
         """The cluster node name hosting a worker."""
         return self.workers[worker_id].node_name
-
-    def mean_iteration_time(self, worker_id: int) -> Optional[float]:
-        """Recent mean iteration span for the tuner's T_i estimate."""
-        return self.workers[worker_id].mean_iteration_time()
 
     def release_worker(self, worker_id: int) -> None:
         """Wake a parked worker (BSP barrier open, SSP bound satisfied)."""

@@ -61,8 +61,6 @@ from repro.utils.rng import RngStreams
 __all__ = [
     "MultiprocessRun",
     "MultiprocessRunResult",
-    "install_mp_shim",
-    "uninstall_mp_shim",
 ]
 
 _POLL_S = 0.02
@@ -85,32 +83,6 @@ def _queue_depth(q) -> int:
 #: impossible-but-catastrophic case (a corrupted queue feeder) into a loud
 #: ``queue.Full`` instead of a silent hang.
 _PUT_TIMEOUT_S = 10.0
-
-# ----------------------------------------------------------------------
-# Dynamic-analysis patch hook
-# ----------------------------------------------------------------------
-_REAL_MP = mp
-
-
-def install_mp_shim(shim) -> None:
-    """Opt-in hook for :mod:`repro.analysis.dynamic`: rebind this module's
-    ``mp`` (multiprocessing) to *shim*.
-
-    The shim proxies the real module but lets the sanitizer observe
-    parent-side protocol resources — contexts, queues, events — as they
-    are created.  Child processes always receive the real objects (the
-    shim wraps construction, not the instances crossing ``fork``).  Pair
-    with :func:`uninstall_mp_shim`.
-    """
-    global mp
-    mp = shim
-
-
-def uninstall_mp_shim() -> None:
-    """Restore the real stdlib ``multiprocessing`` module binding."""
-    global mp
-    mp = _REAL_MP
-
 
 # ----------------------------------------------------------------------
 # Server process

@@ -46,35 +46,7 @@ __all__ = [
     "ThreadedParameterServer",
     "ThreadedRun",
     "ThreadedRunResult",
-    "install_threading_shim",
-    "uninstall_threading_shim",
 ]
-
-# ----------------------------------------------------------------------
-# Dynamic-analysis patch hook
-# ----------------------------------------------------------------------
-_REAL_THREADING = threading
-
-
-def install_threading_shim(shim) -> None:
-    """Opt-in hook for :mod:`repro.analysis.dynamic`: rebind this module's
-    ``threading`` to *shim*.
-
-    The shim is a proxy for the stdlib module whose ``Lock``/``RLock``
-    factories return traced wrappers, so every lock the runtime creates
-    while the shim is installed records per-thread acquire/release events.
-    Only *construction* sites in this module are redirected.  Call
-    :func:`uninstall_threading_shim` to restore the real module —
-    instrumented runs must always pair the two.
-    """
-    global threading
-    threading = shim
-
-
-def uninstall_threading_shim() -> None:
-    """Restore the real stdlib ``threading`` module binding."""
-    global threading
-    threading = _REAL_THREADING
 
 
 class ThreadedParameterServer:

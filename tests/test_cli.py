@@ -175,60 +175,6 @@ class TestLintFailOn:
         assert "CONC-LOCK-ORDER" in capsys.readouterr().out
 
 
-class TestSanitizeCommand:
-    def test_clean_run_exits_zero(self, capsys):
-        code = main(
-            ["sanitize", "--duration", "0.2", "--workers", "2", "--no-replay"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "lock events" in out
-        assert "clean" in out
-
-    def test_json_report_written(self, tmp_path, capsys):
-        report_path = tmp_path / "sanitize.json"
-        code = main(
-            ["sanitize", "--duration", "0.2", "--workers", "2", "--no-replay",
-             "--format", "json", "--output", str(report_path)]
-        )
-        assert code == 0
-        payload = json.loads(report_path.read_text())
-        assert payload["backend"] == "threaded"
-        assert payload["findings"] == []
-        # stdout carries the same JSON document
-        assert json.loads(capsys.readouterr().out)["backend"] == "threaded"
-
-    def test_findings_gate_exit_code(self, monkeypatch, capsys):
-        from repro import cli
-        from repro.analysis import Finding, Severity
-        from repro.analysis.dynamic import sanitize as sanitize_module
-
-        def fake_run_sanitizers(**kwargs):
-            report = sanitize_module.SanitizeReport(
-                backend="threaded", duration_s=0.1, workers=1, seed=0
-            )
-            report.findings.append(
-                Finding(
-                    rule_id="DYN-LOCK-CYCLE",
-                    severity=Severity.ERROR,
-                    path="x.py",
-                    line=1,
-                    message="planted",
-                )
-            )
-            return report
-
-        monkeypatch.setattr(
-            "repro.analysis.dynamic.run_sanitizers", fake_run_sanitizers
-        )
-        assert cli.main(["sanitize", "--no-replay"]) == 1
-        assert "DYN-LOCK-CYCLE" in capsys.readouterr().out
-
-    def test_backend_choice_validated(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["sanitize", "--backend", "smoke-signal"])
-
-
 class TestModelcheckCommand:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["modelcheck"])

@@ -7,21 +7,14 @@ import pytest
 
 MODULES = [
     "repro",
-    "repro.analysis.dynamic",
-    "repro.analysis.dynamic.locks",
-    "repro.analysis.dynamic.lockorder",
-    "repro.analysis.dynamic.lockset",
-    "repro.analysis.dynamic.replay",
-    "repro.analysis.dynamic.sanitize",
-    "repro.analysis.dynamic.trace",
     "repro.analysis.gate",
-    "repro.analysis.graphs",
     "repro.analysis.model",
     "repro.analysis.model.checker",
     "repro.analysis.model.conformance",
     "repro.analysis.model.harness",
     "repro.analysis.model.mutations",
     "repro.analysis.model.specsync",
+    "repro.analysis.replay",
     "repro.cluster.compute",
     "repro.cluster.instances",
     "repro.cluster.scenarios",

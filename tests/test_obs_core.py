@@ -1,6 +1,6 @@
 """Tests for the observability core: clocks, metrics, tracer, flows,
-process-wide enablement, and coexistence with the dynamic sanitizers on
-the simulator's multi-tap bus."""
+process-wide enablement, and coexistence with the replay-determinism
+checker on the simulator's multi-tap bus."""
 
 import math
 import random
@@ -8,7 +8,7 @@ import random
 import pytest
 
 from repro import ClusterSpec, Simulator, SpecSyncPolicy
-from repro.analysis.dynamic.replay import record_event_stream
+from repro.analysis.replay import record_event_stream
 from repro.obs import (
     NULL_TRACER,
     FlowRecord,
