@@ -10,8 +10,8 @@ Subcommands::
                                         # path, speculation ledger,
                                         # staleness, phases, detectors,
                                         # what was recorded
-    repro top --smoke --once --json     # live telemetry dashboard over the
-                                        # shm ring-buffer exporters
+    repro top --smoke --once --json     # the same report, live, over what
+                                        # the shm telemetry rings delivered
     repro lint [--format json] [paths…] # codebase-specific static analysis
     repro modelcheck [--workers 3]      # explicit-state model checking of
                                         # the abort/re-sync protocol
@@ -165,9 +165,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     top_parser = sub.add_parser(
         "top",
-        help="live telemetry dashboard: attach to a live-exported run, "
-             "or run the multiprocess smoke workload with the shm ring "
-             "exporter enabled",
+        help="live `repro analyze` report of what the telemetry rings "
+             "delivered: attach to a live-exported run, or run the "
+             "multiprocess smoke workload with the shm ring exporter enabled",
     )
     top_mode = top_parser.add_mutually_exclusive_group(required=True)
     top_mode.add_argument(
@@ -195,7 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top_parser.add_argument(
         "--json", action="store_true",
-        help="emit the final snapshot as JSON (for CI and scripting)",
+        help="emit the final snapshot as JSON, the `repro analyze "
+             "--format json` document plus totals and counters",
     )
     top_parser.add_argument("--seed", type=int, default=0,
                             help="--smoke workload seed")
@@ -527,22 +528,18 @@ def _drain_live_capture(aggregator, path: str) -> None:
 def _cmd_top(args) -> int:
     import time
 
-    from repro.obs.live import (
-        LiveTelemetrySession,
-        render_dashboard,
-        run_dashboard,
-    )
+    from repro.obs.live import LiveTelemetrySession, render_frame, run_dashboard
 
     def emit(snapshot: dict) -> None:
         if args.json:
             print(json.dumps(snapshot, indent=1, sort_keys=True))
         else:
-            print(render_dashboard(snapshot))
+            print(render_frame(snapshot))
 
     if args.attach:
         try:
             session = LiveTelemetrySession.load_spec(args.attach)
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             print(f"repro top: error: {exc}", file=sys.stderr)
             return 2
         aggregator = session.aggregator()
@@ -607,11 +604,11 @@ def _cmd_top(args) -> int:
             # Poll quietly while the run is live (keeps the rings from
             # ever filling), then print one final snapshot.
             while runner.is_alive():
-                aggregator.poll(time.monotonic())
+                aggregator.poll()
                 time.sleep(min(args.interval, 0.1))
             runner.join()
-            aggregator.poll(time.monotonic())
-            emit(aggregator.snapshot(time.monotonic()))
+            aggregator.poll()
+            emit(aggregator.snapshot())
         else:
             run_dashboard(
                 aggregator,

@@ -6,11 +6,12 @@ Phases: the duration of every worker-track ``pull``, ``compute``,
 ``aborted: true`` counted as ``compute_aborted``.  Server tracks reuse
 the names ``pull`` and ``push``, so only worker tracks count.
 
-Detectors: the :mod:`repro.obs.straggler` pair, fed in time order by the
-live aggregator's rule (``TelemetryAggregator._apply_worker_span`` /
-``_apply_worker_instant``) — the end of each worker ``push`` span goes
-to both detectors, each worker ``abort`` instant to the abort-storm
-detector — so a live view and a post-hoc analysis judge the same events.
+Detectors: the :mod:`repro.obs.straggler` pair, fed in time order — the
+end of each worker ``push`` span goes to both detectors, each worker
+``abort`` instant to the abort-storm detector.  This is the only place
+they are built: ``repro top``'s live snapshot is this same analysis of
+the records delivered so far, so a live view and a post-hoc analysis
+judge the same events.
 """
 
 from __future__ import annotations

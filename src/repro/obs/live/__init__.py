@@ -2,17 +2,15 @@
 
 ``repro.obs.live`` streams spans, counters, gauges, and samples out
 of running processes through per-process lock-free shared-memory rings
-(:mod:`repro.obs.live.ring`), aggregates them online in the parent
+(:mod:`repro.obs.live.ring`), collects them in the parent
 (:mod:`repro.obs.live.aggregate`), wires whole runs together through
-:mod:`repro.obs.live.session`, and renders them as the ``repro top``
-dashboard (:mod:`repro.obs.live.top`).  A drained capture serializes to
-a trace file, so ``repro analyze`` reads live runs unchanged.
+:mod:`repro.obs.live.session`, and shows them as ``repro top``
+(:mod:`repro.obs.live.top`).  A live snapshot is the ``repro analyze``
+document of the records delivered so far, and a drained capture
+serializes to a trace file that ``repro analyze`` reads unchanged.
 """
 
-from repro.obs.live.aggregate import (
-    SNAPSHOT_SCHEMA_VERSION,
-    TelemetryAggregator,
-)
+from repro.obs.live.aggregate import TelemetryAggregator
 from repro.obs.live.ring import (
     DEFAULT_RING_BYTES,
     NULL_RING_WRITER,
@@ -37,7 +35,7 @@ from repro.obs.live.session import (
     LiveTelemetrySession,
     worker_source,
 )
-from repro.obs.live.top import render_dashboard, run_dashboard
+from repro.obs.live.top import render_frame, run_dashboard
 
 __all__ = [
     "DEFAULT_RING_BYTES",
@@ -45,7 +43,6 @@ __all__ = [
     "NULL_RING_WRITER",
     "PARENT_SOURCE",
     "SERVER_SOURCE",
-    "SNAPSHOT_SCHEMA_VERSION",
     "LiveAnnounce",
     "LiveCount",
     "LiveGauge",
@@ -61,7 +58,7 @@ __all__ = [
     "TelemetryAggregator",
     "decode_record",
     "encode_record",
-    "render_dashboard",
+    "render_frame",
     "run_dashboard",
     "worker_source",
 ]

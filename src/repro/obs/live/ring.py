@@ -21,7 +21,7 @@ Record wire format (little-endian, packed)::
 
 with strings as ``u16 length + utf-8`` and all scalars ``f64``.  The
 decoded form is the small ``Live*`` record dataclasses below — the
-currency between the ring, the aggregator, and the trace replayer.
+currency between the ring and the aggregator.
 
 Like the rest of ``repro.obs`` this module never reads a clock:
 timestamps are stamped by the caller (the runtime backends inject
@@ -82,7 +82,7 @@ DEFAULT_RING_BYTES = 256 * 1024
 
 
 # ----------------------------------------------------------------------
-# Decoded records — the currency between ring, aggregator, and replay
+# Decoded records — the currency between ring and aggregator
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class LiveSpan:
@@ -272,6 +272,16 @@ class RingSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RingSpec":
+        """Parse one ring entry of a session spec.
+
+        Raises:
+            ValueError: when ``data`` is not an object or lacks a key.
+        """
+        if not isinstance(data, dict):
+            raise ValueError(f"ring entry must be a JSON object, not {data!r}")
+        missing = [key for key in ("source", "shm_name", "capacity") if key not in data]
+        if missing:
+            raise ValueError(f"ring entry lacks {', '.join(map(repr, missing))}")
         return cls(
             source=str(data["source"]),
             shm_name=str(data["shm_name"]),

@@ -17,7 +17,7 @@ both at once.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.obs.live.aggregate import TelemetryAggregator
 from repro.obs.live.ring import DEFAULT_RING_BYTES, RingSpec, ShmRing
@@ -78,23 +78,36 @@ class LiveTelemetrySession:
 
     @classmethod
     def attach(cls, spec: dict) -> "LiveTelemetrySession":
-        """Map an existing session from its spec dict (non-owning)."""
+        """Map an existing session from its spec dict (non-owning).
+
+        Raises:
+            ValueError: when ``spec`` is not an object, has another
+                ``schema_version``, lacks a key, or a ring entry is
+                malformed.
+        """
+        if not isinstance(spec, dict):
+            raise ValueError(
+                f"live spec must be a JSON object, not {type(spec).__name__}"
+            )
         version = spec.get("schema_version")
         if version != LIVE_SPEC_SCHEMA_VERSION:
             raise ValueError(
                 f"unsupported live spec schema_version {version!r} "
                 f"(this build reads v{LIVE_SPEC_SCHEMA_VERSION})"
             )
+        missing = [key for key in ("num_workers", "rings") if key not in spec]
+        if missing:
+            raise ValueError(f"live spec lacks {', '.join(map(repr, missing))}")
         rings: Dict[str, ShmRing] = {}
         try:
-            for entry in spec.get("rings", []):
+            for entry in spec["rings"]:
                 ring = ShmRing.attach(RingSpec.from_dict(entry))
                 rings[ring.source] = ring
         except Exception:
             for ring in rings.values():
                 ring.close()
             raise
-        return cls(rings, int(spec.get("num_workers", 0)), owner=False)
+        return cls(rings, int(spec["num_workers"]), owner=False)
 
     @classmethod
     def load_spec(cls, path: str) -> "LiveTelemetrySession":
@@ -142,15 +155,9 @@ class LiveTelemetrySession:
     def sources(self) -> List[str]:
         return sorted(self._rings)
 
-    def aggregator(
-        self, retain_records: bool = True,
-        num_workers: Optional[int] = None,
-    ) -> TelemetryAggregator:
+    def aggregator(self) -> TelemetryAggregator:
         """A fresh aggregator polling every ring of this session."""
-        aggregator = TelemetryAggregator(
-            num_workers if num_workers is not None else max(self.num_workers, 1),
-            retain_records=retain_records,
-        )
+        aggregator = TelemetryAggregator()
         for source in sorted(self._rings):
             aggregator.add_ring(self._rings[source])
         return aggregator

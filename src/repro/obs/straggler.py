@@ -11,12 +11,11 @@ for re-sync storms (aborts feeding aborts).
 
 Both detectors are fed timestamps by the caller and never read a clock,
 so on the DES substrate their reports are deterministic for a fixed
-seed.  Two callers feed them the same events — the end of each worker
-``push`` span and each worker ``abort`` instant: ``repro analyze``
-post hoc, for every run of a trace
-(:func:`repro.obs.analysis.phases.detector_reports`), and the live
-aggregator online, for ``repro top``
-(:class:`repro.obs.live.aggregate.TelemetryAggregator`).
+seed.  One caller builds and feeds them:
+:func:`repro.obs.analysis.phases.detector_reports`, with the end of each
+worker ``push`` span and each worker ``abort`` instant of a run.  It
+serves ``repro analyze`` post hoc and ``repro top`` live, whose snapshot
+is the analysis of the records delivered so far.
 """
 
 from __future__ import annotations

@@ -65,10 +65,10 @@ __all__ = [
 
 _POLL_S = 0.02
 
-#: Clock announcement every live ring writer of this backend sends: fork
-#: children share the parent's CLOCK_MONOTONIC, so the aggregator aligns
-#: with offset 0 and only reports the observed skew/latency bound.
-_LIVE_META = json.dumps({"clock": "shared", "backend": "multiprocess"})
+#: Announcement every live ring writer of this backend sends.  Fork
+#: children share the parent's CLOCK_MONOTONIC, so their timestamps need
+#: no alignment.
+_LIVE_META = json.dumps({"backend": "multiprocess"})
 
 
 def _queue_depth(q) -> int:

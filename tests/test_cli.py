@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.cli import EXPERIMENTS, WORKLOADS, build_parser, main
 
 
@@ -507,16 +508,14 @@ class TestTopCommand:
     def test_smoke_once_json_reports_sane_gauges(self, tmp_path, capsys):
         trace_path = self._live_trace(tmp_path)
         snapshot = json.loads(capsys.readouterr().out)
-        assert snapshot["schema_version"] == 1
+        assert snapshot["schema_version"] == obs.ANALYSIS_SCHEMA_VERSION
         assert snapshot["totals"]["dropped_records"] == 0
-        assert snapshot["totals"]["iterations"] > 0
-        for entry in snapshot["workers"].values():
-            assert entry["iterations"] > 0
-        assert any(
-            "rt.queue.request_depth" in gauges
-            for gauges in snapshot["gauges"].values()
-        )
-        assert "straggler" in snapshot["detectors"]
+        (run,) = snapshot["runs"]
+        assert len(run["ledger"]["per_worker"]) == 4
+        for entry in run["ledger"]["per_worker"].values():
+            assert entry["pushes"] > 0
+        assert "rt.queue.request_depth" in snapshot["recording"]["metrics"]["gauges"]
+        assert "straggler" in run["detectors"]
         # The drained artifact is a real trace file.
         trace = json.loads(trace_path.read_text())
         assert "traceEvents" in trace
@@ -537,13 +536,11 @@ class TestTopCommand:
         live_snapshot = json.loads(capsys.readouterr().out)
         code = main(["analyze", str(trace_path), "--format", "json"])
         assert code == 0
-        (run,) = json.loads(capsys.readouterr().out)["runs"]
-        pushes = sum(w["pushes"] for w in run["ledger"]["per_worker"].values())
-        assert pushes == live_snapshot["totals"]["iterations"]
-        # Live and post hoc feed the straggler detector the same push ends.
-        live, drained = live_snapshot["detectors"]["straggler"], run["detectors"]["straggler"]
-        assert drained["total_pushes"] == live["total_pushes"] == pushes
-        assert drained["stragglers"] == live["stragglers"]
+        analysis = json.loads(capsys.readouterr().out)
+        # The live snapshot is the analysis of the records it drained.
+        assert analysis["runs"] == live_snapshot["runs"]
+        assert analysis["recording"]["metrics"]["counters"] == live_snapshot["counters"]
+        assert live_snapshot["totals"]["records"] > 0
 
     def test_attach_rejects_missing_spec(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"

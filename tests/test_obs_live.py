@@ -2,10 +2,11 @@
 
 Covers the binary wire format, the SPSC ring (wraparound, overflow
 drop-counting, cross-process visibility under fork), the writer facades,
-the online aggregator (rates, phases, clock alignment, detector feeds),
-the session lifecycle, and the end-to-end multiprocess capture: a
-live-exported run must drain to a trace file whose analysis
-agrees with the conventionally-traced copy of the same run.
+the aggregator (whose snapshot is the ``repro analyze`` document of the
+records applied), the session lifecycle, the ``repro top`` frame, and the
+end-to-end multiprocess capture: a live-exported run must drain to a
+trace file whose analysis agrees with the conventionally-traced copy of
+the same run.
 """
 
 import json
@@ -16,11 +17,12 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.cli import main
 from repro.cluster.compute import ComputeTimeModel
 from repro.core.tuning import AdaptiveTuner
 from repro.ml import SoftmaxRegressionModel, SyntheticImageDataset
 from repro.ml.optim import ConstantSchedule, SgdUpdateRule
-from repro.obs.analysis import analyze_trace
+from repro.obs.analysis import analyze_trace, render_analysis_text
 from repro.obs.live import (
     LiveAnnounce,
     LiveCount,
@@ -35,7 +37,7 @@ from repro.obs.live import (
     TelemetryAggregator,
     decode_record,
     encode_record,
-    render_dashboard,
+    render_frame,
     run_dashboard,
 )
 from repro.runtime import MultiprocessRun
@@ -49,7 +51,7 @@ ALL_RECORDS = [
     LiveGauge(name="rt.queue.request_depth", value=3.0, ts=5.0),
     LiveSample(name="rt.msg.push.latency_s", value=0.001, ts=6.0),
     LiveAnnounce(source="worker-0", writer_ts=0.5,
-                 meta_json='{"clock": "shared"}'),
+                 meta_json='{"backend": "multiprocess"}'),
 ]
 
 
@@ -237,7 +239,7 @@ def _feed_iterations(aggregator, worker_id, count, interval, start=0.0):
 
 class TestAggregator:
     def test_rates_phases_and_totals_from_synthetic_stream(self):
-        aggregator = TelemetryAggregator(num_workers=2)
+        aggregator = TelemetryAggregator()
         _feed_iterations(aggregator, 0, count=10, interval=0.5)
         _feed_iterations(aggregator, 1, count=10, interval=1.0)
         aggregator.apply(
@@ -249,81 +251,42 @@ class TestAggregator:
             "server", LiveGauge(name="rt.staleness.w0", value=3.0, ts=5.0),
             recv_ts=5.0,
         )
-        snapshot = aggregator.snapshot(now=10.0)
-        assert snapshot["workers"]["0"]["iterations"] == 10
-        assert snapshot["workers"]["0"]["rate_per_s"] == pytest.approx(2.0)
-        assert snapshot["workers"]["1"]["rate_per_s"] == pytest.approx(1.0)
-        assert snapshot["workers"]["1"]["aborts"] == 1
-        assert snapshot["workers"]["0"]["staleness"] == 3.0
-        assert snapshot["phases"]["iteration"]["count"] == 20
-        assert snapshot["totals"]["iterations"] == 20
-        assert snapshot["totals"]["aborts"] == 1
-        assert snapshot["detectors"]["straggler"]["num_workers"] == 2
+        aggregator.apply(
+            "server", LiveCount(name="rt.pushes", amount=20.0, ts=10.0),
+            recv_ts=10.0,
+        )
+        snapshot = aggregator.snapshot()
+        (run,) = snapshot["runs"]
+        assert {
+            track: worker["pushes"]
+            for track, worker in run["ledger"]["per_worker"].items()
+        } == {"rt.worker-0": 10, "rt.worker-1": 10}
+        assert run["ledger"]["total_aborts"] == 1
+        assert run["phases"]["iteration"]["count"] == 20
+        straggler = run["detectors"]["straggler"]
+        assert straggler["num_workers"] == 2
+        assert straggler["mean_intervals"] == {"0": 0.5, "1": 1.0}
+        assert snapshot["recording"]["metrics"]["gauges"]["rt.staleness.w0"] == 3.0
+        assert snapshot["counters"] == {"rt.pushes": 20.0}
+        assert snapshot["totals"] == {"records": 43, "dropped_records": 0}
         json.dumps(snapshot)  # must be JSON-ready
 
     def test_straggler_detector_sees_the_slow_worker(self):
-        aggregator = TelemetryAggregator(num_workers=8)
+        aggregator = TelemetryAggregator()
         for worker in range(8):
             interval = 4.0 if worker == 5 else 1.0
             _feed_iterations(aggregator, worker, count=6, interval=interval)
-        report = aggregator.snapshot()["detectors"]["straggler"]
-        assert report["stragglers"] == [5]
-
-    def test_shared_clock_reports_skew_but_applies_no_offset(self):
-        aggregator = TelemetryAggregator(num_workers=1)
-        aggregator.apply(
-            "worker-0",
-            LiveAnnounce(source="worker-0", writer_ts=10.0,
-                         meta_json='{"clock": "shared"}'),
-            recv_ts=10.5,
-        )
-        aggregator.apply(
-            "worker-0",
-            LiveGauge(name="g", value=1.0, ts=11.0), recv_ts=11.25,
-        )
-        clock = aggregator.snapshot()["clock"]["worker-0"]
-        assert clock["mode"] == "shared"
-        assert clock["offset_applied_s"] == 0.0
-        assert clock["skew_bound_s"] == pytest.approx(0.25)
-
-    def test_independent_clock_offset_shifts_drained_timestamps(self):
-        aggregator = TelemetryAggregator(num_workers=1)
-        aggregator.apply(
-            "peer",
-            LiveAnnounce(source="peer", writer_ts=0.0,
-                         meta_json='{"clock": "independent"}'),
-            recv_ts=100.0,
-        )
-        aggregator.apply(
-            "peer",
-            LiveSpan(track="rt.worker-0", name="compute", cat="compute",
-                     start=1.0, end=2.0),
-            recv_ts=102.5,
-        )
-        assert aggregator.snapshot()["clock"]["peer"][
-            "offset_applied_s"
-        ] == pytest.approx(100.0)
-        collector = obs.TraceCollector()
-        aggregator.drain_to_collector(collector)
-        span = next(r for r in collector.records if r.name == "compute")
-        assert span.start == pytest.approx(101.0)
-        assert span.end == pytest.approx(102.0)
-
-    def test_unretained_aggregator_refuses_to_drain(self):
-        aggregator = TelemetryAggregator(num_workers=1, retain_records=False)
-        aggregator.apply("w", LiveCount(name="c", amount=1.0, ts=0.0),
-                         recv_ts=0.0)
-        with pytest.raises(RuntimeError, match="retain_records"):
-            aggregator.drain_to_collector(obs.TraceCollector())
+        (run,) = aggregator.snapshot()["runs"]
+        assert run["detectors"]["straggler"]["stragglers"] == [5]
 
     def test_duplicate_ring_source_rejected(self, ring):
-        aggregator = TelemetryAggregator(num_workers=1)
+        aggregator = TelemetryAggregator()
         aggregator.add_ring(ring)
         with pytest.raises(ValueError, match="duplicate"):
             aggregator.add_ring(ring)
 
     def test_drained_counts_and_samples_become_metrics(self):
-        aggregator = TelemetryAggregator(num_workers=1)
+        aggregator = TelemetryAggregator()
         for i in range(4):
             aggregator.apply(
                 "server", LiveCount(name="rt.pushes", amount=1.0, ts=float(i)),
@@ -351,22 +314,16 @@ class TestAggregator:
             (ts, LiveInstant("rt.worker-0", "abort", "abort", ts))
             for ts in (2.0 + 0.05 * i for i in range(1, 17))
         ]
-        aggregator = TelemetryAggregator(num_workers=8)
+        aggregator = TelemetryAggregator()
         for ts, record in sorted(records, key=lambda pair: pair[0]):
             aggregator.apply("w", record, recv_ts=ts)
+        live = aggregator.snapshot()
         collector = obs.TraceCollector()
         aggregator.drain_to_collector(collector)
-        (run,) = analyze_trace(obs.to_chrome_trace(collector))["runs"]
-        live = aggregator.snapshot()["detectors"]
-        # analyze rounds its floats to 9 decimals: compare those approximately
-        for name in ("straggler", "abort_storm"):
-            drained, online = dict(run["detectors"][name]), dict(live[name])
-            for key in ("mean_intervals", "z_scores", "abort_ratio"):
-                if key in online:
-                    assert drained.pop(key) == pytest.approx(online.pop(key))
-            assert drained == online
-        assert live["straggler"]["stragglers"] == [5]
-        assert live["abort_storm"]["storm_count"] == 1
+        assert live["runs"] == analyze_trace(obs.to_chrome_trace(collector))["runs"]
+        detectors = live["runs"][0]["detectors"]
+        assert detectors["straggler"]["stragglers"] == [5]
+        assert detectors["abort_storm"]["storm_count"] == 1
 
 
 class TestSession:
@@ -394,6 +351,20 @@ class TestSession:
         with pytest.raises(ValueError, match="schema_version"):
             LiveTelemetrySession.attach({"schema_version": 999, "rings": []})
 
+    @pytest.mark.parametrize("spec, message", [
+        ([], "live spec must be a JSON object, not list"),
+        ({"schema_version": 1, "rings": [5]}, "live spec lacks 'num_workers'"),
+        ({"schema_version": 1, "num_workers": 1, "rings": [5]},
+         "ring entry must be a JSON object, not 5"),
+        ({"schema_version": 1, "num_workers": 1, "rings": [{"source": "w"}]},
+         "ring entry lacks 'shm_name', 'capacity'"),
+    ], ids=["list", "no-num-workers", "int-ring", "ring-without-keys"])
+    def test_malformed_spec_file_exits_2(self, tmp_path, capsys, spec, message):
+        path = tmp_path / "live.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        assert main(["top", "--attach", str(path), "--once"]) == 2
+        assert capsys.readouterr().err == f"repro top: error: {message}\n"
+
     def test_spec_file_roundtrip(self, tmp_path):
         session = LiveTelemetrySession.create(num_workers=1, ring_bytes=4096)
         try:
@@ -416,7 +387,7 @@ class TestSession:
             session.server_ring.push(LiveCount(name="s", amount=1.0, ts=0.0))
             session.worker_ring(0).push(LiveCount(name="w", amount=1.0, ts=0.0))
             aggregator = session.aggregator()
-            assert aggregator.poll(now=1.0) == 3
+            assert aggregator.poll() == 3
             assert aggregator.snapshot()["counters"] == {
                 "p": 1.0, "s": 1.0, "w": 1.0
             }
@@ -431,18 +402,21 @@ class TestSession:
 
 class TestDashboard:
     def _snapshot(self):
-        aggregator = TelemetryAggregator(num_workers=2)
+        aggregator = TelemetryAggregator()
         _feed_iterations(aggregator, 0, count=5, interval=0.5)
-        return aggregator.snapshot(now=3.0)
+        return aggregator.snapshot()
 
     def test_render_contains_workers_and_detectors(self):
-        text = render_dashboard(self._snapshot())
-        assert "workers" in text
-        assert "abort_storm" in text
-        assert "iteration" in text  # phase table
+        snapshot = self._snapshot()
+        header, report = render_frame(snapshot).split("\n", 1)
+        assert header.endswith("(10 records, 0 dropped)")
+        assert report == render_analysis_text(snapshot)
+        assert "rt.worker-0" in report
+        assert "detectors:" in report
+        assert "iteration" in report  # phase table
 
     def test_run_dashboard_once_returns_final_snapshot(self):
-        aggregator = TelemetryAggregator(num_workers=1)
+        aggregator = TelemetryAggregator()
         frames = []
         snapshot = run_dashboard(
             aggregator,
@@ -451,11 +425,11 @@ class TestDashboard:
             write=frames.append,
             once=True,
         )
-        assert snapshot["schema_version"] == 1
+        assert snapshot["schema_version"] == obs.ANALYSIS_SCHEMA_VERSION
         assert len(frames) == 1
 
     def test_run_dashboard_json_writes_json_only_at_end(self):
-        aggregator = TelemetryAggregator(num_workers=1)
+        aggregator = TelemetryAggregator()
         clock = iter([0.0, 0.0, 0.4, 0.8, 1.2])
         frames = []
         run_dashboard(
@@ -500,20 +474,19 @@ class TestLiveCaptureEndToEnd:
             assert result.total_iterations > 0
 
             aggregator = session.aggregator()
-            import time
-
-            aggregator.poll(time.monotonic())
-            snapshot = aggregator.snapshot(time.monotonic())
+            aggregator.poll()
+            snapshot = aggregator.snapshot()
 
             # Nothing was lost and every worker reported in.
             assert snapshot["totals"]["dropped_records"] == 0
-            for worker_id in range(4):
-                entry = snapshot["workers"][str(worker_id)]
-                assert entry["iterations"] > 0
-                assert entry["rate_per_s"] is not None
-            assert snapshot["gauges"]["server"]["rt.queue.request_depth"] >= 0
-            assert "pull" in snapshot["phases"]
-            assert "push" in snapshot["phases"]
+            (run,) = snapshot["runs"]
+            per_worker = run["ledger"]["per_worker"]
+            assert sorted(per_worker) == [f"rt.worker-{w}" for w in range(4)]
+            assert all(entry["pushes"] > 0 for entry in per_worker.values())
+            gauges = snapshot["recording"]["metrics"]["gauges"]
+            assert gauges["rt.queue.request_depth"] >= 0
+            assert run["phases"]["pull"]["count"] > 0
+            assert run["phases"]["push"]["count"] > 0
 
             # The drained capture is a first-class trace file.
             live_collector = obs.TraceCollector()
@@ -521,7 +494,7 @@ class TestLiveCaptureEndToEnd:
             assert drained == snapshot["totals"]["records"]
             live_trace = obs.to_chrome_trace(live_collector)
             live_analysis = analyze_trace(live_trace)
-            assert live_analysis["runs"], "live capture must segment a run"
+            assert live_analysis["runs"] == snapshot["runs"]
 
             # Same-seed parity: the live capture's critical-path total
             # must bracket the same wall window the conventional parent

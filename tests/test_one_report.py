@@ -5,11 +5,12 @@ phase percentiles and straggler verdicts included.
 The multiprocess run is captured twice at once: drained from its live
 session (every worker's spans) and by the parent's collector alone (the
 parent's view only — its workers' spans went to their rings), which the
-gate must flag instead of passing an empty analysis.
+gate must flag instead of passing an empty analysis.  The live session's
+snapshot — what ``repro top --json`` prints — is the same document as
+``repro analyze`` of the drained file.
 """
 
 import json
-import time
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from repro.cluster.compute import ComputeTimeModel
 from repro.core.tuning import AdaptiveTuner
 from repro.ml import SoftmaxRegressionModel, SyntheticImageDataset
 from repro.ml.optim import ConstantSchedule, SgdUpdateRule
-from repro.obs.live import LiveTelemetrySession
+from repro.obs.live import LiveTelemetrySession, TelemetryAggregator, render_frame
 from repro.runtime import MultiprocessRun, ThreadedRun
 from repro.workloads import tiny_workload
 
@@ -50,7 +51,8 @@ def _wall_clock_run(backend, **kwargs):
 @pytest.fixture(scope="module")
 def captures(tmp_path_factory):
     """Per substrate: the trace file, each worker track's iterations and
-    the re-syncs the scheduler sent."""
+    the re-syncs the scheduler sent; and the live snapshot of the
+    multiprocess run."""
     directory = tmp_path_factory.mktemp("one_report")
 
     def write(name, collector):
@@ -81,7 +83,8 @@ def captures(tmp_path_factory):
         with obs.collecting() as collector:
             result = _wall_clock_run(MultiprocessRun, live_session=session).run(0.4)
         aggregator = session.aggregator()
-        aggregator.poll(time.monotonic())
+        aggregator.poll()
+        captured["live snapshot"] = aggregator.snapshot()
         drained = obs.TraceCollector()
         aggregator.drain_to_collector(drained)
     finally:
@@ -144,6 +147,19 @@ def test_aborts_counted_once_on_every_substrate(captures, substrate):
     assert arrows <= resyncs_sent
     if substrate == "des":
         assert arrows == resyncs_sent
+
+
+def test_live_snapshot_is_the_analysis_of_the_drained_file(captures, capsys):
+    snapshot = captures["live snapshot"]
+    path, _, _ = captures["processes"]
+    capsys.readouterr()
+    assert main(["analyze", str(path), "--format", "json"]) == 0
+    analysis = json.loads(capsys.readouterr().out)
+    assert set(snapshot) == set(analysis) | {"totals", "counters"}
+    assert snapshot["runs"] == analysis["runs"]
+    empty = TelemetryAggregator().snapshot()
+    assert empty["runs"] == []
+    assert render_frame(empty).startswith("repro top — live telemetry (0 records")
 
 
 def test_collector_only_multiprocess_capture_trips_the_gate(captures, capsys):
