@@ -29,21 +29,27 @@ worker, one binary search of the k window ends against the epoch's n push
 times — O(m·k·log n) comparisons per epoch in m NumPy calls, next to an
 O(n) pass per worker that picks out its own pushes — instead of a Python
 loop over every (candidate, worker) pair.  Building the candidate set is
-still O(n²).  At m = 40 that is a few milliseconds per epoch, which is
-what lets the scheduler run it on the notify path (Table II's
-"negligible").  Every scalar entry point (:func:`estimate_freshness_gain`,
-:func:`freshness_improvement`) and the analysis ledger's F̃(Δ) curve call
-the same kernel.
+still O(n²), but in NumPy: the pairwise differences are computed a block
+of rows at a time, rounded with ``np.rint``, then sorted once and
+deduplicated — two orders of magnitude below a Python ``round()`` per
+pair.  That is what lets the scheduler run the scan on the notify path
+(Table II's "negligible"), up to m = 1000 workers.  Every scalar entry
+point (:func:`estimate_freshness_gain`, :func:`freshness_improvement`)
+and the analysis ledger's F̃(Δ) curve call the same kernel.
 
 Two details are fixed on purpose, because the chosen (ABORT_TIME,
 ABORT_RATE) feeds back into the simulation and one differing bit changes
 every later event: the per-worker terms are *accumulated in worker-id
 order*, vector by vector, so each candidate's F̃ is the same sequence of
 float additions a scalar ``for worker: total += …`` loop performs (a
-matrix ``sum(axis=0)`` would add pairwise, in another order); and the
-candidates are rounded with Python's ``round(d, 9)``, which rounds the
-decimal value correctly, not ``np.round``, which scales, rounds and
-divides and can land one ulp away.  Ties go to the first — shortest —
+matrix ``sum(axis=0)`` would add pairwise, in another order); and every
+candidate is the double Python's ``round(d, 9)`` returns — the correctly
+rounded decimal.  ``np.round`` scales, rounds and divides, and the scaled
+product can land on the other side of a half (0.348620133 by ``round``,
+0.348620132 by ``np.round``).  So ``rint(d·1e9)/1e9`` is used only where
+the product is provably on the right side, and the few entries within
+2⁻⁵⁰ (relative) of a half, or too large to hold a fraction, go through
+``round()`` itself (:func:`_round_9`).  Ties go to the first — shortest —
 maximizing window (``np.argmax``).
 """
 
@@ -199,10 +205,41 @@ def freshness_improvement(trace: EpochTrace, window_s: float) -> float:
     return float(freshness_curve(trace, [window_s])[0])
 
 
+#: Pairwise differences built per block of rows in :func:`candidate_windows`.
+_BLOCK_PAIRS = 1 << 13
+#: Above this magnitude a float64 has no fractional bits to round.
+_EXACT_INT_LIMIT = 2.0**52
+#: Relative distance from a half within which ``fl(d·1e9)`` may have
+#: crossed it: the product's error is at most 2⁻⁵³ relative; 2⁻⁵⁰ is margin.
+_HALF_TOLERANCE = 2.0**-50
+
+
+def _round_9(diffs: np.ndarray) -> np.ndarray:
+    """``round(d, 9)`` for every ``d ≥ 0`` of ``diffs``, bit for bit.
+
+    ``k = rint(d·1e9)`` is the integer nearest the exact ``d·10⁹`` unless
+    the rounded product lies within ``_HALF_TOLERANCE`` (relative) of a
+    half — only there can it sit on the other side of the half from the
+    exact value.  Then ``k / 1e9`` is the correctly rounded quotient of two
+    exact numbers, which is the double ``round()`` returns.  The near-half
+    and huge entries go through ``round()`` itself.
+    """
+    scaled = diffs * 1e9
+    rounded = np.rint(scaled) / 1e9
+    ambiguous = ~(
+        (np.abs(scaled - np.floor(scaled) - 0.5) > scaled * _HALF_TOLERANCE)
+        & (scaled < _EXACT_INT_LIMIT)
+    )
+    if ambiguous.any():
+        rounded[ambiguous] = [round(d, 9) for d in diffs[ambiguous].tolist()]
+    return rounded
+
+
 def candidate_windows(
     push_times: Sequence[float], max_candidates: int = 512
 ) -> List[float]:
-    """The Δ candidates: positive pairwise push-time differences.
+    """The Δ candidates: positive pairwise push-time differences, each
+    rounded to 9 decimals exactly as ``round(d, 9)`` would.
 
     The optimum of Eq. 7 right-aligns the window with a push, so scanning
     every such value would be exact.  When the O(n²) set exceeds
@@ -210,18 +247,32 @@ def candidate_windows(
     tuning cost, which already happens at the paper's scale: MF at m = 40
     has 40–151 pushes per epoch, and every epoch is cut to 512 candidates.
     The exact sweep is ROADMAP item 2.
+
+    The set is built in NumPy, still O(n²): a block of rows of the
+    difference matrix at a time (its lower triangle's differences are ≤ 0
+    and drop out with the duplicates' zeros, so no n² index arrays are
+    built), rounded by :func:`_round_9`, then sorted once and deduplicated.
     """
-    times = sorted(push_times)
-    raw = {
-        round(times[j] - times[i], 9)
-        for i in range(len(times))
-        for j in range(i + 1, len(times))
-    }
-    diffs = sorted(d for d in raw if d > 0)
+    times = np.sort(np.asarray(push_times, dtype=np.float64))
+    n = len(times)
+    rows = max(1, _BLOCK_PAIRS // max(n, 1))
+    blocks = []
+    for start in range(0, n - 1, rows):
+        diffs = (times[start + 1:] - times[start:start + rows, None]).ravel()
+        rounded = _round_9(diffs[diffs > 0])
+        blocks.append(rounded[rounded > 0])
+    if not blocks:
+        return []
+    # Sort and drop repeats by hand: ``np.unique`` imports ``numpy.ma``.
+    diffs = np.sort(np.concatenate(blocks))
+    distinct = np.empty(diffs.shape, dtype=bool)
+    distinct[:1] = True
+    np.not_equal(diffs[1:], diffs[:-1], out=distinct[1:])
+    diffs = diffs[distinct]
     if len(diffs) > max_candidates:
         idx = np.linspace(0, len(diffs) - 1, max_candidates).astype(int, copy=False)
-        diffs = [diffs[i] for i in idx]
-    return diffs
+        diffs = diffs[idx]
+    return diffs.tolist()
 
 
 def tune_hyperparams(

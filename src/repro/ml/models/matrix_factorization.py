@@ -12,13 +12,23 @@ The model interface is ``loss`` + ``gradient``, sharing one forward pass
 alone, so a training step never pays for the loss or its regularization
 term, which the gradient does not need.
 
+The forward pass gathers the batch's rows with ``take`` and accumulates
+the errors in place in the formula's order (``+ bu``, ``+ bi``, ``+ mu``,
+``− r``); the gradient builds its per-sample terms with the same float
+operations as the written formula, in place over the gathered rows and
+two new buffers.  The row dot product stays ``np.sum(u * i, axis=1)``:
+its pairwise summation order is part of every pinned digest, and
+``einsum`` adds in another order.
+
 The scatter of per-sample terms into those dense arrays is one
-``np.bincount`` per array over flattened ``row * rank + column`` indices.
+``np.bincount`` per array over flattened ``row * rank + column`` indices,
+gathered with ``take`` from a per-model table of every cell's flat index.
 ``bincount`` walks its input once, front to back, adding each weight to
 its bin — so every gradient cell receives its contributions in sample
-order starting from 0.0, the same float additions in the same order as the
-unbuffered ``ufunc.at`` scatter-add it replaced (or a Python loop over the
-batch), and the gradient is bit-for-bit the same at a third of the cost.
+order starting from 0.0, the same float additions in the same order as a
+Python loop over the batch (or the unbuffered ``ufunc.at`` scatter-add it
+replaced), and the gradient is bit-for-bit the same at a fraction of the
+cost.
 """
 
 from __future__ import annotations
@@ -57,6 +67,13 @@ class MatrixFactorizationModel(Model):
         self.reg = check_non_negative("reg", reg)
         self.init_scale = check_positive("init_scale", init_scale)
         self.global_mean = float(global_mean)
+        # Flat bincount index of every (row, column) cell of U and V.
+        self._user_cells = np.arange(self.num_users * self.rank).reshape(
+            self.num_users, self.rank
+        )
+        self._item_cells = np.arange(self.num_items * self.rank).reshape(
+            self.num_items, self.rank
+        )
 
     def init_params(self, rng: np.random.Generator) -> ParamSet:
         return ParamSet(
@@ -74,17 +91,16 @@ class MatrixFactorizationModel(Model):
 
     def _errors(self, params: ParamSet, batch):
         """The batch's ids, its gathered embedding rows and the prediction
-        errors ``r̂ - r`` — the forward pass ``loss`` and ``gradient`` share."""
+        errors ``r̂ - r`` — the forward pass ``loss`` and ``gradient`` share.
+        The gathered rows and the errors are fresh arrays the caller owns."""
         users, items, ratings = self._unpack(batch)
-        u_vecs = params["user_factors"][users]
-        i_vecs = params["item_factors"][items]
-        errors = (
-            np.sum(u_vecs * i_vecs, axis=1)
-            + params["user_bias"][users]
-            + params["item_bias"][items]
-            + self.global_mean
-            - ratings
-        )
+        u_vecs = params["user_factors"].take(users, axis=0)
+        i_vecs = params["item_factors"].take(items, axis=0)
+        errors = np.sum(u_vecs * i_vecs, axis=1)
+        errors += params["user_bias"].take(users)
+        errors += params["item_bias"].take(items)
+        errors += self.global_mean
+        errors -= ratings
         return users, items, u_vecs, i_vecs, errors
 
     def loss(self, params: ParamSet, batch) -> float:
@@ -97,18 +113,29 @@ class MatrixFactorizationModel(Model):
         users, items, u_vecs, i_vecs, errors = self._errors(params, batch)
         # d/dU[u] mean(err^2 + reg*(|U[u]|^2+|V[i]|^2))
         #   = (2/n) * (err * V[i] + reg * U[u]) summed over batch occurrences.
+        # The terms are coeff * (err * V[i] + reg * U[u]) and
+        # coeff * (err * U[u] + reg * V[i]), op for op, built in place
+        # over two new buffers and the gathered rows.
         coeff = 2.0 / len(errors)
-        per_sample_u = coeff * (errors[:, None] * i_vecs + self.reg * u_vecs)
-        per_sample_i = coeff * (errors[:, None] * u_vecs + self.reg * i_vecs)
-        per_sample_bias = coeff * errors
-        grad_u = self._scatter_rows(users, per_sample_u, self.num_users)
-        grad_i = self._scatter_rows(items, per_sample_i, self.num_items)
-        grad_bu = np.bincount(
-            users, weights=per_sample_bias, minlength=self.num_users
-        )
-        grad_bi = np.bincount(
-            items, weights=per_sample_bias, minlength=self.num_items
-        )
+        column = errors[:, None]
+        per_sample_u = column * i_vecs
+        per_sample_u += self.reg * u_vecs
+        per_sample_u *= coeff
+        per_sample_i = np.multiply(column, u_vecs, out=u_vecs)
+        per_sample_i += np.multiply(self.reg, i_vecs, out=i_vecs)
+        per_sample_i *= coeff
+        per_sample_bias = np.multiply(coeff, errors, out=errors)
+        num_u, num_i, rank = self.num_users, self.num_items, self.rank
+        grad_u = np.bincount(
+            self._user_cells.take(users, axis=0).ravel(),
+            weights=per_sample_u.ravel(), minlength=num_u * rank,
+        ).reshape(num_u, rank)
+        grad_i = np.bincount(
+            self._item_cells.take(items, axis=0).ravel(),
+            weights=per_sample_i.ravel(), minlength=num_i * rank,
+        ).reshape(num_i, rank)
+        grad_bu = np.bincount(users, weights=per_sample_bias, minlength=num_u)
+        grad_bi = np.bincount(items, weights=per_sample_bias, minlength=num_i)
 
         return ParamSet(
             {
@@ -118,18 +145,6 @@ class MatrixFactorizationModel(Model):
                 "item_bias": grad_bi,
             }
         )
-
-    @staticmethod
-    def _scatter_rows(
-        rows: np.ndarray, per_sample: np.ndarray, num_rows: int
-    ) -> np.ndarray:
-        """Sum ``per_sample[s]`` into row ``rows[s]`` of a zero
-        ``(num_rows, rank)`` array, in sample order (module docstring)."""
-        rank = per_sample.shape[1]
-        flat = (rows[:, None] * rank + np.arange(rank)).ravel()
-        return np.bincount(
-            flat, weights=per_sample.ravel(), minlength=num_rows * rank
-        ).reshape(num_rows, rank)
 
     @staticmethod
     def _unpack(batch):

@@ -293,6 +293,15 @@ def reference_mlp_loss_and_grad(self, params, batch):
     return loss, ParamSet(grads)
 
 
+def sequential_scatter_rows(rows, per_sample, num_rows):
+    """Row ``rows[s]`` += ``per_sample[s]`` for each sample in order, from
+    zeros: the accumulation order the MF module docstring promises."""
+    out = np.zeros((num_rows, per_sample.shape[1]))
+    for row, term in zip(rows.tolist(), per_sample):
+        out[row] += term
+    return out
+
+
 def reference_mf_loss_and_grad(self, params, batch):
     users, items, ratings = self._unpack(batch)
     n = len(ratings)
@@ -312,8 +321,8 @@ def reference_mf_loss_and_grad(self, params, batch):
     per_sample_u = coeff * (errors[:, None] * i_vecs + self.reg * u_vecs)
     per_sample_i = coeff * (errors[:, None] * u_vecs + self.reg * i_vecs)
     per_sample_bias = coeff * errors
-    grad_u = self._scatter_rows(users, per_sample_u, self.num_users)
-    grad_i = self._scatter_rows(items, per_sample_i, self.num_items)
+    grad_u = sequential_scatter_rows(users, per_sample_u, self.num_users)
+    grad_i = sequential_scatter_rows(items, per_sample_i, self.num_items)
     grad_bu = np.bincount(users, weights=per_sample_bias, minlength=self.num_users)
     grad_bi = np.bincount(items, weights=per_sample_bias, minlength=self.num_items)
 

@@ -5,8 +5,10 @@ import pytest
 
 from repro.ml import ParamSet
 from repro.ml.optim import (
+    AdaGradUpdateRule,
     ConstantSchedule,
     SgdUpdateRule,
+    StalenessAwareUpdateRule,
     StepDecaySchedule,
 )
 
@@ -135,6 +137,72 @@ class TestSgdUpdateRule:
             g = ParamSet({"w": p["w"] - target})
             rule.apply(p, g)
         np.testing.assert_allclose(p["w"], target, atol=1e-8)
+
+
+def reference_clipped(clip_norm, gradient):
+    """The clip by the exact global norm alone, with no bound before it."""
+    norm = gradient.norm()
+    if norm <= clip_norm:
+        return gradient
+    return gradient.scaled(clip_norm / norm)
+
+
+class TestClipGuard:
+    """``_clipped`` skips the exact norm when a ``dot`` bound proves no clip
+    applies; at the boundary it must decide exactly as the exact norm does."""
+
+    RULES = [SgdUpdateRule, StalenessAwareUpdateRule, AdaGradUpdateRule]
+    CLIP = 10.0
+
+    @staticmethod
+    def unit_gradient(seed):
+        r = np.random.default_rng(seed)
+        g = ParamSet({"u": r.normal(size=(60, 16)), "b": r.normal(size=600)})
+        return g.scaled(1.0 / g.norm())
+
+    @staticmethod
+    def assert_same_bits(got, expected):
+        assert list(got.keys()) == list(expected.keys())
+        for key in expected.keys():
+            assert got[key].tobytes() == expected[key].tobytes(), key
+
+    @pytest.mark.parametrize("rule_type", RULES)
+    def test_bit_equal_to_exact_norm_at_the_clip_boundary(self, rule_type):
+        rule = rule_type(ConstantSchedule(0.1), clip_norm=self.CLIP)
+        untouched = clipped = 0
+        for seed in range(3):
+            unit = self.unit_gradient(seed)
+            for k in range(-64, 65):
+                g = unit.scaled(self.CLIP * (1.0 + k * 2.0**-52))
+                expected = reference_clipped(self.CLIP, g)
+                got = rule._clipped(g)
+                if expected is g:
+                    assert got is g, (seed, k)
+                    untouched += 1
+                else:
+                    assert got is not g, (seed, k)
+                    self.assert_same_bits(got, expected)
+                    clipped += 1
+        assert untouched and clipped
+
+    @pytest.mark.parametrize("rule_type", RULES)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_takes_the_exact_path(self, rule_type, bad):
+        rule = rule_type(ConstantSchedule(0.1), clip_norm=self.CLIP)
+        g = self.unit_gradient(0)
+        g["u"][3, 5] = bad
+        with np.errstate(invalid="ignore"):
+            got = rule._clipped(g)
+            expected = reference_clipped(self.CLIP, g)
+        assert got is not g
+        self.assert_same_bits(got, expected)
+
+    @pytest.mark.parametrize("rule_type", RULES)
+    def test_bound_skips_the_exact_norm_well_below_the_clip(self, rule_type, monkeypatch):
+        rule = rule_type(ConstantSchedule(0.1), clip_norm=self.CLIP)
+        g = self.unit_gradient(1).scaled(self.CLIP * (1.0 - 2.0**-30))
+        monkeypatch.setattr(ParamSet, "norm", lambda self: pytest.fail("exact norm"))
+        assert rule._clipped(g) is g
 
 
 class TestAdaGrad:

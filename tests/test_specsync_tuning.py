@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.hyperparams import SpecSyncHyperparams
 from repro.core.tuning import (
@@ -325,6 +325,38 @@ class TestBatchedKernelMatchesScalarScan:
                 windows = candidate_windows(times, cap)
                 assert windows == reference_candidates(times, cap), seed
                 assert all(type(w) is float for w in windows)
+
+    # Push-time lists for the exactness property: uniform, rounded to a
+    # few decimals, on a 5e-10 grid (differences sit on a half after ×1e9,
+    # where ``fl(d·1e9)`` may cross it) and drawn from a few values.
+    TIMES = st.one_of(
+        st.lists(st.floats(0.0, 1e4), max_size=400),
+        st.tuples(st.integers(1, 10), st.lists(st.floats(0.0, 1e3), max_size=400))
+        .map(lambda p: [round(t, p[0]) for t in p[1]]),
+        st.tuples(st.floats(0.0, 1e3), st.lists(st.integers(0, 10**7), max_size=400))
+        .map(lambda p: [k * 5e-10 + p[0] for k in p[1]]),
+        st.lists(st.floats(0.0, 1e3), min_size=1, max_size=20)
+        .flatmap(lambda base: st.lists(st.sampled_from(base), max_size=400)),
+    )
+
+    @settings(deadline=None, max_examples=60)
+    @given(TIMES)
+    @example([k * 5e-10 + 475.5 for k in range(0, 4 * 10**6, 10**4)])
+    @example([(k * 7919 % 400) * 0.0125 for k in range(400)])
+    def test_candidate_windows_bit_equal_to_round_reference(self, times):
+        for cap in (16, 512, 10**9):
+            assert [w.hex() for w in candidate_windows(times, cap)] == [
+                w.hex() for w in reference_candidates(times, cap)
+            ], cap
+
+    @pytest.mark.parametrize("times, expected", [
+        ([1.441170526901181, 1.789790659401181], 0.348620133),
+        ([475.5214810637931, 475.9672372212931], 0.445756157),
+    ])
+    def test_round_fallback_where_scaled_rint_diverges(self, times, expected):
+        diff = times[1] - times[0]
+        assert np.rint(diff * 1e9) / 1e9 != round(diff, 9) == expected
+        assert candidate_windows(times) == [expected]
 
     def test_corner_cases_are_exercised(self):
         traces = [random_trace(seed) for seed in self.SEEDS]
