@@ -49,13 +49,14 @@ class StalenessAnalysis:
     """Staleness distribution of one run, overall and per worker."""
 
     def __init__(self, traces: TraceRecorder):
-        if not traces.pushes:
+        pushes = traces.pushes
+        if not pushes:
             raise ValueError("trace contains no pushes")
-        self.values = [p.staleness for p in traces.pushes]
+        self.values = pushes.column("staleness").tolist()
         self.overall = StalenessStats.from_values(self.values)
         self._per_worker: Dict[int, List[int]] = {}
-        for push in traces.pushes:
-            self._per_worker.setdefault(push.worker_id, []).append(push.staleness)
+        for worker_id, staleness in zip(pushes.column("worker_id"), self.values):
+            self._per_worker.setdefault(worker_id, []).append(staleness)
 
     def per_worker(self) -> Dict[int, StalenessStats]:
         """Summary per worker (stragglers show up as heavy tails here)."""

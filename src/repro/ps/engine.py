@@ -24,8 +24,9 @@ machine the wall-clock backends also drive; this is its event-callback driver.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, Deque, List, Optional
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from repro.cluster.spec import ClusterSpec
 from repro.events import Simulator
 from repro.metrics.convergence import ConvergenceCriterion
 from repro.metrics.curves import EvalPoint, LossCurve
-from repro.metrics.traces import AbortEvent, PullEvent, PushEvent, TraceRecorder
+from repro.metrics.traces import TraceRecorder
 from repro.ml.datasets.base import Partition
 from repro.ml.models.base import Batch, Model
 from repro.ml.optim import SgdUpdateRule
@@ -55,6 +56,8 @@ __all__ = ["EngineConfig", "WorkerRuntime", "TrainingEngine"]
 
 SERVERS_NODE = "servers"
 SCHEDULER_NODE = "scheduler"
+#: Iterations a worker's mean iteration time is taken over.
+SPAN_WINDOW = 20
 
 
 @dataclass
@@ -140,12 +143,13 @@ class WorkerRuntime(WorkerLoop):
         # Counters
         self.pulls = 0
         self.pushes = 0
-        self.clean_spans: List[float] = []  # spans of abort-free iterations
-        self.all_spans: List[float] = []
+        # The last SPAN_WINDOW iteration spans, abort-free ones and all.
+        self.clean_spans: Deque[float] = deque(maxlen=SPAN_WINDOW)
+        self.all_spans: Deque[float] = deque(maxlen=SPAN_WINDOW)
 
-    def mean_iteration_time(self, window: int = 20) -> Optional[float]:
+    def mean_iteration_time(self) -> Optional[float]:
         """Recent mean iteration span, preferring abort-free iterations."""
-        spans = self.clean_spans[-window:] or self.all_spans[-window:]
+        spans = self.clean_spans or self.all_spans
         if not spans:
             return None
         return sum(spans) / len(spans)
@@ -326,9 +330,7 @@ class TrainingEngine:
             "worker %d aborted iteration %d (wasted %.3gs)",
             worker_id, worker.iteration, wasted,
         )
-        self.traces.record_abort(
-            AbortEvent(self.sim.now, worker_id, worker.iteration, wasted)
-        )
+        self.traces.record_abort(self.sim.now, worker_id, worker.iteration, wasted)
         self.policy.on_abort(worker_id, worker.iteration)
         self._issue_pull(worker, is_restart=True)
         return True
@@ -452,10 +454,7 @@ class TrainingEngine:
             )
             self.tracer.count("engine.pulls")
         self.traces.record_pull(
-            PullEvent(
-                self.sim.now, worker.worker_id, snapshot.version,
-                worker.iteration, is_restart,
-            )
+            self.sim.now, worker.worker_id, snapshot.version, worker.iteration, is_restart
         )
         self.policy.on_pull(worker.worker_id, snapshot.version)
         if not is_restart or worker.batch is None:
@@ -503,10 +502,8 @@ class TrainingEngine:
             self.tracer.count("engine.pushes")
             self.tracer.observe("engine.staleness", record.staleness)
         self.traces.record_push(
-            PushEvent(
-                self.sim.now, worker.worker_id, record.version_after,
-                record.snapshot_version, record.staleness, worker.iteration,
-            )
+            self.sim.now, worker.worker_id, record.version_after,
+            record.snapshot_version, record.staleness, worker.iteration,
         )
         self.policy.on_push_applied(record)
         ack = Message(

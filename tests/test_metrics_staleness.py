@@ -20,7 +20,7 @@ def make_traces(staleness_by_worker):
             time += 1.0
             version += 1
             traces.record_push(
-                PushEvent(
+                *PushEvent(
                     time=time, worker_id=worker, version_after=version,
                     snapshot_version=max(version - 1 - value, 0),
                     staleness=value, iteration=0,
