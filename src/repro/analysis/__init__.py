@@ -14,7 +14,7 @@ Quick use::
 
 Suppress a finding in source with a justification::
 
-    started = _time.perf_counter()  # repro: allow[DET-WALLCLOCK] measures real tuner cost
+    self._lock.acquire()  # repro: allow[FLOW-RELEASE] released by close()
 
 Beyond the lint engine, :mod:`repro.analysis.model` hosts the
 explicit-state model checker for the abort/re-sync protocol

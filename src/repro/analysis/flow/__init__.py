@@ -1,4 +1,4 @@
-"""Flow-sensitive static analysis: CFGs, dataflow solving, call graphs.
+"""Flow-sensitive static analysis: CFGs, dataflow solving, call resolution.
 
 The per-node AST rules in :mod:`repro.analysis.rules` answer "does this
 statement look wrong"; this package answers "can execution *reach* this
@@ -15,12 +15,14 @@ statement in a bad state".  Three layers:
   fixpoint solver over a CFG; problems choose the lattice join and the
   per-block transfer, and may propagate the *pre*-state along exception
   edges (a statement that raises did not complete its effect).
-* :mod:`repro.analysis.flow.callgraph` — an interprocedural call graph
-  over the linted batch, resolved by module-level name binding (imports,
-  module functions, ``self.``/``cls.`` methods, class-qualified calls).
+* :mod:`repro.analysis.flow.callgraph` — interprocedural call
+  resolution over the linted batch, by module-level name binding
+  (imports, module functions, ``self.``/``cls.`` methods,
+  class-qualified calls).
 
-The FLOW-* rule packs in :mod:`repro.analysis.rules.flow` are built on
-these layers; ``docs/static_analysis.md`` documents the model.
+FLOW-RELEASE (:mod:`repro.analysis.rules.flow`) is built on the first
+two layers, the ownership analysis (:mod:`repro.analysis.ownership`) on
+all three; ``docs/static_analysis.md`` documents the model.
 """
 
 from repro.analysis.flow.callgraph import CallGraph, FunctionInfo, build_call_graph

@@ -1,28 +1,24 @@
-"""Interprocedural call graph over the linted batch.
+"""Interprocedural call resolution over the linted batch.
 
-Resolution is by *module-level name binding*, the only kind Python makes
-static: import aliases (via :mod:`repro.analysis.astutil`), module
-functions, classes and their methods (including single-inheritance-style
-base lookup when the base resolves to a batch class), ``self.``/``cls.``
-method calls, ``ClassName.method`` references, nested ``def`` names, and
-a small local-instance inference (``x = ClassName(...)`` makes ``x.m()``
-resolve).  Anything dynamic — getattr, dict dispatch, decorators that
-swap callables — is out of scope and simply yields no edge, which keeps
-the graph an under-approximation: good for "is a blocking call reachable"
-warnings, where a missed edge costs a warning, not a crash.
-
-Calls that resolve through an import alias to a name *outside* the batch
-(``time.sleep``, ``socket.socket``) are recorded per caller in
-``CallGraph.external`` so rules can reason about well-known library
-primitives without the batch containing them.
+:meth:`CallGraph.resolve_call` maps a call site to the batch function it
+invokes.  Resolution is by *module-level name binding*, the only kind
+Python makes static: import aliases (via :mod:`repro.analysis.astutil`),
+module functions, classes and their methods (including
+single-inheritance-style base lookup when the base resolves to a batch
+class), ``self.``/``cls.`` method calls, ``ClassName.method``
+references, nested ``def`` names, and a small local-instance inference
+(``x = ClassName(...)`` makes ``x.m()`` resolve).  A bare class call
+resolves to its ``__init__``.  Anything dynamic — getattr, dict
+dispatch, decorators that swap callables — is out of scope and resolves
+to nothing, which keeps the facts built on it an under-approximation: a
+missed call costs a missed warning, not a crash.
 """
 
 from __future__ import annotations
 
 import ast
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.astutil import (
     dotted_name,
@@ -33,7 +29,7 @@ from repro.analysis.astutil import (
 from repro.analysis.engine import ModuleInfo
 from repro.analysis.flow.cfg import FunctionNode
 
-__all__ = ["CallEdge", "CallGraph", "FunctionInfo", "build_call_graph"]
+__all__ = ["CallGraph", "FunctionInfo", "build_call_graph"]
 
 
 @dataclass
@@ -43,23 +39,12 @@ class FunctionInfo:
     qualname: str
     module: str
     node: FunctionNode
-    line: int
-    is_async: bool
     #: qualname of the innermost enclosing class, if a method
     class_qualname: Optional[str] = None
     #: names bound by nested ``def``s in this function's own scope
     local_bindings: Dict[str, str] = field(default_factory=dict)
     #: local variables inferred as instances of batch classes
     local_types: Dict[str, str] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class CallEdge:
-    """A resolved call: ``caller`` invokes ``callee`` at ``line``."""
-
-    caller: str
-    callee: str
-    line: int
 
 
 @dataclass
@@ -79,92 +64,57 @@ class _ModuleScope:
 
 
 class CallGraph:
-    """Functions, resolved call edges, and external library calls."""
+    """The batch's functions and classes; resolves the calls between them."""
 
     def __init__(self) -> None:
         self.functions: Dict[str, FunctionInfo] = {}
-        #: caller qualname -> outgoing edges (deduped, source order)
-        self.edges: Dict[str, List[CallEdge]] = {}
-        #: caller qualname -> [(resolved external dotted name, line)]
-        self.external: Dict[str, List[Tuple[str, int]]] = {}
         self._classes: Dict[str, _ClassInfo] = {}
         self._scopes: Dict[str, _ModuleScope] = {}
 
-    # -- queries ------------------------------------------------------
-    def callees(self, qualname: str) -> List[CallEdge]:
-        return self.edges.get(qualname, [])
+    def resolve_call(self, fi: FunctionInfo, call: ast.Call) -> Optional[str]:
+        """The qualname of the batch function ``call`` (made in ``fi``) invokes.
 
-    def reachable_from(self, roots: Iterable[str]) -> Set[str]:
-        """All functions reachable from ``roots`` (roots included)."""
-        seen: Set[str] = set()
-        queue = deque(r for r in roots if r in self.functions)
-        seen.update(queue)
-        while queue:
-            current = queue.popleft()
-            for edge in self.edges.get(current, []):
-                if edge.callee not in seen:
-                    seen.add(edge.callee)
-                    queue.append(edge.callee)
-        return seen
-
-    def call_path(self, root: str, target: str) -> Optional[List[CallEdge]]:
-        """A shortest chain of edges from ``root`` to ``target``.
-
-        Returns ``[]`` when root *is* the target, ``None`` when
-        unreachable.
+        A bare class call resolves to the class's ``__init__``.
         """
-        if root == target:
-            return []
-        if root not in self.functions:
+        dotted = dotted_name(call.func)
+        scope = self._scopes.get(fi.module)
+        if dotted is None or scope is None:
             return None
-        parents: Dict[str, CallEdge] = {}
-        queue = deque([root])
-        while queue:
-            current = queue.popleft()
-            for edge in self.edges.get(current, []):
-                if edge.callee in parents or edge.callee == root:
-                    continue
-                parents[edge.callee] = edge
-                if edge.callee == target:
-                    chain: List[CallEdge] = []
-                    node = target
-                    while node != root:
-                        chain.append(parents[node])
-                        node = parents[node].caller
-                    chain.reverse()
-                    return chain
-                queue.append(edge.callee)
+        parts = dotted.split(".")
+        head = parts[0]
+
+        if head in ("self", "cls") and fi.class_qualname is not None and len(parts) == 2:
+            return self._lookup_method(fi.class_qualname, parts[1])
+        if len(parts) == 1 and head in fi.local_bindings:
+            return fi.local_bindings[head]
+        if len(parts) == 2 and head in fi.local_types:
+            return self._lookup_method(fi.local_types[head], parts[1])
+
+        binding = scope.bindings.get(head)
+        if binding is not None:
+            kind, qualname = binding
+            if kind == "func":
+                return qualname if len(parts) == 1 else None
+            if len(parts) == 1:
+                return self._lookup_method(qualname, "__init__")
+            if len(parts) == 2:
+                return self._lookup_method(qualname, parts[1])
+            return None
+
+        full = resolve_name(dotted, scope.aliases)
+        if full in self.functions:
+            return full
+        if full in self._classes:
+            return self._lookup_method(full, "__init__")
+        owner, _, method = full.rpartition(".")
+        if owner in self._classes:
+            return self._lookup_method(owner, method)
         return None
 
-    def resolve_callable(
-        self, module: str, node: ast.AST, enclosing: Optional[FunctionInfo] = None
-    ) -> Optional[str]:
-        """Resolve a Name/Attribute expression to a batch function.
-
-        Used for callbacks passed by reference (``install_tap(self._on_event)``);
-        ``enclosing`` supplies the ``self``/local context.
-        """
-        dotted = dotted_name(node)
-        if dotted is None:
-            return None
-        return self._resolve(module, dotted, enclosing, as_call=False)
-
-    def lookup_method(self, class_qualname: str, name: str) -> Optional[str]:
-        """Resolve ``name`` on ``class_qualname`` with base-class lookup.
-
-        Public form of the internal method table, used by the perf
-        hotness layer to resolve calls through inferred attribute types.
-        """
-        return self._lookup_method(class_qualname, name)
-
-    def known_classes(self) -> Dict[str, List[str]]:
-        """class qualname → resolved base-class names, for every batch class."""
-        return {q: list(info.bases) for q, info in self._classes.items()}
-
-    # -- construction helpers (used by build_call_graph) --------------
     def _lookup_method(
         self, class_qualname: str, name: str, seen: Optional[Set[str]] = None
     ) -> Optional[str]:
+        """Resolve ``name`` on ``class_qualname`` with base-class lookup."""
         if seen is None:
             seen = set()
         if class_qualname in seen:
@@ -179,56 +129,6 @@ class CallGraph:
             found = self._lookup_method(base, name, seen)
             if found is not None:
                 return found
-        return None
-
-    def _resolve(
-        self,
-        module: str,
-        dotted: str,
-        enclosing: Optional[FunctionInfo],
-        as_call: bool,
-    ) -> Optional[str]:
-        """Resolve ``dotted`` as seen from ``module`` to a function qualname.
-
-        With ``as_call`` a bare class reference maps to its ``__init__``.
-        """
-        scope = self._scopes.get(module)
-        if scope is None:
-            return None
-        parts = dotted.split(".")
-        head = parts[0]
-
-        if enclosing is not None:
-            if (
-                head in ("self", "cls")
-                and enclosing.class_qualname is not None
-                and len(parts) == 2
-            ):
-                return self._lookup_method(enclosing.class_qualname, parts[1])
-            if len(parts) == 1 and head in enclosing.local_bindings:
-                return enclosing.local_bindings[head]
-            if len(parts) == 2 and head in enclosing.local_types:
-                return self._lookup_method(enclosing.local_types[head], parts[1])
-
-        binding = scope.bindings.get(head)
-        if binding is not None:
-            kind, qualname = binding
-            if kind == "func":
-                return qualname if len(parts) == 1 else None
-            if len(parts) == 1:
-                return self._lookup_method(qualname, "__init__") if as_call else None
-            if len(parts) == 2:
-                return self._lookup_method(qualname, parts[1])
-            return None
-
-        full = resolve_name(dotted, scope.aliases)
-        if full in self.functions:
-            return full
-        if full in self._classes:
-            return self._lookup_method(full, "__init__") if as_call else None
-        owner, _, method = full.rpartition(".")
-        if owner in self._classes:
-            return self._lookup_method(owner, method)
         return None
 
 
@@ -266,8 +166,6 @@ def _collect_definitions(graph: CallGraph, info: ModuleInfo) -> None:
                     qualname=qualname,
                     module=info.module,
                     node=child,
-                    line=child.lineno,
-                    is_async=isinstance(child, ast.AsyncFunctionDef),
                     class_qualname=cls,
                 )
                 if cls is not None and isinstance(node, ast.ClassDef):
@@ -324,39 +222,6 @@ def _resolved_class(
     return full if full in graph._classes else None
 
 
-def _collect_edges(graph: CallGraph, fi: FunctionInfo) -> None:
-    """Third pass, per function: resolve calls into edges / externals."""
-    scope = graph._scopes[fi.module]
-    edges: List[CallEdge] = []
-    seen: Set[Tuple[str, int]] = set()
-    externals: List[Tuple[str, int]] = []
-    seen_external: Set[Tuple[str, int]] = set()
-    for node in walk_own_scope(fi.node):
-        if not isinstance(node, ast.Call):
-            continue
-        dotted = dotted_name(node.func)
-        if dotted is None:
-            continue
-        target = graph._resolve(fi.module, dotted, fi, as_call=True)
-        if target is not None:
-            key = (target, node.lineno)
-            if key not in seen:
-                seen.add(key)
-                edges.append(CallEdge(fi.qualname, target, node.lineno))
-            continue
-        head = dotted.split(".")[0]
-        if head in scope.aliases:
-            full = resolve_name(dotted, scope.aliases)
-            key = (full, node.lineno)
-            if key not in seen_external:
-                seen_external.add(key)
-                externals.append((full, node.lineno))
-    if edges:
-        graph.edges[fi.qualname] = edges
-    if externals:
-        graph.external[fi.qualname] = externals
-
-
 def build_call_graph(modules: Sequence[ModuleInfo]) -> CallGraph:
     """The call graph over ``modules`` (typically the whole lint batch)."""
     graph = CallGraph()
@@ -364,6 +229,4 @@ def build_call_graph(modules: Sequence[ModuleInfo]) -> CallGraph:
         _collect_definitions(graph, info)
     for fi in graph.functions.values():
         _collect_function_locals(graph, fi)
-    for fi in graph.functions.values():
-        _collect_edges(graph, fi)
     return graph

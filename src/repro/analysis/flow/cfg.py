@@ -39,7 +39,7 @@ Deliberate approximations (documented for rule authors):
 * a context manager never suppresses exceptions (no ``__exit__`` → True
   modeling) — true for every ``with`` in this codebase;
 * constant branch tests (``if True:``, ``while True:``) drop the
-  impossible edge, so the dead side shows up as unreachable blocks.
+  impossible edge, so no path reaches the dead side.
 """
 
 from __future__ import annotations
@@ -118,15 +118,6 @@ class CFG:
                     seen.add(dst)
                     stack.append(dst)
         return seen
-
-    def unreachable_blocks(self) -> List[Block]:
-        """Real (non-synthetic) blocks no path from entry reaches."""
-        reachable = self.reachable()
-        return [
-            b
-            for bid, b in sorted(self.blocks.items())
-            if bid not in reachable and not b.synthetic
-        ]
 
 
 # ----------------------------------------------------------------------

@@ -7,8 +7,8 @@ This subpackage has two halves that check each other:
   deadlock + liveness checks, shortest-counterexample reconstruction);
 * :mod:`~repro.analysis.model.specsync` — a formal model of the
   scheduler/worker/server protocol whose alphabet is exactly
-  :class:`repro.netsim.messages.MessageKind` (enforced by the
-  ``PROTO-MODEL-ALPHABET`` lint rule).
+  :class:`repro.netsim.messages.MessageKind` (enforced by
+  ``tests/test_model_specsync.py``).
 
 :mod:`~repro.analysis.model.conformance` closes the loop by projecting
 *real* runs — DES runs via the simulator tap bus, multiprocess runs via

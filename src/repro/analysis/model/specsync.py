@@ -28,8 +28,9 @@ The scheduler's timer check becomes the internal ``resync_check`` action,
 enabled whenever a bound window's peer count reaches ``ABORT_RATE × m``;
 checks from superseded windows model *late* re-syncs.  Every other action
 is a message delivery named by :class:`repro.netsim.messages.MessageKind`
-(:data:`MODEL_ALPHABET` mirrors the enum — lint rule
-``PROTO-MODEL-ALPHABET`` keeps the two in lockstep), plus the internal
+(:data:`MODEL_ALPHABET` mirrors the enum —
+``tests/test_model_specsync.py::TestModelValidation::test_alphabet_mirrors_message_kind``
+keeps the two in lockstep), plus the internal
 ``compute_done`` (the engine stops being abortable when the gradient
 leaves for the wire, not when the push applies).
 
@@ -57,10 +58,10 @@ __all__ = [
     "SpecSyncModel",
 ]
 
-#: Every message kind the model's transition alphabet covers.  The
-#: PROTO-MODEL-ALPHABET lint rule statically cross-checks this tuple
-#: against the ``MessageKind`` enum in both directions, so adding a
-#: message kind without teaching the model about it fails lint.
+#: Every message kind the model's transition alphabet covers.  A tier-1
+#: test checks that this tuple and the ``MessageKind`` enum hold the same
+#: members, so adding a message kind without teaching the model about it
+#: fails the suite.
 MODEL_ALPHABET: Tuple[MessageKind, ...] = (
     MessageKind.PULL_REQUEST,
     MessageKind.PULL_RESPONSE,

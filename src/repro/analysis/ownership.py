@@ -2,13 +2,13 @@
 
 Zero-copy code (the shared-memory parameter path, ``repro.ps.shm``) moves
 the cost of safety from the runtime to the reviewer: nothing crashes when
-a function mutates an array it merely *borrowed* — results just go subtly
-wrong, the data-centric consistency hazard the Parameter Database line of
-work frames.  This module is the static side of that bargain: a
-flow-sensitive, interprocedural abstract interpretation that tracks where
-every array-typed local *came from*, so the ``BUF-*`` rules
-(:mod:`repro.analysis.rules.ownership`) can certify the invariants the
-zero-copy refactor leans on.
+a store keeps a caller's array by reference — results just go subtly
+wrong once the caller writes to it, the data-centric consistency hazard
+the Parameter Database line of work frames.  This module is the static
+side of that bargain: a flow-sensitive, interprocedural abstract
+interpretation that tracks where every array-typed local *came from*, so
+``BUF-ALIAS-STORE`` (:mod:`repro.analysis.rules.ownership`) can find
+stores that alias caller memory.
 
 Abstract state
 --------------
@@ -20,17 +20,15 @@ value may alias:
     that plausibly bind arrays are tracked — annotation or name
     heuristic);
 ``self:<attr>``
-    view of the object's internal state reachable from ``self.<attr>``;
-``shm:<var>``
-    view of a shared-memory segment's live buffer (``<var>.array``).
+    view of the object's internal state reachable from ``self.<attr>``.
 
 The empty set is **owned**: a fresh allocation this function may freely
 mutate, return, or store.  A variable *escapes* when it is stored into
 ``self`` or a ``self``-rooted container — its facts then include the
-``self:`` origin, so returning it later is still reported as leaking
-internal state.
+``self:`` origin, so a later store through it is still rooted in
+``self``.
 
-Transfer highlights (the ISSUE's alias algebra):
+Transfer highlights:
 
 * alias-creating — plain assignment, slicing with ranges, ``.view()`` /
   ``.reshape()`` / ``.ravel()`` / ``np.asarray`` / ``np.frombuffer``,
@@ -43,8 +41,9 @@ Transfer highlights (the ISSUE's alias algebra):
 * cross-function flow — per-function :class:`FunctionSummary` objects
   (does it return a view of a parameter / of ``self``? does its
   ``__init__`` absorb a parameter without copy?) are computed to a
-  fixpoint over the call graph and applied at call sites, so a view
-  that leaks *through* a helper is still attributed to its origin.
+  fixpoint over the batch and applied at resolved call sites, so a
+  constructor that keeps its argument by reference makes its callers'
+  stores aliasing too.
 
 Everything is a may-analysis over the statement-granular CFG
 (:mod:`repro.analysis.flow`): facts join by union, and a missing fact is
@@ -78,10 +77,7 @@ __all__ = [
     "ARRAYISH_RE",
     "FunctionSummary",
     "FunctionOwnership",
-    "MutationSite",
-    "ReturnSite",
     "StoreSite",
-    "ShmAccess",
     "OwnershipAnalysis",
 ]
 
@@ -162,21 +158,8 @@ _VIEW_METHODS = frozenset(
 #: builtins that pass their argument's contents through unchanged.
 _PASSTHROUGH_CALLS = frozenset({"zip", "enumerate", "reversed", "sorted", "iter"})
 
-#: ndarray methods that mutate the receiver in place.
-_MUTATOR_METHODS = frozenset(
-    {"fill", "sort", "partition", "put", "resize", "itemset", "setfield", "byteswap"}
-)
-
 #: methods that store their first argument into the receiver container.
 _CONTAINER_STORES = frozenset({"append", "add", "extend", "insert", "appendleft"})
-
-#: class names whose construction/attach binds a shared-memory object.
-_SHM_CLASS_NAMES = frozenset({"ShmArraySegment", "ShmParamStore"})
-
-#: raw buffer attributes on shared-memory objects.
-_SHM_RAW_ATTRS = frozenset({"array", "buf"})
-
-_FENCE_METHODS = frozenset({"read_fence", "write_fence"})
 
 #: summary-fixpoint bound; the repo's helper chains are shallow, and the
 #: lattice is finite either way (summaries only grow).
@@ -184,7 +167,6 @@ _MAX_SUMMARY_PASSES = 5
 
 _PARAM = "param:"
 _SELF = "self:"
-_SHM = "shm:"
 #: wrapper for *indirect* aliasing: the variable's own buffer is fresh,
 #: but it holds references to the wrapped origin's memory (a dict built
 #: by ``d[k] = view``).  Mutating the holder is safe; returning or
@@ -214,16 +196,8 @@ def _is_param(origin: str) -> bool:
     return strip_held(origin).startswith(_PARAM)
 
 
-def _is_direct_param(origin: str) -> bool:
-    return origin.startswith(_PARAM)
-
-
 def _is_self(origin: str) -> bool:
     return strip_held(origin).startswith(_SELF)
-
-
-def _is_shm(origin: str) -> bool:
-    return origin.startswith(_SHM)
 
 
 def param_name(origin: str) -> str:
@@ -253,26 +227,6 @@ class FunctionSummary:
 
 
 @dataclass(frozen=True)
-class MutationSite:
-    """An in-place write through a variable the function does not own."""
-
-    line: int
-    target: str
-    origins: FrozenSet[str]
-    kind: str  # "augassign" | "setitem" | "out=" | "method"
-
-
-@dataclass(frozen=True)
-class ReturnSite:
-    """A ``return`` whose value may alias non-owned memory."""
-
-    line: int
-    origins: FrozenSet[str]
-    #: witness: line that created the alias, when distinct from ``line``
-    intro_line: Optional[int] = None
-
-
-@dataclass(frozen=True)
 class StoreSite:
     """A caller's array stored into ``self``-rooted state without copy."""
 
@@ -281,29 +235,13 @@ class StoreSite:
     origins: FrozenSet[str]
 
 
-@dataclass(frozen=True)
-class ShmAccess:
-    """A raw shared-segment buffer touched outside any version fence."""
-
-    line: int
-    expr: str
-    kind: str  # "raw" (direct .array/.buf) | "aliased" (tracked variable)
-
-
 @dataclass
 class FunctionOwnership:
-    """Everything the BUF rules need to know about one function."""
+    """What ``BUF-ALIAS-STORE`` needs to know about one function."""
 
-    qualname: str
     module: str
-    line: int
     name: str
-    docstring: str
-    is_public: bool
-    mutations: List[MutationSite] = field(default_factory=list)
-    returns: List[ReturnSite] = field(default_factory=list)
     stores: List[StoreSite] = field(default_factory=list)
-    shm_accesses: List[ShmAccess] = field(default_factory=list)
 
 
 # ----------------------------------------------------------------------
@@ -348,13 +286,6 @@ def _is_gather_index(index: ast.expr) -> bool:
     return False
 
 
-def _docstring(fn: ast.AST) -> str:
-    try:
-        return ast.get_docstring(fn) or ""
-    except TypeError:  # pragma: no cover - non-function nodes
-        return ""
-
-
 # ----------------------------------------------------------------------
 # The per-function abstract interpreter
 # ----------------------------------------------------------------------
@@ -372,10 +303,6 @@ class _FunctionAnalyzer:
         self.aliases = analysis.aliases_for(fi.module)
         self.summaries = summaries
         self.tracked = tracked_params(fi.node)
-        self.shm_vars: Set[str] = set()
-        self.shm_attrs: Set[str] = set()
-        self.fence_spans: List[Tuple[int, int]] = []
-        self._collect_shm_context()
 
     # -- environment plumbing ------------------------------------------
     def boundary(self) -> Env:
@@ -455,10 +382,6 @@ class _FunctionAnalyzer:
             if ARRAYISH_RE.search(node.attr):
                 return frozenset({_SELF + node.attr})
             return _EMPTY
-        if node.attr in _SHM_RAW_ATTRS:
-            text = dotted_name(base)
-            if text is not None and (text in self.shm_vars or text in self.shm_attrs):
-                return frozenset({_SHM + text})
         if isinstance(base, ast.Name) and base.id == "cls":
             return _EMPTY
         # an array-looking attribute of a borrowed object is still
@@ -508,14 +431,12 @@ class _FunctionAnalyzer:
                 return _EMPTY
             if method in _VIEW_METHODS:
                 return self.eval(node.func.value, env)
-            if method in _FENCE_METHODS:
-                return self.eval(node.func.value, env)
 
         return self._eval_summary_call(node, env)
 
     def _eval_summary_call(self, node: ast.Call, env: Env) -> FrozenSet[str]:
         """Apply a batch callee's :class:`FunctionSummary` at a call site."""
-        target = self.analysis.resolve_call(self.fi, node)
+        target = self.analysis.graph.resolve_call(self.fi, node)
         if target is None:
             return _EMPTY
         summary = self.summaries.get(target)
@@ -652,55 +573,6 @@ class _FunctionAnalyzer:
             return env
         return env
 
-    # -- shared-memory lexical context ---------------------------------
-    def _collect_shm_context(self) -> None:
-        fn = self.fi.node
-        for arg in [*fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs]:
-            if arg.annotation is not None:
-                try:
-                    text = ast.unparse(arg.annotation)
-                except Exception:  # pragma: no cover
-                    text = ""
-                if any(name in text for name in _SHM_CLASS_NAMES):
-                    self.shm_vars.add(arg.arg)
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-                if self._is_shm_constructor(node.value):
-                    for target in node.targets:
-                        if isinstance(target, ast.Name):
-                            self.shm_vars.add(target.id)
-                        elif isinstance(target, ast.Attribute):
-                            text = dotted_name(target)
-                            if text is not None:
-                                self.shm_attrs.add(text)
-            if isinstance(node, (ast.With, ast.AsyncWith)):
-                for item in node.items:
-                    expr = item.context_expr
-                    if (
-                        isinstance(expr, ast.Call)
-                        and isinstance(expr.func, ast.Attribute)
-                        and expr.func.attr in _FENCE_METHODS
-                    ):
-                        end = getattr(node, "end_lineno", None) or node.lineno
-                        self.fence_spans.append((node.lineno, end))
-                        break
-
-    def _is_shm_constructor(self, call: ast.Call) -> bool:
-        dotted = dotted_name(call.func)
-        if dotted is not None and any(
-            part in _SHM_CLASS_NAMES for part in dotted.split(".")
-        ):
-            return True
-        target = self.analysis.resolve_call(self.fi, call)
-        if target is None:
-            return False
-        callee = self.analysis.graph.functions.get(target)
-        return callee is not None and callee.module == "repro.ps.shm"
-
-    def in_fence(self, line: int) -> bool:
-        return any(start <= line <= end for start, end in self.fence_spans)
-
-
 class _OwnershipProblem(DataflowProblem[Env]):
     """Forward may-analysis: union join over (var, origin) fact sets."""
 
@@ -748,14 +620,6 @@ class OwnershipAnalysis:
     def aliases_for(self, module: str) -> Dict[str, str]:
         return self._aliases.get(module, {})
 
-    def resolve_call(self, fi: FunctionInfo, call: ast.Call) -> Optional[str]:
-        dotted = dotted_name(call.func)
-        if dotted is None:
-            return None
-        # same-package use of the call graph's resolver; as_call maps a
-        # bare class reference to its __init__
-        return self.graph._resolve(fi.module, dotted, fi, as_call=True)
-
     # -- driver ---------------------------------------------------------
     def _run(self) -> None:
         order = sorted(self.graph.functions)
@@ -779,31 +643,18 @@ class OwnershipAnalysis:
         cfg = build_cfg(fi.node, fi.qualname)
         states = solve(cfg, _OwnershipProblem(analyzer))
 
-        result = FunctionOwnership(
-            qualname=fi.qualname,
-            module=fi.module,
-            line=fi.line,
-            name=fi.node.name,
-            docstring=_docstring(fi.node),
-            is_public=not fi.node.name.startswith("_"),
-        )
+        result = FunctionOwnership(module=fi.module, name=fi.node.name)
         returns_params: Set[str] = set()
         returns_self: Set[str] = set()
         absorbs: Set[str] = set()
-        intro: Dict[str, int] = {}
 
         for block_id in sorted(cfg.blocks):
-            block = cfg.blocks[block_id]
-            stmt = block.stmt
-            env_in, env_out = states[block_id]
+            stmt = cfg.blocks[block_id].stmt
             if stmt is not None:
-                for _, origin in env_out - env_in:
-                    intro.setdefault(strip_held(origin), block.line)
                 self._inspect_statement(
-                    analyzer, stmt, env_in, result, returns_params, returns_self,
-                    absorbs, intro,
+                    analyzer, stmt, states[block_id][0], result,
+                    returns_params, returns_self, absorbs,
                 )
-        self._inspect_shm_raw_accesses(analyzer, result)
 
         summary = FunctionSummary(
             returns_params=frozenset(returns_params),
@@ -823,72 +674,37 @@ class OwnershipAnalysis:
         returns_params: Set[str],
         returns_self: Set[str],
         absorbs: Set[str],
-        intro: Dict[str, int],
     ) -> None:
         if isinstance(stmt, ast.Return) and stmt.value is not None:
-            origins = _unhold(analyzer.eval(stmt.value, env))
-            if origins:
-                for origin in origins:
-                    if _is_param(origin):
-                        returns_params.add(param_name(origin))
-                    elif _is_self(origin):
-                        returns_self.add(self_attr(origin))
-                intro_line = min(
-                    (
-                        intro[o]
-                        for o in origins
-                        if o in intro and intro[o] != stmt.lineno
-                    ),
-                    default=None,
-                )
-                result.returns.append(
-                    ReturnSite(stmt.lineno, origins, intro_line)
-                )
+            for origin in _unhold(analyzer.eval(stmt.value, env)):
+                if _is_param(origin):
+                    returns_params.add(param_name(origin))
+                elif _is_self(origin):
+                    returns_self.add(self_attr(origin))
             return
 
-        if isinstance(stmt, ast.AugAssign):
-            self._record_mutation(
-                analyzer, stmt.target, env, stmt.lineno, "augassign", result
-            )
-        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
             targets = (
                 stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
             )
-            value = stmt.value
             for target in targets:
-                if isinstance(target, ast.Subscript):
-                    self._record_mutation(
-                        analyzer, target.value, env, stmt.lineno, "setitem", result
-                    )
+                if isinstance(target, (ast.Subscript, ast.Attribute)):
                     self._record_store(
-                        analyzer, target, value, env, stmt.lineno, result, absorbs
-                    )
-                elif isinstance(target, ast.Attribute):
-                    self._record_store(
-                        analyzer, target, value, env, stmt.lineno, result, absorbs
+                        analyzer, target, stmt.value, env, stmt.lineno, result,
+                        absorbs,
                     )
 
-        # out= keywords and mutator/container method calls anywhere in the
-        # statement's own expressions (compound heads scan only their test
-        # or iterable — body statements have their own CFG blocks)
+        # container stores anywhere in the statement's own expressions
+        # (compound heads scan only their test or iterable — body
+        # statements have their own CFG blocks)
         for node in self._walk_own(stmt):
-            if not isinstance(node, ast.Call):
-                continue
-            for kw in node.keywords:
-                if kw.arg == "out":
-                    self._record_mutation(
-                        analyzer, kw.value, env, node.lineno, "out=", result
-                    )
-            if isinstance(node.func, ast.Attribute):
-                method = node.func.attr
-                if method in _MUTATOR_METHODS:
-                    self._record_mutation(
-                        analyzer, node.func.value, env, node.lineno, "method", result
-                    )
-                elif method in _CONTAINER_STORES and node.args:
-                    self._record_container_store(
-                        analyzer, node, env, result, absorbs
-                    )
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _CONTAINER_STORES
+                and node.args
+            ):
+                self._record_container_store(analyzer, node, env, result, absorbs)
 
     @staticmethod
     def _walk_own(stmt: ast.stmt) -> List[ast.AST]:
@@ -910,26 +726,6 @@ class OwnershipAnalysis:
         for head in heads:
             out.extend(ast.walk(head))
         return out
-
-    def _record_mutation(
-        self,
-        analyzer: _FunctionAnalyzer,
-        target: ast.expr,
-        env: Env,
-        line: int,
-        kind: str,
-        result: FunctionOwnership,
-    ) -> None:
-        origins = analyzer.eval(target, env)
-        # only *direct* aliases count: writing into a dict that holds
-        # borrowed refs mutates the dict, not the borrowed memory
-        borrowed = frozenset(o for o in origins if _is_direct_param(o))
-        text = dotted_name(target) or ast.unparse(target)
-        if borrowed:
-            result.mutations.append(MutationSite(line, text, borrowed, kind))
-        shm = frozenset(o for o in origins if _is_shm(o))
-        if shm and not analyzer.in_fence(line):
-            result.shm_accesses.append(ShmAccess(line, text, "aliased"))
 
     def _record_store(
         self,
@@ -990,26 +786,3 @@ class OwnershipAnalysis:
                 text = "<call>"
             result.stores.append(StoreSite(call.lineno, text, borrowed))
             absorbs.update(param_name(o) for o in borrowed)
-
-    def _inspect_shm_raw_accesses(
-        self, analyzer: _FunctionAnalyzer, result: FunctionOwnership
-    ) -> None:
-        """Lexical pass: every raw ``.array``/``.buf`` touch needs a fence."""
-        if analyzer.fi.module == "repro.ps.shm":
-            return  # the fence implementation itself
-        if not (analyzer.shm_vars or analyzer.shm_attrs):
-            return
-        for node in ast.walk(analyzer.fi.node):
-            if not isinstance(node, ast.Attribute):
-                continue
-            if node.attr not in _SHM_RAW_ATTRS:
-                continue
-            base = dotted_name(node.value)
-            if base is None:
-                continue
-            if base not in analyzer.shm_vars and base not in analyzer.shm_attrs:
-                continue
-            if not analyzer.in_fence(node.lineno):
-                result.shm_accesses.append(
-                    ShmAccess(node.lineno, f"{base}.{node.attr}", "raw")
-                )

@@ -1,25 +1,20 @@
 """Rule packs and the default registry.
 
-Five packs, one per failure class the reproduction cannot afford:
+Four packs; each rule either caught a real defect here or guards an
+invariant no test, type or runtime check holds (the audit is logged in
+CHANGES.md, the rules are tabled in ``docs/static_analysis.md``):
 
-* :mod:`repro.analysis.rules.determinism` — stray wall clocks, global
-  RNG, unordered-set iteration, mutable defaults, lying annotations;
-* :mod:`repro.analysis.rules.protocol` — message kinds without size
-  accounting or handlers, dead wire tags;
+* :mod:`repro.analysis.rules.determinism` — wall clocks and set
+  iteration in the simulation path, ``None`` defaults under
+  non-``Optional`` annotations;
 * :mod:`repro.analysis.rules.concurrency` — lock-order cycles, daemonless
   threads, un-timed queue blocking, unlocked shared state in
   ``repro.runtime``;
-* :mod:`repro.analysis.rules.flow` — flow-sensitive: resources released
-  on every CFG path, no blocking calls reachable from async/tap code,
-  no undeclared exceptions escaping the re-sync path, no dead branches
-  or dispatch arms (built on :mod:`repro.analysis.flow`);
-* :mod:`repro.analysis.rules.ownership` — buffer ownership & aliasing
-  (BUF-*): in-place mutation of borrowed arrays, views of internal
-  state escaping public APIs, caller arrays stored without copy, and
-  unfenced shared-memory access — the pack that certifies the
-  zero-copy ``repro.ps.shm`` parameter path — plus PERF-PICKLE-PAYLOAD,
-  which keeps ndarrays off the multiprocess queues so that path stays
-  the only one arrays take.  **Opt-in**: it reasons
+* :mod:`repro.analysis.rules.flow` — resources released on every CFG
+  path (built on :mod:`repro.analysis.flow`);
+* :mod:`repro.analysis.rules.ownership` — caller arrays stored without
+  a copy, and ndarrays pickled onto the multiprocess queues that the
+  zero-copy ``repro.ps.shm`` store replaced.  **Opt-in**: it reasons
   about array-typed code only, so CI runs it as a dedicated
   ``--pack ownership`` gate rather than in the default self-lint.
 
@@ -41,32 +36,11 @@ from repro.analysis.rules.concurrency import (
     UnlockedStateRule,
 )
 from repro.analysis.rules.determinism import (
-    GlobalRngRule,
     ImplicitOptionalRule,
-    MutableDefaultRule,
     SetIterationRule,
-    WallClockRule,
 )
-from repro.analysis.rules.flow import (
-    BlockingReachableRule,
-    DeadPathRule,
-    ExceptionEscapeRule,
-    ReleaseOnAllPathsRule,
-)
-from repro.analysis.rules.ownership import (
-    BufAliasStoreRule,
-    BufMutateBorrowedRule,
-    BufReturnViewRule,
-    BufShmUnfencedRule,
-    PicklePayloadRule,
-)
-from repro.analysis.rules.protocol import (
-    MessageCategoryRule,
-    MessageSizeRule,
-    ModelAlphabetRule,
-    UnhandledMessageKindRule,
-    WireTagRule,
-)
+from repro.analysis.rules.flow import ReleaseOnAllPathsRule
+from repro.analysis.rules.ownership import BufAliasStoreRule, PicklePayloadRule
 
 __all__ = [
     "default_rules",
@@ -80,18 +54,8 @@ __all__ = [
 #: pack name -> rule classes; ``repro lint --pack <name>`` selects one.
 RULE_PACKS: Dict[str, Tuple[Type[Rule], ...]] = {
     "determinism": (
-        WallClockRule,
-        GlobalRngRule,
         SetIterationRule,
-        MutableDefaultRule,
         ImplicitOptionalRule,
-    ),
-    "protocol": (
-        MessageCategoryRule,
-        UnhandledMessageKindRule,
-        MessageSizeRule,
-        WireTagRule,
-        ModelAlphabetRule,
     ),
     "concurrency": (
         LockOrderRule,
@@ -99,19 +63,8 @@ RULE_PACKS: Dict[str, Tuple[Type[Rule], ...]] = {
         QueueTimeoutRule,
         UnlockedStateRule,
     ),
-    "flow": (
-        ReleaseOnAllPathsRule,
-        BlockingReachableRule,
-        ExceptionEscapeRule,
-        DeadPathRule,
-    ),
-    "ownership": (
-        BufMutateBorrowedRule,
-        BufReturnViewRule,
-        BufAliasStoreRule,
-        BufShmUnfencedRule,
-        PicklePayloadRule,
-    ),
+    "flow": (ReleaseOnAllPathsRule,),
+    "ownership": (BufAliasStoreRule, PicklePayloadRule),
 }
 
 #: Packs that only run when explicitly selected.  The ownership rules

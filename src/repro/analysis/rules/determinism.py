@@ -1,20 +1,17 @@
 """Determinism rule pack.
 
 Every paper quantity this reproduction reports is a function of the event
-timeline (DESIGN.md §2): the virtual clock and the seeded
-``repro.utils.rng`` streams are the *only* legitimate sources of time and
-randomness inside the simulation path.  One stray ``time.time()`` or
-unseeded ``np.random`` call silently decouples results from the seed; one
-iteration over an unordered ``set`` reorders events between runs.  These
-rules ban those constructs inside the deterministic zone — the packages
-listed in :data:`DETERMINISTIC_PACKAGES`.  ``repro.runtime`` is exempt by
-design: the threaded/multiprocess backends *intentionally* run on wall
-time.
+timeline (DESIGN.md §2).  A stray wall-clock read or unseeded draw shows
+up as two same-seed runs that differ, which the replay check and the
+pinned digests catch; iterating a set of strings does not — within one
+process the hash seed is fixed, so both runs agree, and the order still
+changes from process to process.  ``DET-SET-ITER`` bans set iteration in
+the deterministic zone — the packages listed in
+:data:`DETERMINISTIC_PACKAGES`.  ``repro.runtime`` is exempt by design:
+the threaded/multiprocess backends *intentionally* run on wall time.
 
-Two rules apply repo-wide rather than zone-only, because they bite
-anywhere: mutable default arguments (shared across calls — state leaks
-between runs) and ``None`` defaults on non-``Optional`` parameters (the
-annotation lies, and strict type checking can never be turned on).
+``DET-OPTIONAL-NONE`` applies repo-wide: a ``None`` default on a
+non-``Optional`` annotation lies, and mypy checks only its strict zone.
 """
 
 from __future__ import annotations
@@ -22,21 +19,13 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional, Tuple
 
-from repro.analysis.astutil import (
-    dotted_name,
-    import_aliases,
-    resolve_call_name,
-    resolve_name,
-)
+from repro.analysis.astutil import dotted_name, import_aliases, resolve_name
 from repro.analysis.engine import ModuleInfo, Rule
 from repro.analysis.findings import Finding, Severity
 
 __all__ = [
     "DETERMINISTIC_PACKAGES",
-    "WallClockRule",
-    "GlobalRngRule",
     "SetIterationRule",
-    "MutableDefaultRule",
     "ImplicitOptionalRule",
 ]
 
@@ -45,8 +34,7 @@ __all__ = [
 #: ``repro.obs`` *is* in the zone even though it supports wall-clock
 #: traces: the observability layer is clock-agnostic by construction
 #: (clocks are injected — ``FunctionClock(time.monotonic)`` is built at
-#: the call site in the exempt runtime), so any direct wall read or
-#: global-RNG use inside it is a bug these rules should catch.
+#: the call site in the exempt runtime).
 DETERMINISTIC_PACKAGES = (
     "repro.events",
     "repro.core",
@@ -56,27 +44,6 @@ DETERMINISTIC_PACKAGES = (
     "repro.obs",
 )
 
-#: Calls that read a wall clock.
-_WALL_CLOCK_CALLS = frozenset(
-    {
-        "time.time",
-        "time.time_ns",
-        "time.monotonic",
-        "time.monotonic_ns",
-        "time.perf_counter",
-        "time.perf_counter_ns",
-        "time.process_time",
-        "time.process_time_ns",
-        "datetime.datetime.now",
-        "datetime.datetime.utcnow",
-        "datetime.datetime.today",
-        "datetime.date.today",
-    }
-)
-
-#: Prefixes of module-level (implicitly seeded or globally seeded) RNG APIs.
-_GLOBAL_RNG_PREFIXES = ("random.", "numpy.random.")
-
 
 def in_deterministic_zone(module: ModuleInfo) -> bool:
     """Whether the module lives in a package the zone rules police."""
@@ -84,64 +51,6 @@ def in_deterministic_zone(module: ModuleInfo) -> bool:
         module.module == pkg or module.module.startswith(pkg + ".")
         for pkg in DETERMINISTIC_PACKAGES
     )
-
-
-class WallClockRule(Rule):
-    """DET-WALLCLOCK: wall-clock reads inside the deterministic zone."""
-
-    rule_id = "DET-WALLCLOCK"
-    severity = Severity.ERROR
-    description = (
-        "Wall-clock call inside the simulation path; use the virtual "
-        "clock (Simulator.now / the engine's now_fn) instead."
-    )
-
-    def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
-        if not in_deterministic_zone(module):
-            return
-        aliases = import_aliases(module.tree)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = resolve_call_name(node, aliases)
-            if name in _WALL_CLOCK_CALLS:
-                yield self.finding(
-                    module,
-                    node.lineno,
-                    f"wall-clock call {name}() in deterministic module "
-                    f"{module.module}; paper quantities must be functions "
-                    f"of the event timeline",
-                )
-
-
-class GlobalRngRule(Rule):
-    """DET-GLOBALRNG: global/unseeded RNG inside the deterministic zone."""
-
-    rule_id = "DET-GLOBALRNG"
-    severity = Severity.ERROR
-    description = (
-        "Module-level random API inside the simulation path; draw from a "
-        "named repro.utils.rng.RngStreams generator instead."
-    )
-
-    def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
-        if not in_deterministic_zone(module):
-            return
-        aliases = import_aliases(module.tree)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = resolve_call_name(node, aliases)
-            if name is None:
-                continue
-            if any(name.startswith(p) for p in _GLOBAL_RNG_PREFIXES):
-                yield self.finding(
-                    module,
-                    node.lineno,
-                    f"global RNG call {name}() in deterministic module "
-                    f"{module.module}; only repro.utils.rng streams are "
-                    f"reproducible across runs and worker counts",
-                )
 
 
 def _is_set_expression(node: ast.AST, aliases: dict) -> bool:
@@ -226,50 +135,6 @@ def _iter_signature_defaults(
         yield arg, default
     for arg, default in zip(args.kwonlyargs, args.kw_defaults):
         yield arg, default
-
-
-class MutableDefaultRule(Rule):
-    """DET-MUTABLE-DEFAULT: list/dict/set default arguments (repo-wide).
-
-    A mutable default is evaluated once at ``def`` time and shared by all
-    calls — state silently leaks across runs and across tests, the exact
-    failure mode a reproduction cannot afford.
-    """
-
-    rule_id = "DET-MUTABLE-DEFAULT"
-    severity = Severity.ERROR
-    description = "Mutable default argument; use None and create inside."
-
-    def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
-        aliases = import_aliases(module.tree)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            for arg, default in _iter_signature_defaults(node):
-                if default is None:
-                    continue
-                if isinstance(default, (ast.List, ast.Dict, ast.Set)):
-                    literal = type(default).__name__.lower()
-                    yield self.finding(
-                        module,
-                        default.lineno,
-                        f"mutable default ({literal} literal) for parameter "
-                        f"{arg.arg!r} of {node.name}(); shared across calls",
-                    )
-                elif isinstance(default, ast.Call):
-                    name = dotted_name(default.func)
-                    if name is not None and resolve_name(name, aliases) in (
-                        "list",
-                        "dict",
-                        "set",
-                    ):
-                        yield self.finding(
-                            module,
-                            default.lineno,
-                            f"mutable default ({name}()) for parameter "
-                            f"{arg.arg!r} of {node.name}(); shared across "
-                            f"calls",
-                        )
 
 
 def _annotation_allows_none(annotation: ast.AST) -> bool:

@@ -1,27 +1,12 @@
-"""Flow-sensitive rule pack: path and reachability properties.
+"""Flow-sensitive rule: resources released on every CFG path.
 
-Four rules built on :mod:`repro.analysis.flow` (CFG + dataflow solver +
-call graph), complementing the per-node packs:
-
-* **FLOW-RELEASE** — typestate: a lock/file/socket/thread resource
-  acquired in a function must reach its release on *every* CFG path,
-  including exception edges.  It subsumes the syntactic "acquire not in
-  a ``with``" approximation.
-* **FLOW-BLOCKING** — no blocking primitive (``time.sleep``, untimed
-  ``Queue.get``/``put``, ``socket.recv``/``accept``, untimed
-  ``Thread.join``/``Event.wait``) may be reachable from an ``async def``
-  body or a registered simulator-tap callback, via call-graph closure.
-* **FLOW-EXC** — an exception raised on the abort/re-sync path
-  (``repro.ps.engine`` / ``repro.core.scheduler``) must be caught in the
-  raising function or declared in its docstring's ``Raises`` section, so
-  no recovery path can die silently.
-* **FLOW-DEAD** — unreachable CFG blocks, plus ``MessageKind`` dispatch
-  arms that are duplicates or test kinds outside the protocol model's
-  ``MODEL_ALPHABET`` (arms the model checker proves can never fire).
-
-All four attach ``flow_path`` — the line numbers along the offending
-control or call path — so findings are actionable without re-deriving
-the path by hand.
+**FLOW-RELEASE** is typestate over :mod:`repro.analysis.flow` (CFG +
+dataflow solver): a lock/file/socket/thread resource acquired in a
+function must reach its release on *every* CFG path, including
+exception edges.  It subsumes the syntactic "acquire not in a ``with``"
+approximation, and its findings attach ``flow_path`` — the line numbers
+along one leaking path — so they are actionable without re-deriving the
+path by hand.
 """
 
 from __future__ import annotations
@@ -29,16 +14,7 @@ from __future__ import annotations
 import ast
 from collections import deque
 from dataclasses import dataclass
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.astutil import (
     dotted_name,
@@ -49,26 +25,12 @@ from repro.analysis.astutil import (
 )
 from repro.analysis.engine import ModuleInfo, Rule
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.flow.callgraph import (
-    CallGraph,
-    FunctionInfo,
-    build_call_graph,
-)
 from repro.analysis.flow.cfg import CFG, EXIT, RAISE, Block, build_cfg
 from repro.analysis.flow.solve import DataflowProblem, solve
-from repro.analysis.rules.protocol import ModelAlphabetRule
 
-__all__ = [
-    "ReleaseOnAllPathsRule",
-    "BlockingReachableRule",
-    "ExceptionEscapeRule",
-    "DeadPathRule",
-]
+__all__ = ["ReleaseOnAllPathsRule"]
 
 
-# ----------------------------------------------------------------------
-# FLOW-RELEASE
-# ----------------------------------------------------------------------
 #: functions that are themselves resource-management plumbing; a lock
 #: wrapper's ``acquire`` intentionally acquires without releasing.
 _WRAPPER_NAMES = {
@@ -433,423 +395,3 @@ def _witness_path(
         if not lines or lines[-1] != block.line:
             lines.append(block.line)
     return tuple(lines)
-
-
-# ----------------------------------------------------------------------
-# FLOW-BLOCKING
-# ----------------------------------------------------------------------
-_BLOCKING_EXTERNALS = {"time.sleep"}
-_SOCKET_BLOCKING_ATTRS = {"recv", "recv_into", "recvfrom", "accept"}
-
-
-@dataclass(frozen=True)
-class _BlockingCall:
-    line: int
-    what: str
-
-
-def _has_kw(call: ast.Call, *names: str) -> bool:
-    return any(kw.arg in names for kw in call.keywords)
-
-
-def _nonblocking_kw(call: ast.Call) -> bool:
-    if _has_kw(call, "timeout"):
-        return True
-    return any(
-        kw.arg == "block"
-        and isinstance(kw.value, ast.Constant)
-        and kw.value.value is False
-        for kw in call.keywords
-    )
-
-
-def _queue_base_name(func: ast.Attribute) -> Optional[str]:
-    value = func.value
-    if isinstance(value, ast.Subscript):
-        value = value.value
-    name = dotted_name(value)
-    if name is None:
-        return None
-    base = name.split(".")[-1]
-    return base if "queue" in base.lower() else None
-
-
-def _blocking_calls(graph: CallGraph, fi: FunctionInfo) -> List[_BlockingCall]:
-    calls: List[_BlockingCall] = []
-    for full, line in graph.external.get(fi.qualname, []):
-        if full in _BLOCKING_EXTERNALS:
-            calls.append(_BlockingCall(line, full))
-    for node in walk_own_scope(fi.node):
-        if not (
-            isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-        ):
-            continue
-        attr = node.func.attr
-        if attr == "join" and not node.args and not _has_kw(node, "timeout"):
-            # zero-arg join: Thread.join — str.join always takes an argument
-            calls.append(_BlockingCall(node.lineno, f"untimed .{attr}()"))
-        elif attr in _SOCKET_BLOCKING_ATTRS:
-            calls.append(_BlockingCall(node.lineno, f"socket .{attr}()"))
-        elif attr == "wait" and not node.args and not _has_kw(node, "timeout"):
-            calls.append(_BlockingCall(node.lineno, f"untimed .{attr}()"))
-        elif attr in ("get", "put") and _queue_base_name(node.func) is not None:
-            if not _nonblocking_kw(node):
-                calls.append(
-                    _BlockingCall(node.lineno, f"untimed queue .{attr}()")
-                )
-    return sorted(set(calls), key=lambda c: (c.line, c.what))
-
-
-class BlockingReachableRule(Rule):
-    """FLOW-BLOCKING: no blocking call reachable from async/tap contexts.
-
-    Roots are every ``async def`` body and every callback registered via
-    ``install_tap(...)``; the call-graph closure from those roots must be
-    free of blocking primitives (``time.sleep``, untimed ``Queue.get`` /
-    ``put``, ``socket.recv``/``accept``, zero-argument ``join``/``wait``).
-    A blocking call in a tap stalls the simulated clock for every worker;
-    in an ``async def`` it stalls the whole event loop.  The finding's
-    flow path is the call chain from the root to the blocking line.
-    """
-
-    rule_id = "FLOW-BLOCKING"
-    severity = Severity.WARNING
-    description = "Blocking call reachable from async def or simulator tap."
-
-    def check_project(
-        self, modules: Sequence[ModuleInfo]
-    ) -> Iterator[Finding]:
-        by_name = {m.module: m for m in modules}
-        graph = build_call_graph(modules)
-        roots: Dict[str, str] = {}  # qualname -> why it is a root
-        for fi in graph.functions.values():
-            if fi.is_async:
-                roots.setdefault(fi.qualname, "async def")
-        for fi in graph.functions.values():
-            for node in walk_own_scope(fi.node):
-                if not (
-                    isinstance(node, ast.Call)
-                    and node.args
-                    and dotted_name(node.func) is not None
-                    and str(dotted_name(node.func)).split(".")[-1]
-                    == "install_tap"
-                ):
-                    continue
-                target = graph.resolve_callable(fi.module, node.args[0], fi)
-                if target is not None:
-                    roots.setdefault(
-                        target, f"tap registered at {fi.module}:{node.lineno}"
-                    )
-
-        reported: Set[Tuple[str, int]] = set()
-        for root in sorted(roots):
-            for qualname in sorted(graph.reachable_from([root])):
-                target_fi = graph.functions[qualname]
-                module = by_name.get(target_fi.module)
-                if module is None:
-                    continue
-                for call in _blocking_calls(graph, target_fi):
-                    if (qualname, call.line) in reported:
-                        continue
-                    reported.add((qualname, call.line))
-                    chain = graph.call_path(root, qualname) or []
-                    flow_path = tuple(
-                        edge.line for edge in chain
-                    ) + (call.line,)
-                    via = (
-                        " via " + " -> ".join(e.callee for e in chain)
-                        if chain
-                        else ""
-                    )
-                    yield self.finding(
-                        module,
-                        call.line,
-                        f"{call.what} in {qualname} is reachable from "
-                        f"{root} ({roots[root]}){via}; blocking here stalls "
-                        f"the event loop/simulated clock",
-                        flow_path=flow_path,
-                    )
-
-
-# ----------------------------------------------------------------------
-# FLOW-EXC
-# ----------------------------------------------------------------------
-_EXC_SCOPE_MODULES = ("repro.ps.engine", "repro.core.scheduler")
-_EXC_ROOT_NAMES = ("request_resync", "handle_notify", "_check_resync")
-
-
-def _uncaught_raises(fn: ast.AST) -> List[ast.Raise]:
-    """``raise`` statements no enclosing in-function handler can catch.
-
-    Any enclosing ``try`` with handlers counts as catching (no type
-    matching — a typed handler plus a typed raise is reviewed by eye).
-    Bare ``raise`` re-raises inside a handler are deliberate propagation
-    and exempt.
-    """
-    found: List[ast.Raise] = []
-
-    def handle(node: ast.AST, protected: bool) -> None:
-        if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-        ):
-            return
-        if isinstance(node, ast.Raise):
-            if not protected and node.exc is not None:
-                found.append(node)
-            return
-        if isinstance(node, ast.Try):
-            inner = protected or bool(node.handlers)
-            for stmt in node.body + node.orelse:
-                handle(stmt, inner)
-            for handler in node.handlers:
-                for stmt in handler.body:
-                    handle(stmt, protected)
-            for stmt in node.finalbody:
-                handle(stmt, protected)
-            return
-        for child in ast.iter_child_nodes(node):
-            handle(child, protected)
-
-    for child in ast.iter_child_nodes(fn):
-        handle(child, False)
-    return found
-
-
-def _raised_name(node: ast.Raise) -> Optional[str]:
-    exc = node.exc
-    if isinstance(exc, ast.Call):
-        exc = exc.func
-    name = dotted_name(exc) if exc is not None else None
-    return name.split(".")[-1] if name else None
-
-
-def _declared_raises(fn: ast.AST) -> Set[str]:
-    if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        return set()
-    doc = ast.get_docstring(fn, clean=True) or ""
-    if "Raises" not in doc:
-        return set()
-    _, _, tail = doc.partition("Raises")
-    return {word.strip(":,.()") for word in tail.split()}
-
-
-def _protected_spans(fi: FunctionInfo) -> List[Tuple[int, int]]:
-    """Line ranges inside a ``try``-with-handlers (calls there are caught)."""
-    spans: List[Tuple[int, int]] = []
-    for node in walk_own_scope(fi.node):
-        if isinstance(node, ast.Try) and node.handlers:
-            for stmt in node.body + node.orelse:
-                end = getattr(stmt, "end_lineno", None) or stmt.lineno
-                spans.append((stmt.lineno, end))
-    return spans
-
-
-class ExceptionEscapeRule(Rule):
-    """FLOW-EXC: abort/re-sync path exceptions must be caught or declared.
-
-    The speculative-synchronization recovery path (``request_resync`` /
-    ``handle_notify`` / ``_check_resync`` in ``repro.ps.engine`` and
-    ``repro.core.scheduler``, plus their call-graph closure inside those
-    modules) is the code that runs precisely when the system is already
-    in trouble; an exception escaping it silently kills recovery.  Every
-    ``raise`` in that closure must be lexically inside a ``try`` with
-    handlers (in the raising function, or at the call site the path goes
-    through), or named in the function docstring's ``Raises`` section so
-    callers know to catch it.
-    """
-
-    rule_id = "FLOW-EXC"
-    severity = Severity.WARNING
-    description = "Undeclared exception can escape the abort/re-sync path."
-
-    @staticmethod
-    def _unprotected_closure(
-        graph: CallGraph, roots: Sequence[str]
-    ) -> Set[str]:
-        """Reachable set that never traverses a try-protected call site."""
-        spans: Dict[str, List[Tuple[int, int]]] = {}
-        seen: Set[str] = set(r for r in roots if r in graph.functions)
-        queue = deque(sorted(seen))
-        while queue:
-            current = queue.popleft()
-            caller = graph.functions[current]
-            if current not in spans:
-                spans[current] = _protected_spans(caller)
-            for edge in graph.callees(current):
-                if any(lo <= edge.line <= hi for lo, hi in spans[current]):
-                    continue
-                if edge.callee not in seen:
-                    seen.add(edge.callee)
-                    queue.append(edge.callee)
-        return seen
-
-    def check_project(
-        self, modules: Sequence[ModuleInfo]
-    ) -> Iterator[Finding]:
-        by_name = {m.module: m for m in modules}
-        in_scope = [m for m in modules if m.module in _EXC_SCOPE_MODULES]
-        if not in_scope:
-            return
-        graph = build_call_graph(modules)
-        roots = [
-            fi.qualname
-            for fi in graph.functions.values()
-            if fi.module in _EXC_SCOPE_MODULES
-            and fi.qualname.rpartition(".")[2] in _EXC_ROOT_NAMES
-        ]
-        closure = {
-            q
-            for q in self._unprotected_closure(graph, sorted(roots))
-            if graph.functions[q].module in _EXC_SCOPE_MODULES
-        }
-        for qualname in sorted(closure):
-            fi = graph.functions[qualname]
-            module = by_name.get(fi.module)
-            if module is None:
-                continue
-            declared = _declared_raises(fi.node)
-            for raise_node in _uncaught_raises(fi.node):
-                name = _raised_name(raise_node)
-                if name is not None and name in declared:
-                    continue
-                root = next(
-                    (r for r in sorted(roots) if graph.call_path(r, qualname) is not None),
-                    qualname,
-                )
-                chain = graph.call_path(root, qualname) or []
-                flow_path = tuple(e.line for e in chain) + (raise_node.lineno,)
-                shown = name or "exception"
-                yield self.finding(
-                    module,
-                    raise_node.lineno,
-                    f"{shown} raised in {qualname} can escape the "
-                    f"abort/re-sync path (reached from {root}); catch it "
-                    f"here or declare it in a docstring 'Raises' section",
-                    flow_path=flow_path,
-                )
-
-
-# ----------------------------------------------------------------------
-# FLOW-DEAD
-# ----------------------------------------------------------------------
-def _kind_tested(test: ast.expr) -> Optional[Tuple[str, int]]:
-    """``(KIND, line)`` when ``test`` compares something to MessageKind.KIND."""
-    if not (
-        isinstance(test, ast.Compare)
-        and len(test.ops) == 1
-        and isinstance(test.ops[0], (ast.Eq, ast.Is))
-        and len(test.comparators) == 1
-    ):
-        return None
-    for side in (test.left, test.comparators[0]):
-        if isinstance(side, ast.Attribute):
-            base = dotted_name(side.value)
-            if base is not None and base.split(".")[-1] == "MessageKind":
-                return side.attr, test.lineno
-    return None
-
-
-class DeadPathRule(Rule):
-    """FLOW-DEAD: unreachable code and dead MessageKind dispatch arms.
-
-    Two halves.  Per module: CFG blocks no path from the function entry
-    reaches — code after an unconditional ``return``/``raise``, a branch
-    whose test is a constant, a loop that can never be entered.  Per
-    project: ``if kind == MessageKind.X`` dispatch ladders where an arm
-    repeats an earlier kind (shadowed, can never fire) or tests a kind
-    absent from the protocol model's ``MODEL_ALPHABET`` (the model
-    checker proves no such message exists).  The alphabet cross-check
-    only runs when the alphabet is in the linted batch, so linting a
-    subset of the tree cannot false-positive.
-    """
-
-    rule_id = "FLOW-DEAD"
-    severity = Severity.WARNING
-    description = "Unreachable branch or dead MessageKind handler arm."
-
-    def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
-        for cls, fn in walk_functions(module.tree):
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            qualname = f"{cls.name}.{fn.name}" if cls else fn.name
-            cfg = build_cfg(fn, qualname)
-            dead = cfg.unreachable_blocks()
-            last_id = -2
-            for block in dead:
-                if block.stmt is None:
-                    continue
-                if block.block_id == last_id + 1:
-                    last_id = block.block_id  # same dead region; one finding
-                    continue
-                last_id = block.block_id
-                yield self.finding(
-                    module,
-                    block.line,
-                    f"unreachable code in {qualname}: no execution path "
-                    f"from the function entry reaches this statement",
-                )
-
-    def check_project(
-        self, modules: Sequence[ModuleInfo]
-    ) -> Iterator[Finding]:
-        alphabet: Optional[Set[str]] = None
-        for module in modules:
-            found = ModelAlphabetRule._find_alphabet(module)
-            if found is not None:
-                entries = found[1]
-                alphabet = {
-                    e.attr for e in entries if isinstance(e, ast.Attribute)
-                }
-        for module in modules:
-            for _cls, fn in walk_functions(module.tree):
-                for node in walk_own_scope(fn):
-                    if not isinstance(node, ast.If):
-                        continue
-                    if self._is_elif_arm(fn, node):
-                        continue
-                    yield from self._check_ladder(module, node, alphabet)
-
-    @staticmethod
-    def _is_elif_arm(fn: ast.AST, node: ast.If) -> bool:
-        """Whether ``node`` is the elif of another If (only check ladder heads)."""
-        for parent in ast.walk(fn):
-            if isinstance(parent, ast.If) and parent.orelse == [node]:
-                return True
-        return False
-
-    def _check_ladder(
-        self,
-        module: ModuleInfo,
-        head: ast.If,
-        alphabet: Optional[Set[str]],
-    ) -> Iterator[Finding]:
-        seen: Dict[str, int] = {}
-        node: Optional[ast.If] = head
-        while node is not None:
-            tested = _kind_tested(node.test)
-            if tested is not None:
-                kind, line = tested
-                if kind in seen:
-                    yield self.finding(
-                        module,
-                        line,
-                        f"dead dispatch arm: MessageKind.{kind} already "
-                        f"handled at line {seen[kind]}; this arm can "
-                        f"never fire",
-                        flow_path=(seen[kind], line),
-                    )
-                else:
-                    seen[kind] = line
-                    if alphabet is not None and kind not in alphabet:
-                        yield self.finding(
-                            module,
-                            line,
-                            f"dead dispatch arm: MessageKind.{kind} is not "
-                            f"in MODEL_ALPHABET — the protocol model "
-                            f"admits no such message, so this arm can "
-                            f"never fire",
-                        )
-            if len(node.orelse) == 1 and isinstance(node.orelse[0], ast.If):
-                node = node.orelse[0]
-            else:
-                node = None

@@ -209,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint_parser = sub.add_parser(
         "lint",
         help="run the repro-specific static-analysis suite "
-             "(determinism, protocol exhaustiveness, concurrency, flow)",
+             "(determinism, concurrency, flow)",
     )
     lint_parser.add_argument(
         "paths", nargs="*",
@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint_parser.add_argument(
         "--pack", action="append", default=None, metavar="NAME",
-        help="run only this rule pack (repeatable: determinism, protocol, "
+        help="run only this rule pack (repeatable: determinism, "
              "concurrency, flow, ownership); unions with --rule",
     )
     lint_parser.add_argument(

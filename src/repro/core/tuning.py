@@ -371,8 +371,8 @@ class AdaptiveTuner(HyperparamTuner):
     def retune(self, trace: EpochTrace) -> Optional[SpecSyncHyperparams]:
         # Table II reports the *real* CPU cost of Algorithm 1's scan; this
         # measurement feeds no simulated quantity, so wall time is correct.
-        started = _time.perf_counter()  # repro: allow[DET-WALLCLOCK] Table II cost probe
+        started = _time.perf_counter()
         hyperparams = tune_hyperparams(trace, self.max_candidates)
-        self.total_tuning_wall_s += _time.perf_counter() - started  # repro: allow[DET-WALLCLOCK] Table II cost probe
+        self.total_tuning_wall_s += _time.perf_counter() - started
         self.history.append(hyperparams)
         return hyperparams

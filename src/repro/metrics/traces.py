@@ -167,7 +167,6 @@ class TraceRecorder:
         self._push_times, self._push_workers = push_columns[0], push_columns[1]
         self._push_staleness = push_columns[4]
         self._abort_wasted = abort_columns[3]
-        self._push_history = PushHistory()  # of self.pushes, caught up on query
 
     # ------------------------------------------------------------------
     # Recording
@@ -216,13 +215,16 @@ class TraceRecorder:
         """Number of pushes applied in (start, end], optionally excluding one
         worker's own pushes — the PAP count for that worker.
         """
-        # Nothing asks during a run, so recording does not pay for the
-        # index: it is extended here by the pushes recorded since last asked.
-        history = self._push_history
-        logged = len(history.times)
-        for time, worker_id in zip(self._push_times[logged:], self._push_workers[logged:]):
-            history.append(time, worker_id)
-        return history.count_between(start, end, exclude_worker)
+        # Two bisections of the time column, plus a count of the excluded
+        # worker's pushes inside the window: no index to keep in step with
+        # the columns, so recording and ``pushes.pop()`` stay plain appends
+        # and pops.
+        times = self._push_times
+        lo = bisect_right(times, start)
+        hi = bisect_right(times, end, lo)
+        if hi > lo and exclude_worker is not None:
+            return hi - lo - self._push_workers[lo:hi].count(exclude_worker)
+        return hi - lo
 
     def push_times(self) -> List[float]:
         """All push timestamps, in order."""

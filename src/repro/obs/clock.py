@@ -8,9 +8,8 @@ determinism (a wall read inside the DES) or produces nonsense timelines
 (virtual stamps on real threads).  So every :class:`~repro.obs.core.Tracer`
 is constructed around an explicit clock carrying its **domain**, and this
 module deliberately contains no wall-clock call: wall time enters only as
-a ``now_fn`` injected by the runtime backends (which are exempt from the
-``DET-WALLCLOCK`` rule — ``repro.obs`` itself is inside the deterministic
-zone and must stay clean).
+a ``now_fn`` injected by the runtime backends, and two same-seed DES runs
+export byte-identical traces (``tests/test_obs_perfetto.py``).
 """
 
 from __future__ import annotations

@@ -98,7 +98,6 @@ class EngineConfig:
 
     @property
     def push_wire_bytes(self) -> float:
-        # repro: allow[BUF-RETURN-VIEW] grad_wire_bytes/param_wire_bytes are scalar wire-size settings that trip the arrayish name heuristic, not arrays
         return (
             self.grad_wire_bytes
             if self.grad_wire_bytes is not None

@@ -170,7 +170,7 @@ def _server_main(param_store, grad_stores, update_rule, request_queue,
                     (store.version, store.mean_staleness(), params.copy(), None),
                     timeout=_PUT_TIMEOUT_S,
                 )
-            else:  # pragma: no cover - defensive
+            else:
                 raise RuntimeError(f"unknown server message {kind!r}")
     except Exception as exc:
         get_logger("runtime").exception("parameter server raised")

@@ -24,89 +24,6 @@ def only_rule(source, rule_id, module=ZONE):
 
 
 # ----------------------------------------------------------------------
-# DET-WALLCLOCK
-# ----------------------------------------------------------------------
-def test_wallclock_direct_call_fires_once():
-    finding = only_rule(
-        "import time\n\ndef f():\n    return time.monotonic()\n",
-        "DET-WALLCLOCK",
-    )
-    assert finding.line == 4
-    assert "time.monotonic" in finding.message
-
-
-def test_wallclock_resolves_import_aliases():
-    only_rule(
-        "import time as _t\n\ndef f():\n    return _t.perf_counter()\n",
-        "DET-WALLCLOCK",
-    )
-    only_rule(
-        "from datetime import datetime\n\ndef f():\n    return datetime.now()\n",
-        "DET-WALLCLOCK",
-    )
-
-
-def test_wallclock_allows_virtual_clock_use():
-    assert unsuppressed(
-        "def f(sim):\n    return sim.now\n"
-    ) == []
-
-
-@pytest.mark.parametrize(
-    "package",
-    ["repro.core.x", "repro.sync.x", "repro.ps.x", "repro.netsim.x",
-     "repro.obs.x"],
-)
-def test_wallclock_covers_every_zone_package(package):
-    only_rule(
-        "import time\n\ndef f():\n    return time.time()\n",
-        "DET-WALLCLOCK",
-        module=package,
-    )
-
-
-def test_wallclock_exempts_runtime_and_ml():
-    bad = "import time\n\ndef f():\n    return time.time()\n"
-    assert unsuppressed(bad, module="repro.runtime.threaded") == []
-    assert unsuppressed(bad, module="repro.ml.models.base") == []
-
-
-# ----------------------------------------------------------------------
-# DET-GLOBALRNG
-# ----------------------------------------------------------------------
-def test_global_rng_numpy_alias_fires_once():
-    finding = only_rule(
-        "import numpy as np\n\ndef f():\n    return np.random.default_rng()\n",
-        "DET-GLOBALRNG",
-    )
-    assert "numpy.random.default_rng" in finding.message
-
-
-def test_global_rng_stdlib_random_fires():
-    only_rule(
-        "import random\n\ndef f():\n    return random.random()\n",
-        "DET-GLOBALRNG",
-    )
-
-
-def test_global_rng_allows_stream_generators():
-    assert (
-        unsuppressed(
-            "def f(rng):\n    return rng.normal()\n"
-        )
-        == []
-    )
-
-
-def test_global_rng_suppression():
-    source = (
-        "import numpy as np\n\ndef f():\n"
-        "    return np.random.default_rng()  # repro: allow[DET-GLOBALRNG] fixture\n"
-    )
-    assert unsuppressed(source) == []
-
-
-# ----------------------------------------------------------------------
 # DET-SET-ITER
 # ----------------------------------------------------------------------
 def test_set_iteration_fires_once():
@@ -144,26 +61,28 @@ def test_set_membership_test_is_clean():
     ) == []
 
 
-# ----------------------------------------------------------------------
-# DET-MUTABLE-DEFAULT (repo-wide)
-# ----------------------------------------------------------------------
-def test_mutable_default_fires_everywhere():
-    finding = only_rule(
-        "def f(xs=[]):\n    return xs\n",
-        "DET-MUTABLE-DEFAULT",
-        module="repro.experiments.fixture",
-    )
-    assert "'xs'" in finding.message
-
-
-def test_mutable_default_call_and_kwonly_forms():
+@pytest.mark.parametrize(
+    "package",
+    ["repro.core.x", "repro.sync.x", "repro.ps.x", "repro.netsim.x",
+     "repro.obs.x"],
+)
+def test_set_iteration_covers_every_zone_package(package):
     only_rule(
-        "def f(*, acc=dict()):\n    return acc\n",
-        "DET-MUTABLE-DEFAULT",
-        module="repro.utils.fixture",
+        "def f(xs):\n    for x in set(xs):\n        pass\n",
+        "DET-SET-ITER",
+        module=package,
     )
 
 
+def test_set_iteration_exempts_runtime_and_ml():
+    bad = "def f(xs):\n    for x in set(xs):\n        pass\n"
+    assert unsuppressed(bad, module="repro.runtime.threaded") == []
+    assert unsuppressed(bad, module="repro.ml.models.base") == []
+
+
+# ----------------------------------------------------------------------
+# DET-OPTIONAL-NONE (repo-wide)
+# ----------------------------------------------------------------------
 def test_none_default_is_clean():
     assert unsuppressed(
         "def f(xs=None):\n    return xs or []\n",
@@ -171,9 +90,6 @@ def test_none_default_is_clean():
     ) == []
 
 
-# ----------------------------------------------------------------------
-# DET-OPTIONAL-NONE (repo-wide)
-# ----------------------------------------------------------------------
 def test_implicit_optional_parameter_fires_once():
     finding = only_rule(
         "def f(x: int = None):\n    return x\n",

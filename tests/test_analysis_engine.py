@@ -23,17 +23,17 @@ from repro.cli import main as cli_main
 
 BAD_DETERMINISM = textwrap.dedent(
     """\
-    import time
-
-    def stamp():
-        return time.time()
+    def drain(pending):
+        for item in set(pending):
+            yield item
     """
 )
+BAD_LINE = "for item in set(pending):"
 
 
 def test_finding_round_trips_through_dict():
     finding = Finding(
-        rule_id="DET-WALLCLOCK",
+        rule_id="DET-SET-ITER",
         severity=Severity.ERROR,
         path="src/repro/x.py",
         line=7,
@@ -55,15 +55,14 @@ def test_finding_validates_inputs():
 
 def test_bad_fixture_fires_in_zone_only():
     in_zone = lint_source(BAD_DETERMINISM, module="repro.events.fixture")
-    assert [f.rule_id for f in in_zone] == ["DET-WALLCLOCK"]
+    assert [f.rule_id for f in in_zone] == ["DET-SET-ITER"]
     out_of_zone = lint_source(BAD_DETERMINISM, module="repro.runtime.fixture")
     assert out_of_zone == []
 
 
 def test_same_line_suppression_marks_finding():
     source = BAD_DETERMINISM.replace(
-        "return time.time()",
-        "return time.time()  # repro: allow[DET-WALLCLOCK] fixture",
+        BAD_LINE, BAD_LINE + "  # repro: allow[DET-SET-ITER] fixture"
     )
     findings = lint_source(source, module="repro.events.fixture")
     assert len(findings) == 1
@@ -73,11 +72,10 @@ def test_same_line_suppression_marks_finding():
 def test_preceding_comment_line_suppression():
     source = textwrap.dedent(
         """\
-        import time
-
-        def stamp():
-            # repro: allow[DET-WALLCLOCK] fixture justification
-            return time.time()
+        def drain(pending):
+            # repro: allow[DET-SET-ITER] fixture justification
+            for item in set(pending):
+                yield item
         """
     )
     findings = lint_source(source, module="repro.events.fixture")
@@ -85,17 +83,14 @@ def test_preceding_comment_line_suppression():
 
 
 def test_wildcard_suppression_waives_any_rule():
-    source = BAD_DETERMINISM.replace(
-        "return time.time()", "return time.time()  # repro: allow[*]"
-    )
+    source = BAD_DETERMINISM.replace(BAD_LINE, BAD_LINE + "  # repro: allow[*]")
     findings = lint_source(source, module="repro.events.fixture")
     assert findings[0].suppressed
 
 
 def test_suppression_for_other_rule_does_not_apply():
     source = BAD_DETERMINISM.replace(
-        "return time.time()",
-        "return time.time()  # repro: allow[DET-GLOBALRNG]",
+        BAD_LINE, BAD_LINE + "  # repro: allow[DET-OPTIONAL-NONE]"
     )
     findings = lint_source(source, module="repro.events.fixture")
     assert len(findings) == 1
@@ -118,17 +113,17 @@ def test_json_reporter_round_trips():
     assert rebuilt == findings
     payload = json.loads(render_json(findings))
     assert payload["counts"]["unsuppressed"] == 1
-    assert payload["counts"]["by_rule"] == {"DET-WALLCLOCK": 1}
+    assert payload["counts"]["by_rule"] == {"DET-SET-ITER": 1}
 
 
 def test_text_reporter_summary_and_suppressed_visibility():
     source = BAD_DETERMINISM.replace(
-        "return time.time()", "return time.time()  # repro: allow[DET-WALLCLOCK]"
+        BAD_LINE, BAD_LINE + "  # repro: allow[DET-SET-ITER]"
     )
     findings = lint_source(source, module="repro.events.fixture")
     hidden = render_text(findings)
     assert "clean: 0 findings (1 suppressed)" in hidden
-    assert "DET-WALLCLOCK" not in hidden.splitlines()[0] or len(
+    assert "DET-SET-ITER" not in hidden.splitlines()[0] or len(
         hidden.splitlines()
     ) == 1
     shown = render_text(findings, show_suppressed=True)
@@ -157,7 +152,7 @@ def test_run_lint_over_files_on_disk(tmp_path):
     (target / "__init__.py").write_text("")
     (target / "bad.py").write_text(BAD_DETERMINISM)
     findings = run_lint([str(tmp_path / "src")])
-    assert [f.rule_id for f in findings] == ["DET-WALLCLOCK"]
+    assert [f.rule_id for f in findings] == ["DET-SET-ITER"]
     assert findings[0].path.endswith(os.path.join("events", "bad.py"))
 
 
@@ -165,10 +160,10 @@ def test_cli_lint_exit_codes_and_json(tmp_path, capsys):
     bad = tmp_path / "repro_zone"
     bad.mkdir()
     # Not a repro.* module -> zone rules silent; use a repo-wide rule.
-    (bad / "mutable.py").write_text("def f(x=[]):\n    return x\n")
+    (bad / "optional.py").write_text("def f(x: int = None):\n    return x\n")
     assert cli_main(["lint", str(bad)]) == 1
     out = capsys.readouterr().out
-    assert "DET-MUTABLE-DEFAULT" in out
+    assert "DET-OPTIONAL-NONE" in out
 
     assert cli_main(["lint", "--format", "json", str(bad)]) == 1
     payload = json.loads(capsys.readouterr().out)

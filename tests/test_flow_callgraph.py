@@ -1,7 +1,9 @@
-"""Call-graph construction: name binding, methods, imports, closure."""
+"""Call resolution: name binding, methods, imports, nested defs."""
 
+import ast
 import textwrap
 
+from repro.analysis.astutil import walk_own_scope
 from repro.analysis.engine import module_from_source
 from repro.analysis.flow import build_call_graph
 
@@ -13,7 +15,14 @@ def _module(source, name):
 
 
 def _edges(graph, caller):
-    return [(e.callee, e.line) for e in graph.callees(caller)]
+    """(callee, line) of every call in ``caller``'s own scope that resolves."""
+    fi = graph.functions[caller]
+    resolved = (
+        (graph.resolve_call(fi, node), node.lineno)
+        for node in walk_own_scope(fi.node)
+        if isinstance(node, ast.Call)
+    )
+    return [(callee, line) for callee, line in resolved if callee is not None]
 
 
 def test_module_function_and_method_resolution():
@@ -74,21 +83,6 @@ def test_cross_module_resolution_via_imports():
     assert ("pkg.util.Clock.now", 13) in _edges(graph, "pkg.main.c")
 
 
-def test_external_calls_recorded_with_resolved_names():
-    mod = _module('''
-        import time as _t
-        from queue import Queue
-
-        def nap():
-            _t.sleep(0.5)
-            q = Queue()
-    ''', "demo")
-    graph = build_call_graph([mod])
-    externals = dict(graph.external["demo.nap"])
-    assert externals["time.sleep"] == 6
-    assert externals["queue.Queue"] == 7
-
-
 def test_nested_function_edges():
     mod = _module('''
         def outer():
@@ -104,31 +98,6 @@ def test_nested_function_edges():
     assert _edges(graph, "demo.outer.inner") == [("demo.leaf", 4)]
 
 
-def test_reachable_from_and_call_path():
-    mod = _module('''
-        def a():
-            b()
-
-        def b():
-            c()
-
-        def c():
-            pass
-
-        def island():
-            pass
-    ''', "demo")
-    graph = build_call_graph([mod])
-    assert graph.reachable_from(["demo.a"]) == {"demo.a", "demo.b", "demo.c"}
-    chain = graph.call_path("demo.a", "demo.c")
-    assert [(e.caller, e.callee) for e in chain] == [
-        ("demo.a", "demo.b"),
-        ("demo.b", "demo.c"),
-    ]
-    assert graph.call_path("demo.a", "demo.island") is None
-    assert graph.call_path("demo.a", "demo.a") == []
-
-
 def test_recursion_does_not_loop():
     mod = _module('''
         def even(n):
@@ -138,36 +107,8 @@ def test_recursion_does_not_loop():
             return n != 0 and even(n - 1)
     ''', "demo")
     graph = build_call_graph([mod])
-    assert graph.reachable_from(["demo.even"]) == {"demo.even", "demo.odd"}
-
-
-def test_resolve_callable_for_function_references():
-    mod = _module('''
-        class Obs:
-            def _on_event(self, event):
-                pass
-
-            def register(self):
-                install_tap(self._on_event)
-
-        def _tap(event):
-            pass
-    ''', "demo")
-    graph = build_call_graph([mod])
-    import ast as _ast
-
-    register = graph.functions["demo.Obs.register"]
-    (call,) = [
-        n
-        for n in _ast.walk(register.node)
-        if isinstance(n, _ast.Call)
-    ]
-    assert (
-        graph.resolve_callable("demo", call.args[0], register)
-        == "demo.Obs._on_event"
-    )
-    name_ref = _ast.parse("_tap").body[0].value
-    assert graph.resolve_callable("demo", name_ref, None) == "demo._tap"
+    assert _edges(graph, "demo.even") == [("demo.odd", 3)]
+    assert _edges(graph, "demo.odd") == [("demo.even", 6)]
 
 
 def test_dynamic_calls_yield_no_edges():
@@ -178,4 +119,4 @@ def test_dynamic_calls_yield_no_edges():
             getattr(obj, "m")()
     ''', "demo")
     graph = build_call_graph([mod])
-    assert graph.callees("demo.f") == []
+    assert _edges(graph, "demo.f") == []

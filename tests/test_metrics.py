@@ -133,7 +133,7 @@ class TestPushHistory:
 
 EVENT_STREAMS = st.lists(
     st.tuples(
-        st.sampled_from(["pull", "push", "abort"]),
+        st.sampled_from(["pull", "push", "abort", "query", "pop"]),
         st.sampled_from([0.0, 0.0, 0.25, 0.1, 1.5]),  # time steps: times repeat
         st.integers(0, 4),  # worker
         st.integers(0, 3),  # staleness / iteration
@@ -155,7 +155,22 @@ class TestTraceRecorderColumns:
         now, version = 0.0, 0
         for kind, step, worker, small, wasted, restart in stream:
             now += step
-            if kind == "pull":
+            if kind == "query":
+                # Queries interleave with pops and records: each must see
+                # exactly the pushes recorded and not popped so far.
+                for start, end in windows + [(now - step - 0.2, now)]:
+                    for exclude in (None, worker):
+                        expected = sum(
+                            1 for p in pushes
+                            if start < p.time <= end and p.worker_id != exclude
+                        )
+                        assert traces.pushes_in_window(start, end, exclude) == expected
+            elif kind == "pop":
+                if pushes:
+                    assert traces.pushes.pop() == pushes.pop()
+                # The next push may land before the popped one's time.
+                now = pushes[-1].time if pushes else 0.0
+            elif kind == "pull":
                 event = PullEvent(now, worker, version, small, restart)
                 traces.record_pull(*event)
                 pulls.append(event)
@@ -207,6 +222,17 @@ class TestTraceRecorderColumns:
                     if start < p.time <= end and p.worker_id != exclude
                 )
                 assert traces.pushes_in_window(start, end, exclude) == expected
+
+    def test_query_after_pop_and_record_counts_the_live_pushes(self):
+        traces = TraceRecorder()
+        traces.record_push(*push(1.0, worker=0, version=1))
+        traces.record_push(*push(2.0, worker=1, version=2))
+        assert traces.pushes_in_window(1.8, 10.0) == 1
+        traces.pushes.pop()
+        traces.record_push(*push(1.5, worker=2, version=2))
+        assert traces.pushes_in_window(1.8, 10.0) == 0
+        assert traces.pushes_in_window(1.0, 1.5) == 1
+        assert traces.pushes_in_window(0.0, 10.0, exclude_worker=2) == 1
 
     def test_column_is_a_copy_and_pop_drops_the_newest_row(self):
         traces = TraceRecorder()

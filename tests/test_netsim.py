@@ -29,6 +29,11 @@ class TestMessage:
                      MessageKind.PULL_REQUEST, MessageKind.PUSH_ACK):
             assert kind.category == "control"
 
+    def test_size_bytes_is_required(self):
+        # No default: every message states what the ledger accounts.
+        with pytest.raises(TypeError):
+            Message(kind=MessageKind.PUSH, src="worker-0", dst="server")
+
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
             make_message(size=-1)

@@ -11,13 +11,17 @@ timeout.
 import gc
 import multiprocessing
 import os
+import queue
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.ml.optim import ConstantSchedule, SgdUpdateRule
-from repro.runtime.multiprocess import _POLL_S
+from repro.ml.params import ParamSet
+from repro.ps.shm import ShmParamStore
+from repro.runtime.multiprocess import _POLL_S, _server_main
 from tests.test_runtime_multiprocess import build_run as multiprocess_run
 from tests.test_runtime_threaded import build_run as threaded_run
 
@@ -56,3 +60,20 @@ def test_raising_update_rule_ends_the_run_by_name(build, error, match):
     while threading.active_count() > threads_before and time.monotonic() < deadline:
         time.sleep(0.01)
     assert threading.active_count() <= threads_before
+
+
+def test_unknown_request_tag_ends_the_server_loop_by_name():
+    # The server loop dispatches on each request's tag; a tag it does not
+    # handle is a wiring bug, reported by name as the stats reply.
+    store = ShmParamStore.create(ParamSet({"w": np.zeros(3)}))
+    try:
+        requests, replies = queue.Queue(), queue.Queue()
+        requests.put(("fetch", 0))
+        _server_main(store, [], SgdUpdateRule(ConstantSchedule(0.1)), requests,
+                     [], replies, threading.Event())
+        assert replies.get_nowait() == (
+            None, None, None, "RuntimeError(\"unknown server message 'fetch'\")"
+        )
+    finally:
+        store.close()
+        store.unlink()
