@@ -1,9 +1,10 @@
 """Custom static analysis for the SpecSync reproduction.
 
 ``repro.analysis`` is an AST-based lint engine with rule packs written
-*for this codebase*: determinism lint over the simulation path, protocol
-exhaustiveness over the message layer, and lock/queue/thread checks over
-the real-time runtime.  It backs the ``repro lint`` CLI command and the
+*for this codebase*: ``None`` defaults that lie about their annotation,
+lock/queue/thread checks over the real-time runtime, ndarrays pickled
+onto the multiprocessing queues, and resources released on every path.
+It backs the ``repro lint`` CLI command and the
 tier-1 self-lint gate (``tests/test_analysis_self_lint.py``).
 
 Quick use::
@@ -38,7 +39,7 @@ from repro.analysis.engine import (
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.gate import FAIL_ON_CHOICES, add_fail_on_argument, gate_exit_code
 from repro.analysis.reporters import parse_json, render_json, render_text
-from repro.analysis.rules import DEFAULT_RULE_CLASSES, default_rules
+from repro.analysis.rules import RULE_CLASSES, default_rules
 
 __all__ = [
     "Finding",
@@ -56,5 +57,5 @@ __all__ = [
     "render_json",
     "parse_json",
     "default_rules",
-    "DEFAULT_RULE_CLASSES",
+    "RULE_CLASSES",
 ]

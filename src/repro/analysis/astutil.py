@@ -1,9 +1,9 @@
 """Small AST helpers shared by the rule packs.
 
-The rules reason about *resolved* dotted names — ``_time.perf_counter``
-must be recognized as ``time.perf_counter`` even through an import alias,
-and ``from datetime import datetime`` must make ``datetime.now`` resolve to
-``datetime.datetime.now``.  :func:`import_aliases` builds the local-name →
+The rules reason about *resolved* dotted names — ``_threading.Lock``
+must be recognized as ``threading.Lock`` even through an import alias,
+and ``from threading import Lock`` must make ``Lock`` resolve to
+``threading.Lock``.  :func:`import_aliases` builds the local-name →
 origin map and :func:`resolve_call_name` applies it.
 """
 

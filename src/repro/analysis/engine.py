@@ -6,7 +6,7 @@ each registered rule.  Rules come in two flavors:
 
 * **module rules** — ``check_module`` runs once per file (most rules);
 * **project rules** — ``check_project`` sees all modules at once, for
-  cross-file checks like lock-order graphs and buffer ownership.
+  cross-file checks like the lock-order graph.
 
 Suppression: a ``# repro: allow[rule-id]`` comment on the offending line —
 or on a comment-only line immediately above it — marks matching findings

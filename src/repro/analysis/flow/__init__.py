@@ -1,8 +1,8 @@
-"""Flow-sensitive static analysis: CFGs, dataflow solving, call resolution.
+"""Flow-sensitive static analysis: CFGs and dataflow solving.
 
 The per-node AST rules in :mod:`repro.analysis.rules` answer "does this
 statement look wrong"; this package answers "can execution *reach* this
-statement in a bad state".  Three layers:
+statement in a bad state".  Two layers:
 
 * :mod:`repro.analysis.flow.cfg` — a control-flow-graph builder for
   Python functions covering branches, loops (``while/else``, ``for/else``,
@@ -15,17 +15,11 @@ statement in a bad state".  Three layers:
   fixpoint solver over a CFG; problems choose the lattice join and the
   per-block transfer, and may propagate the *pre*-state along exception
   edges (a statement that raises did not complete its effect).
-* :mod:`repro.analysis.flow.callgraph` — interprocedural call
-  resolution over the linted batch, by module-level name binding
-  (imports, module functions, ``self.``/``cls.`` methods,
-  class-qualified calls).
 
-FLOW-RELEASE (:mod:`repro.analysis.rules.flow`) is built on the first
-two layers, the ownership analysis (:mod:`repro.analysis.ownership`) on
-all three; ``docs/static_analysis.md`` documents the model.
+FLOW-RELEASE (:mod:`repro.analysis.rules.flow`) is built on both;
+``docs/static_analysis.md`` documents the model.
 """
 
-from repro.analysis.flow.callgraph import CallGraph, FunctionInfo, build_call_graph
 from repro.analysis.flow.cfg import (
     CFG,
     Block,
@@ -45,7 +39,4 @@ __all__ = [
     "render_cfg",
     "DataflowProblem",
     "solve",
-    "CallGraph",
-    "FunctionInfo",
-    "build_call_graph",
 ]

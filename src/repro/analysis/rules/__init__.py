@@ -1,22 +1,17 @@
-"""Rule packs and the default registry.
+"""Rule packs and the registry.
 
-Four packs; each rule either caught a real defect here or guards an
+Three packs; each rule either caught a real defect here or guards an
 invariant no test, type or runtime check holds (the audit is logged in
 CHANGES.md, the rules are tabled in ``docs/static_analysis.md``):
 
-* :mod:`repro.analysis.rules.determinism` — wall clocks and set
-  iteration in the simulation path, ``None`` defaults under
+* :mod:`repro.analysis.rules.determinism` — ``None`` defaults under
   non-``Optional`` annotations;
 * :mod:`repro.analysis.rules.concurrency` — lock-order cycles, daemonless
   threads, un-timed queue blocking, unlocked shared state in
-  ``repro.runtime``;
+  ``repro.runtime``, and ndarrays pickled onto the multiprocessing
+  queues that the zero-copy ``repro.ps.shm`` store replaced;
 * :mod:`repro.analysis.rules.flow` — resources released on every CFG
-  path (built on :mod:`repro.analysis.flow`);
-* :mod:`repro.analysis.rules.ownership` — caller arrays stored without
-  a copy, and ndarrays pickled onto the multiprocess queues that the
-  zero-copy ``repro.ps.shm`` store replaced.  **Opt-in**: it reasons
-  about array-typed code only, so CI runs it as a dedicated
-  ``--pack ownership`` gate rather than in the default self-lint.
+  path (built on :mod:`repro.analysis.flow`).
 
 To add a rule: subclass :class:`repro.analysis.engine.Rule`, give it a
 unique ``rule_id``, implement ``check_module`` (per-file) or
@@ -31,63 +26,43 @@ from typing import Dict, Iterable, List, Optional, Tuple, Type
 from repro.analysis.engine import Rule
 from repro.analysis.rules.concurrency import (
     LockOrderRule,
+    PicklePayloadRule,
     QueueTimeoutRule,
     ThreadDaemonRule,
     UnlockedStateRule,
 )
-from repro.analysis.rules.determinism import (
-    ImplicitOptionalRule,
-    SetIterationRule,
-)
+from repro.analysis.rules.determinism import ImplicitOptionalRule
 from repro.analysis.rules.flow import ReleaseOnAllPathsRule
-from repro.analysis.rules.ownership import BufAliasStoreRule, PicklePayloadRule
 
 __all__ = [
     "default_rules",
     "rules_for",
-    "ALL_RULE_CLASSES",
-    "DEFAULT_RULE_CLASSES",
-    "OPT_IN_PACKS",
+    "RULE_CLASSES",
     "RULE_PACKS",
 ]
 
 #: pack name -> rule classes; ``repro lint --pack <name>`` selects one.
 RULE_PACKS: Dict[str, Tuple[Type[Rule], ...]] = {
-    "determinism": (
-        SetIterationRule,
-        ImplicitOptionalRule,
-    ),
+    "determinism": (ImplicitOptionalRule,),
     "concurrency": (
         LockOrderRule,
         ThreadDaemonRule,
         QueueTimeoutRule,
         UnlockedStateRule,
+        PicklePayloadRule,
     ),
     "flow": (ReleaseOnAllPathsRule,),
-    "ownership": (BufAliasStoreRule, PicklePayloadRule),
 }
 
-#: Packs that only run when explicitly selected.  The ownership rules
-#: reason about array aliasing and run as their own CI gate
-#: (``--pack ownership --fail-on warning``).
-OPT_IN_PACKS: Tuple[str, ...] = ("ownership",)
-
-DEFAULT_RULE_CLASSES: Tuple[Type[Rule], ...] = tuple(
-    cls
-    for name, pack in RULE_PACKS.items()
-    if name not in OPT_IN_PACKS
-    for cls in pack
-)
-
-#: Every registered rule class, opt-in packs included (``--rule`` ids).
-ALL_RULE_CLASSES: Tuple[Type[Rule], ...] = tuple(
+#: Every registered rule class, in pack order.
+RULE_CLASSES: Tuple[Type[Rule], ...] = tuple(
     cls for pack in RULE_PACKS.values() for cls in pack
 )
 
 
 def default_rules() -> List[Rule]:
     """Fresh instances of every registered rule."""
-    return [cls() for cls in DEFAULT_RULE_CLASSES]
+    return [cls() for cls in RULE_CLASSES]
 
 
 def rules_for(
@@ -112,7 +87,7 @@ def rules_for(
             f"unknown pack(s) {sorted(unknown_packs)}; "
             f"choose from {sorted(RULE_PACKS)}"
         )
-    all_ids = {cls.rule_id for cls in ALL_RULE_CLASSES}
+    all_ids = {cls.rule_id for cls in RULE_CLASSES}
     unknown_ids = wanted_ids - all_ids
     if unknown_ids:
         raise ValueError(

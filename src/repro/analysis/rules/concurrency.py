@@ -13,15 +13,20 @@ build a *static* picture of that machinery:
 * blocking queue calls without timeouts — a worker blocked forever on a
   dead peer's queue is indistinguishable from a hang;
 * shared mutable state (underscore attributes of lock-owning classes)
-  touched outside the lock.
+  touched outside the lock;
+* ndarrays pickled onto the multiprocessing queues that the zero-copy
+  ``repro.ps.shm`` store replaced.
 
-All four rules only fire on modules under ``repro.runtime`` — the rest of
-the codebase is single-threaded by design and the DES needs none of this.
+The first four rules only fire on modules under ``repro.runtime`` — the
+rest of the codebase is single-threaded by design and the DES needs none
+of this.  ``PERF-PICKLE-PAYLOAD`` fires in any module that imports
+``multiprocessing``.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -45,6 +50,7 @@ __all__ = [
     "ThreadDaemonRule",
     "QueueTimeoutRule",
     "UnlockedStateRule",
+    "PicklePayloadRule",
 ]
 
 RUNTIME_PACKAGE = "repro.runtime"
@@ -579,3 +585,70 @@ class UnlockedStateRule(Rule):
                 yield from walk(child, locked)
 
         yield from walk(method, locked=False)
+
+
+#: Names that very likely bind ndarrays in this codebase.
+ARRAYISH_RE = re.compile(
+    r"(^|_)(grad|gradient|param|params|weights?|tensor|array|snapshot|vec|buf|buffer)s?($|_)",
+    re.IGNORECASE,
+)
+
+
+class PicklePayloadRule(Rule):
+    """PERF-PICKLE-PAYLOAD: ndarrays crossing multiprocessing queues.
+
+    The multiprocess data plane is the shared-memory store; its queues
+    carry control tags only, and an ndarray on one is pickled across the
+    process boundary on every transfer.
+    """
+
+    rule_id = "PERF-PICKLE-PAYLOAD"
+    severity = Severity.WARNING
+    description = (
+        "ndarray payload put on a multiprocessing queue — every transfer "
+        "pickles the full array across the process boundary"
+    )
+
+    def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
+        if "multiprocessing" not in import_aliases(module.tree).values():
+            return
+        for node in ast.walk(module.tree):
+            if not isinstance(node, ast.Call) or not node.args:
+                continue
+            if not isinstance(node.func, ast.Attribute) or node.func.attr != "put":
+                continue
+            # See through one subscript: ``queues[i].put`` -> ``queues``.
+            receiver_node = node.func.value
+            if isinstance(receiver_node, ast.Subscript):
+                receiver_node = receiver_node.value
+            receiver = dotted_name(receiver_node)
+            if receiver is None or "queue" not in receiver.lower():
+                continue
+            carrier = self._array_payload(node.args[0])
+            if carrier is None:
+                continue
+            yield self.finding(
+                module,
+                node.lineno,
+                f"payload {carrier!r} on {receiver}.put() pickles an "
+                "ndarray across the process boundary on every transfer; "
+                "move bulk arrays to shared memory "
+                "(multiprocessing.shared_memory) or keep the queue for "
+                "control messages only",
+            )
+
+    @staticmethod
+    def _array_payload(payload: ast.expr) -> Optional[str]:
+        """Name of an array-carrying expression inside ``payload``."""
+        for sub in ast.walk(payload):
+            if isinstance(sub, ast.Name) and ARRAYISH_RE.search(sub.id):
+                return sub.id
+            if (
+                isinstance(sub, ast.Call)
+                and isinstance(sub.func, ast.Attribute)
+                and sub.func.attr == "copy"
+            ):
+                base = dotted_name(sub.func.value)
+                if base is not None and ARRAYISH_RE.search(base):
+                    return f"{base}.copy()"
+        return None

@@ -1,17 +1,13 @@
 """Determinism rule pack.
 
-Every paper quantity this reproduction reports is a function of the event
-timeline (DESIGN.md §2).  A stray wall-clock read or unseeded draw shows
-up as two same-seed runs that differ, which the replay check and the
-pinned digests catch; iterating a set of strings does not — within one
-process the hash seed is fixed, so both runs agree, and the order still
-changes from process to process.  ``DET-SET-ITER`` bans set iteration in
-the deterministic zone — the packages listed in
-:data:`DETERMINISTIC_PACKAGES`.  ``repro.runtime`` is exempt by design:
-the threaded/multiprocess backends *intentionally* run on wall time.
-
 ``DET-OPTIONAL-NONE`` applies repo-wide: a ``None`` default on a
 non-``Optional`` annotation lies, and mypy checks only its strict zone.
+
+Every paper quantity this reproduction reports is a function of the
+event timeline (DESIGN.md §2).  That is held by tests that run the code,
+not by lint: two same-seed runs must fire identical events (the replay
+check) and reproduce pinned digests, and every scheme's outputs must
+not move with ``PYTHONHASHSEED`` (``tests/test_replay_determinism.py``).
 """
 
 from __future__ import annotations
@@ -19,109 +15,11 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional, Tuple
 
-from repro.analysis.astutil import dotted_name, import_aliases, resolve_name
+from repro.analysis.astutil import dotted_name
 from repro.analysis.engine import ModuleInfo, Rule
 from repro.analysis.findings import Finding, Severity
 
-__all__ = [
-    "DETERMINISTIC_PACKAGES",
-    "SetIterationRule",
-    "ImplicitOptionalRule",
-]
-
-#: Packages whose code must be a pure function of (seed, event timeline).
-#: ``repro.runtime`` is deliberately absent — it bridges to wall time.
-#: ``repro.obs`` *is* in the zone even though it supports wall-clock
-#: traces: the observability layer is clock-agnostic by construction
-#: (clocks are injected — ``FunctionClock(time.monotonic)`` is built at
-#: the call site in the exempt runtime).
-DETERMINISTIC_PACKAGES = (
-    "repro.events",
-    "repro.core",
-    "repro.sync",
-    "repro.ps",
-    "repro.netsim",
-    "repro.obs",
-)
-
-
-def in_deterministic_zone(module: ModuleInfo) -> bool:
-    """Whether the module lives in a package the zone rules police."""
-    return any(
-        module.module == pkg or module.module.startswith(pkg + ".")
-        for pkg in DETERMINISTIC_PACKAGES
-    )
-
-
-def _is_set_expression(node: ast.AST, aliases: dict) -> bool:
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call):
-        name = dotted_name(node.func)
-        if name is None:
-            return False
-        return resolve_name(name, aliases) in ("set", "frozenset")
-    return False
-
-
-class SetIterationRule(Rule):
-    """DET-SET-ITER: iterating a set in the deterministic zone.
-
-    Set iteration order depends on insertion history and hash seeding;
-    draining a set in a ``for`` loop (or comprehension) makes event order
-    run-dependent.  Wrap the set in ``sorted(...)`` to fix the order.
-    Also flags sets passed straight into ``list``/``tuple``/``enumerate``
-    inside an iteration position, which launders the same hazard.
-    """
-
-    rule_id = "DET-SET-ITER"
-    severity = Severity.ERROR
-    description = (
-        "Iteration over an unordered set in the simulation path; wrap in "
-        "sorted(...) to pin the order."
-    )
-
-    _LAUNDERERS = ("list", "tuple", "enumerate", "reversed")
-
-    def _flag_iter_expr(
-        self, module: ModuleInfo, node: ast.AST, aliases: dict
-    ) -> Iterator[Finding]:
-        if _is_set_expression(node, aliases):
-            yield self.finding(
-                module,
-                node.lineno,
-                f"iteration over an unordered set in {module.module}; "
-                f"event order must not depend on hash order — use "
-                f"sorted(...)",
-            )
-            return
-        if isinstance(node, ast.Call):
-            name = dotted_name(node.func)
-            if name is not None and resolve_name(name, aliases) in self._LAUNDERERS:
-                for arg in node.args:
-                    if _is_set_expression(arg, aliases):
-                        yield self.finding(
-                            module,
-                            arg.lineno,
-                            f"unordered set passed to {name}() in an "
-                            f"iteration position in {module.module}; use "
-                            f"sorted(...)",
-                        )
-
-    def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
-        if not in_deterministic_zone(module):
-            return
-        aliases = import_aliases(module.tree)
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.For):
-                yield from self._flag_iter_expr(module, node.iter, aliases)
-            elif isinstance(
-                node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-            ):
-                for generator in node.generators:
-                    yield from self._flag_iter_expr(
-                        module, generator.iter, aliases
-                    )
+__all__ = ["ImplicitOptionalRule"]
 
 
 def _iter_signature_defaults(

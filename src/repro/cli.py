@@ -228,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint_parser.add_argument(
         "--pack", action="append", default=None, metavar="NAME",
         help="run only this rule pack (repeatable: determinism, "
-             "concurrency, flow, ownership); unions with --rule",
+             "concurrency, flow); unions with --rule",
     )
     lint_parser.add_argument(
         "--output", metavar="PATH", default=None,

@@ -43,7 +43,7 @@ class ParamSet:
         # what lets ShmParamStore.backing() wrap live shared-memory
         # segments in a ParamSet without a copy.  Callers that need an
         # owning set go through .copy().
-        self._arrays: Dict[str, np.ndarray] = converted  # repro: allow[BUF-ALIAS-STORE] zero-copy adoption is this constructor's contract (see comment); backing() relies on it
+        self._arrays: Dict[str, np.ndarray] = converted
         if not converted:
             raise ValueError("ParamSet cannot be empty")
 

@@ -55,7 +55,7 @@ class FunctionClock:
 
     Runtime backends pass ``time.monotonic`` here; the DES never
     constructs one.  Keeping the wall read at the *call site* keeps
-    ``repro.obs`` inside the deterministic zone with zero waivers.
+    ``repro.obs`` free of wall-clock reads.
     """
 
     def __init__(self, now_fn: Callable[[], float], domain: str = WALL) -> None:

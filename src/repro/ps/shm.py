@@ -38,8 +38,9 @@ mapping, :meth:`unlink` frees the OS objects.  The tracker helpers below
 serve :mod:`repro.obs.live.ring`, whose rings other processes do attach.
 
 Raw segment buffers (``ShmArraySegment.array``) must only be touched
-inside a fence ``with`` block; the ``BUF-SHM-UNFENCED`` rule of the
-ownership lint pack enforces exactly that for code outside this module.
+inside a fence ``with`` block.  ``tests/test_ps_shm.py`` holds the fences
+and ``tests/test_runtime_server_raises.py`` holds the server's apply
+inside its write fence.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ _VERSION = 1
 
 #: A reader retries a torn snapshot this many times before concluding the
 #: writer died mid-fence.  Bounded by *count*, not wall time: ``repro.ps``
-#: is in the deterministic zone, so no wall clock is read here.
+#: is on the simulation path, so no wall clock is read here.
 _MAX_READ_ATTEMPTS = 10_000
 
 #: Backoff between retries once the first few spins fail — the writer's

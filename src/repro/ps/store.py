@@ -53,7 +53,7 @@ class ParameterStore:
     """
 
     def __init__(self, initial_params: ParamSet, update_rule: SgdUpdateRule):
-        self._params = initial_params  # repro: allow[BUF-ALIAS-STORE] adoption is the contract (see class docstring): the server process must update its shared-memory backing in place
+        self._params = initial_params
         self._update_rule = update_rule
         self._version = 0
         self._missed = 0  # staleness summed over every applied push

@@ -20,8 +20,10 @@ workers snapshot directly; each worker pushes its gradient through its own
 shared-memory slot.  The queues carry only small tagged tuples, so the
 server's wire-tag stream (and its replay through the protocol model) is
 unchanged while the per-iteration pickle cost is gone — the zero-copy
-store the ROADMAP's "make the hot paths actually fast" item called for,
-certified by the ``BUF-*`` ownership lint pack.
+store the ROADMAP's "make the hot paths actually fast" item called for.
+``tests/test_ps_shm.py`` holds the store's fences and adoption, and
+``tests/test_runtime_server_raises.py`` that the server applies each
+push inside its write fence.
 
 Scaled-down timing (milliseconds per virtual second) keeps a full run under
 a couple of wall seconds.

@@ -1,4 +1,8 @@
-"""Fixture tests for the concurrency rule pack (repro.runtime only)."""
+"""Fixture tests for the concurrency rule pack.
+
+The CONC-* rules police ``repro.runtime`` only; PERF-PICKLE-PAYLOAD
+fires in any module that imports ``multiprocessing``.
+"""
 
 import textwrap
 
@@ -322,6 +326,41 @@ def test_public_attributes_and_lockless_classes_are_exempt():
     assert [
         f for f in unsuppressed(source) if f.rule_id == "CONC-UNLOCKED-STATE"
     ] == []
+
+
+# ----------------------------------------------------------------------
+# PERF-PICKLE-PAYLOAD
+# ----------------------------------------------------------------------
+def test_array_payload_on_mp_queue_fires_once():
+    source = textwrap.dedent(
+        """\
+        import multiprocessing
+
+        def f(queue, gradient):
+            queue.put(("push", gradient))
+        """
+    )
+    findings = unsuppressed(source, module="repro.ps.fixture", rule_prefix="PERF-")
+    assert [f.rule_id for f in findings] == ["PERF-PICKLE-PAYLOAD"]
+    assert findings[0].severity.name == "WARNING"
+    assert "pickles an" in findings[0].message
+
+
+def test_payload_rule_needs_a_multiprocessing_import():
+    source = 'def f(queue, gradient):\n    queue.put(("push", gradient))\n'
+    assert unsuppressed(source, rule_prefix="PERF-") == []
+
+
+def test_control_message_payload_is_clean():
+    source = textwrap.dedent(
+        """\
+        import multiprocessing
+
+        def f(queue):
+            queue.put(("stop", 1))
+        """
+    )
+    assert unsuppressed(source, rule_prefix="PERF-") == []
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
-"""Fixture tests for the determinism rule pack.
+"""Fixture tests for the determinism rule pack (DET-OPTIONAL-NONE).
 
 Each known-bad snippet fires its rule exactly once; the matching known-good
-snippet stays silent; a suppression comment downgrades the bad one.
+snippet stays silent.
 """
 
 import textwrap
@@ -10,74 +10,15 @@ import pytest
 
 from repro.analysis import lint_source
 
-ZONE = "repro.events.fixture"
 
-
-def unsuppressed(source, module=ZONE):
+def unsuppressed(source, module):
     return [f for f in lint_source(source, module=module) if not f.suppressed]
 
 
-def only_rule(source, rule_id, module=ZONE):
+def only_rule(source, rule_id, module):
     findings = unsuppressed(source, module=module)
     assert [f.rule_id for f in findings] == [rule_id], findings
     return findings[0]
-
-
-# ----------------------------------------------------------------------
-# DET-SET-ITER
-# ----------------------------------------------------------------------
-def test_set_iteration_fires_once():
-    finding = only_rule(
-        "def f(xs):\n    for x in set(xs):\n        print(x)\n",
-        "DET-SET-ITER",
-    )
-    assert finding.line == 2
-
-
-def test_set_literal_and_comprehension_iteration_fire():
-    only_rule("def f():\n    for x in {1, 2}:\n        pass\n", "DET-SET-ITER")
-    only_rule(
-        "def f(xs):\n    return [x for x in {x for x in xs}]\n",
-        "DET-SET-ITER",
-    )
-
-
-def test_set_iteration_through_list_launder_fires():
-    only_rule(
-        "def f(xs):\n    for x in list(set(xs)):\n        pass\n",
-        "DET-SET-ITER",
-    )
-
-
-def test_sorted_set_iteration_is_clean():
-    assert unsuppressed(
-        "def f(xs):\n    for x in sorted(set(xs)):\n        pass\n"
-    ) == []
-
-
-def test_set_membership_test_is_clean():
-    assert unsuppressed(
-        "def f(xs, y):\n    return y in set(xs)\n"
-    ) == []
-
-
-@pytest.mark.parametrize(
-    "package",
-    ["repro.core.x", "repro.sync.x", "repro.ps.x", "repro.netsim.x",
-     "repro.obs.x"],
-)
-def test_set_iteration_covers_every_zone_package(package):
-    only_rule(
-        "def f(xs):\n    for x in set(xs):\n        pass\n",
-        "DET-SET-ITER",
-        module=package,
-    )
-
-
-def test_set_iteration_exempts_runtime_and_ml():
-    bad = "def f(xs):\n    for x in set(xs):\n        pass\n"
-    assert unsuppressed(bad, module="repro.runtime.threaded") == []
-    assert unsuppressed(bad, module="repro.ml.models.base") == []
 
 
 # ----------------------------------------------------------------------

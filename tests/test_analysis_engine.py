@@ -7,7 +7,7 @@ import textwrap
 import pytest
 
 from repro.analysis import (
-    DEFAULT_RULE_CLASSES,
+    RULE_CLASSES,
     Finding,
     LintEngine,
     Severity,
@@ -21,23 +21,23 @@ from repro.analysis import (
 from repro.analysis.engine import _dotted_module_name, iter_python_files
 from repro.cli import main as cli_main
 
-BAD_DETERMINISM = textwrap.dedent(
+BAD_RUNTIME = textwrap.dedent(
     """\
-    def drain(pending):
-        for item in set(pending):
-            yield item
+    def drain(work_queue):
+        return work_queue.get()
     """
 )
-BAD_LINE = "for item in set(pending):"
+BAD_LINE = "return work_queue.get()"
+ZONE = "repro.runtime.fixture"
 
 
 def test_finding_round_trips_through_dict():
     finding = Finding(
-        rule_id="DET-SET-ITER",
-        severity=Severity.ERROR,
+        rule_id="CONC-QUEUE-TIMEOUT",
+        severity=Severity.WARNING,
         path="src/repro/x.py",
         line=7,
-        message="no clocks",
+        message="no timeout",
         suppressed=True,
     )
     rebuilt = Finding.from_dict(finding.to_dict())
@@ -54,17 +54,17 @@ def test_finding_validates_inputs():
 
 
 def test_bad_fixture_fires_in_zone_only():
-    in_zone = lint_source(BAD_DETERMINISM, module="repro.events.fixture")
-    assert [f.rule_id for f in in_zone] == ["DET-SET-ITER"]
-    out_of_zone = lint_source(BAD_DETERMINISM, module="repro.runtime.fixture")
+    in_zone = lint_source(BAD_RUNTIME, module=ZONE)
+    assert [f.rule_id for f in in_zone] == ["CONC-QUEUE-TIMEOUT"]
+    out_of_zone = lint_source(BAD_RUNTIME, module="repro.events.fixture")
     assert out_of_zone == []
 
 
 def test_same_line_suppression_marks_finding():
-    source = BAD_DETERMINISM.replace(
-        BAD_LINE, BAD_LINE + "  # repro: allow[DET-SET-ITER] fixture"
+    source = BAD_RUNTIME.replace(
+        BAD_LINE, BAD_LINE + "  # repro: allow[CONC-QUEUE-TIMEOUT] fixture"
     )
-    findings = lint_source(source, module="repro.events.fixture")
+    findings = lint_source(source, module=ZONE)
     assert len(findings) == 1
     assert findings[0].suppressed is True
 
@@ -72,58 +72,57 @@ def test_same_line_suppression_marks_finding():
 def test_preceding_comment_line_suppression():
     source = textwrap.dedent(
         """\
-        def drain(pending):
-            # repro: allow[DET-SET-ITER] fixture justification
-            for item in set(pending):
-                yield item
+        def drain(work_queue):
+            # repro: allow[CONC-QUEUE-TIMEOUT] fixture justification
+            return work_queue.get()
         """
     )
-    findings = lint_source(source, module="repro.events.fixture")
+    findings = lint_source(source, module=ZONE)
     assert len(findings) == 1 and findings[0].suppressed
 
 
 def test_wildcard_suppression_waives_any_rule():
-    source = BAD_DETERMINISM.replace(BAD_LINE, BAD_LINE + "  # repro: allow[*]")
-    findings = lint_source(source, module="repro.events.fixture")
+    source = BAD_RUNTIME.replace(BAD_LINE, BAD_LINE + "  # repro: allow[*]")
+    findings = lint_source(source, module=ZONE)
     assert findings[0].suppressed
 
 
 def test_suppression_for_other_rule_does_not_apply():
-    source = BAD_DETERMINISM.replace(
+    source = BAD_RUNTIME.replace(
         BAD_LINE, BAD_LINE + "  # repro: allow[DET-OPTIONAL-NONE]"
     )
-    findings = lint_source(source, module="repro.events.fixture")
+    findings = lint_source(source, module=ZONE)
     assert len(findings) == 1
     assert findings[0].suppressed is False
 
 
 def test_rule_ids_are_unique_and_named():
-    ids = [cls.rule_id for cls in DEFAULT_RULE_CLASSES]
+    ids = [cls.rule_id for cls in RULE_CLASSES]
     assert len(ids) == len(set(ids))
     assert all(ids)
     # Engine enforces the same invariant at construction time.
-    rules = [cls() for cls in DEFAULT_RULE_CLASSES]
+    rules = [cls() for cls in RULE_CLASSES]
     with pytest.raises(ValueError):
-        LintEngine(rules + [DEFAULT_RULE_CLASSES[0]()])
+        LintEngine(rules + [RULE_CLASSES[0]()])
 
 
 def test_json_reporter_round_trips():
-    findings = lint_source(BAD_DETERMINISM, module="repro.events.fixture")
+    findings = lint_source(BAD_RUNTIME, module=ZONE)
     rebuilt = parse_json(render_json(findings))
     assert rebuilt == findings
     payload = json.loads(render_json(findings))
     assert payload["counts"]["unsuppressed"] == 1
-    assert payload["counts"]["by_rule"] == {"DET-SET-ITER": 1}
+    assert payload["counts"]["by_rule"] == {"CONC-QUEUE-TIMEOUT": 1}
 
 
 def test_text_reporter_summary_and_suppressed_visibility():
-    source = BAD_DETERMINISM.replace(
-        BAD_LINE, BAD_LINE + "  # repro: allow[DET-SET-ITER]"
+    source = BAD_RUNTIME.replace(
+        BAD_LINE, BAD_LINE + "  # repro: allow[CONC-QUEUE-TIMEOUT]"
     )
-    findings = lint_source(source, module="repro.events.fixture")
+    findings = lint_source(source, module=ZONE)
     hidden = render_text(findings)
     assert "clean: 0 findings (1 suppressed)" in hidden
-    assert "DET-SET-ITER" not in hidden.splitlines()[0] or len(
+    assert "CONC-QUEUE-TIMEOUT" not in hidden.splitlines()[0] or len(
         hidden.splitlines()
     ) == 1
     shown = render_text(findings, show_suppressed=True)
@@ -145,15 +144,15 @@ def test_iter_python_files_rejects_missing_paths(tmp_path):
 
 
 def test_run_lint_over_files_on_disk(tmp_path):
-    target = tmp_path / "src" / "repro" / "events"
+    target = tmp_path / "src" / "repro" / "runtime"
     target.mkdir(parents=True)
     # __init__ markers so the module name resolves into the zone
     (tmp_path / "src" / "repro" / "__init__.py").write_text("")
     (target / "__init__.py").write_text("")
-    (target / "bad.py").write_text(BAD_DETERMINISM)
+    (target / "bad.py").write_text(BAD_RUNTIME)
     findings = run_lint([str(tmp_path / "src")])
-    assert [f.rule_id for f in findings] == ["DET-SET-ITER"]
-    assert findings[0].path.endswith(os.path.join("events", "bad.py"))
+    assert [f.rule_id for f in findings] == ["CONC-QUEUE-TIMEOUT"]
+    assert findings[0].path.endswith(os.path.join("runtime", "bad.py"))
 
 
 def test_cli_lint_exit_codes_and_json(tmp_path, capsys):

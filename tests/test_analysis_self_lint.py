@@ -12,7 +12,7 @@ import re
 
 import repro
 from repro.analysis import render_text, run_lint
-from repro.analysis.rules import ALL_RULE_CLASSES, DEFAULT_RULE_CLASSES
+from repro.analysis.rules import RULE_CLASSES
 
 PACKAGE_DIR = os.path.dirname(os.path.abspath(repro.__file__))
 
@@ -23,26 +23,21 @@ def test_repro_package_self_lints_clean():
     assert unsuppressed == [], "\n" + render_text(unsuppressed)
 
 
-#: The rules the audit kept (CHANGES.md logs one probe per rule); the
-#: opt-in ownership pack runs as its own CI gate, not in the default set.
-AUDITED_DEFAULT_RULES = {
-    "DET-SET-ITER",
+#: The rules the audit kept (CHANGES.md logs one probe per rule).
+AUDITED_RULES = {
     "DET-OPTIONAL-NONE",
     "CONC-LOCK-ORDER",
     "CONC-THREAD-DAEMON",
     "CONC-QUEUE-TIMEOUT",
     "CONC-UNLOCKED-STATE",
+    "PERF-PICKLE-PAYLOAD",
     "FLOW-RELEASE",
 }
-AUDITED_OPT_IN_RULES = {"BUF-ALIAS-STORE", "PERF-PICKLE-PAYLOAD"}
 
 
 def test_self_lint_exercises_every_rule_pack():
     # The gate is only meaningful if every audited rule actually ran.
-    assert {cls.rule_id for cls in DEFAULT_RULE_CLASSES} == AUDITED_DEFAULT_RULES
-    assert {cls.rule_id for cls in ALL_RULE_CLASSES} == (
-        AUDITED_DEFAULT_RULES | AUDITED_OPT_IN_RULES
-    )
+    assert {cls.rule_id for cls in RULE_CLASSES} == AUDITED_RULES
 
 
 def test_existing_suppressions_carry_justifications():

@@ -31,11 +31,8 @@ def pinned(per_worker):
     return hashlib.sha256(repr(per_worker).encode()).hexdigest()
 
 
-def run_outcome(preset, workers, policy, horizon_s, seed):
-    engine = preset.build_engine(
-        ClusterSpec.homogeneous(workers), policy, seed=seed, horizon_s=horizon_s
-    )
-    result = engine.run()
+def outcome(engine, result):
+    """The digest tuple and the final-parameter hash of a finished run."""
     digest_tuple = (
         result.total_iterations, engine.sim.events_fired, result.total_aborts,
         pinned(tuple(w.iterations for w in result.worker_stats)),
@@ -43,6 +40,13 @@ def run_outcome(preset, workers, policy, horizon_s, seed):
     )
     params_sha = hashlib.sha256(engine.store.params.to_vector().tobytes()).hexdigest()
     return digest_tuple, params_sha[:16]
+
+
+def run_outcome(preset, workers, policy, horizon_s, seed):
+    engine = preset.build_engine(
+        ClusterSpec.homogeneous(workers), policy, seed=seed, horizon_s=horizon_s
+    )
+    return outcome(engine, engine.run())
 
 
 @pytest.mark.parametrize(

@@ -146,9 +146,7 @@ class TestFlowRelease:
 # ----------------------------------------------------------------------
 class TestSelection:
     def test_flow_pack_registered(self):
-        assert set(RULE_PACKS) == {
-            "determinism", "concurrency", "flow", "ownership",
-        }
+        assert set(RULE_PACKS) == {"determinism", "concurrency", "flow"}
         flow_ids = {cls.rule_id for cls in RULE_PACKS["flow"]}
         assert flow_ids == {"FLOW-RELEASE"}
 
@@ -157,9 +155,9 @@ class TestSelection:
         assert len(ids) == len(set(ids))
 
     def test_rules_for_unions_rule_and_pack(self):
-        rules = rules_for(rule_ids=["DET-SET-ITER"], packs=["flow"])
+        rules = rules_for(rule_ids=["DET-OPTIONAL-NONE"], packs=["flow"])
         ids = {r.rule_id for r in rules}
-        assert ids == {"DET-SET-ITER", "FLOW-RELEASE"}
+        assert ids == {"DET-OPTIONAL-NONE", "FLOW-RELEASE"}
 
     def test_rules_for_rejects_unknown_names(self):
         with pytest.raises(ValueError):
@@ -188,6 +186,12 @@ class TestSelection:
     def test_cli_unknown_pack_is_an_error(self, capsys):
         assert main(["lint", "--pack", "nope"]) == 2
         assert "unknown pack" in capsys.readouterr().err
+
+    def test_cli_ownership_pack_is_gone(self, capsys):
+        assert main(["lint", "--pack", "ownership"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown pack(s) ['ownership']" in err
+        assert "choose from ['concurrency', 'determinism', 'flow']" in err
 
     def test_cli_json_carries_flow_path_and_output_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"

@@ -200,6 +200,19 @@ class TestPartitioning:
                 np.testing.assert_array_equal(got, want)
         assert ours.integers(1 << 62) == reference.integers(1 << 62)
 
+    def test_partition_owns_its_shard(self):
+        # The caller's index array is its own to reuse: overwriting it
+        # after partitioning must not reshuffle the worker's shard.
+        ds = SyntheticImageDataset(num_classes=3, feature_dim=4, num_samples=200, seed=0)
+        shard = np.arange(0, ds.num_samples, 5, dtype=np.int64)
+        part = Partition(ds, shard)
+        before = part.sample_batch(np.random.default_rng(4), 16)
+        shard[:] = 0
+        np.testing.assert_array_equal(part.indices, np.arange(0, ds.num_samples, 5))
+        after = part.sample_batch(np.random.default_rng(4), 16)
+        for got, want in zip(after, before):
+            np.testing.assert_array_equal(got, want)
+
     def test_too_many_workers_rejected(self):
         ds = SyntheticImageDataset(num_classes=3, feature_dim=4, num_samples=100, seed=0)
         with pytest.raises(ValueError):

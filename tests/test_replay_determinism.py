@@ -3,9 +3,20 @@
 Seeded fixtures plant a nondeterministic event stream and must produce
 exactly one ``DYN-REPLAY-DIVERGENCE`` finding attributed to the callback
 in *this* file; a real seeded DES run must replay identically.
+
+The replay check runs both runs in one process, under one hash seed, so
+it cannot see an order taken from a set of strings.  The last test runs
+every scheme in two processes under different ``PYTHONHASHSEED``s and
+compares everything the runs output.
 """
 
+import hashlib
+import json
 import os
+import subprocess
+import sys
+
+import repro
 
 from repro.analysis.findings import Severity
 from repro.analysis.replay import DYN_REPLAY_DIVERGENCE, check_replay
@@ -100,3 +111,58 @@ class TestReplayDeterminism:
         assert report.deterministic, [f.render() for f in report.findings]
         assert report.run_lengths[0] == report.run_lengths[1] > 0
         assert Simulator._taps == ()
+
+
+def hash_seed_outcome() -> str:
+    """SHA-256 of everything a small traced DES of each scheme outputs:
+    the pinned digest tuple, every pull, push and abort row, the transfer
+    ledger and the Chrome-trace export."""
+    from repro import obs
+    from repro.cluster.spec import ClusterSpec
+    from repro.experiments import scheme_catalog
+    from repro.obs.perfetto import to_chrome_trace
+    from repro.sync.naive_wait import NaiveWaitingPolicy
+    from repro.workloads import tiny_workload
+    from tests.test_engine_digest import outcome
+
+    catalog = scheme_catalog("tiny")
+    policies = [catalog[key].make for key in
+                ("original", "bsp", "ssp", "cherrypick", "adaptive")]
+    policies.append(lambda: NaiveWaitingPolicy(0.5))
+    digest = hashlib.sha256()
+    with obs.collecting() as collector:
+        for make in policies:
+            engine = tiny_workload().build_engine(
+                ClusterSpec.homogeneous(8), make(), seed=3, horizon_s=60.0
+            )
+            result = engine.run()
+            traces = engine.traces
+            digest.update(repr((
+                outcome(engine, result), list(traces.pulls),
+                list(traces.pushes), list(traces.aborts),
+                engine.ledger.records(),
+            )).encode())
+    digest.update(json.dumps(to_chrome_trace(collector), sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+def test_outputs_do_not_depend_on_the_hash_seed():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    paths = [os.path.dirname(os.path.dirname(repro.__file__)), root,
+             os.environ.get("PYTHONPATH", "")]
+    command = [sys.executable, "-c",
+               "from tests.test_replay_determinism import hash_seed_outcome; "
+               "print(hash_seed_outcome())"]
+    runs = [
+        subprocess.Popen(
+            command, cwd=root, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONHASHSEED": seed,
+                 "PYTHONPATH": os.pathsep.join(filter(None, paths))},
+        )
+        for seed in ("0", "1")
+    ]
+    outputs = [run.communicate(timeout=60) for run in runs]
+    for run, (_, err) in zip(runs, outputs):
+        assert run.returncode == 0, err
+    assert outputs[0][0] == outputs[1][0]

@@ -77,3 +77,43 @@ def test_unknown_request_tag_ends_the_server_loop_by_name():
     finally:
         store.close()
         store.unlink()
+
+
+class FenceProbeRule(SgdUpdateRule):
+    """Records, per apply, whether a reader would see the store as
+    consistent, then stops the server loop."""
+
+    def __init__(self, param_store, stop):
+        super().__init__(ConstantSchedule(0.1))
+        self.param_store, self.stop, self.consistent = param_store, stop, []
+
+    def apply_stale(self, params, gradient, staleness):
+        with self.param_store.read_fence() as fence:
+            pass
+        self.consistent.append(fence.consistent)
+        self.stop.set()
+        return super().apply_stale(params, gradient, staleness)
+
+
+def test_server_applies_a_push_inside_the_write_fence():
+    # Workers snapshot the shared parameters without a lock; only the
+    # seqlock's odd sequence during the apply tells them to retry.
+    store = ShmParamStore.create(ParamSet({"w": np.zeros(3)}))
+    slot = ShmParamStore.create(ParamSet({"w": np.zeros(3)}))
+    try:
+        slot.write(ParamSet({"w": np.ones(3)}), 0)
+        requests, acks, replies = queue.Queue(), queue.Queue(), queue.Queue()
+        requests.put(("push", 0, 0))
+        stop = threading.Event()
+        rule = FenceProbeRule(store, stop)
+        _server_main(store, [slot], rule, requests, [acks], replies, stop)
+        assert rule.consistent == [False]
+        assert acks.get_nowait() == ("ack", 1)
+        assert replies.empty()
+        params, version = store.read()
+        assert version == 1
+        np.testing.assert_array_equal(params["w"], np.full(3, -0.1))
+    finally:
+        for segment in (store, slot):
+            segment.close()
+            segment.unlink()
