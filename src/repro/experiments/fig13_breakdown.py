@@ -115,22 +115,21 @@ def _traced_analytics(workload, cluster, spec, seed: int) -> dict:
     """One traced run of ``spec``, reduced to the analytics summary row.
 
     Reuses an ambient collector when the whole experiment is being traced
-    (``repro experiment fig13 --trace``) — each engine run appends a new
-    run segment, so the analysis of the most recent segment is this run's.
+    (``repro experiment fig13 --trace``) and analyses only the records
+    this run appended to it.
     """
     from repro import obs
-    from repro.obs.analysis import analyze_trace
 
-    active = obs.current_collector()
-    if active is not None:
+    collector = obs.current_collector()
+    if collector is not None:
+        first = len(collector.records)
         run_scheme(workload, cluster, spec, seed=seed)
-        trace = obs.to_chrome_trace(active)
     else:
+        first = 0
         collector = obs.TraceCollector()
         with obs.collecting(collector):
             run_scheme(workload, cluster, spec, seed=seed)
-        trace = obs.to_chrome_trace(collector)
-    run = analyze_trace(trace)["runs"][-1]
+    (run,) = obs.analyze_records(collector.records[first:])["runs"]
     ledger = run["ledger"]
     return {
         "by_category": run["critical_path"]["by_category"],

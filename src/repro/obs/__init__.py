@@ -25,6 +25,7 @@ from repro.obs.core import (
     NULL_TRACER,
     FlowRecord,
     InstantRecord,
+    MetricRecord,
     NullTracer,
     SpanRecord,
     TraceCollector,
@@ -40,6 +41,7 @@ from repro.obs.analysis import (
     ATTRIBUTION_CATEGORIES,
     AnalysisError,
     CausalGraph,
+    analyze_records,
     analyze_trace,
     render_analysis_comparison,
     render_analysis_text,
@@ -77,6 +79,7 @@ __all__ = [
     "NULL_TRACER",
     "FlowRecord",
     "InstantRecord",
+    "MetricRecord",
     "NullTracer",
     "SpanRecord",
     "TraceCollector",
@@ -103,6 +106,7 @@ __all__ = [
     "ATTRIBUTION_CATEGORIES",
     "AnalysisError",
     "CausalGraph",
+    "analyze_records",
     "analyze_trace",
     "render_analysis_comparison",
     "render_analysis_text",

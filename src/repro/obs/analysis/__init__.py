@@ -1,10 +1,11 @@
 """repro.obs.analysis — causal trace analytics.
 
-Turns a trace file (the write side: :mod:`repro.obs.perfetto`)
-back into explanations:
+Turns a run's records — a trace file (the write side:
+:mod:`repro.obs.perfetto`) read back, or a collector in process — into
+explanations:
 
-* :mod:`graph` rebuilds the causal graph — spans, instants, and the
-  abort flow arrows — and segments the event stream into runs;
+* :mod:`graph` loads a trace file into records, or frames a collector's
+  records the way the file would hold them, and segments them into runs;
 * :mod:`critical_path` walks the makespan-determining worker track and
   attributes every second to compute / network / sync-wait /
   scheduler-decision / abort-wasted-work;
@@ -32,6 +33,7 @@ from repro.obs.analysis.graph import (
 from repro.obs.analysis.ledger import speculation_ledger, staleness_distributions
 from repro.obs.analysis.report import (
     ANALYSIS_SCHEMA_VERSION,
+    analyze_records,
     analyze_trace,
     render_analysis_comparison,
     render_analysis_text,
@@ -43,6 +45,7 @@ __all__ = [
     "CausalGraph",
     "RunSegment",
     "ANALYSIS_SCHEMA_VERSION",
+    "analyze_records",
     "analyze_trace",
     "critical_path",
     "per_worker_breakdown",

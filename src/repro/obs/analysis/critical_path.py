@@ -29,7 +29,8 @@ from __future__ import annotations
 import bisect
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.analysis.graph import TS_TOLERANCE, AnalyzedSpan, RunSegment
+from repro.obs.analysis.graph import TS_TOLERANCE, RunSegment
+from repro.obs.core import SpanRecord
 
 __all__ = ["ATTRIBUTION_CATEGORIES", "critical_path", "per_worker_breakdown"]
 
@@ -62,7 +63,7 @@ def _decision_times(run: RunSegment) -> Dict[Tuple[str, float], float]:
 
 
 def _decision_for(
-    decisions: Dict[Tuple[str, float], float], span: AnalyzedSpan
+    decisions: Dict[Tuple[str, float], float], span: SpanRecord
 ) -> Optional[float]:
     exact = decisions.get((span.track, round(span.end, 7)))
     if exact is not None:
@@ -74,7 +75,7 @@ def _decision_for(
 
 
 def _walk_track(
-    spans: List[AnalyzedSpan],
+    spans: List[SpanRecord],
     window: Tuple[float, float],
     decisions: Dict[Tuple[str, float], float],
 ) -> List[Tuple[str, float, float]]:

@@ -1,40 +1,42 @@
-"""Causal-graph reconstruction from exported Chrome trace-event JSON.
+"""The run graph: a run's records, on the exported file's time frame,
+split into runs.
 
-The exporter (:mod:`repro.obs.perfetto`) lays one Perfetto process per
-clock domain and one thread per track; this module inverts that layout:
-``M`` metadata events rebuild the (pid, tid) → (domain, track) map,
-complete spans and instants come back in seconds, and ``s``/``f`` flow
-pairs are re-joined by id into causal arrows.
+Two paths meet in one :class:`Recording`.  :func:`load_trace` turns a
+Chrome trace-event object (the :mod:`repro.obs.perfetto` export) back
+into records: ``M`` metadata rebuilds the (pid, tid) → (domain, track)
+map and ``s``/``f`` pairs are re-joined by id into one ``FlowRecord``.
+:func:`frame_records` puts a collector's records on the exporter's
+:class:`~repro.obs.perfetto.TraceFrame` in process, so the analysis of a
+run in memory equals the analysis of its file byte for byte.
 
-Because several engines may share one collector (``repro compare
---trace`` runs every scheme back to back, each restarting virtual time
-at 0), the event stream is segmented into :class:`RunSegment` objects on
-the ``run_start`` instants the engine emits; traces captured before
-those markers existed fall back to a single implicit segment per clock
-domain.
-
-Malformed causality is a hard error, not a silent skip: a flow finish
-with no matching start (or a start that never finishes) means the trace
-cannot support attribution, and :class:`AnalysisError` says exactly
-which id broke.
+:class:`CausalGraph` splits the records into :class:`RunSegment` objects
+on the engine's ``run_start`` instants (``repro compare --trace`` runs
+every scheme into one collector, each restarting virtual time at 0);
+traces without those markers get one implicit segment per clock domain.
+It reads the records and never changes them.  A malformed trace is a
+hard :class:`AnalysisError` naming the event that broke, not a skip.
 """
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+from repro.obs.core import AnyRecord, FlowRecord, InstantRecord, SpanRecord
+from repro.obs.perfetto import trace_frame, trace_other_data
+from repro.obs.tracks import WORKER_TRACK_RE
 
 __all__ = [
     "AnalysisError",
-    "AnalyzedSpan",
-    "AnalyzedInstant",
-    "AnalyzedFlow",
-    "RunSegment",
     "CausalGraph",
-    "WORKER_TRACK_RE",
+    "Recording",
+    "RunSegment",
     "TS_TOLERANCE",
+    "WORKER_TRACK_RE",
+    "frame_records",
+    "load_trace",
 ]
 
 _US_TO_S = 1e-6
@@ -46,51 +48,223 @@ TS_TOLERANCE = 1e-8
 #: the phases the graph is built from: spans, instants, flow start/finish
 _ANALYZED_PHASES = ("s", "f", "X", "i")
 
-#: Worker tracks in both namespaces (DES ``worker-N``, runtime
-#: ``rt.worker-N``) — everything else is infrastructure (server,
-#: scheduler, network).
-WORKER_TRACK_RE = re.compile(r"^(?:rt\.)?worker-(\d+)$")
+#: the args of a record that has none (read-only: nothing writes to it)
+_NO_ARGS: Mapping[str, object] = MappingProxyType({})
 
+_NUMBER = (int, float)
 
 class AnalysisError(ValueError):
     """The trace cannot support causal analysis (schema/causality defect)."""
 
 
-class AnalyzedSpan(NamedTuple):
-    """One complete span, back in seconds on a named track."""
+class Recording:
+    """A trace's records on the exported file's time frame, and the counts
+    of what it recorded (``repro analyze``'s ``recording`` block).
 
-    track: str
-    name: str
-    cat: str
-    start: float
-    end: float
-    args: dict
+    Times arrive in µs on the frame and are kept in seconds, each span's
+    end as its start plus its duration, exactly as read back from the
+    file; records without args get a shared read-only empty mapping.
+    """
 
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
+    def __init__(
+        self, metadata: Dict[str, object], metrics: dict, events: int, tracks: int
+    ) -> None:
+        self.records: List[AnyRecord] = []
+        self.metadata = metadata
+        self.format_version = metadata.get("format_version")
+        self.metrics = metrics
+        self.events = events
+        self.tracks = tracks
+        #: span name -> [count, total duration in µs]
+        self.span_totals: Dict[str, List[float]] = {}
+        self.instant_counts: Dict[str, int] = {}
+        #: flow name -> re-joined (start, finish) pairs
+        self.flow_pairs: Dict[str, int] = {}
+
+    def span(self, domain: str, track: str, name: str, cat: str,
+             ts_us: float, dur_us: float, args: Optional[dict]) -> None:
+        start = ts_us * _US_TO_S
+        self.records.append(SpanRecord(
+            domain, track, name, cat, start, start + dur_us * _US_TO_S,
+            args or _NO_ARGS,
+        ))
+        totals = self.span_totals.setdefault(name, [0, 0.0])
+        totals[0] += 1
+        totals[1] += dur_us
+
+    def instant(self, domain: str, track: str, name: str, cat: str,
+                ts_us: float, args: Optional[dict]) -> None:
+        self.records.append(InstantRecord(
+            domain, track, name, cat, ts_us * _US_TO_S, args or _NO_ARGS,
+        ))
+        self.instant_counts[name] = self.instant_counts.get(name, 0) + 1
+
+    def flow(self, domain: str, name: str, cat: str, src_track: str, src_us: float,
+             dst_track: str, dst_us: float, args: Optional[dict]) -> FlowRecord:
+        """The re-joined arrow; the caller places it in :attr:`records`."""
+        self.flow_pairs[name] = self.flow_pairs.get(name, 0) + 1
+        return FlowRecord(
+            domain, name, cat, src_track, src_us * _US_TO_S,
+            dst_track, dst_us * _US_TO_S, args or _NO_ARGS,
+        )
 
 
-class AnalyzedInstant(NamedTuple):
-    """One point event on a named track."""
+def frame_records(
+    records: Sequence[AnyRecord],
+    metadata: Optional[Dict[object, object]] = None,
+    metrics: Optional[dict] = None,
+) -> Recording:
+    """A collector's records (and metadata and metrics snapshot) as the
+    exported file would hold them."""
+    frame = trace_frame(records)
+    recording = Recording(
+        trace_other_data(metadata or {}), metrics or {}, frame.events, len(frame.tids)
+    )
+    us, dur_us = frame.us, frame.dur_us
+    for record in records:
+        domain = record.domain
+        if isinstance(record, SpanRecord):
+            recording.span(
+                domain, record.track, record.name, record.cat,
+                us(domain, record.start), dur_us(record.start, record.end), record.args,
+            )
+        elif isinstance(record, InstantRecord):
+            recording.instant(
+                domain, record.track, record.name, record.cat,
+                us(domain, record.ts), record.args,
+            )
+        else:
+            recording.records.append(recording.flow(
+                domain, record.name, record.cat,
+                record.src_track, us(domain, record.src_ts),
+                record.dst_track, us(domain, record.dst_ts), record.args,
+            ))
+    return recording
 
-    track: str
-    name: str
-    cat: str
-    ts: float
-    args: dict
+
+def _bad(index: int, event: dict, problem: str) -> AnalysisError:
+    return AnalysisError(
+        f"event #{index} ({event.get('name')!r}, ph {event.get('ph')!r}) {problem}"
+    )
 
 
-class AnalyzedFlow(NamedTuple):
-    """One causal arrow (flow pair re-joined by id)."""
+def load_trace(trace: dict) -> Recording:
+    """Validate a parsed trace-event object and turn it back into records.
 
-    name: str
-    cat: str
-    src_track: str
-    src_ts: float
-    dst_track: str
-    dst_ts: float
-    args: dict
+    Raises:
+        AnalysisError: on a structural defect, naming the event — missing
+            or foreign ``traceEvents``, a non-object event, metadata
+            without its ``pid``/``tid``, a non-numeric ``ts``/``dur``,
+            non-object ``args``, an event on an unnamed thread, or a
+            flow pair with a missing or duplicate parent.
+    """
+    events = trace.get("traceEvents") if isinstance(trace, dict) else None
+    if not isinstance(events, list):
+        raise AnalysisError(
+            "not a Chrome trace-event object (missing 'traceEvents' list)"
+        )
+    metadata = trace.get("otherData", {})
+    if not isinstance(metadata, dict):
+        raise AnalysisError("'otherData' must be an object")
+    format_version = metadata.get("format_version")
+    if format_version is not None and not isinstance(format_version, int):
+        raise AnalysisError(f"non-integer format_version {format_version!r}")
+    metrics = trace.get("metrics", {})
+    if not isinstance(metrics, dict):
+        raise AnalysisError("'metrics' must be an object")
+
+    domains: Dict[object, str] = {}
+    names: Dict[Tuple[object, object], str] = {}
+    for index, event in enumerate(events):
+        if not isinstance(event, dict):
+            raise AnalysisError(f"event #{index} is not an object: {event!r}")
+        kind = event.get("name")
+        if event.get("ph") != "M" or kind not in ("process_name", "thread_name"):
+            continue
+        keys = ("pid",) if kind == "process_name" else ("pid", "tid")
+        for key in keys:
+            if not isinstance(event.get(key), (int, str)):
+                raise _bad(index, event, f"has no integer {key!r}")
+        args = event.get("args") or {}
+        if not isinstance(args, dict):
+            raise _bad(index, event, f"has non-object args {args!r}")
+        label = str(args.get("name", ""))
+        if kind == "process_name":
+            # the exporter names processes "<domain> time"
+            domains[event["pid"]] = label[: -len(" time")] if label.endswith(" time") else label
+        else:
+            names[(event["pid"], event["tid"])] = label
+    #: (pid, tid) -> (domain, track), resolved once per named thread
+    threads = {
+        key: (domains.get(key[0], f"pid-{key[0]}"), track) for key, track in names.items()
+    }
+
+    recording = Recording(dict(metadata), metrics, len(events), len(names))
+    records = recording.records
+    #: open flow starts by id: (record slot, domain, name, cat, track, ts, args)
+    open_flows: Dict[object, tuple] = {}
+    for index, event in enumerate(events):
+        phase = event.get("ph")
+        if phase not in _ANALYZED_PHASES:
+            # metadata was read above; other phases (counter events
+            # etc.) are not produced by our exporter — ignore them so
+            # foreign-but-valid traces still load
+            continue
+        try:
+            thread = threads.get((event.get("pid"), event.get("tid")))
+        except TypeError:  # an unhashable pid or tid names no thread
+            thread = None
+        if thread is None:
+            raise _bad(
+                index, event,
+                f"is on unnamed thread pid={event.get('pid')} tid={event.get('tid')} "
+                "(missing thread_name metadata)",
+            )
+        domain, track = thread
+        ts = event.get("ts")
+        if type(ts) not in _NUMBER:
+            raise _bad(index, event, f"has non-numeric ts {ts!r}")
+        args = event.get("args")
+        if args is not None and not isinstance(args, dict):
+            raise _bad(index, event, f"has non-object args {args!r}")
+        if phase in ("s", "f"):
+            flow_id = event.get("id")
+            if not isinstance(flow_id, (int, str)):
+                raise _bad(index, event, f"has flow id {flow_id!r}, not an integer or string")
+            if phase == "f":
+                start = open_flows.pop(flow_id, None)
+                if start is None:
+                    raise AnalysisError(
+                        f"flow finish id={flow_id!r} has no matching start "
+                        "(missing parent)"
+                    )
+                slot, domain, name, cat, src_track, src_ts, args = start
+                records[slot] = recording.flow(
+                    domain, name, cat, src_track, src_ts, track, ts, args
+                )
+                continue
+        name = str(event.get("name", ""))
+        cat = str(event.get("cat", ""))
+        if phase == "X":
+            dur = event.get("dur", 0.0)
+            if type(dur) not in _NUMBER:
+                raise _bad(index, event, f"has non-numeric dur {dur!r}")
+            recording.span(domain, track, name, cat, ts, dur, args)
+        elif phase == "i":
+            recording.instant(domain, track, name, cat, ts, args)
+        else:
+            if flow_id in open_flows:
+                raise AnalysisError(f"duplicate flow start id={flow_id!r}")
+            # the arrow takes the start's place in the record order
+            open_flows[flow_id] = (len(records), domain, name, cat, track, ts, args)
+            records.append(None)  # type: ignore[arg-type]
+    if open_flows:
+        ids = ", ".join(repr(i) for i in sorted(open_flows, key=repr)[:5])
+        raise AnalysisError(
+            f"{len(open_flows)} flow start(s) never finished "
+            f"(dangling ids: {ids})"
+        )
+    return recording
 
 
 @dataclass
@@ -101,21 +275,26 @@ class RunSegment:
     domain: str
     #: the ``run_start`` instant's args (workload/scheme/seed/workers/
     #: horizon_s), or the trace's ``otherData`` for implicit segments
-    meta: Dict[str, object] = field(default_factory=dict)
+    meta: Mapping[str, object] = field(default_factory=dict)
     #: the matching ``run_end`` instant's args, when present
-    end_meta: Dict[str, object] = field(default_factory=dict)
-    spans: List[AnalyzedSpan] = field(default_factory=list)
-    instants: List[AnalyzedInstant] = field(default_factory=list)
-    flows: List[AnalyzedFlow] = field(default_factory=list)
+    end_meta: Mapping[str, object] = field(default_factory=dict)
+    spans: List[SpanRecord] = field(default_factory=list)
+    instants: List[InstantRecord] = field(default_factory=list)
+    flows: List[FlowRecord] = field(default_factory=list)
     #: explicit run boundaries (run_start/run_end instants), when present
     start_ts: Optional[float] = None
     end_ts: Optional[float] = None
     #: ``spans`` grouped by track and sorted, built by ``track_spans`` and
     #: rebuilt if ``spans`` has grown since (``_indexed`` is its length then)
-    _by_track: Dict[str, List[AnalyzedSpan]] = field(
+    _by_track: Dict[str, List[SpanRecord]] = field(
         default_factory=dict, repr=False, compare=False
     )
     _indexed: int = field(default=0, repr=False, compare=False)
+    #: ``instants`` grouped by name, kept the same way
+    _by_name: Dict[str, List[InstantRecord]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    _named: int = field(default=0, repr=False, compare=False)
 
     @property
     def explicit(self) -> bool:
@@ -158,10 +337,10 @@ class RunSegment:
         start, end = self.window()
         return end - start
 
-    def track_spans(self, track: str) -> List[AnalyzedSpan]:
+    def track_spans(self, track: str) -> List[SpanRecord]:
         """Spans on one track, ordered by start time (a fresh list per call)."""
         if self._indexed != len(self.spans):
-            by_track: Dict[str, List[AnalyzedSpan]] = {}
+            by_track: Dict[str, List[SpanRecord]] = {}
             for span in self.spans:
                 by_track.setdefault(span.track, []).append(span)
             for spans in by_track.values():
@@ -169,167 +348,75 @@ class RunSegment:
             self._by_track, self._indexed = by_track, len(self.spans)
         return list(self._by_track.get(track, ()))
 
-    def named_instants(self, name: str) -> List[AnalyzedInstant]:
-        """Instants with ``name``, in trace order."""
-        return [i for i in self.instants if i.name == name]
+    def named_instants(self, name: str) -> List[InstantRecord]:
+        """Instants with ``name``, in trace order (a fresh list per call)."""
+        if self._named != len(self.instants):
+            by_name: Dict[str, List[InstantRecord]] = {}
+            for instant in self.instants:
+                by_name.setdefault(instant.name, []).append(instant)
+            self._by_name, self._named = by_name, len(self.instants)
+        return list(self._by_name.get(name, ()))
 
 
 @dataclass
 class CausalGraph:
-    """Every run segment reconstructed from one trace file, plus what the
-    file recorded, counted in the same walk."""
+    """Every run segment of one recording."""
 
     runs: List[RunSegment] = field(default_factory=list)
-    metadata: Dict[str, object] = field(default_factory=dict)
-    format_version: Optional[int] = None
-    events: int = 0
-    tracks: int = 0
-    #: span name -> [count, total duration in µs]
-    span_totals: Dict[str, List[float]] = field(default_factory=dict)
-    instant_counts: Dict[str, int] = field(default_factory=dict)
-    #: flow name -> re-joined (start, finish) pairs
-    flow_pairs: Dict[str, int] = field(default_factory=dict)
 
     @classmethod
-    def from_trace(cls, trace: dict) -> "CausalGraph":
-        """Rebuild the causal graph from a parsed trace-event object.
-
-        Raises:
-            AnalysisError: on structural defects — missing/foreign
-                ``traceEvents``, events on unnamed threads, or flow
-                pairs with a missing parent.
-        """
-        events = trace.get("traceEvents") if isinstance(trace, dict) else None
-        if not isinstance(events, list):
-            raise AnalysisError(
-                "not a Chrome trace-event object (missing 'traceEvents' list)"
-            )
-        metadata = trace.get("otherData", {})
-        if not isinstance(metadata, dict):
-            raise AnalysisError("'otherData' must be an object")
-        format_version = metadata.get("format_version")
-        if format_version is not None and not isinstance(format_version, int):
-            raise AnalysisError(
-                f"non-integer format_version {format_version!r}"
-            )
-
-        domains: Dict[int, str] = {}
-        tracks: Dict[Tuple[int, int], str] = {}
-        for event in events:
-            if event.get("ph") != "M":
-                continue
-            if event.get("name") == "process_name":
-                label = str(event.get("args", {}).get("name", ""))
-                # the exporter names processes "<domain> time"
-                domains[event["pid"]] = (
-                    label[: -len(" time")] if label.endswith(" time") else label
-                )
-            elif event.get("name") == "thread_name":
-                tracks[(event["pid"], event["tid"])] = str(
-                    event.get("args", {}).get("name", "")
-                )
-
-        #: (pid, tid) -> (domain, track), resolved once per named thread
-        threads: Dict[Tuple[object, object], Tuple[str, str]] = {
-            key: (domains.get(key[0], f"pid-{key[0]}"), track)
-            for key, track in tracks.items()
-        }
-
-        graph = cls(
-            metadata=dict(metadata), format_version=format_version,
-            events=len(events), tracks=len(tracks),
-        )
+    def from_records(
+        cls, records: Sequence[AnyRecord], metadata: Mapping[str, object]
+    ) -> "CausalGraph":
+        """Split framed records into runs; ``metadata`` (the file's
+        ``otherData``) is the meta of implicit segments."""
+        graph = cls()
         #: current segment per domain (created lazily / on run_start)
         current: Dict[str, RunSegment] = {}
-        #: open flow starts by id: (segment, name, cat, track, ts, args)
-        open_flows: Dict[object, Tuple[RunSegment, str, str, str, float, dict]] = {}
 
         def _open(segment: RunSegment) -> RunSegment:
             graph.runs.append(segment)
             current[segment.domain] = segment
             return segment
 
-        for event in events:
-            phase = event.get("ph")
-            if phase not in _ANALYZED_PHASES:
-                # metadata was read above; other phases (counter events
-                # etc.) are not produced by our exporter — ignore them so
-                # foreign-but-valid traces still load
-                continue
-            thread = threads.get((event.get("pid"), event.get("tid")))
-            if thread is None:
-                raise AnalysisError(
-                    f"event {event.get('name')!r} on unnamed thread "
-                    f"pid={event.get('pid')} tid={event.get('tid')} "
-                    "(missing thread_name metadata)"
-                )
-            domain, track = thread
-            ts = float(event.get("ts", 0.0)) * _US_TO_S
-            if phase == "f":
-                flow_id = event.get("id")
-                start = open_flows.pop(flow_id, None)
-                if start is None:
-                    raise AnalysisError(
-                        f"flow finish id={flow_id!r} has no matching start "
-                        "(missing parent)"
-                    )
-                segment, name, cat, src_track, src_ts, args = start
-                segment.flows.append(
-                    AnalyzedFlow(name, cat, src_track, src_ts, track, ts, args)
-                )
-                graph.flow_pairs[name] = graph.flow_pairs.get(name, 0) + 1
-                continue
-            name = str(event.get("name", ""))
-            cat = str(event.get("cat", ""))
-            args = dict(event.get("args") or {})
+        for record in records:
+            domain = record.domain
             segment = current.get(domain)
-            if phase == "i" and name == "run_start":
+            is_instant = isinstance(record, InstantRecord)
+            if is_instant and record.name == "run_start":
                 segment = _open(RunSegment(
-                    index=len(graph.runs), domain=domain, meta=args, start_ts=ts,
+                    index=len(graph.runs), domain=domain, meta=record.args,
+                    start_ts=record.ts,
                 ))
             elif segment is None:
                 segment = _open(RunSegment(
                     index=len(graph.runs), domain=domain,
-                    meta={
-                        k: v for k, v in graph.metadata.items()
-                        if k != "format_version"
-                    },
+                    meta={k: v for k, v in metadata.items() if k != "format_version"},
                 ))
-            if phase == "X":
-                dur = float(event.get("dur", 0.0))
-                segment.spans.append(
-                    AnalyzedSpan(track, name, cat, ts, ts + dur * _US_TO_S, args)
-                )
-                totals = graph.span_totals.setdefault(name, [0, 0.0])
-                totals[0] += 1
-                totals[1] += dur
-            elif phase == "i":
-                if name == "run_end":
-                    segment.end_meta = args
-                    segment.end_ts = ts
-                segment.instants.append(AnalyzedInstant(track, name, cat, ts, args))
-                graph.instant_counts[name] = graph.instant_counts.get(name, 0) + 1
+            if is_instant:
+                if record.name == "run_end":
+                    segment.end_meta = record.args
+                    segment.end_ts = record.ts
+                segment.instants.append(record)
+            elif isinstance(record, SpanRecord):
+                segment.spans.append(record)
             else:
-                flow_id = event.get("id")
-                if flow_id in open_flows:
-                    raise AnalysisError(
-                        f"duplicate flow start id={flow_id!r}"
-                    )
-                open_flows[flow_id] = (segment, name, cat, track, ts, args)
-        if open_flows:
-            ids = ", ".join(repr(i) for i in sorted(open_flows, key=repr)[:5])
-            raise AnalysisError(
-                f"{len(open_flows)} flow start(s) never finished "
-                f"(dangling ids: {ids})"
-            )
+                segment.flows.append(record)
         for run in graph.runs:
             _flag_aborted_computes(run)
         return graph
 
+    @classmethod
+    def from_trace(cls, trace: dict) -> "CausalGraph":
+        """The graph of a parsed trace-event object (see :func:`load_trace`)."""
+        recording = load_trace(trace)
+        return cls.from_records(recording.records, recording.metadata)
+
 
 def _flag_aborted_computes(run: RunSegment) -> None:
     """Flag ``aborted: true`` on each ``compute`` span that ends at an
-    ``abort`` instant on its own track.
+    ``abort`` instant on its own track, in a copy: the segment's span
+    list takes the flagged copy, the record itself is left as read.
 
     The DES flags its own.  A wall-clock worker's span carries no args,
     but the worker stamps its end and the abort instant with one clock
@@ -338,11 +425,17 @@ def _flag_aborted_computes(run: RunSegment) -> None:
     aborts: Dict[str, List[float]] = {}
     for instant in run.named_instants("abort"):
         aborts.setdefault(instant.track, []).append(instant.ts)
+    if not aborts:
+        return
     for times in aborts.values():
         times.sort()
-    for span in run.spans:
+    spans = run.spans
+    for index, span in enumerate(spans):
         times = aborts.get(span.track)
         if span.name == "compute" and times and not span.args.get("aborted"):
-            index = bisect_left(times, span.end - TS_TOLERANCE)
-            if index < len(times) and times[index] <= span.end + TS_TOLERANCE:
-                span.args["aborted"] = True
+            at = bisect_left(times, span.end - TS_TOLERANCE)
+            if at < len(times) and times[at] <= span.end + TS_TOLERANCE:
+                if spans is run.spans:
+                    spans = list(spans)
+                spans[index] = span._replace(args={**span.args, "aborted": True})
+    run.spans = spans

@@ -50,11 +50,6 @@ _MAX_CANDIDATE_PUSHES = 256
 _SSP_BOUND_RE = re.compile(r"\bssp\(s=(\d+)\)")
 
 
-def _worker_id(track: str) -> Optional[int]:
-    match = WORKER_TRACK_RE.match(track)
-    return int(match.group(1)) if match else None
-
-
 def _push_history(run: RunSegment) -> List[tuple]:
     """(time, worker) of every applied push, in time order."""
     pushes = []
@@ -119,7 +114,7 @@ def speculation_ledger(run: RunSegment) -> Dict[str, object]:
         aborts_by_track.setdefault(instant.track, []).append(instant)
 
     for track in run.worker_tracks():
-        worker = _worker_id(track)
+        worker = int(WORKER_TRACK_RE.match(track).group(1))
         spans = run.track_spans(track)
         pulls = [s for s in spans if s.name == "pull"]
         pushes = [s for s in spans if s.name == "push"]
@@ -134,7 +129,7 @@ def speculation_ledger(run: RunSegment) -> Dict[str, object]:
         if wasted == 0.0 and aborts:
             # traces from older builds: fall back to the aborted spans
             wasted = sum(
-                s.duration for s in spans
+                s.end - s.start for s in spans
                 if s.name == "compute" and s.args.get("aborted")
             )
         pulls_by_iteration: Dict[object, List] = {}
@@ -164,7 +159,7 @@ def speculation_ledger(run: RunSegment) -> Dict[str, object]:
         total_aborts += len(aborts)
         total_wasted += wasted
         all_gains.extend(gains)
-        if worker is not None and gains:
+        if gains:
             empirical_by_worker[worker] = gains
         per_worker[track] = {
             "pulls": len(pulls),

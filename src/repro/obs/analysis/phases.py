@@ -38,7 +38,7 @@ def phase_stats(run: RunSegment) -> Dict[str, dict]:
             if name == "compute" and span.args.get("aborted"):
                 name = "compute_aborted"
             if name in durations:
-                durations[name].append(span.duration)
+                durations[name].append(span.end - span.start)
     return {
         name: summary_stats(values, (50, 90, 99))
         for name, values in durations.items()

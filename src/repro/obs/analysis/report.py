@@ -1,8 +1,9 @@
 """``repro analyze`` — the analytics bundle and its renderers, the one
-post-hoc reader of a trace file.
+reader of a run's records.
 
-:func:`analyze_trace` reduces a parsed trace file to one JSON-ready
-object::
+:func:`analyze_trace` reduces a parsed trace file, and
+:func:`analyze_records` a collector's records in process, to the same
+JSON-ready object::
 
     {
       "schema_version": 3,
@@ -34,20 +35,27 @@ byte-identical analytics file (pinned by a golden test,
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.obs.analysis.critical_path import (
     ATTRIBUTION_CATEGORIES,
     critical_path,
     per_worker_breakdown,
 )
-from repro.obs.analysis.graph import AnalysisError, CausalGraph
+from repro.obs.analysis.graph import (
+    CausalGraph,
+    Recording,
+    frame_records,
+    load_trace,
+)
 from repro.obs.analysis.ledger import speculation_ledger, staleness_distributions
+from repro.obs.core import AnyRecord
 from repro.obs.analysis.phases import detector_reports, phase_stats
 from repro.utils.tables import TextTable
 
 __all__ = [
     "ANALYSIS_SCHEMA_VERSION",
+    "analyze_records",
     "analyze_trace",
     "render_analysis_text",
     "render_analysis_comparison",
@@ -79,13 +87,24 @@ def analyze_trace(trace: dict) -> dict:
 
     Raises:
         AnalysisError: when the trace cannot support causal analysis
-            (see :class:`repro.obs.analysis.graph.CausalGraph`), or its
-            ``metrics`` section is not an object.
+            (see :func:`repro.obs.analysis.graph.load_trace`).
     """
-    graph = CausalGraph.from_trace(trace)
-    metrics = trace.get("metrics", {})
-    if not isinstance(metrics, dict):
-        raise AnalysisError("'metrics' must be an object")
+    return _analyze(load_trace(trace))
+
+
+def analyze_records(
+    records: Sequence[AnyRecord],
+    metadata: Optional[Dict[object, object]] = None,
+    metrics: Optional[dict] = None,
+) -> dict:
+    """Full analytics of a collector's records in process: equal to
+    :func:`analyze_trace` of the trace the collector would export
+    (``metrics`` is its metrics snapshot)."""
+    return _analyze(frame_records(records, metadata, metrics))
+
+
+def _analyze(recording: Recording) -> dict:
+    graph = CausalGraph.from_records(recording.records, recording.metadata)
     runs: List[dict] = []
     for run in graph.runs:
         runs.append(
@@ -111,25 +130,25 @@ def analyze_trace(trace: dict) -> dict:
     analysis = _rounded(
         {
             "schema_version": ANALYSIS_SCHEMA_VERSION,
-            "trace_format_version": graph.format_version,
+            "trace_format_version": recording.format_version,
             "runs": runs,
             "recording": {
-                "events": graph.events,
-                "tracks": graph.tracks,
+                "events": recording.events,
+                "tracks": recording.tracks,
                 "metadata": {
-                    key: value for key, value in graph.metadata.items()
+                    key: value for key, value in recording.metadata.items()
                     if key != "format_version"
                 },
                 "spans": {
                     name: {"count": count, "total_s": total_us * _US_TO_S}
-                    for name, (count, total_us) in graph.span_totals.items()
+                    for name, (count, total_us) in recording.span_totals.items()
                 },
-                "instants": graph.instant_counts,
-                "flow_pairs": graph.flow_pairs,
+                "instants": recording.instant_counts,
+                "flow_pairs": recording.flow_pairs,
             },
         }
     )
-    analysis["recording"]["metrics"] = metrics
+    analysis["recording"]["metrics"] = recording.metrics
     return analysis
 
 

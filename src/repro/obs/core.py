@@ -44,6 +44,7 @@ __all__ = [
     "SpanRecord",
     "InstantRecord",
     "FlowRecord",
+    "MetricRecord",
     "TraceCollector",
     "Tracer",
     "NullTracer",
@@ -95,15 +96,17 @@ class FlowRecord(NamedTuple):
     args: Optional[dict] = None
 
 
-class _FlowOrigin(NamedTuple):
-    """A registered-but-unclosed flow source."""
+#: What a trace collector holds.
+AnyRecord = Union[SpanRecord, InstantRecord, FlowRecord]
 
-    domain: str
-    track: str
+
+class MetricRecord(NamedTuple):
+    """One metric update: ``kind`` is ``"count"``, ``"gauge"`` or
+    ``"observe"``, the collector method that applies it."""
+
+    kind: str
     name: str
-    cat: str
-    ts: float
-    args: Optional[dict] = None
+    value: float
 
 
 class TraceCollector:
@@ -117,19 +120,32 @@ class TraceCollector:
     """
 
     def __init__(self) -> None:
-        self.records: List[Union[SpanRecord, InstantRecord, FlowRecord]] = []
+        self.records: List[AnyRecord] = []
         self.metrics = MetricsRegistry()
         #: free-form run context (workload, scheme, seed) for the export
         self.metadata: Dict[str, object] = {}
         self._flow_lock = threading.Lock()
-        self._pending_flows: Dict[FlowKey, List[_FlowOrigin]] = {}
+        #: registered flow sources: where and when each arrow starts
+        self._pending_flows: Dict[FlowKey, List[InstantRecord]] = {}
 
     # ------------------------------------------------------------------
-    def append(self, record: Union[SpanRecord, InstantRecord, FlowRecord]) -> None:
+    def append(self, record: AnyRecord) -> None:
         """Add one finished record."""
         self.records.append(record)
 
-    def register_flow_origin(self, key: FlowKey, origin: _FlowOrigin) -> None:
+    def count(self, name: str, amount: float) -> None:
+        """Increment the counter ``name``."""
+        self.metrics.counter(name).inc(amount)
+
+    def gauge(self, name: str, value: float) -> None:
+        """Set the gauge ``name``."""
+        self.metrics.gauge(name).set(value)
+
+    def observe(self, name: str, value: float) -> None:
+        """Record one observation into the histogram ``name``."""
+        self.metrics.histogram(name).observe(value)
+
+    def register_flow_origin(self, key: FlowKey, origin: InstantRecord) -> None:
         """Remember a causal source until ``close_flows(key)`` lands."""
         with self._flow_lock:
             self._pending_flows.setdefault(key, []).append(origin)
@@ -179,40 +195,10 @@ class TraceCollector:
         )
 
 
-class _SpanScope:
-    """Context manager measuring a lexically-scoped span (wall backends)."""
-
-    __slots__ = ("_tracer", "_track", "_name", "_cat", "_args", "_start")
-
-    def __init__(
-        self,
-        tracer: "Tracer",
-        track: str,
-        name: str,
-        cat: str,
-        args: Optional[dict],
-    ) -> None:
-        self._tracer = tracer
-        self._track = track
-        self._name = name
-        self._cat = cat
-        self._args = args
-        self._start = 0.0
-
-    def __enter__(self) -> "_SpanScope":
-        self._start = self._tracer.clock.now()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self._tracer.span(
-            self._track, self._name, start=self._start,
-            cat=self._cat, args=self._args,
-        )
-        return False
-
-
 class Tracer:
-    """A clock-bound handle onto a :class:`TraceCollector`."""
+    """A clock-bound handle onto a collector: a :class:`TraceCollector`,
+    or in a child process a :class:`~repro.obs.live.ring.RingCollector`
+    (which takes records and metric updates, not flows)."""
 
     #: instrumentation sites may guard expensive argument construction
     enabled = True
@@ -222,98 +208,61 @@ class Tracer:
         self.clock = clock
         self._domain = clock.domain
 
-    # ------------------------------------------------------------------
-    # Spans and instants
-    # ------------------------------------------------------------------
-    def span(
-        self,
-        track: str,
-        name: str,
-        start: float,
-        end: Optional[float] = None,
-        cat: str = "span",
-        args: Optional[dict] = None,
-    ) -> None:
+    def span(self, track: str, name: str, start: float, end: Optional[float] = None,
+             cat: str = "span", args: Optional[dict] = None) -> None:
         """Record a completed ``[start, end]`` span (``end`` defaults to now)."""
-        self.collector.append(
-            SpanRecord(
-                self._domain, track, name, cat, start,
-                self.clock.now() if end is None else end, args,
-            )
-        )
+        self.collector.append(SpanRecord(
+            self._domain, track, name, cat, start,
+            self.clock.now() if end is None else end, args,
+        ))
 
-    def instant(
-        self,
-        track: str,
-        name: str,
-        ts: Optional[float] = None,
-        cat: str = "instant",
-        args: Optional[dict] = None,
-    ) -> None:
+    def instant(self, track: str, name: str, ts: Optional[float] = None,
+                cat: str = "instant", args: Optional[dict] = None) -> None:
         """Record a point event (``ts`` defaults to now)."""
-        self.collector.append(
-            InstantRecord(
-                self._domain, track, name, cat,
-                self.clock.now() if ts is None else ts, args,
-            )
-        )
+        self.collector.append(InstantRecord(
+            self._domain, track, name, cat, self.clock.now() if ts is None else ts, args,
+        ))
 
-    def measure(
-        self,
-        track: str,
-        name: str,
-        cat: str = "span",
-        args: Optional[dict] = None,
-    ) -> _SpanScope:
+    @contextmanager
+    def measure(self, track: str, name: str, cat: str = "span",
+                args: Optional[dict] = None) -> Iterator[None]:
         """Span as a ``with`` block — for lexically-scoped (wall) operations."""
-        return _SpanScope(self, track, name, cat, args)
+        start = self.clock.now()
+        try:
+            yield
+        finally:
+            self.span(track, name, start=start, cat=cat, args=args)
 
-    # ------------------------------------------------------------------
-    # Causal flows
-    # ------------------------------------------------------------------
-    def flow_begin(
-        self,
-        key: FlowKey,
-        track: str,
-        name: str,
-        ts: Optional[float] = None,
-        cat: str = "flow",
-        args: Optional[dict] = None,
-    ) -> None:
+    def flow_begin(self, key: FlowKey, track: str, name: str, ts: Optional[float] = None,
+                   cat: str = "flow", args: Optional[dict] = None) -> None:
         """Register a causal source under ``key`` (closed by ``flow_end``)."""
         self.collector.register_flow_origin(
             key,
-            _FlowOrigin(self._domain, track, name, cat,
-                        self.clock.now() if ts is None else ts, args),
+            InstantRecord(self._domain, track, name, cat,
+                          self.clock.now() if ts is None else ts, args),
         )
 
     def flow_end(self, key: FlowKey, track: str, ts: Optional[float] = None) -> int:
         """Draw arrows from every origin under ``key`` to here; returns count."""
         return self.collector.close_flows(
-            key,
-            domain=self._domain,
-            track=track,
-            ts=self.clock.now() if ts is None else ts,
+            key, self._domain, track, self.clock.now() if ts is None else ts
         )
 
     def flow_discard(self, key: FlowKey) -> None:
         """Forget pending origins under ``key`` (decision not honored)."""
         self.collector.discard_flows(key)
 
-    # ------------------------------------------------------------------
-    # Metrics
-    # ------------------------------------------------------------------
     def count(self, name: str, amount: float = 1.0) -> None:
         """Increment the counter ``name``."""
-        self.collector.metrics.counter(name).inc(amount)
+        self.collector.count(name, amount)
 
     def observe(self, name: str, value: float) -> None:
         """Record one observation into the histogram ``name``."""
-        self.collector.metrics.histogram(name).observe(value)
+        self.collector.observe(name, value)
 
     def gauge(self, name: str, value: float) -> None:
         """Set the gauge ``name`` to its current level (queue depth etc.)."""
-        self.collector.metrics.gauge(name).set(value)
+        self.collector.gauge(name, value)
 
     def __repr__(self) -> str:
         return f"Tracer(domain={self._domain!r}, collector={self.collector!r})"
@@ -322,45 +271,33 @@ class Tracer:
 _NULL_SCOPE = nullcontext()
 
 
+def _ignore(*_args, **_kwargs) -> None:
+    """No-op."""
+
+
 class NullTracer:
     """The disabled fast path: every method is an empty body.
 
     A single shared instance (:data:`NULL_TRACER`) is handed to every
     instrumentation site while no collector is enabled, so the per-call
     cost of disabled observability is one attribute lookup plus one
-    no-op method call — bounded by the overhead-guard benchmark.
+    no-op call — bounded by the overhead-guard benchmark.
     """
 
     enabled = False
+    span = instant = flow_begin = flow_discard = count = observe = gauge = (
+        staticmethod(_ignore)
+    )
 
-    def span(self, *_args, **_kwargs) -> None:
-        """No-op."""
-
-    def instant(self, *_args, **_kwargs) -> None:
-        """No-op."""
-
-    def measure(self, *_args, **_kwargs):
+    @staticmethod
+    def measure(*_args, **_kwargs):
         """No-op context manager (shared, stateless)."""
         return _NULL_SCOPE
 
-    def flow_begin(self, *_args, **_kwargs) -> None:
-        """No-op."""
-
-    def flow_end(self, *_args, **_kwargs) -> int:
+    @staticmethod
+    def flow_end(*_args, **_kwargs) -> int:
         """No-op (no arrows drawn)."""
         return 0
-
-    def flow_discard(self, *_args, **_kwargs) -> None:
-        """No-op."""
-
-    def count(self, *_args, **_kwargs) -> None:
-        """No-op."""
-
-    def observe(self, *_args, **_kwargs) -> None:
-        """No-op."""
-
-    def gauge(self, *_args, **_kwargs) -> None:
-        """No-op."""
 
     def __repr__(self) -> str:
         return "NullTracer()"

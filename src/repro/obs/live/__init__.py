@@ -1,7 +1,8 @@
 """Live cross-process telemetry plane.
 
-``repro.obs.live`` streams spans, counters, gauges, and samples out
-of running processes through per-process lock-free shared-memory rings
+``repro.obs.live`` streams the :mod:`repro.obs.core` records (spans,
+instants, metric updates) out of running processes through per-process
+lock-free shared-memory rings
 (:mod:`repro.obs.live.ring`), collects them in the parent
 (:mod:`repro.obs.live.aggregate`), wires whole runs together through
 :mod:`repro.obs.live.session`, and shows them as ``repro top``
@@ -13,17 +14,8 @@ serializes to a trace file that ``repro analyze`` reads unchanged.
 from repro.obs.live.aggregate import TelemetryAggregator
 from repro.obs.live.ring import (
     DEFAULT_RING_BYTES,
-    NULL_RING_WRITER,
-    LiveAnnounce,
-    LiveCount,
-    LiveGauge,
-    LiveInstant,
-    LiveRecord,
-    LiveSample,
-    LiveSpan,
-    NullRingWriter,
+    RingCollector,
     RingSpec,
-    RingWriter,
     ShmRing,
     decode_record,
     encode_record,
@@ -40,20 +32,11 @@ from repro.obs.live.top import render_frame, run_dashboard
 __all__ = [
     "DEFAULT_RING_BYTES",
     "LIVE_SPEC_SCHEMA_VERSION",
-    "NULL_RING_WRITER",
     "PARENT_SOURCE",
     "SERVER_SOURCE",
-    "LiveAnnounce",
-    "LiveCount",
-    "LiveGauge",
-    "LiveInstant",
-    "LiveRecord",
-    "LiveSample",
-    "LiveSpan",
     "LiveTelemetrySession",
-    "NullRingWriter",
+    "RingCollector",
     "RingSpec",
-    "RingWriter",
     "ShmRing",
     "TelemetryAggregator",
     "decode_record",

@@ -1,12 +1,12 @@
 """Parent-side collection of the live telemetry streams.
 
 :class:`TelemetryAggregator` polls any number of :class:`ShmRing`
-exporters (one per process) and retains every record, in arrival order,
-with its source.  It keeps no view of its own: :meth:`~TelemetryAggregator.snapshot`
-drains what has arrived so far into a fresh trace collector and returns
-the ``repro analyze`` document of it, so ``repro top`` and ``repro
-analyze`` read one schema and judge stragglers and abort storms with one
-detector feed (:func:`repro.obs.analysis.phases.detector_reports`).
+exporters (one per process) and retains every record, in arrival order.
+It keeps no view of its own: :meth:`~TelemetryAggregator.snapshot`
+replays what has arrived so far into a fresh trace collector and returns
+the ``repro analyze`` document of its records, so ``repro top`` and
+``repro analyze`` read one schema and judge stragglers and abort storms
+with one detector feed (:func:`repro.obs.analysis.phases.detector_reports`).
 
 Timestamps are taken as written: every process of the fork-based
 multiprocess backend reads the parent's ``CLOCK_MONOTONIC``.  Like the
@@ -16,22 +16,11 @@ a function of the records retained.
 
 from __future__ import annotations
 
-import json
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.obs.analysis.report import analyze_trace
-from repro.obs.core import InstantRecord, SpanRecord, TraceCollector
-from repro.obs.live.ring import (
-    LiveAnnounce,
-    LiveCount,
-    LiveGauge,
-    LiveInstant,
-    LiveRecord,
-    LiveSample,
-    LiveSpan,
-    ShmRing,
-)
-from repro.obs.perfetto import to_chrome_trace
+from repro.obs.analysis.report import analyze_records
+from repro.obs.core import MetricRecord, TraceCollector
+from repro.obs.live.ring import ShmRing, WireRecord
 
 __all__ = ["TelemetryAggregator"]
 
@@ -41,46 +30,32 @@ class TelemetryAggregator:
 
     def __init__(self) -> None:
         self._rings: Dict[str, ShmRing] = {}
-        #: retained ``(source, record)`` stream, in arrival order
-        self._retained: List[Tuple[str, LiveRecord]] = []
+        #: retained records, in arrival order
+        self._retained: List[WireRecord] = []
 
-    # ------------------------------------------------------------------
-    # Sources
-    # ------------------------------------------------------------------
     def add_ring(self, ring: ShmRing) -> None:
         """Start polling ``ring`` (keyed by its source name)."""
         if ring.source in self._rings:
             raise ValueError(f"duplicate ring source {ring.source!r}")
         self._rings[ring.source] = ring
 
-    def sources(self) -> List[str]:
-        """The source names of the polled rings."""
-        return sorted(self._rings)
-
-    # ------------------------------------------------------------------
-    # Polling and record application
-    # ------------------------------------------------------------------
     def poll(self) -> int:
         """Drain every ring once; returns the records consumed."""
         before = len(self._retained)
         for source in sorted(self._rings):
-            self._retained.extend(
-                (source, record) for record in self._rings[source].drain()
-            )
+            self._retained.extend(self._rings[source].drain())
         return len(self._retained) - before
 
-    def apply(self, source: str, record: LiveRecord, recv_ts: float) -> None:
+    def apply(self, source: str, record: WireRecord, recv_ts: float) -> None:
         """Retain one record from ``source``.
 
         Public so tests and harnesses can feed streams without polling;
-        ``recv_ts`` (when the record was received) is accepted for that
-        call shape and not used: timestamps are taken as written.
+        ``source`` and ``recv_ts`` (when the record was received) are
+        accepted for that call shape and not used: timestamps are taken
+        as written.
         """
-        self._retained.append((source, record))
+        self._retained.append(record)
 
-    # ------------------------------------------------------------------
-    # Snapshots
-    # ------------------------------------------------------------------
     def snapshot(self, now: Optional[float] = None) -> dict:
         """The ``repro analyze`` document of the records retained so far.
 
@@ -92,69 +67,34 @@ class TelemetryAggregator:
         """
         collector = TraceCollector()
         self.drain_to_collector(collector)
-        analysis = analyze_trace(to_chrome_trace(collector))
+        analysis = analyze_records(
+            collector.records, collector.metadata, collector.metrics.snapshot()
+        )
         analysis["totals"] = {
             "records": len(self._retained),
-            "dropped_records": sum(
-                ring.stats()["dropped"] for ring in self._rings.values()
-            ),
+            "dropped_records": sum(ring.dropped for ring in self._rings.values()),
         }
         analysis["counters"] = analysis["recording"]["metrics"]["counters"]
         return analysis
 
-    # ------------------------------------------------------------------
-    # Drain to a trace file
-    # ------------------------------------------------------------------
     def drain_to_collector(self, collector: TraceCollector) -> int:
-        """Serialize the retained stream into ``collector``.
+        """Replay the retained stream into ``collector``.
 
-        Spans and instants land as wall-domain records, counts, gauges
-        and samples as metrics — the exact shapes
-        :func:`repro.obs.perfetto.to_chrome_trace` serializes, so the
-        resulting file is a first-class trace file that ``repro analyze``
-        reads unchanged.  Returns the number of records drained.
+        Spans and instants are appended as they arrived, metric updates
+        applied to its metrics, and each ring's pushed and dropped
+        counts set as ``live.ring.<source>.*`` gauges, so the collector
+        exports a trace file that ``repro analyze`` reads unchanged.
+        Returns the number of records replayed.
         """
-        for source, record in self._retained:
-            if isinstance(record, LiveSpan):
-                collector.append(
-                    SpanRecord(
-                        domain="wall", track=record.track, name=record.name,
-                        cat=record.cat, start=record.start, end=record.end,
-                    )
-                )
-            elif isinstance(record, LiveInstant):
-                args: Optional[dict] = None
-                if record.args_json:
-                    try:
-                        parsed = json.loads(record.args_json)
-                    except ValueError:
-                        parsed = None
-                    if isinstance(parsed, dict):
-                        args = parsed
-                collector.append(
-                    InstantRecord(
-                        domain="wall", track=record.track, name=record.name,
-                        cat=record.cat, ts=record.ts, args=args,
-                    )
-                )
-            elif isinstance(record, LiveCount):
-                collector.metrics.counter(record.name).inc(record.amount)
-            elif isinstance(record, LiveGauge):
-                collector.metrics.gauge(record.name).set(record.value)
-            elif isinstance(record, LiveSample):
-                collector.metrics.histogram(record.name).observe(record.value)
-            elif isinstance(record, LiveAnnounce):
-                collector.metadata.setdefault(
-                    f"live.source.{source}", record.source
-                )
+        for record in self._retained:
+            if isinstance(record, MetricRecord):
+                getattr(collector, record.kind)(record.name, record.value)
+            else:
+                collector.append(record)
         for source in sorted(self._rings):
-            stats = self._rings[source].stats()
-            collector.metrics.gauge(f"live.ring.{source}.pushed").set(
-                stats["pushed"]
-            )
-            collector.metrics.gauge(f"live.ring.{source}.dropped").set(
-                stats["dropped"]
-            )
+            ring = self._rings[source]
+            collector.gauge(f"live.ring.{source}.pushed", ring.pushed)
+            collector.gauge(f"live.ring.{source}.dropped", ring.dropped)
         collector.metadata.setdefault("live_capture", True)
         return len(self._retained)
 

@@ -3,7 +3,7 @@
 Each exporting process owns exactly one :class:`ShmRing`: a single
 ``multiprocessing.shared_memory`` segment holding an int64 cursor header
 plus a byte payload area.  The writer (the instrumented child process)
-appends variable-length binary records and publishes them by advancing
+appends variable-length framed records and publishes them by advancing
 the ``tail`` cursor; the reader (the parent's aggregator) consumes up to
 the published ``tail`` and advances ``head``.  Cursors are monotonically
 increasing byte counts — positions are taken modulo the capacity — so a
@@ -15,43 +15,35 @@ Overflow never blocks the training hot path: a record that does not fit
 is **dropped, newest-first**, and counted in the ``dropped`` header slot
 so the aggregator can report exactly how much telemetry was lost.
 
-Record wire format (little-endian, packed)::
+The wire carries the :mod:`repro.obs.core` records themselves: a child
+process records through an ordinary ``Tracer`` on a
+:class:`RingCollector`, and the parent drains the same ``SpanRecord`` /
+``InstantRecord`` / ``MetricRecord`` values back.  A record on the wire
+is ``u32 length | u8 kind | JSON array of its fields`` (little-endian;
+JSON round-trips every float, string and args value exactly).
 
-    u32 length | u8 kind | payload…
-
-with strings as ``u16 length + utf-8`` and all scalars ``f64``.  The
-decoded form is the small ``Live*`` record dataclasses below — the
-currency between the ring and the aggregator.
-
-Like the rest of ``repro.obs`` this module never reads a clock:
-timestamps are stamped by the caller (the runtime backends inject
-``time.monotonic`` into :class:`RingWriter`).
+Like the rest of ``repro.obs`` this module never reads a clock: the
+tracer's clock stamps every record before it reaches the ring.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from multiprocessing import shared_memory
-from typing import Callable, List, Optional, Tuple, Union
+from typing import List, Optional, Union
 
+from repro.obs.core import InstantRecord, MetricRecord, SpanRecord
 from repro.ps.shm import _retrack, _untrack
 
 __all__ = [
     "DEFAULT_RING_BYTES",
-    "LiveSpan",
-    "LiveInstant",
-    "LiveCount",
-    "LiveGauge",
-    "LiveSample",
-    "LiveAnnounce",
-    "LiveRecord",
+    "RingCollector",
     "RingSpec",
     "ShmRing",
-    "RingWriter",
-    "NullRingWriter",
-    "NULL_RING_WRITER",
+    "decode_record",
+    "encode_record",
 ]
 
 #: int64 header slots: read cursor, write cursor, dropped records,
@@ -63,198 +55,41 @@ _DROPPED = 2
 _PUSHED = 3
 _HEADER_BYTES = _HEADER_SLOTS * 8
 
-#: Record kinds on the wire.
-_KIND_SPAN = 1
-_KIND_INSTANT = 2
-_KIND_COUNT = 3
-_KIND_GAUGE = 4
-_KIND_SAMPLE = 5
-_KIND_ANNOUNCE = 6
+#: Record types on the wire; the kind byte is the position + 1.
+_KINDS = (SpanRecord, InstantRecord, MetricRecord)
+_KIND_OF = {kind: code for code, kind in enumerate(_KINDS, start=1)}
 
 _LEN = struct.Struct("<I")
-_KIND = struct.Struct("<B")
-_F64 = struct.Struct("<d")
-_STR_LEN = struct.Struct("<H")
+_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
 
 #: Default ring capacity: 256 KiB of payload per process comfortably
 #: holds several seconds of per-iteration records at smoke-bench rates.
 DEFAULT_RING_BYTES = 256 * 1024
 
-
-# ----------------------------------------------------------------------
-# Decoded records — the currency between ring and aggregator
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class LiveSpan:
-    """One completed operation ``[start, end]`` on a track."""
-
-    track: str
-    name: str
-    cat: str
-    start: float
-    end: float
+#: What the ring carries.
+WireRecord = Union[SpanRecord, InstantRecord, MetricRecord]
 
 
-@dataclass(frozen=True)
-class LiveInstant:
-    """One point event on a track (``args_json`` may carry decoration)."""
-
-    track: str
-    name: str
-    cat: str
-    ts: float
-    args_json: str = ""
-
-
-@dataclass(frozen=True)
-class LiveCount:
-    """A counter increment (``amount`` since the previous record)."""
-
-    name: str
-    amount: float
-    ts: float
-
-
-@dataclass(frozen=True)
-class LiveGauge:
-    """A gauge level at ``ts`` (queue depth, staleness, pending timers)."""
-
-    name: str
-    value: float
-    ts: float
-
-
-@dataclass(frozen=True)
-class LiveSample:
-    """One histogram/series observation (latency, byte size)."""
-
-    name: str
-    value: float
-    ts: float
-
-
-@dataclass(frozen=True)
-class LiveAnnounce:
-    """The writer's hello: its source name, clock reading, and metadata."""
-
-    source: str
-    writer_ts: float
-    meta_json: str = ""
-
-
-LiveRecord = Union[
-    LiveSpan, LiveInstant, LiveCount, LiveGauge, LiveSample, LiveAnnounce
-]
-
-
-# ----------------------------------------------------------------------
-# Binary encoding
-# ----------------------------------------------------------------------
-def _pack_str(parts: List[bytes], text: str) -> None:
-    raw = text.encode("utf-8")
-    if len(raw) > 0xFFFF:
-        raw = raw[:0xFFFF]
-    parts.append(_STR_LEN.pack(len(raw)))
-    parts.append(raw)
-
-
-def _unpack_str(buf: bytes, offset: int) -> Tuple[str, int]:
-    (length,) = _STR_LEN.unpack_from(buf, offset)
-    offset += _STR_LEN.size
-    return buf[offset:offset + length].decode("utf-8"), offset + length
-
-
-def encode_record(record: LiveRecord) -> bytes:
+def encode_record(record: WireRecord) -> bytes:
     """One record as its framed wire bytes (length prefix included)."""
-    parts: List[bytes] = []
-    if isinstance(record, LiveSpan):
-        parts.append(_KIND.pack(_KIND_SPAN))
-        parts.append(_F64.pack(record.start))
-        parts.append(_F64.pack(record.end))
-        _pack_str(parts, record.track)
-        _pack_str(parts, record.name)
-        _pack_str(parts, record.cat)
-    elif isinstance(record, LiveInstant):
-        parts.append(_KIND.pack(_KIND_INSTANT))
-        parts.append(_F64.pack(record.ts))
-        _pack_str(parts, record.track)
-        _pack_str(parts, record.name)
-        _pack_str(parts, record.cat)
-        _pack_str(parts, record.args_json)
-    elif isinstance(record, LiveCount):
-        parts.append(_KIND.pack(_KIND_COUNT))
-        parts.append(_F64.pack(record.ts))
-        parts.append(_F64.pack(record.amount))
-        _pack_str(parts, record.name)
-    elif isinstance(record, LiveGauge):
-        parts.append(_KIND.pack(_KIND_GAUGE))
-        parts.append(_F64.pack(record.ts))
-        parts.append(_F64.pack(record.value))
-        _pack_str(parts, record.name)
-    elif isinstance(record, LiveSample):
-        parts.append(_KIND.pack(_KIND_SAMPLE))
-        parts.append(_F64.pack(record.ts))
-        parts.append(_F64.pack(record.value))
-        _pack_str(parts, record.name)
-    elif isinstance(record, LiveAnnounce):
-        parts.append(_KIND.pack(_KIND_ANNOUNCE))
-        parts.append(_F64.pack(record.writer_ts))
-        _pack_str(parts, record.source)
-        _pack_str(parts, record.meta_json)
-    else:  # pragma: no cover - defensive
-        raise TypeError(f"unknown live record {record!r}")
-    body = b"".join(parts)
+    kind = _KIND_OF.get(type(record))
+    if kind is None:
+        raise TypeError(f"the ring carries no {type(record).__name__}")
+    body = bytes((kind,)) + _ENCODE(record).encode("utf-8")
     return _LEN.pack(len(body)) + body
 
 
-def decode_record(body: bytes) -> Optional[LiveRecord]:
+def decode_record(body: bytes) -> Optional[WireRecord]:
     """One record back from its body bytes (no length prefix).
 
     Returns None for an unknown kind — a newer writer talking to an
     older reader degrades to dropped records, not a crash.
     """
-    (kind,) = _KIND.unpack_from(body, 0)
-    offset = _KIND.size
-    if kind == _KIND_SPAN:
-        start, end = struct.unpack_from("<dd", body, offset)
-        offset += 16
-        track, offset = _unpack_str(body, offset)
-        name, offset = _unpack_str(body, offset)
-        cat, _ = _unpack_str(body, offset)
-        return LiveSpan(track=track, name=name, cat=cat, start=start, end=end)
-    if kind == _KIND_INSTANT:
-        (ts,) = _F64.unpack_from(body, offset)
-        offset += 8
-        track, offset = _unpack_str(body, offset)
-        name, offset = _unpack_str(body, offset)
-        cat, offset = _unpack_str(body, offset)
-        args_json, _ = _unpack_str(body, offset)
-        return LiveInstant(
-            track=track, name=name, cat=cat, ts=ts, args_json=args_json
-        )
-    if kind in (_KIND_COUNT, _KIND_GAUGE, _KIND_SAMPLE):
-        ts, value = struct.unpack_from("<dd", body, offset)
-        offset += 16
-        name, _ = _unpack_str(body, offset)
-        if kind == _KIND_COUNT:
-            return LiveCount(name=name, amount=value, ts=ts)
-        if kind == _KIND_GAUGE:
-            return LiveGauge(name=name, value=value, ts=ts)
-        return LiveSample(name=name, value=value, ts=ts)
-    if kind == _KIND_ANNOUNCE:
-        (writer_ts,) = _F64.unpack_from(body, offset)
-        offset += 8
-        source, offset = _unpack_str(body, offset)
-        meta_json, _ = _unpack_str(body, offset)
-        return LiveAnnounce(
-            source=source, writer_ts=writer_ts, meta_json=meta_json
-        )
-    return None
+    if not 1 <= body[0] <= len(_KINDS):
+        return None
+    return _KINDS[body[0] - 1](*json.loads(body[1:]))
 
 
-# ----------------------------------------------------------------------
-# The ring itself
-# ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class RingSpec:
     """Picklable/JSON-able attach handle for one ring."""
@@ -264,11 +99,7 @@ class RingSpec:
     capacity: int
 
     def to_dict(self) -> dict:
-        return {
-            "source": self.source,
-            "shm_name": self.shm_name,
-            "capacity": self.capacity,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RingSpec":
@@ -362,23 +193,16 @@ class ShmRing:
         """Published-but-unconsumed payload bytes."""
         return self._load(_TAIL) - self._load(_HEAD)
 
-    def stats(self) -> dict:
-        """JSON-ready cursor/drop summary."""
-        return {
-            "capacity": self.capacity,
-            "pushed": self.pushed,
-            "dropped": self.dropped,
-            "pending_bytes": self.pending_bytes(),
-        }
-
     # -- producer side --------------------------------------------------
-    def try_push(self, framed: bytes) -> bool:
-        """Publish one framed record; False (and a drop count) on overflow.
+    def push(self, record: WireRecord) -> bool:
+        """Encode and publish one record; False (and a drop count) on
+        overflow.
 
         Writer-only.  The payload bytes land before the single tail
         store that publishes them — the write order the consumer's
         tail-snapshot read depends on.
         """
+        framed = encode_record(record)
         size = len(framed)
         head = self._load(_HEAD)
         tail = self._load(_TAIL)
@@ -396,12 +220,8 @@ class ShmRing:
         self._store(_TAIL, tail + size)
         return True
 
-    def push(self, record: LiveRecord) -> bool:
-        """Encode and publish one record (writer-only)."""
-        return self.try_push(encode_record(record))
-
     # -- consumer side --------------------------------------------------
-    def drain(self, max_records: Optional[int] = None) -> List[LiveRecord]:
+    def drain(self, max_records: Optional[int] = None) -> List[WireRecord]:
         """Consume every published record (reader-only).
 
         Snapshots the tail once, decodes the records between the
@@ -411,7 +231,7 @@ class ShmRing:
         """
         tail = self._load(_TAIL)
         head = self._load(_HEAD)
-        records: List[LiveRecord] = []
+        records: List[WireRecord] = []
         cursor = head
         while cursor < tail:
             if max_records is not None and len(records) >= max_records:
@@ -458,132 +278,28 @@ class ShmRing:
         )
 
 
-# ----------------------------------------------------------------------
-# Writer facade
-# ----------------------------------------------------------------------
-class RingWriter:
-    """The instrumentation-facing handle: tracer-shaped methods that
-    encode straight into the ring.
+class RingCollector:
+    """A collector that publishes each record onto one ring (dropped and
+    counted when it is full).
 
-    ``now_fn`` is injected by the runtime backend (the only layer allowed
-    to read a wall clock); every method also accepts an explicit ``ts``
-    so call sites that already stamped a time don't read the clock twice.
+    A child process records through an ordinary
+    :class:`~repro.obs.core.Tracer` on one of these; the parent drains
+    the same records.  It takes records and metric updates (values sent
+    as floats); flows are drawn by the parent, which holds the scheduler.
     """
 
-    enabled = True
-
-    def __init__(
-        self,
-        ring: ShmRing,
-        source: str,
-        now_fn: Callable[[], float],
-        meta_json: str = "",
-    ):
+    def __init__(self, ring: ShmRing) -> None:
         self.ring = ring
-        self.source = source
-        self._now = now_fn
-        self.ring.push(
-            LiveAnnounce(source=source, writer_ts=now_fn(), meta_json=meta_json)
-        )
+        self.append = ring.push
 
-    def span(
-        self,
-        track: str,
-        name: str,
-        start: float,
-        end: Optional[float] = None,
-        cat: str = "span",
-    ) -> None:
-        self.ring.push(
-            LiveSpan(
-                track=track, name=name, cat=cat, start=start,
-                end=self._now() if end is None else end,
-            )
-        )
+    def count(self, name: str, amount: float) -> None:
+        self.ring.push(MetricRecord("count", name, float(amount)))
 
-    def instant(
-        self,
-        track: str,
-        name: str,
-        ts: Optional[float] = None,
-        cat: str = "instant",
-        args: Optional[dict] = None,
-    ) -> None:
-        self.ring.push(
-            LiveInstant(
-                track=track, name=name, cat=cat,
-                ts=self._now() if ts is None else ts,
-                args_json=json.dumps(args) if args else "",
-            )
-        )
+    def gauge(self, name: str, value: float) -> None:
+        self.ring.push(MetricRecord("gauge", name, float(value)))
 
-    def count(
-        self, name: str, amount: float = 1.0, ts: Optional[float] = None
-    ) -> None:
-        self.ring.push(
-            LiveCount(
-                name=name, amount=amount,
-                ts=self._now() if ts is None else ts,
-            )
-        )
-
-    def gauge(self, name: str, value: float, ts: Optional[float] = None) -> None:
-        self.ring.push(
-            LiveGauge(
-                name=name, value=value,
-                ts=self._now() if ts is None else ts,
-            )
-        )
-
-    def sample(self, name: str, value: float, ts: Optional[float] = None) -> None:
-        self.ring.push(
-            LiveSample(
-                name=name, value=value,
-                ts=self._now() if ts is None else ts,
-            )
-        )
-
-    def now(self) -> float:
-        """The injected clock, for call sites that span an operation."""
-        return self._now()
+    def observe(self, name: str, value: float) -> None:
+        self.ring.push(MetricRecord("observe", name, float(value)))
 
     def __repr__(self) -> str:
-        return f"RingWriter({self.source!r}, ring={self.ring!r})"
-
-
-class NullRingWriter:
-    """The disabled fast path: every method is an empty body.
-
-    The shared :data:`NULL_RING_WRITER` is what instrumentation sites
-    hold when live export is off — one attribute lookup plus one no-op
-    call, bounded by the overhead-guard test alongside the null tracer.
-    """
-
-    enabled = False
-
-    def span(self, *_args, **_kwargs) -> None:
-        """No-op."""
-
-    def instant(self, *_args, **_kwargs) -> None:
-        """No-op."""
-
-    def count(self, *_args, **_kwargs) -> None:
-        """No-op."""
-
-    def gauge(self, *_args, **_kwargs) -> None:
-        """No-op."""
-
-    def sample(self, *_args, **_kwargs) -> None:
-        """No-op."""
-
-    def now(self) -> float:
-        """No-op (no clock behind it)."""
-        return 0.0
-
-    def __repr__(self) -> str:
-        return "NullRingWriter()"
-
-
-#: Shared disabled writer — instrumented code's default when live export
-#: is off.
-NULL_RING_WRITER = NullRingWriter()
+        return f"RingCollector({self.ring!r})"

@@ -52,9 +52,6 @@ class LiveTelemetrySession:
         self.num_workers = num_workers
         self._owner = owner
 
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
     @classmethod
     def create(
         cls, num_workers: int, ring_bytes: int = DEFAULT_RING_BYTES
@@ -115,9 +112,6 @@ class LiveTelemetrySession:
         with open(path, "r", encoding="utf-8") as handle:
             return cls.attach(json.load(handle))
 
-    # ------------------------------------------------------------------
-    # Spec
-    # ------------------------------------------------------------------
     def spec(self) -> dict:
         """The JSON-able attach handle for every ring."""
         return {
@@ -135,9 +129,6 @@ class LiveTelemetrySession:
             json.dump(self.spec(), handle, indent=1, sort_keys=True)
             handle.write("\n")
 
-    # ------------------------------------------------------------------
-    # Access
-    # ------------------------------------------------------------------
     def ring(self, source: str) -> ShmRing:
         return self._rings[source]
 
@@ -162,16 +153,6 @@ class LiveTelemetrySession:
             aggregator.add_ring(self._rings[source])
         return aggregator
 
-    def stats(self) -> Dict[str, dict]:
-        """Per-ring cursor/drop stats (JSON-ready)."""
-        return {
-            source: self._rings[source].stats()
-            for source in sorted(self._rings)
-        }
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
     def close(self) -> None:
         """Unmap every ring in this process (idempotent)."""
         for ring in self._rings.values():

@@ -62,14 +62,6 @@ class Gauge:
         """Replace the current value."""
         self.value = value
 
-    def inc(self, amount: float = 1.0) -> None:
-        """Add ``amount`` (may be negative) to the gauge."""
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        """Subtract ``amount`` from the gauge."""
-        self.value -= amount
-
     def snapshot(self) -> float:
         """Current value."""
         return self.value

@@ -29,17 +29,25 @@ run exports byte-identical files, which the golden-file test pins.
 from __future__ import annotations
 
 import json
-import re
-from typing import IO, Dict, List, Tuple, Union
+from typing import IO, Dict, List, NamedTuple, Sequence, Tuple
 
 from repro.obs.core import (
+    AnyRecord,
     FlowRecord,
     InstantRecord,
     SpanRecord,
     TraceCollector,
 )
+from repro.obs.tracks import WORKER_TRACK_RE
 
-__all__ = ["to_chrome_trace", "write_chrome_trace", "TRACE_FORMAT_VERSION"]
+__all__ = [
+    "TRACE_FORMAT_VERSION",
+    "TraceFrame",
+    "to_chrome_trace",
+    "trace_frame",
+    "trace_other_data",
+    "write_chrome_trace",
+]
 
 #: Bumped whenever the layout of the exported JSON changes shape.
 #: v2: top-level "perf" section; histogram snapshots carry exact
@@ -56,155 +64,137 @@ _SECONDS_TO_US = 1e6
 #: ``json.dump``, and unlike anything with ``indent``) runs in the C encoder.
 _ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
-_WORKER_TRACK = re.compile(r"^(?:rt\.)?worker-(\d+)$")
-
 
 def _track_sort_key(track: str) -> Tuple[int, int, str]:
     """Workers first (numeric order), then named tracks alphabetically."""
-    match = _WORKER_TRACK.match(track)
+    match = WORKER_TRACK_RE.match(track)
     if match:
         return (0, int(match.group(1)), track)
     return (1, 0, track)
 
 
-def _assign_tids(
-    records: List[Union[SpanRecord, InstantRecord, FlowRecord]],
-) -> Dict[Tuple[str, str], int]:
-    """Deterministic (domain, track) → tid map, workers laid out first."""
+class TraceFrame(NamedTuple):
+    """Where a record list lands in the exported file.
+
+    One pid per clock domain, one tid per (domain, track), workers
+    first; each domain's origin, from which timestamps count in
+    microseconds rounded to 1e-3 µs; and the exported event count.
+    In-process analysis reads records on this same frame, so it equals
+    the analysis of the file.
+    """
+
+    pids: Dict[str, int]
+    tids: Dict[Tuple[str, str], int]
+    origins: Dict[str, float]
+    events: int
+
+    def us(self, domain: str, seconds: float) -> float:
+        """A timestamp on the frame, in µs."""
+        return round((seconds - self.origins.get(domain, 0.0)) * _SECONDS_TO_US, 3)
+
+    @staticmethod
+    def dur_us(start: float, end: float) -> float:
+        """A span's duration on the frame, in µs."""
+        return round(max(end - start, 0.0) * _SECONDS_TO_US, 3)
+
+
+def trace_frame(records: Sequence[AnyRecord]) -> TraceFrame:
+    """The frame the exporter lays ``records`` out on."""
     tracks = {}
+    origins: Dict[str, float] = {}
+    flows = 0
     for record in records:
         if isinstance(record, FlowRecord):
+            flows += 1
             tracks[(record.domain, record.src_track)] = True
             tracks[(record.domain, record.dst_track)] = True
+            first = min(record.src_ts, record.dst_ts)
         else:
             tracks[(record.domain, record.track)] = True
-    ordered = sorted(tracks, key=lambda key: (key[0], _track_sort_key(key[1])))
-    return {key: tid for tid, key in enumerate(ordered, start=1)}
-
-
-def _domain_origins(
-    records: List[Union[SpanRecord, InstantRecord, FlowRecord]],
-) -> Dict[str, float]:
-    """Earliest timestamp per domain — wall clocks have arbitrary epochs."""
-    origins: Dict[str, float] = {}
-    for record in records:
-        if isinstance(record, SpanRecord):
-            first = record.start
-        elif isinstance(record, InstantRecord):
-            first = record.ts
-        else:
-            first = min(record.src_ts, record.dst_ts)
+            first = record.start if isinstance(record, SpanRecord) else record.ts
         held = origins.get(record.domain)
         if held is None or first < held:
             origins[record.domain] = first
     # The virtual clock starts at 0 by construction; keep its axis
-    # absolute so span timestamps equal virtual seconds * 1e6.
+    # absolute so span timestamps equal virtual seconds * 1e6.  Wall
+    # clocks have arbitrary epochs.
     if "virtual" in origins:
         origins["virtual"] = min(origins["virtual"], 0.0)
-    return origins
+    ordered = sorted(tracks, key=lambda key: (key[0], _track_sort_key(key[1])))
+    tids = {key: tid for tid, key in enumerate(ordered, start=1)}
+    # Domains beyond virtual/wall (an injected FunctionClock's) each get
+    # their own pid, by name from 3 up — a shared pid would merge them.
+    named = sorted({domain for domain, _track in tids})
+    custom = [domain for domain in named if domain not in _DOMAIN_PIDS]
+    pids = {domain: _DOMAIN_PIDS[domain] for domain in named if domain in _DOMAIN_PIDS}
+    pids.update((domain, pid) for pid, domain in enumerate(custom, start=3))
+    return TraceFrame(
+        {domain: pids[domain] for domain in named}, tids, origins,
+        len(named) + len(tids) + len(records) + flows,
+    )
+
+
+def trace_other_data(metadata: Dict[object, object]) -> Dict[str, object]:
+    """The file's ``otherData``: the format version, then the metadata."""
+    other_data: Dict[str, object] = {"format_version": TRACE_FORMAT_VERSION}
+    other_data.update({str(k): v for k, v in sorted(metadata.items())})
+    return other_data
 
 
 def to_chrome_trace(collector: TraceCollector) -> dict:
     """Render a collector as a Chrome trace-event JSON object."""
     records = list(collector.records)
-    tids = _assign_tids(records)
-    origins = _domain_origins(records)
-    events: List[dict] = []
+    frame = trace_frame(records)
+    pids, tids, us = frame.pids, frame.tids, frame.us
 
     # Metadata: name the processes (clock domains) and threads (tracks).
-    # Domains beyond virtual/wall (an injected FunctionClock's) each get
-    # their own pid, by name from 3 up — a shared pid would merge them.
-    named_domains = sorted({domain for domain, _track in tids})
-    pids = dict(_DOMAIN_PIDS)
-    custom = [domain for domain in named_domains if domain not in pids]
-    pids.update((domain, pid) for pid, domain in enumerate(custom, start=3))
-    for domain in named_domains:
-        events.append(
-            {
-                "ph": "M",
-                "name": "process_name",
-                "pid": pids[domain],
-                "tid": 0,
-                "args": {"name": f"{domain} time"},
-            }
-        )
-    for (domain, track), tid in sorted(tids.items(), key=lambda kv: kv[1]):
-        events.append(
-            {
-                "ph": "M",
-                "name": "thread_name",
-                "pid": pids[domain],
-                "tid": tid,
-                "args": {"name": track},
-            }
-        )
-
-    def _us(domain: str, seconds: float) -> float:
-        return round((seconds - origins.get(domain, 0.0)) * _SECONDS_TO_US, 3)
+    events: List[dict] = [
+        {"ph": "M", "name": "process_name", "pid": pid, "tid": 0,
+         "args": {"name": f"{domain} time"}}
+        for domain, pid in pids.items()
+    ]
+    events.extend(
+        {"ph": "M", "name": "thread_name", "pid": pids[domain], "tid": tid,
+         "args": {"name": track}}
+        for (domain, track), tid in tids.items()
+    )
 
     flow_id = 0
     for record in records:
-        pid = pids[record.domain]
+        domain = record.domain
+        pid = pids[domain]
         if isinstance(record, SpanRecord):
-            event = {
-                "ph": "X",
-                "name": record.name,
-                "cat": record.cat,
-                "pid": pid,
-                "tid": tids[(record.domain, record.track)],
-                "ts": _us(record.domain, record.start),
-                "dur": round(
-                    max(record.end - record.start, 0.0) * _SECONDS_TO_US, 3
-                ),
-            }
-            if record.args:
-                event["args"] = record.args
-            events.append(event)
+            event = {"ph": "X", "name": record.name, "cat": record.cat, "pid": pid,
+                     "tid": tids[(domain, record.track)], "ts": us(domain, record.start),
+                     "dur": frame.dur_us(record.start, record.end)}
         elif isinstance(record, InstantRecord):
-            event = {
-                "ph": "i",
-                "s": "t",  # thread-scoped instant
-                "name": record.name,
-                "cat": record.cat,
-                "pid": pid,
-                "tid": tids[(record.domain, record.track)],
-                "ts": _us(record.domain, record.ts),
-            }
-            if record.args:
-                event["args"] = record.args
-            events.append(event)
+            # "s": "t" — a thread-scoped instant
+            event = {"ph": "i", "s": "t", "name": record.name, "cat": record.cat,
+                     "pid": pid, "tid": tids[(domain, record.track)],
+                     "ts": us(domain, record.ts)}
         else:
             flow_id += 1
-            start = {
-                "ph": "s",
-                "id": flow_id,
-                "name": record.name,
-                "cat": record.cat,
-                "pid": pid,
-                "tid": tids[(record.domain, record.src_track)],
-                "ts": _us(record.domain, record.src_ts),
-            }
-            finish = {
-                "ph": "f",
-                "bp": "e",  # bind to the enclosing slice at the arrow head
-                "id": flow_id,
-                "name": record.name,
-                "cat": record.cat,
-                "pid": pid,
-                "tid": tids[(record.domain, record.dst_track)],
-                "ts": _us(record.domain, record.dst_ts),
-            }
+            event = {"ph": "s", "id": flow_id, "name": record.name, "cat": record.cat,
+                     "pid": pid, "tid": tids[(domain, record.src_track)],
+                     "ts": us(domain, record.src_ts)}
+            # "bp": "e" binds the arrow head to the enclosing slice
+            finish = {"ph": "f", "bp": "e", "id": flow_id, "name": record.name,
+                      "cat": record.cat, "pid": pid,
+                      "tid": tids[(domain, record.dst_track)],
+                      "ts": us(domain, record.dst_ts)}
             if record.args:
-                start["args"] = record.args
-            events.append(start)
+                event["args"] = record.args
+            events.append(event)
             events.append(finish)
+            continue
+        if record.args:
+            event["args"] = record.args
+        events.append(event)
 
-    other_data = {"format_version": TRACE_FORMAT_VERSION}
-    other_data.update({str(k): v for k, v in sorted(collector.metadata.items())})
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",
-        "otherData": other_data,
+        "otherData": trace_other_data(collector.metadata),
         "metrics": collector.metrics.snapshot(),
     }
 

@@ -9,6 +9,7 @@ typo-proof.
 
 from __future__ import annotations
 
+import re
 from typing import Tuple
 
 __all__ = [
@@ -17,6 +18,7 @@ __all__ = [
     "RT_SERVER_TRACK",
     "RT_SCHEDULER_TRACK",
     "RT_RUN_TRACK",
+    "WORKER_TRACK_RE",
     "worker_track",
     "rt_worker_track",
     "resync_flow_key",
@@ -30,6 +32,10 @@ SCHEDULER_TRACK = "scheduler"
 RT_SERVER_TRACK = "rt.server"
 RT_SCHEDULER_TRACK = "rt.scheduler"
 RT_RUN_TRACK = "rt.run"
+
+#: Worker tracks in both namespaces (DES ``worker-N``, runtime
+#: ``rt.worker-N``); everything else is infrastructure.
+WORKER_TRACK_RE = re.compile(r"^(?:rt\.)?worker-(\d+)$")
 
 
 def worker_track(worker_id: int) -> str:

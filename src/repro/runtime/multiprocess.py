@@ -25,13 +25,21 @@ store the ROADMAP's "make the hot paths actually fast" item called for.
 ``tests/test_runtime_server_raises.py`` that the server applies each
 push inside its write fence.
 
+Telemetry: the parent's own tracer (``tracer_for``) sees the notify
+stream and the scheduler.  With a
+:class:`~repro.obs.live.session.LiveTelemetrySession`, the server, every
+worker and the parent also record through an ordinary
+:class:`~repro.obs.core.Tracer` on a
+:class:`~repro.obs.live.ring.RingCollector` over their own ring, so the
+parent drains ``obs.core`` records; without one they hold
+``NULL_TRACER``.
+
 Scaled-down timing (milliseconds per virtual second) keeps a full run under
 a couple of wall seconds.
 """
 
 from __future__ import annotations
 
-import json
 import multiprocessing as mp
 import queue as queue_module
 import time
@@ -45,14 +53,9 @@ from repro.ml.datasets.base import Partition
 from repro.ml.models.base import Model
 from repro.ml.optim import SgdUpdateRule
 from repro.obs.clock import FunctionClock
-from repro.obs.core import tracer_for
-from repro.obs.live.ring import NULL_RING_WRITER, RingWriter
-from repro.obs.live.session import (
-    PARENT_SOURCE,
-    SERVER_SOURCE,
-    LiveTelemetrySession,
-    worker_source,
-)
+from repro.obs.core import NULL_TRACER, Tracer, tracer_for
+from repro.obs.live.ring import RingCollector
+from repro.obs.live.session import LiveTelemetrySession
 from repro.obs.log import get_logger
 from repro.ps.shm import ShmParamStore
 from repro.ps.store import ParameterStore
@@ -67,10 +70,13 @@ __all__ = [
 
 _POLL_S = 0.02
 
-#: Announcement every live ring writer of this backend sends.  Fork
-#: children share the parent's CLOCK_MONOTONIC, so their timestamps need
-#: no alignment.
-_LIVE_META = json.dumps({"backend": "multiprocess"})
+def _ring_tracer(ring):
+    """A wall-clock tracer onto ``ring``, or the null tracer without one.
+    Fork children share the parent's CLOCK_MONOTONIC, so their stamps
+    need no alignment."""
+    if ring is None:
+        return NULL_TRACER
+    return Tracer(RingCollector(ring), FunctionClock(time.monotonic))
 
 
 def _queue_depth(q) -> int:
@@ -99,13 +105,9 @@ def _server_main(param_store, grad_stores, update_rule, request_queue,
     # without one; workers only ever see fenced read() snapshots.
     params = param_store.backing()
     store = ParameterStore(params, update_rule)
-    # Live telemetry exporter: the ring was created by the parent and
-    # inherited across fork; the server is its single writer.
-    writer = (
-        RingWriter(live_ring, SERVER_SOURCE, time.monotonic,
-                   meta_json=_LIVE_META)
-        if live_ring is not None else NULL_RING_WRITER
-    )
+    # Live telemetry: the ring was created by the parent and inherited
+    # across fork; the server is its single writer.
+    tracer = _ring_tracer(live_ring)
     message_bytes = params.num_elements * 8
     try:
         while not server_stop.is_set():
@@ -113,7 +115,7 @@ def _server_main(param_store, grad_stores, update_rule, request_queue,
                 message = request_queue.get(timeout=_POLL_S)
             except queue_module.Empty:
                 continue
-            received = writer.now() if writer.enabled else 0.0
+            received = time.monotonic() if tracer.enabled else 0.0
             kind = message[0]
             if kind == "pull":
                 _, worker_id = message
@@ -125,14 +127,14 @@ def _server_main(param_store, grad_stores, update_rule, request_queue,
                 # shared-memory store directly.  The pull message is control
                 # plane only, kept so the server-visible wire trace (and the
                 # protocol shape the model replays) stays intact.
-                if writer.enabled:
-                    writer.sample(
-                        "rt.msg.pull.latency_s", writer.now() - received
+                if tracer.enabled:
+                    tracer.observe(
+                        "rt.msg.pull.latency_s", time.monotonic() - received
                     )
-                    writer.sample("rt.msg.pull.bytes", message_bytes)
+                    tracer.observe("rt.msg.pull.bytes", message_bytes)
                     depth = _queue_depth(request_queue)
                     if depth >= 0:
-                        writer.gauge("rt.queue.request_depth", depth)
+                        tracer.gauge("rt.queue.request_depth", depth)
             elif kind == "push":
                 _, worker_id, snapshot_version = message
                 if wire_queue is not None:
@@ -156,16 +158,16 @@ def _server_main(param_store, grad_stores, update_rule, request_queue,
                 response_queues[worker_id].put(
                     ("ack", record.version_after), timeout=_PUT_TIMEOUT_S
                 )
-                if writer.enabled:
-                    now = writer.now()
-                    writer.span(RT_SERVER_TRACK, "apply", received, now)
-                    writer.sample("rt.msg.push.latency_s", now - received)
-                    writer.sample("rt.msg.push.bytes", message_bytes)
-                    writer.count("rt.pushes")
-                    writer.gauge(f"rt.staleness.w{worker_id}", record.staleness)
+                if tracer.enabled:
+                    now = time.monotonic()
+                    tracer.span(RT_SERVER_TRACK, "apply", received, now)
+                    tracer.observe("rt.msg.push.latency_s", now - received)
+                    tracer.observe("rt.msg.push.bytes", message_bytes)
+                    tracer.count("rt.pushes")
+                    tracer.gauge(f"rt.staleness.w{worker_id}", record.staleness)
                     depth = _queue_depth(request_queue)
                     if depth >= 0:
-                        writer.gauge("rt.queue.request_depth", depth)
+                        tracer.gauge("rt.queue.request_depth", depth)
             elif kind == "stats":
                 # repro: allow[PERF-PICKLE-PAYLOAD] one-shot shutdown stats snapshot pickled by design — a single reply at teardown, not the per-iteration transfer the zero-copy shm store eliminated
                 stats_reply_queue.put(
@@ -189,13 +191,9 @@ def _worker_main(worker_id, model, partition, compute_model, batch_size,
                  live_ring=None):  # pragma: no cover - separate process
     """Build this process's store closures, run the shared loop, report."""
     streams = RngStreams(seed)
-    # Live telemetry exporter: ring created by the parent pre-fork; this
-    # worker process is its single writer.
-    writer = (
-        RingWriter(live_ring, worker_source(worker_id), time.monotonic,
-                   meta_json=_LIVE_META)
-        if live_ring is not None else NULL_RING_WRITER
-    )
+    # Live telemetry: ring created by the parent pre-fork; this worker
+    # process is its single writer.
+    tracer = _ring_tracer(live_ring)
 
     def pull():
         # Control plane only: the tag keeps the server's wire trace (and
@@ -235,16 +233,16 @@ def _worker_main(worker_id, model, partition, compute_model, batch_size,
         resync_slot=resync_slot,
         notify=lambda *tagged: notify_queue.put(tagged, timeout=_PUT_TIMEOUT_S),
         max_aborts_per_iteration=max_aborts_per_iteration,
-        recorder=writer,
+        recorder=tracer,
     )
     worker.run()
-    if writer.enabled:
+    if tracer.enabled:
         # Final fence statistics: the previously-invisible retry counts
         # of this worker's shared-memory mappings.
         for name, value in param_store.counters().items():
-            writer.count(f"shm.param.{name}", value)
+            tracer.count(f"shm.param.{name}", value)
         for name, value in grad_store.counters().items():
-            writer.count(f"shm.grad.{name}", value)
+            tracer.count(f"shm.grad.{name}", value)
     stats_queue.put(
         (worker_id, worker.iterations, worker.aborts,
          repr(worker.error) if worker.error is not None else None),
@@ -361,13 +359,9 @@ class MultiprocessRun:
         wire_queue = ctx.Queue() if self.record_wire_trace else None
         # Live telemetry rings (if the caller wired a session) are
         # inherited across fork exactly like the parameter segments; the
-        # parent's own exporter writes scheduler/run-level records.
+        # parent's own ring takes its run-level records.
         live = self.live_session
-        live_writer = (
-            RingWriter(live.parent_ring, PARENT_SOURCE, time.monotonic,
-                       meta_json=_LIVE_META)
-            if live is not None else NULL_RING_WRITER
-        )
+        live_tracer = _ring_tracer(live.parent_ring if live else None)
         server = ctx.Process(
             target=_server_main,
             args=(param_store, grad_stores, self.update_rule, request_queue,
@@ -436,11 +430,11 @@ class MultiprocessRun:
                         continue
                     if tracer.enabled:
                         tracer.count("rt.notifies_drained")
-                    if live_writer.enabled:
-                        live_writer.count("rt.notifies_drained")
+                    if live_tracer.enabled:
+                        live_tracer.count("rt.notifies_drained")
                         depth = _queue_depth(notify_queue)
                         if depth >= 0:
-                            live_writer.gauge("rt.queue.notify_depth", depth)
+                            live_tracer.gauge("rt.queue.notify_depth", depth)
                     if scheduler is not None:
                         scheduler.handle_notify(worker_id, iteration)
 
@@ -500,12 +494,12 @@ class MultiprocessRun:
         wall = time.monotonic() - started
         if errors:
             raise RuntimeError("; ".join(errors))
-        if live_writer.enabled:
+        if live_tracer.enabled:
             # The run container span anchors the drained trace's time
             # window to the same bracket the parent's conventional
             # ``rt.run`` span covers, so post-hoc analyses of the two
             # captures agree on total wall time.
-            live_writer.span(RT_RUN_TRACK, "run", started, started + wall)
+            live_tracer.span(RT_RUN_TRACK, "run", started, started + wall)
 
         wire_trace: Optional[List[Tuple[str, int]]] = None
         if wire_queue is not None:

@@ -5,10 +5,12 @@ wait out the sampled compute duration on an abort flag, evaluate the
 gradient on the pulled snapshot, push, notify.  What carries it is handed
 in: a ``store`` (``pull() -> (params, version)``, ``push(gradient,
 version)``), the stop and abort flags, a ``notify`` callable and a
-tracer-shaped recorder (``Tracer`` or ``RingWriter``).  A re-sync arrives as
-the abort flag plus a two-slot record ``[for_iteration, peer_pushes]`` that
-:func:`signal_resync` fills *before* setting the flag; the woken worker
-clears the flag, reads the record and lets the machine decide.
+recorder: a ``Tracer`` on the run's collector (threads) or on the
+process's ring collector (forked processes), or ``NULL_TRACER``.  A
+re-sync arrives as the abort flag plus a two-slot record
+``[for_iteration, peer_pushes]`` that :func:`signal_resync` fills
+*before* setting the flag; the woken worker clears the flag, reads the
+record and lets the machine decide.
 """
 
 from __future__ import annotations

@@ -441,6 +441,22 @@ class TestAnalyzeCommand:
         assert main(["analyze", str(bogus)]) == 1
         assert "TRACE-SCHEMA" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("events, names", [
+        ([3], "event #0 is not an object: 3"),
+        ([{"ph": "M", "name": "thread_name", "tid": 1, "args": {"name": "w"}}],
+         "event #0 ('thread_name', ph 'M') has no integer 'pid'"),
+        ([{"ph": "M", "name": "thread_name", "pid": 1, "tid": 1, "args": {"name": "worker-0"}},
+          {"ph": "X", "name": "compute", "pid": 1, "tid": 1, "ts": "abc", "dur": 1.0}],
+         "event #1 ('compute', ph 'X') has non-numeric ts 'abc'"),
+    ], ids=["int-event", "thread-name-without-pid", "string-ts"])
+    def test_malformed_event_trips_the_gate_by_name(self, tmp_path, capsys, events, names):
+        bogus = tmp_path / "bogus.json"
+        bogus.write_text(json.dumps({"traceEvents": events}), encoding="utf-8")
+        assert main(["analyze", str(bogus)]) == 1
+        out = capsys.readouterr().out
+        assert "TRACE-SCHEMA" in out
+        assert names in out
+
     def test_non_object_json_trips_the_gate(self, tmp_path, capsys):
         bogus = tmp_path / "list.json"
         bogus.write_text("[1, 2]", encoding="utf-8")
@@ -547,13 +563,11 @@ class TestTopCommand:
         assert main(["top", "--attach", str(missing), "--once"]) == 2
 
     def test_attach_reads_a_written_spec(self, tmp_path, capsys):
-        from repro.obs.live import LiveCount, LiveTelemetrySession
+        from repro.obs.live import LiveTelemetrySession
 
         session = LiveTelemetrySession.create(num_workers=1, ring_bytes=4096)
         try:
-            session.worker_ring(0).push(
-                LiveCount(name="rt.pushes", amount=2.0, ts=0.0)
-            )
+            session.worker_ring(0).push(obs.MetricRecord("count", "rt.pushes", 2.0))
             spec_path = tmp_path / "live.json"
             session.write_spec(str(spec_path))
             code = main([

@@ -1,7 +1,8 @@
 """Tests for the live telemetry plane (repro.obs.live).
 
 Covers the binary wire format, the SPSC ring (wraparound, overflow
-drop-counting, cross-process visibility under fork), the writer facades,
+drop-counting, cross-process visibility under fork), the ring collector
+a child's tracer writes to,
 the aggregator (whose snapshot is the ``repro analyze`` document of the
 records applied), the session lifecycle, the ``repro top`` frame, and the
 end-to-end multiprocess capture: a live-exported run must drain to a
@@ -15,6 +16,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.cli import main
@@ -22,17 +24,11 @@ from repro.cluster.compute import ComputeTimeModel
 from repro.core.tuning import AdaptiveTuner
 from repro.ml import SoftmaxRegressionModel, SyntheticImageDataset
 from repro.ml.optim import ConstantSchedule, SgdUpdateRule
+from repro.obs import FlowRecord, InstantRecord, MetricRecord, SpanRecord
 from repro.obs.analysis import analyze_trace, render_analysis_text
 from repro.obs.live import (
-    LiveAnnounce,
-    LiveCount,
-    LiveGauge,
-    LiveInstant,
-    LiveSample,
-    LiveSpan,
     LiveTelemetrySession,
-    NULL_RING_WRITER,
-    RingWriter,
+    RingCollector,
     ShmRing,
     TelemetryAggregator,
     decode_record,
@@ -42,34 +38,56 @@ from repro.obs.live import (
 )
 from repro.runtime import MultiprocessRun
 
-ALL_RECORDS = [
-    LiveSpan(track="rt.worker-0", name="compute", cat="compute",
-             start=1.25, end=2.5),
-    LiveInstant(track="rt.worker-1", name="abort", cat="abort", ts=3.0,
-                args_json='{"worker": 1}'),
-    LiveCount(name="rt.pushes", amount=2.0, ts=4.0),
-    LiveGauge(name="rt.queue.request_depth", value=3.0, ts=5.0),
-    LiveSample(name="rt.msg.push.latency_s", value=0.001, ts=6.0),
-    LiveAnnounce(source="worker-0", writer_ts=0.5,
-                 meta_json='{"backend": "multiprocess"}'),
-]
+_TEXT = st.text(max_size=10)
+_FLOAT = st.floats(allow_nan=False)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | _FLOAT | _TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=6,
+)
+_ARGS = st.none() | st.dictionaries(_TEXT, _JSON, max_size=3)
+_RECORDS = st.one_of(
+    st.builds(SpanRecord, _TEXT, _TEXT, _TEXT, _TEXT, _FLOAT, _FLOAT, _ARGS),
+    st.builds(InstantRecord, _TEXT, _TEXT, _TEXT, _TEXT, _FLOAT, _ARGS),
+    st.builds(MetricRecord, st.sampled_from(["count", "gauge", "observe"]), _TEXT, _FLOAT),
+)
 
 
 class TestWireFormat:
-    @pytest.mark.parametrize("record", ALL_RECORDS, ids=lambda r: type(r).__name__)
-    def test_roundtrip(self, record):
-        framed = encode_record(record)
-        (length,) = struct.unpack_from("<I", framed, 0)
-        assert length == len(framed) - 4
-        assert decode_record(framed[4:]) == record
+    @settings(deadline=None, max_examples=60)
+    @given(st.lists(_RECORDS, min_size=1, max_size=40))
+    def test_roundtrip(self, records):
+        # Every record comes back equal, args None, nested or unicode,
+        # through the codec and through a ring small enough that the
+        # cursors wrap and records straddle the seam.
+        ring = ShmRing.create("roundtrip", capacity=4096)
+        try:
+            received = []
+            for record in records:
+                framed = encode_record(record)
+                (length,) = struct.unpack_from("<I", framed, 0)
+                assert length == len(framed) - 4
+                assert decode_record(framed[4:]) == record
+                if not ring.push(record):
+                    received.extend(ring.drain())
+                    assert ring.push(record)
+            received.extend(ring.drain())
+            assert received == records
+            assert ring.dropped == 0
+        finally:
+            ring.close()
+            ring.unlink()
+
+    def test_flows_do_not_travel(self):
+        with pytest.raises(TypeError, match="FlowRecord"):
+            encode_record(FlowRecord("wall", "abort", "abort", "a", 0.0, "b", 1.0))
 
     def test_unknown_kind_decodes_to_none(self):
         assert decode_record(b"\xff" + b"\x00" * 16) is None
 
-    def test_oversized_string_is_truncated_not_fatal(self):
-        record = LiveCount(name="x" * 100_000, amount=1.0, ts=0.0)
-        decoded = decode_record(encode_record(record)[4:])
-        assert decoded.name == "x" * 0xFFFF
+    def test_oversized_string_round_trips_whole(self):
+        record = MetricRecord("count", "x" * 100_000, 1.0)
+        assert decode_record(encode_record(record)[4:]) == record
 
 
 @pytest.fixture
@@ -82,8 +100,7 @@ def ring():
 
 class TestShmRing:
     def test_push_drain_preserves_order(self, ring):
-        records = [LiveCount(name=f"c{i}", amount=float(i), ts=float(i))
-                   for i in range(5)]
+        records = [MetricRecord("count", f"c{i}", float(i)) for i in range(5)]
         for record in records:
             assert ring.push(record)
         assert ring.pushed == 5
@@ -91,19 +108,19 @@ class TestShmRing:
         assert ring.pending_bytes() == 0
 
     def test_wraparound_many_times_over(self, ring):
-        # 256-byte payload area, ~25-byte records: cursors lap the
+        # 256-byte payload area, ~20-byte records: cursors lap the
         # capacity dozens of times and records straddle the seam.
         for i in range(500):
-            assert ring.push(LiveCount(name="wrap", amount=float(i), ts=0.0))
+            assert ring.push(MetricRecord("count", "wrap", float(i)))
             if i % 7 == 6:
                 drained = ring.drain()
-                assert [r.amount for r in drained] == [
+                assert [r.value for r in drained] == [
                     float(j) for j in range(i - 6, i + 1)
                 ]
         assert ring.dropped == 0
 
     def test_overflow_drops_newest_and_counts(self, ring):
-        record = LiveCount(name="fill", amount=1.0, ts=0.0)
+        record = MetricRecord("count", "fill", 1.0)
         pushed = 0
         while ring.push(record):
             pushed += 1
@@ -115,21 +132,21 @@ class TestShmRing:
         # Draining frees the space; the writer recovers.
         assert len(ring.drain()) == pushed
         assert ring.push(record)
-        assert ring.stats()["dropped"] == 2
+        assert ring.dropped == 2
 
     def test_drain_max_records_leaves_the_rest(self, ring):
         for i in range(6):
-            ring.push(LiveCount(name="c", amount=float(i), ts=0.0))
+            ring.push(MetricRecord("count", "c", float(i)))
         first = ring.drain(max_records=4)
-        assert [r.amount for r in first] == [0.0, 1.0, 2.0, 3.0]
-        assert [r.amount for r in ring.drain()] == [4.0, 5.0]
+        assert [r.value for r in first] == [0.0, 1.0, 2.0, 3.0]
+        assert [r.value for r in ring.drain()] == [4.0, 5.0]
 
     def test_attach_sees_published_records(self, ring):
         other = ShmRing.attach(ring.spec())
         try:
-            ring.push(LiveGauge(name="g", value=7.0, ts=1.0))
+            ring.push(MetricRecord("gauge", "g", 7.0))
             drained = other.drain()
-            assert drained == [LiveGauge(name="g", value=7.0, ts=1.0)]
+            assert drained == [MetricRecord("gauge", "g", 7.0)]
         finally:
             other.close()
 
@@ -146,42 +163,39 @@ class TestShmRing:
             ShmRing.create("bad", capacity=8)
 
 
-class TestWriterFacades:
-    def test_writer_announces_then_streams(self, ring):
-        clock = iter([0.0, 1.0, 2.0, 3.0])
-        writer = RingWriter(ring, "worker-0", lambda: next(clock),
-                            meta_json='{"clock": "shared"}')
-        assert writer.enabled
-        writer.span("rt.worker-0", "compute", start=0.5)
-        writer.count("rt.pushes")
-        writer.gauge("rt.staleness.w0", 2.0, ts=9.0)
-        records = ring.drain()
-        assert records[0] == LiveAnnounce(
-            source="worker-0", writer_ts=0.0, meta_json='{"clock": "shared"}'
-        )
-        assert records[1].end == 1.0  # end stamped from the injected clock
-        assert records[2] == LiveCount(name="rt.pushes", amount=1.0, ts=2.0)
-        assert records[3].ts == 9.0  # explicit ts skips the clock
-
-    def test_null_writer_is_disabled_and_silent(self):
-        assert not NULL_RING_WRITER.enabled
-        NULL_RING_WRITER.span("t", "n", start=0.0)
-        NULL_RING_WRITER.count("c")
-        NULL_RING_WRITER.gauge("g", 1.0)
-        NULL_RING_WRITER.sample("s", 1.0)
-        NULL_RING_WRITER.instant("t", "n")
-        assert NULL_RING_WRITER.now() == 0.0
+class TestRingCollector:
+    def test_a_tracer_streams_its_records_through_the_ring(self):
+        ring = ShmRing.create("tracer", capacity=4096)
+        try:
+            clock = iter([1.0, 2.0])
+            tracer = obs.Tracer(RingCollector(ring), obs.FunctionClock(lambda: next(clock)))
+            tracer.span("rt.worker-0", "compute", start=0.5, cat="compute")
+            tracer.instant("rt.worker-0", "abort", args={"wasted_s": 0.5})
+            tracer.count("rt.pushes")
+            tracer.gauge("rt.staleness.w0", 2.0)
+            tracer.observe("rt.msg.push.bytes", 64.0)
+            assert ring.drain() == [
+                SpanRecord("wall", "rt.worker-0", "compute", "compute", 0.5, 1.0),
+                InstantRecord("wall", "rt.worker-0", "abort", "instant", 2.0, {"wasted_s": 0.5}),
+                MetricRecord("count", "rt.pushes", 1.0),
+                MetricRecord("gauge", "rt.staleness.w0", 2.0),
+                MetricRecord("observe", "rt.msg.push.bytes", 64.0),
+            ]
+        finally:
+            ring.close()
+            ring.unlink()
 
 
 def _fork_producer(spec_dict, total, done):
-    from repro.obs.live import LiveCount, RingSpec, ShmRing
+    from repro.obs import MetricRecord
+    from repro.obs.live import RingSpec, ShmRing
 
     child = ShmRing.attach(RingSpec.from_dict(spec_dict))
     try:
         import time as _time
 
         for i in range(total):
-            record = LiveCount(name="seq", amount=float(i), ts=float(i))
+            record = MetricRecord("count", "seq", float(i))
             while not child.push(record):
                 _time.sleep(0.0002)  # reader is behind: wait, don't lose i
         done.put("ok")
@@ -210,7 +224,7 @@ class TestForkConcurrency:
             assert done.get(timeout=30) == "ok"
             proc.join(timeout=30)
             received.extend(ring.drain())
-            assert [r.amount for r in received] == [
+            assert [r.value for r in received] == [
                 float(i) for i in range(total)
             ]
         finally:
@@ -225,14 +239,12 @@ def _feed_iterations(aggregator, worker_id, count, interval, start=0.0):
         end = start + (i + 1) * interval
         aggregator.apply(
             f"worker-{worker_id}",
-            LiveSpan(track=track, name="push", cat="span",
-                     start=end - 0.01, end=end),
+            SpanRecord("wall", track, "push", "span", end - 0.01, end),
             recv_ts=end,
         )
         aggregator.apply(
             f"worker-{worker_id}",
-            LiveSpan(track=track, name="iteration", cat="iteration",
-                     start=end - interval, end=end),
+            SpanRecord("wall", track, "iteration", "iteration", end - interval, end),
             recv_ts=end,
         )
 
@@ -244,15 +256,15 @@ class TestAggregator:
         _feed_iterations(aggregator, 1, count=10, interval=1.0)
         aggregator.apply(
             "worker-1",
-            LiveInstant(track="rt.worker-1", name="abort", cat="abort", ts=9.5),
+            InstantRecord("wall", "rt.worker-1", "abort", "abort", 9.5),
             recv_ts=9.5,
         )
         aggregator.apply(
-            "server", LiveGauge(name="rt.staleness.w0", value=3.0, ts=5.0),
+            "server", MetricRecord("gauge", "rt.staleness.w0", 3.0),
             recv_ts=5.0,
         )
         aggregator.apply(
-            "server", LiveCount(name="rt.pushes", amount=20.0, ts=10.0),
+            "server", MetricRecord("count", "rt.pushes", 20.0),
             recv_ts=10.0,
         )
         snapshot = aggregator.snapshot()
@@ -289,13 +301,12 @@ class TestAggregator:
         aggregator = TelemetryAggregator()
         for i in range(4):
             aggregator.apply(
-                "server", LiveCount(name="rt.pushes", amount=1.0, ts=float(i)),
+                "server", MetricRecord("count", "rt.pushes", 1.0),
                 recv_ts=float(i),
             )
             aggregator.apply(
                 "server",
-                LiveSample(name="rt.msg.push.latency_s", value=0.001 * i,
-                           ts=float(i)),
+                MetricRecord("observe", "rt.msg.push.latency_s", 0.001 * i),
                 recv_ts=float(i),
             )
         collector = obs.TraceCollector()
@@ -307,11 +318,11 @@ class TestAggregator:
     def test_drained_trace_judges_the_events_the_live_detectors_saw(self):
         # Worker 5 pushes at a quarter of its peers' rate; an abort burst.
         records = [
-            (end, LiveSpan(f"rt.worker-{worker}", "push", "span", end - 0.5, end))
+            (end, SpanRecord("wall", f"rt.worker-{worker}", "push", "span", end - 0.5, end))
             for worker in range(8)
             for end in ((4.0 if worker == 5 else 1.0) * i for i in range(1, 7))
         ] + [
-            (ts, LiveInstant("rt.worker-0", "abort", "abort", ts))
+            (ts, InstantRecord("wall", "rt.worker-0", "abort", "abort", ts))
             for ts in (2.0 + 0.05 * i for i in range(1, 17))
         ]
         aggregator = TelemetryAggregator()
@@ -336,7 +347,7 @@ class TestSession:
             attached = LiveTelemetrySession.attach(session.spec())
             try:
                 session.worker_ring(1).push(
-                    LiveCount(name="c", amount=1.0, ts=0.0)
+                    MetricRecord("count", "c", 1.0)
                 )
                 assert len(attached.worker_ring(1).drain()) == 1
                 with pytest.raises(RuntimeError, match="creating session"):
@@ -383,9 +394,9 @@ class TestSession:
     def test_aggregator_polls_every_ring(self):
         session = LiveTelemetrySession.create(num_workers=1, ring_bytes=4096)
         try:
-            session.parent_ring.push(LiveCount(name="p", amount=1.0, ts=0.0))
-            session.server_ring.push(LiveCount(name="s", amount=1.0, ts=0.0))
-            session.worker_ring(0).push(LiveCount(name="w", amount=1.0, ts=0.0))
+            session.parent_ring.push(MetricRecord("count", "p", 1.0))
+            session.server_ring.push(MetricRecord("count", "s", 1.0))
+            session.worker_ring(0).push(MetricRecord("count", "w", 1.0))
             aggregator = session.aggregator()
             assert aggregator.poll() == 3
             assert aggregator.snapshot()["counters"] == {

@@ -7,9 +7,12 @@ session (every worker's spans) and by the parent's collector alone (the
 parent's view only — its workers' spans went to their rings), which the
 gate must flag instead of passing an empty analysis.  The live session's
 snapshot — what ``repro top --json`` prints — is the same document as
-``repro analyze`` of the drained file.
+``repro analyze`` of the drained file, and a collector analysed in memory
+gives the bytes its exported file's analysis gives.
 """
 
+import copy
+import io
 import json
 
 import numpy as np
@@ -169,3 +172,42 @@ def test_collector_only_multiprocess_capture_trips_the_gate(captures, capsys):
     err = capsys.readouterr().err
     assert "TRACE-NO-WORKER-SPANS" in err
     assert "repro top --drain" in err
+
+
+def _six_scheme_des():
+    """The hash-seed test's runs: six schemes on 8 workers, one collector."""
+    from repro.experiments import scheme_catalog
+    from repro.sync.naive_wait import NaiveWaitingPolicy
+
+    catalog = scheme_catalog("tiny")
+    policies = [catalog[key].make for key in
+                ("original", "bsp", "ssp", "cherrypick", "adaptive")]
+    policies.append(lambda: NaiveWaitingPolicy(0.5))
+    with obs.collecting() as collector:
+        for make in policies:
+            tiny_workload().run(ClusterSpec.homogeneous(8), make(), seed=SEED, horizon_s=60.0)
+    return collector
+
+
+def _threaded():
+    with obs.collecting() as collector:
+        _wall_clock_run(ThreadedRun).run(0.4)
+    return collector
+
+
+@pytest.mark.parametrize("capture", [_six_scheme_des, _threaded], ids=["des", "threads"])
+def test_in_process_analysis_equals_the_file_analysis(capture):
+    """Analysing a collector's records in memory gives the bytes the
+    analysis of its exported file gives, and leaves the records as they
+    were."""
+    collector = capture()
+    before = copy.deepcopy(collector.records)
+    in_process = obs.analyze_records(
+        collector.records, collector.metadata, collector.metrics.snapshot()
+    )
+    assert collector.records == before
+    buffer = io.StringIO()
+    obs.write_chrome_trace(collector, buffer)
+    from_file = obs.analyze_trace(json.loads(buffer.getvalue()))
+    assert json.dumps(in_process, sort_keys=True) == json.dumps(from_file, sort_keys=True)
+    assert any(run["ledger"]["total_aborts"] > 0 for run in in_process["runs"])
