@@ -4,9 +4,14 @@ Every bench renders the same rows/series its paper table or figure reports,
 prints them, and archives them under ``benchmarks/results/`` so the numbers
 in EXPERIMENTS.md can be regenerated and diffed.
 
-Scale control: set ``REPRO_SCALE=smoke`` for a fast wiring check; the
-default (full) reproduces the paper's dimensions (40 workers, full
-horizons).
+Scale control: the default (full) reproduces the paper's dimensions (40
+workers, full horizons), and every shape assertion is written for it.
+``REPRO_SCALE=smoke`` shrinks the clusters and horizons, and some shape
+assertions do not hold there (Fig 11's at 5–10 workers, the broadcast
+ablation's amplification at m = 10), so a smoke bench run is not a wiring
+check.  The wiring check is CI's "every experiment driver at smoke scale"
+step: ``repro experiment NAME --scale smoke`` for every name in
+``repro.cli.EXPERIMENTS``.
 """
 
 from __future__ import annotations

@@ -56,7 +56,6 @@ def test_fig8_multiseed(benchmark, archive):
     at full scale; otherwise runs the MF workload only."""
     import os
 
-    from repro.experiments.fig8_multiseed import run_fig8_multiseed
     from repro.workloads.presets import PAPER_WORKLOADS, matrix_factorization_workload
 
     if SCALE is ExperimentScale.FULL and os.environ.get("REPRO_MULTISEED") == "1":
@@ -66,17 +65,18 @@ def test_fig8_multiseed(benchmark, archive):
 
     result = run_once(
         benchmark,
-        lambda: run_fig8_multiseed(SCALE, seeds=(1, 2, 3), workloads=workloads),
+        lambda: run_fig8(SCALE, seeds=(1, 2, 3), workloads=workloads,
+                         schemes=("original", "adaptive")),
     )
     archive("fig8_multiseed", result.render())
 
-    for variant in result.sweep.variants():
-        adaptive = result.sweep.cell(variant, "adaptive")
+    for variant in result.workloads():
+        adaptive = result.cell(variant, "adaptive")
         assert adaptive.converged_fraction == 1.0, (
             f"{variant}: adaptive failed on some seeds"
         )
         if SCALE is ExperimentScale.FULL:
-            speedup = result.speedups(variant)["adaptive"]
+            speedup = result.speedup(variant, "adaptive")
             assert speedup is not None and speedup > 1.5, (
                 f"{variant}: mean speedup {speedup}"
             )

@@ -22,15 +22,18 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from functools import partial
+from typing import Dict, Optional, Tuple
 
-from repro.cluster.spec import ClusterSpec
 from repro.core.hyperparams import SpecSyncHyperparams
 from repro.core.specsync import SpecSyncPolicy
-from repro.experiments.common import ExperimentScale
+from repro.experiments.common import (
+    Cell, CellRun, ExperimentScale, format_time, paper_cluster, render_table,
+    run_cells, time_to_target, unzip,
+)
 from repro.netsim.messages import CONTROL_MESSAGE_BYTES
 from repro.sync import AspPolicy, SspPolicy
-from repro.utils.tables import TextTable, format_bytes
+from repro.utils.tables import format_bytes
 from repro.workloads.presets import matrix_factorization_workload
 
 __all__ = [
@@ -84,23 +87,21 @@ class BroadcastAblation:
         return (self.broadcast_notify_bytes + unchanged) / self.measured_control_bytes
 
     def render(self) -> str:
-        table = TextTable(
-            ["architecture", "notify traffic", "all control traffic"],
-            title="Ablation: centralized scheduler vs broadcast",
-        )
         unchanged = self.measured_control_bytes - self.measured_notify_bytes
-        table.add_row([
-            "centralized (measured)",
-            format_bytes(self.measured_notify_bytes),
-            format_bytes(self.measured_control_bytes),
-        ])
-        table.add_row([
-            "broadcast (computed)",
-            format_bytes(self.broadcast_notify_bytes),
-            format_bytes(self.broadcast_notify_bytes + unchanged),
-        ])
+        table = render_table(
+            "Ablation: centralized scheduler vs broadcast",
+            ["architecture", "notify traffic", "all control traffic"],
+            [
+                ["centralized (measured)",
+                 format_bytes(self.measured_notify_bytes),
+                 format_bytes(self.measured_control_bytes)],
+                ["broadcast (computed)",
+                 format_bytes(self.broadcast_notify_bytes),
+                 format_bytes(self.broadcast_notify_bytes + unchanged)],
+            ],
+        )
         return (
-            table.render()
+            table
             + f"\nnotify amplification: {self.notify_amplification:.1f}x "
             f"(m-1 = {self.num_workers - 1})"
         )
@@ -109,10 +110,11 @@ class BroadcastAblation:
 def run_ablation_broadcast(
     scale: ExperimentScale = ExperimentScale.FULL, seed: int = 3
 ) -> BroadcastAblation:
-    num_workers = 40 if scale is ExperimentScale.FULL else 10
-    cluster = ClusterSpec.homogeneous(num_workers)
+    cluster = paper_cluster(scale)
     workload = matrix_factorization_workload(seed)
-    result = workload.run(cluster, SpecSyncPolicy.adaptive(), seed=seed)
+    (result,) = run_cells(
+        [Cell("adaptive", workload, cluster, SpecSyncPolicy.adaptive)], seed=seed
+    ).values()
 
     by_kind = result.ledger.bytes_by_kind()
     measured_notify = by_kind.get("notify", 0.0)
@@ -120,13 +122,13 @@ def run_ablation_broadcast(
     notifies = int(result.policy_summary.get("notifies_sent", 0))
     # Broadcast: each completed iteration's notify goes to all m−1 peers
     # instead of one scheduler.
-    broadcast_notify = notifies * (num_workers - 1) * CONTROL_MESSAGE_BYTES
+    broadcast_notify = notifies * (cluster.num_workers - 1) * CONTROL_MESSAGE_BYTES
     return BroadcastAblation(
         measured_control_bytes=measured_control,
         measured_notify_bytes=measured_notify,
         broadcast_notify_bytes=broadcast_notify,
         notifies_sent=notifies,
-        num_workers=num_workers,
+        num_workers=cluster.num_workers,
     )
 
 
@@ -134,25 +136,33 @@ def run_ablation_broadcast(
 # 2. SpecSync on SSP
 # ----------------------------------------------------------------------
 @dataclass
-class SspCompositionAblation:
+class _TimeAndStalenessTable:
+    """Time to target and mean staleness per named configuration."""
+
     time_to_target: Dict[str, Optional[float]]
     staleness: Dict[str, float]
     target: float
 
+    #: the table's title and first column
+    _title = ""
+    _label = ""
+
     def render(self) -> str:
-        table = TextTable(
-            ["scheme", "time to target", "mean staleness"],
-            title=f"Ablation: SpecSync composed with SSP (target {self.target})",
+        return render_table(
+            f"{self._title} (target {self.target})",
+            [self._label, "time to target", "mean staleness"],
+            (
+                [name, format_time(time), f"{self.staleness[name]:.1f}"]
+                for name, time in self.time_to_target.items()
+            ),
         )
-        for scheme, time in self.time_to_target.items():
-            table.add_row(
-                [
-                    scheme,
-                    f"{time:.0f}s" if time is not None else "did not converge",
-                    f"{self.staleness[scheme]:.1f}",
-                ]
-            )
-        return table.render()
+
+
+class SspCompositionAblation(_TimeAndStalenessTable):
+    """SpecSync layered over SSP, against both alone."""
+
+    _title = "Ablation: SpecSync composed with SSP"
+    _label = "scheme"
 
 
 def run_ablation_specsync_ssp(
@@ -160,28 +170,29 @@ def run_ablation_specsync_ssp(
     seed: int = 3,
     staleness_bound: int = 3,
 ) -> SspCompositionAblation:
-    num_workers = 40 if scale is ExperimentScale.FULL else 10
-    cluster = ClusterSpec.homogeneous(num_workers)
+    cluster = paper_cluster(scale)
     workload = matrix_factorization_workload(seed)
-
+    ssp = partial(SspPolicy, staleness_bound)
     policies = {
-        "asp": AspPolicy(),
-        f"ssp(s={staleness_bound})": SspPolicy(staleness_bound),
-        "specsync-adaptive": SpecSyncPolicy.adaptive(),
-        f"specsync-adaptive+ssp(s={staleness_bound})": SpecSyncPolicy.adaptive(
-            base_policy=SspPolicy(staleness_bound)
+        "asp": AspPolicy,
+        f"ssp(s={staleness_bound})": ssp,
+        "specsync-adaptive": SpecSyncPolicy.adaptive,
+        f"specsync-adaptive+ssp(s={staleness_bound})": lambda: (
+            SpecSyncPolicy.adaptive(base_policy=ssp())
         ),
     }
-    times: Dict[str, Optional[float]] = {}
-    staleness: Dict[str, float] = {}
-    for name, policy in policies.items():
-        result = workload.run(cluster, policy, seed=seed)
-        times[name] = result.time_to_convergence(workload.convergence)
-        staleness[name] = result.mean_staleness
+    times, staleness = unzip(run_cells(
+        [Cell(name, workload, cluster, policy) for name, policy in policies.items()],
+        _time_and_staleness, seed,
+    ))
     return SspCompositionAblation(
         time_to_target=times, staleness=staleness,
         target=workload.convergence.target_loss,
     )
+
+
+def _time_and_staleness(run: CellRun) -> Tuple[Optional[float], float]:
+    return time_to_target(run), run.result.mean_staleness
 
 
 # ----------------------------------------------------------------------
@@ -194,20 +205,15 @@ class AbortBudgetAblation:
     target: float
 
     def render(self) -> str:
-        table = TextTable(
+        return render_table(
+            f"Ablation: per-iteration abort budget (target {self.target})",
             ["max aborts/iteration", "time to target", "total aborts"],
-            title=f"Ablation: per-iteration abort budget (target {self.target})",
+            (
+                [budget, format_time(self.time_to_target[budget]),
+                 self.aborts[budget]]
+                for budget in sorted(self.time_to_target)
+            ),
         )
-        for budget in sorted(self.time_to_target):
-            time = self.time_to_target[budget]
-            table.add_row(
-                [
-                    budget,
-                    f"{time:.0f}s" if time is not None else "did not converge",
-                    self.aborts[budget],
-                ]
-            )
-        return table.render()
 
 
 def run_ablation_abort_budget(
@@ -215,21 +221,17 @@ def run_ablation_abort_budget(
     seed: int = 3,
     budgets: tuple = (0, 1, 2),
 ) -> AbortBudgetAblation:
-    num_workers = 40 if scale is ExperimentScale.FULL else 10
-    cluster = ClusterSpec.homogeneous(num_workers)
     workload = matrix_factorization_workload(seed)
-
-    times: Dict[int, Optional[float]] = {}
-    aborts: Dict[int, int] = {}
-    for budget in budgets:
-        result = workload.run(
-            cluster,
-            SpecSyncPolicy.adaptive(),
-            seed=seed,
-            max_aborts_per_iteration=budget,
-        )
-        times[budget] = result.time_to_convergence(workload.convergence)
-        aborts[budget] = result.total_aborts
+    cluster = paper_cluster(scale)
+    times, aborts = unzip(run_cells(
+        [
+            Cell(budget, workload, cluster, SpecSyncPolicy.adaptive,
+                 max_aborts_per_iteration=budget)
+            for budget in budgets
+        ],
+        lambda run: (time_to_target(run), run.result.total_aborts),
+        seed,
+    ))
     return AbortBudgetAblation(
         time_to_target=times, aborts=aborts,
         target=workload.convergence.target_loss,
@@ -245,55 +247,37 @@ class SensitivityAblation:
     target: float
 
     def render(self) -> str:
-        table = TextTable(
+        return render_table(
+            f"Ablation: fixed-hyperparameter sensitivity (target {self.target})",
             ["hyperparameters", "time to target"],
-            title=f"Ablation: fixed-hyperparameter sensitivity (target {self.target})",
+            ([label, format_time(time)] for label, time in self.time_to_target.items()),
         )
-        for label, time in self.time_to_target.items():
-            table.add_row(
-                [label, f"{time:.0f}s" if time is not None else "did not converge"]
-            )
-        return table.render()
 
 
 def run_ablation_sensitivity(
     scale: ExperimentScale = ExperimentScale.FULL, seed: int = 3
 ) -> SensitivityAblation:
-    num_workers = 40 if scale is ExperimentScale.FULL else 10
-    cluster = ClusterSpec.homogeneous(num_workers)
+    cluster = paper_cluster(scale)
     workload = matrix_factorization_workload(seed)
     iteration = workload.paper_iteration_time_s
 
+    def fixed(window: float, rate: float):
+        return partial(SpecSyncPolicy.cherrypick, SpecSyncHyperparams(window, rate))
+
     variants = {
-        "adaptive (Algorithm 1)": SpecSyncPolicy.adaptive(),
-        "fixed: window T/6, rate 0.25": SpecSyncPolicy.cherrypick(
-            SpecSyncHyperparams(iteration / 6.0, 0.25)
-        ),
-        "fixed: window T/2, rate 0.05 (over-eager)": SpecSyncPolicy.cherrypick(
-            SpecSyncHyperparams(iteration / 2.0, 0.05)
-        ),
-        "fixed: window T/50, rate 0.9 (never aborts)": SpecSyncPolicy.cherrypick(
-            SpecSyncHyperparams(iteration / 50.0, 0.9)
-        ),
+        "adaptive (Algorithm 1)": SpecSyncPolicy.adaptive,
+        "fixed: window T/6, rate 0.25": fixed(iteration / 6.0, 0.25),
+        "fixed: window T/2, rate 0.05 (over-eager)": fixed(iteration / 2.0, 0.05),
+        "fixed: window T/50, rate 0.9 (never aborts)": fixed(iteration / 50.0, 0.9),
     }
-    times: Dict[str, Optional[float]] = {}
-    for label, policy in variants.items():
-        result = workload.run(cluster, policy, seed=seed)
-        times[label] = result.time_to_convergence(workload.convergence)
     return SensitivityAblation(
-        time_to_target=times, target=workload.convergence.target_loss
+        time_to_target=run_cells(
+            [Cell(label, workload, cluster, policy)
+             for label, policy in variants.items()],
+            time_to_target, seed,
+        ),
+        target=workload.convergence.target_loss,
     )
-
-
-if __name__ == "__main__":
-    scale = ExperimentScale.from_env()
-    print(run_ablation_broadcast(scale).render())
-    print()
-    print(run_ablation_specsync_ssp(scale).render())
-    print()
-    print(run_ablation_abort_budget(scale).render())
-    print()
-    print(run_ablation_sensitivity(scale).render())
 
 
 # ----------------------------------------------------------------------
@@ -307,16 +291,14 @@ class OptimizerAblation:
     final_loss: Dict[str, float]
 
     def render(self) -> str:
-        table = TextTable(
+        return render_table(
+            "Ablation: server optimizer (SGD vs AdaGrad)",
             ["configuration", "mean staleness", "final loss"],
-            title="Ablation: server optimizer (SGD vs AdaGrad)",
+            (
+                [name, f"{self.staleness[name]:.1f}", f"{self.final_loss[name]:.4f}"]
+                for name in self.staleness
+            ),
         )
-        for name in self.staleness:
-            table.add_row(
-                [name, f"{self.staleness[name]:.1f}",
-                 f"{self.final_loss[name]:.4f}"]
-            )
-        return table.render()
 
 
 def run_ablation_optimizer(
@@ -327,27 +309,25 @@ def run_ablation_optimizer(
     reduction (an extension experiment; the paper only ran SGD)."""
     from repro.ml.optim import AdaGradUpdateRule, ConstantSchedule
 
-    num_workers = 40 if scale is ExperimentScale.FULL else 10
-    cluster = ClusterSpec.homogeneous(num_workers)
+    cluster = paper_cluster(scale)
     base = matrix_factorization_workload(seed)
     horizon = 450.0 if scale is ExperimentScale.FULL else 120.0
-
-    staleness: Dict[str, float] = {}
-    final_loss: Dict[str, float] = {}
-    for optimizer_name, rule_factory in [
-        ("sgd", base.update_rule_factory),
-        ("adagrad", lambda: AdaGradUpdateRule(ConstantSchedule(0.3))),
-    ]:
-        workload = base.with_overrides(update_rule_factory=rule_factory)
-        for scheme_name, policy_factory in [
-            ("asp", AspPolicy), ("specsync", SpecSyncPolicy.adaptive)
-        ]:
-            result = workload.run(
-                cluster, policy_factory(), seed=seed, horizon_s=horizon
-            )
-            key = f"{optimizer_name}+{scheme_name}"
-            staleness[key] = result.mean_staleness
-            final_loss[key] = result.final_loss
+    rules = {
+        "sgd": base.update_rule_factory,
+        "adagrad": lambda: AdaGradUpdateRule(ConstantSchedule(0.3)),
+    }
+    schemes = {"asp": AspPolicy, "specsync": SpecSyncPolicy.adaptive}
+    staleness, final_loss = unzip(run_cells(
+        [
+            Cell(f"{optimizer_name}+{scheme_name}",
+                 base.with_overrides(update_rule_factory=rule_factory),
+                 cluster, policy, horizon_s=horizon)
+            for optimizer_name, rule_factory in rules.items()
+            for scheme_name, policy in schemes.items()
+        ],
+        lambda run: (run.result.mean_staleness, run.result.final_loss),
+        seed,
+    ))
     return OptimizerAblation(staleness=staleness, final_loss=final_loss)
 
 
@@ -364,21 +344,16 @@ class FailureInjectionAblation:
     target: float
 
     def render(self) -> str:
-        table = TextTable(
+        return render_table(
+            "Ablation: fail-slow node injection (worker 0, 4x for 1/3 of the run)",
             ["scheme", "p95 staleness", "time to target", "victim iterations"],
-            title="Ablation: fail-slow node injection (worker 0, 4x for 1/3 of the run)",
+            (
+                [name, f"{self.staleness_p95[name]:.0f}",
+                 format_time(self.time_to_target[name]),
+                 self.victim_iterations[name]]
+                for name in self.staleness_p95
+            ),
         )
-        for name in self.staleness_p95:
-            time = self.time_to_target[name]
-            table.add_row(
-                [
-                    name,
-                    f"{self.staleness_p95[name]:.0f}",
-                    f"{time:.0f}s" if time is not None else "did not converge",
-                    self.victim_iterations[name],
-                ]
-            )
-        return table.render()
 
 
 def run_ablation_failure_injection(
@@ -386,10 +361,8 @@ def run_ablation_failure_injection(
 ) -> FailureInjectionAblation:
     from repro.cluster.scenarios import SlowdownWindow, build_scenario_models
     from repro.metrics.staleness import StalenessAnalysis
-    from repro.utils.rng import RngStreams
 
-    num_workers = 40 if scale is ExperimentScale.FULL else 10
-    cluster = ClusterSpec.homogeneous(num_workers)
+    cluster = paper_cluster(scale)
     workload = matrix_factorization_workload(seed)
     horizon = workload.default_horizon_s
     window = SlowdownWindow(
@@ -398,41 +371,20 @@ def run_ablation_failure_injection(
     models = build_scenario_models(
         cluster, workload.base_compute, {0: [window]}
     )
-
-    staleness_p95: Dict[str, float] = {}
-    times: Dict[str, Optional[float]] = {}
-    victim: Dict[str, int] = {}
-    for name, policy_factory in [("asp", AspPolicy),
-                                 ("specsync", SpecSyncPolicy.adaptive)]:
-        dataset = workload.dataset_factory(seed)
-        partitions = dataset.partition(
-            cluster.num_workers, RngStreams(seed).get("partition")
-        )
-        from repro.ps.engine import TrainingEngine, EngineConfig
-
-        engine = TrainingEngine(
-            model=workload.model_factory(),
-            partitions=partitions,
-            eval_batch=dataset.eval_batch(),
-            update_rule=workload.update_rule_factory(),
-            policy=policy_factory(),
-            cluster=cluster,
-            base_compute_model=workload.base_compute,
-            config=EngineConfig(
-                batch_size=workload.batch_size,
-                horizon_s=horizon,
-                eval_interval_s=workload.eval_interval_s,
-                param_wire_bytes=workload.param_wire_bytes,
-                link=workload.link,
-            ),
-            seed=seed,
-            workload_name=workload.name,
-            compute_models=models,
-        )
-        result = engine.run()
-        staleness_p95[name] = StalenessAnalysis(result.traces).overall.p95
-        times[name] = result.time_to_convergence(workload.convergence)
-        victim[name] = result.worker_stats[0].iterations
+    staleness_p95, times, victim = unzip(run_cells(
+        [
+            Cell(name, workload, cluster, policy, horizon_s=horizon,
+                 compute_models=models)
+            for name, policy in [("asp", AspPolicy),
+                                 ("specsync", SpecSyncPolicy.adaptive)]
+        ],
+        lambda run: (
+            StalenessAnalysis(run.result.traces).overall.p95,
+            time_to_target(run),
+            run.result.worker_stats[0].iterations,
+        ),
+        seed,
+    ))
     return FailureInjectionAblation(
         staleness_p95=staleness_p95,
         time_to_target=times,
@@ -444,31 +396,11 @@ def run_ablation_failure_injection(
 # ----------------------------------------------------------------------
 # 7. Orthogonality with staleness-aware SGD (related work [29])
 # ----------------------------------------------------------------------
-@dataclass
-class OrthogonalityAblation:
+class OrthogonalityAblation(_TimeAndStalenessTable):
     """SpecSync combined with staleness-aware learning rates."""
 
-    time_to_target: Dict[str, Optional[float]]
-    staleness: Dict[str, float]
-    target: float
-
-    def render(self) -> str:
-        table = TextTable(
-            ["configuration", "time to target", "mean staleness"],
-            title=(
-                "Ablation: orthogonality with staleness-aware SGD "
-                f"(target {self.target})"
-            ),
-        )
-        for name, time in self.time_to_target.items():
-            table.add_row(
-                [
-                    name,
-                    f"{time:.0f}s" if time is not None else "did not converge",
-                    f"{self.staleness[name]:.1f}",
-                ]
-            )
-        return table.render()
+    _title = "Ablation: orthogonality with staleness-aware SGD"
+    _label = "configuration"
 
 
 def run_ablation_orthogonality(
@@ -479,37 +411,29 @@ def run_ablation_orthogonality(
     plain ASP, staleness-aware ASP, SpecSync, and the combination."""
     from repro.ml.optim import StalenessAwareUpdateRule, StepDecaySchedule
 
-    num_workers = 40 if scale is ExperimentScale.FULL else 10
-    cluster = ClusterSpec.homogeneous(num_workers)
+    cluster = paper_cluster(scale)
     base = matrix_factorization_workload(seed)
     # Same schedule as the MF preset; relative damping around the expected
     # ASP staleness (m−1) so typical pushes keep the tuned rate and only
     # the extra-stale tail is damped.
-    aware_factory = lambda: StalenessAwareUpdateRule(  # noqa: E731
+    aware = base.with_overrides(update_rule_factory=lambda: StalenessAwareUpdateRule(
         StepDecaySchedule(0.35, (5000, 8000), 0.4),
         min_scale=0.05, clip_norm=10.0,
-        reference_staleness=num_workers - 1,
-    )
-
+        reference_staleness=cluster.num_workers - 1,
+    ))
     configs = {
         "asp + plain sgd": (base, AspPolicy),
-        "asp + staleness-aware": (
-            base.with_overrides(update_rule_factory=aware_factory), AspPolicy
-        ),
+        "asp + staleness-aware": (aware, AspPolicy),
         "specsync + plain sgd": (base, SpecSyncPolicy.adaptive),
-        "specsync + staleness-aware": (
-            base.with_overrides(update_rule_factory=aware_factory),
-            SpecSyncPolicy.adaptive,
-        ),
+        "specsync + staleness-aware": (aware, SpecSyncPolicy.adaptive),
     }
-    times: Dict[str, Optional[float]] = {}
-    staleness: Dict[str, float] = {}
-    for name, (workload, policy_factory) in configs.items():
-        result = workload.run(
-            cluster, policy_factory(), seed=seed, early_stop=True
-        )
-        times[name] = result.time_to_convergence(workload.convergence)
-        staleness[name] = result.mean_staleness
+    times, staleness = unzip(run_cells(
+        [
+            Cell(name, workload, cluster, policy, early_stop=True)
+            for name, (workload, policy) in configs.items()
+        ],
+        _time_and_staleness, seed,
+    ))
     return OrthogonalityAblation(
         time_to_target=times, staleness=staleness,
         target=base.convergence.target_loss,

@@ -12,6 +12,7 @@ quantifies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from repro.cluster.spec import ClusterSpec
 from repro.core.hyperparams import SpecSyncHyperparams
 from repro.core.specsync import SpecSyncPolicy
-from repro.utils.tables import TextTable
+from repro.experiments.common import Cell, render_table, run_cells
 from repro.workloads.base import Workload
 
 __all__ = ["GridTrial", "GridSearchResult", "grid_search_hyperparams"]
@@ -46,23 +47,19 @@ class GridSearchResult:
         return len(self.trials)
 
     def render(self, top: int = 5) -> str:
-        table = TextTable(
+        table = render_table(
+            f"Cherrypick grid search on {self.workload}: "
+            f"{self.num_trials} trials, "
+            f"{self.total_virtual_time_s / 3600:.1f} virtual hours",
             ["ABORT_TIME", "ABORT_RATE", "loss at budget"],
-            title=(
-                f"Cherrypick grid search on {self.workload}: "
-                f"{self.num_trials} trials, "
-                f"{self.total_virtual_time_s / 3600:.1f} virtual hours"
+            (
+                [f"{trial.hyperparams.abort_time_s:.3g}s",
+                 f"{trial.hyperparams.abort_rate:.2f}",
+                 f"{trial.score_loss:.4f}"]
+                for trial in sorted(self.trials, key=lambda t: t.score_loss)[:top]
             ),
         )
-        for trial in sorted(self.trials, key=lambda t: t.score_loss)[:top]:
-            table.add_row(
-                [
-                    f"{trial.hyperparams.abort_time_s:.3g}s",
-                    f"{trial.hyperparams.abort_rate:.2f}",
-                    f"{trial.score_loss:.4f}",
-                ]
-            )
-        return table.render() + f"\nbest: {self.best}"
+        return table + f"\nbest: {self.best}"
 
 
 def default_grid(
@@ -104,28 +101,27 @@ def grid_search_hyperparams(
         if probe_horizon_s is not None
         else workload.default_horizon_s / 4.0
     )
-    cells = (
+    points = (
         list(grid)
         if grid is not None
         else default_grid(
             workload.paper_iteration_time_s, num_abort_times, num_abort_rates
         )
     )
-    trials: List[GridTrial] = []
-    for hyperparams in cells:
-        result = workload.run(
-            cluster,
-            SpecSyncPolicy.cherrypick(hyperparams),
-            seed=seed,
-            horizon_s=horizon,
-        )
-        trials.append(
-            GridTrial(
-                hyperparams=hyperparams,
-                score_loss=result.curve.best_loss(),
-                probe_time_s=horizon,
-            )
-        )
+    # Grid points are keyed by index: two cells may hold equal hyperparams.
+    losses = run_cells(
+        [
+            Cell(i, workload, cluster,
+                 partial(SpecSyncPolicy.cherrypick, hyperparams), horizon_s=horizon)
+            for i, hyperparams in enumerate(points)
+        ],
+        lambda run: run.result.curve.best_loss(),
+        seed,
+    )
+    trials = [
+        GridTrial(hyperparams=hyperparams, score_loss=losses[i], probe_time_s=horizon)
+        for i, hyperparams in enumerate(points)
+    ]
     best = min(trials, key=lambda t: t.score_loss).hyperparams
     return GridSearchResult(
         workload=workload.name,

@@ -16,9 +16,11 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.cluster.spec import ClusterSpec
-from repro.experiments.common import ExperimentScale, run_scheme, scheme_catalog
+from repro.experiments.common import (
+    Cell, ExperimentScale, format_speedup, format_time, nest, paper_cluster, ratio,
+    render_table, run_cells, scheme_catalog, time_to_target, unzip,
+)
 from repro.metrics.curves import LossCurve
-from repro.utils.tables import TextTable
 from repro.workloads.presets import cifar10_workload
 
 __all__ = ["Fig10Result", "run_fig10"]
@@ -33,70 +35,46 @@ class Fig10Result:
     target: float
 
     def speedup(self, cluster_kind: str) -> Optional[float]:
-        orig = self.time_to_target[cluster_kind].get("original")
-        spec = self.time_to_target[cluster_kind].get("adaptive")
-        if orig is None or spec is None:
-            return None
-        return orig / spec
+        times = self.time_to_target[cluster_kind]
+        return ratio(times.get("original"), times.get("adaptive"))
 
     def render(self) -> str:
-        table = TextTable(
+        return render_table(
+            f"Fig. 10: CIFAR-10 heterogeneity robustness (target {self.target})",
             ["Cluster", "Scheme", "Time to target", "Speedup"],
-            title=f"Fig. 10: CIFAR-10 heterogeneity robustness (target {self.target})",
+            (
+                [kind, scheme, format_time(per_scheme.get(scheme)),
+                 format_speedup(self.speedup(kind) if scheme == "adaptive" else None)]
+                for kind, per_scheme in self.time_to_target.items()
+                for scheme in ("original", "adaptive")
+            ),
         )
-        for kind, per_scheme in self.time_to_target.items():
-            speedup = self.speedup(kind)
-            for scheme in ("original", "adaptive"):
-                time = per_scheme.get(scheme)
-                table.add_row(
-                    [
-                        kind,
-                        scheme,
-                        f"{time:.0f}s" if time is not None else "did not converge",
-                        f"{speedup:.2f}x" if (
-                            scheme == "adaptive" and speedup is not None
-                        ) else "-",
-                    ]
-                )
-        return table.render()
 
 
 def run_fig10(
     scale: ExperimentScale = ExperimentScale.FULL, seed: int = 3
 ) -> Fig10Result:
-    if scale is ExperimentScale.FULL:
-        clusters = {
-            "homogeneous (Cluster 1)": ClusterSpec.homogeneous(40),
-            "heterogeneous (Cluster 2)": ClusterSpec.heterogeneous(),
-        }
-    else:
-        clusters = {
-            "homogeneous (Cluster 1)": ClusterSpec.homogeneous(8),
-            "heterogeneous (Cluster 2)": ClusterSpec.heterogeneous(
-                [("m3.xlarge", 2), ("m3.2xlarge", 2),
-                 ("m4.xlarge", 2), ("m4.2xlarge", 2)]
-            ),
-        }
+    per_type = 10 if scale is ExperimentScale.FULL else 2
+    clusters = {
+        "homogeneous (Cluster 1)": paper_cluster(scale, smoke_workers=8),
+        "heterogeneous (Cluster 2)": ClusterSpec.heterogeneous(
+            [(name, per_type)
+             for name in ("m3.xlarge", "m3.2xlarge", "m4.xlarge", "m4.2xlarge")]
+        ),
+    }
     workload = cifar10_workload(seed)
     catalog = scheme_catalog(workload.name)
-
-    curves: Dict[str, Dict[str, LossCurve]] = {}
-    times: Dict[str, Dict[str, Optional[float]]] = {}
-    for kind, cluster in clusters.items():
-        curves[kind] = {}
-        times[kind] = {}
-        for scheme_key in ("original", "adaptive"):
-            result = run_scheme(workload, cluster, catalog[scheme_key], seed=seed,
-                                early_stop=True)
-            curves[kind][scheme_key] = result.curve
-            times[kind][scheme_key] = result.time_to_convergence(
-                workload.convergence
-            )
+    curves, times = unzip(run_cells(
+        [
+            Cell((kind, key), workload, cluster, catalog[key].factory,
+                 early_stop=True)
+            for kind, cluster in clusters.items()
+            for key in ("original", "adaptive")
+        ],
+        lambda run: (run.result.curve, time_to_target(run)),
+        seed,
+    ))
     return Fig10Result(
-        curves=curves, time_to_target=times,
+        curves=nest(curves), time_to_target=nest(times),
         target=workload.convergence.target_loss,
     )
-
-
-if __name__ == "__main__":
-    print(run_fig10(ExperimentScale.from_env()).render())

@@ -18,8 +18,10 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 from repro.cluster.spec import ClusterSpec
-from repro.experiments.common import ExperimentScale, run_scheme, scheme_catalog
-from repro.utils.tables import TextTable
+from repro.experiments.common import (
+    Cell, ExperimentScale, format_speedup, nest, ratio, render_table,
+    run_cells, scheme_catalog, time_to_target, unzip,
+)
 from repro.workloads.presets import cifar10_workload
 
 __all__ = ["Fig11Result", "run_fig11", "CLUSTER_SIZES"]
@@ -37,11 +39,8 @@ class Fig11Result:
     target: float
 
     def speedup(self, size: int) -> Optional[float]:
-        orig = self.time_to_target[size].get("original")
-        spec = self.time_to_target[size].get("adaptive")
-        if orig is None or spec is None:
-            return None
-        return orig / spec
+        times = self.time_to_target[size]
+        return ratio(times.get("original"), times.get("adaptive"))
 
     def loss_improvement(self, size: int) -> float:
         """Relative loss improvement at the fixed budget (positive = better)."""
@@ -50,26 +49,19 @@ class Fig11Result:
         return (orig - spec) / orig
 
     def render(self) -> str:
-        table = TextTable(
+        return render_table(
+            f"Fig. 11: CIFAR-10 scalability "
+            f"(target {self.target}, budget {self.budget_s:.0f}s)",
             ["Workers", "Speedup to target", "Loss (Original)",
              "Loss (Adaptive)", "Improvement at budget"],
-            title=(
-                f"Fig. 11: CIFAR-10 scalability "
-                f"(target {self.target}, budget {self.budget_s:.0f}s)"
+            (
+                [size, format_speedup(self.speedup(size)),
+                 f"{self.loss_at_budget[size]['original']:.3f}",
+                 f"{self.loss_at_budget[size]['adaptive']:.3f}",
+                 f"{self.loss_improvement(size):.0%}"]
+                for size in sorted(self.time_to_target)
             ),
         )
-        for size in sorted(self.time_to_target):
-            speedup = self.speedup(size)
-            table.add_row(
-                [
-                    size,
-                    f"{speedup:.2f}x" if speedup is not None else "-",
-                    f"{self.loss_at_budget[size]['original']:.3f}",
-                    f"{self.loss_at_budget[size]['adaptive']:.3f}",
-                    f"{self.loss_improvement(size):.0%}",
-                ]
-            )
-        return table.render()
 
 
 def run_fig11(
@@ -83,26 +75,19 @@ def run_fig11(
     workload = cifar10_workload(seed)
     catalog = scheme_catalog(workload.name)
     budget = budget_s if budget_s is not None else workload.default_horizon_s / 4
-
-    times: Dict[int, Dict[str, Optional[float]]] = {}
-    losses: Dict[int, Dict[str, float]] = {}
-    for size in sizes:
-        cluster = ClusterSpec.homogeneous(size)
-        times[size] = {}
-        losses[size] = {}
-        for scheme_key in ("original", "adaptive"):
-            result = run_scheme(workload, cluster, catalog[scheme_key], seed=seed)
-            times[size][scheme_key] = result.time_to_convergence(
-                workload.convergence
-            )
-            losses[size][scheme_key] = result.curve.loss_at_time(budget)
+    times, losses = unzip(run_cells(
+        [
+            Cell((size, key), workload, ClusterSpec.homogeneous(size),
+                 catalog[key].factory)
+            for size in sizes
+            for key in ("original", "adaptive")
+        ],
+        lambda run: (time_to_target(run), run.result.curve.loss_at_time(budget)),
+        seed,
+    ))
     return Fig11Result(
-        time_to_target=times,
-        loss_at_budget=losses,
+        time_to_target=nest(times),
+        loss_at_budget=nest(losses),
         budget_s=budget,
         target=workload.convergence.target_loss,
     )
-
-
-if __name__ == "__main__":
-    print(run_fig11(ExperimentScale.from_env()).render())

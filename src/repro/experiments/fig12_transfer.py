@@ -16,11 +16,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.spec import ClusterSpec
-from repro.experiments.common import ExperimentScale, run_scheme, scheme_catalog
+from repro.experiments.common import (
+    Cell, CellRun, ExperimentScale, nest, paper_cluster, paper_workloads,
+    ratio, run_cells, scheme_catalog, time_to_target, unzip,
+)
 from repro.utils.tables import TextTable, format_bytes
 from repro.workloads.base import Workload
-from repro.workloads.presets import PAPER_WORKLOADS
 
 __all__ = ["Fig12Result", "run_fig12"]
 
@@ -42,11 +43,9 @@ class Fig12Result:
 
     def transfer_saving(self, workload: str) -> Optional[float]:
         """Fractional total-transfer saving to convergence (paper: ~40%)."""
-        orig = self.total_to_convergence[workload]["original"]
-        spec = self.total_to_convergence[workload]["adaptive"]
-        if orig is None or spec is None or orig == 0:
-            return None
-        return 1.0 - spec / orig
+        totals = self.total_to_convergence[workload]
+        share = ratio(totals["adaptive"], totals["original"])
+        return None if share is None else 1.0 - share
 
     def render(self) -> str:
         table = TextTable(
@@ -78,40 +77,28 @@ def run_fig12(
     workloads: Optional[Sequence[Workload]] = None,
     num_samples: int = 50,
 ) -> Fig12Result:
-    num_workers = 40 if scale is ExperimentScale.FULL else 10
-    cluster = ClusterSpec.homogeneous(num_workers)
-    if workloads is None:
-        workloads = PAPER_WORKLOADS(seed)
-        if scale is ExperimentScale.SMOKE:
-            workloads = workloads[:1]
+    cluster = paper_cluster(scale)
+    workloads = paper_workloads(scale, seed, workloads)
 
-    series: Dict[str, Dict[str, List[Tuple[float, float]]]] = {}
-    totals: Dict[str, Dict[str, Optional[float]]] = {}
-    rates: Dict[str, Dict[str, float]] = {}
-    for workload in workloads:
-        series[workload.name] = {}
-        totals[workload.name] = {}
-        rates[workload.name] = {}
-        catalog = scheme_catalog(workload.name)
-        for scheme_key in ("original", "adaptive"):
-            result = run_scheme(workload, cluster, catalog[scheme_key], seed=seed)
-            sample_times = list(
-                np.linspace(0.0, workload.default_horizon_s, num_samples)
-            )
-            series[workload.name][scheme_key] = result.ledger.cumulative_series(
-                sample_times
-            )
-            converge_time = result.time_to_convergence(workload.convergence)
-            totals[workload.name][scheme_key] = (
-                result.ledger.cumulative_at(converge_time)
-                if converge_time is not None
-                else None
-            )
-            rates[workload.name][scheme_key] = (
-                result.ledger.total_bytes / workload.default_horizon_s
-            )
-    return Fig12Result(series=series, total_to_convergence=totals, rate=rates)
+    def extract(run: CellRun) -> Tuple[List[Tuple[float, float]], Optional[float], float]:
+        ledger = run.result.ledger
+        horizon = run.cell.workload.default_horizon_s
+        converge_time = time_to_target(run)
+        return (
+            ledger.cumulative_series(list(np.linspace(0.0, horizon, num_samples))),
+            ledger.cumulative_at(converge_time) if converge_time is not None else None,
+            ledger.total_bytes / horizon,
+        )
 
-
-if __name__ == "__main__":
-    print(run_fig12(ExperimentScale.from_env()).render())
+    series, totals, rates = unzip(run_cells(
+        [
+            Cell((w.name, key), w, cluster,
+                 scheme_catalog(w.name)[key].factory)
+            for w in workloads
+            for key in ("original", "adaptive")
+        ],
+        extract, seed,
+    ))
+    return Fig12Result(
+        series=nest(series), total_to_convergence=nest(totals), rate=nest(rates)
+    )

@@ -5,21 +5,24 @@ pushes, and SpecSync control traffic (notify / re-sync / acks), per
 workload.  The control share should be negligible — the property that makes
 the centralized-scheduler design viable (paper Section V-A).
 
-Each run is also traced and fed through :mod:`repro.obs.analysis`, so the
-table is accompanied by a per-scheme critical-path/wasted-work breakdown
-(ASP vs SSP vs Adaptive) on the same seeds.
+Each run is traced and fed through :mod:`repro.obs.analysis`, so the table
+is accompanied by a per-scheme critical-path/wasted-work breakdown (ASP vs
+SSP vs Adaptive) on the same seeds; the traced Adaptive run's ledger is the
+byte table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
-from repro.cluster.spec import ClusterSpec
-from repro.experiments.common import ExperimentScale, run_scheme, scheme_catalog
+from repro import obs
+from repro.experiments.common import (
+    Cell, CellRun, ExperimentScale, nest, paper_cluster, paper_workloads,
+    run_cells, scheme_catalog, unzip,
+)
 from repro.utils.tables import TextTable, format_bytes
 from repro.workloads.base import Workload
-from repro.workloads.presets import PAPER_WORKLOADS
 
 __all__ = ["Fig13Result", "run_fig13"]
 
@@ -87,58 +90,37 @@ def run_fig13(
     seed: int = 3,
     workloads: Optional[Sequence[Workload]] = None,
 ) -> Fig13Result:
-    num_workers = 40 if scale is ExperimentScale.FULL else 10
-    cluster = ClusterSpec.homogeneous(num_workers)
-    if workloads is None:
-        workloads = PAPER_WORKLOADS(seed)
-        if scale is ExperimentScale.SMOKE:
-            workloads = workloads[:1]
-
-    breakdown: Dict[str, Dict[str, float]] = {}
-    by_kind: Dict[str, Dict[str, float]] = {}
-    analytics: Dict[str, Dict[str, dict]] = {}
-    for workload in workloads:
-        catalog = scheme_catalog(workload.name)
-        result = run_scheme(workload, cluster, catalog["adaptive"], seed=seed)
-        breakdown[workload.name] = result.ledger.bytes_by_category()
-        by_kind[workload.name] = result.ledger.bytes_by_kind()
-        analytics[workload.name] = {
-            scheme: _traced_analytics(workload, cluster, catalog[scheme], seed)
-            for scheme in _ANALYTICS_SCHEMES
-        }
+    cluster = paper_cluster(scale)
+    workloads = paper_workloads(scale, seed, workloads)
+    summaries, by_category, by_kind = unzip(run_cells(
+        [
+            Cell((w.name, key), w, cluster,
+                 scheme_catalog(w.name)[key].factory, traced=True)
+            for w in workloads
+            for key in _ANALYTICS_SCHEMES
+        ],
+        _analytics, seed,
+    ))
     return Fig13Result(
-        breakdown=breakdown, by_kind=by_kind, analytics=analytics
+        breakdown={w.name: by_category[w.name, "adaptive"] for w in workloads},
+        by_kind={w.name: by_kind[w.name, "adaptive"] for w in workloads},
+        analytics=nest(summaries),
     )
 
 
-def _traced_analytics(workload, cluster, spec, seed: int) -> dict:
-    """One traced run of ``spec``, reduced to the analytics summary row.
-
-    Reuses an ambient collector when the whole experiment is being traced
-    (``repro experiment fig13 --trace``) and analyses only the records
-    this run appended to it.
-    """
-    from repro import obs
-
-    collector = obs.current_collector()
-    if collector is not None:
-        first = len(collector.records)
-        run_scheme(workload, cluster, spec, seed=seed)
-    else:
-        first = 0
-        collector = obs.TraceCollector()
-        with obs.collecting(collector):
-            run_scheme(workload, cluster, spec, seed=seed)
-    (run,) = obs.analyze_records(collector.records[first:])["runs"]
-    ledger = run["ledger"]
-    return {
-        "by_category": run["critical_path"]["by_category"],
-        "total_s": run["critical_path"]["total_s"],
+def _analytics(run: CellRun) -> Tuple[dict, Dict[str, float], Dict[str, float]]:
+    """One traced run, reduced to its analytics summary row and its bytes."""
+    (analysis,) = obs.analyze_records(run.records)["runs"]
+    ledger = analysis["ledger"]
+    summary = {
+        "by_category": analysis["critical_path"]["by_category"],
+        "total_s": analysis["critical_path"]["total_s"],
         "total_aborts": ledger["total_aborts"],
         "aborted_compute_s": ledger["total_aborted_compute_s"],
         "mean_realized_gain": ledger["mean_realized_gain"],
     }
-
-
-if __name__ == "__main__":
-    print(run_fig13(ExperimentScale.from_env()).render())
+    return (
+        summary,
+        run.result.ledger.bytes_by_category(),
+        run.result.ledger.bytes_by_kind(),
+    )

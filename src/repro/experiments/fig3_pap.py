@@ -12,12 +12,13 @@ pushes uncovered within the first two seconds after a pull is > 6.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
-from repro.cluster.spec import ClusterSpec
-from repro.experiments.common import ExperimentScale, run_scheme, scheme_catalog
+from repro.experiments.common import (
+    Cell, CellRun, ExperimentScale, paper_cluster, render_table, run_cells,
+    scheme_catalog, unzip,
+)
 from repro.metrics.pap import BoxStats, PapAnalysis
-from repro.utils.tables import TextTable
 from repro.workloads.presets import cifar10_workload, matrix_factorization_workload
 
 __all__ = ["Fig3Result", "run_fig3"]
@@ -34,18 +35,16 @@ class Fig3Result:
     def render(self) -> str:
         blocks: List[str] = []
         for workload, intervals in self.boxes.items():
-            table = TextTable(
+            blocks.append(render_table(
+                f"Fig. 3 ({workload}): PAP per 1s interval, "
+                f"{self.num_workers} workers",
                 ["interval", "p5", "p25", "median", "p75", "p95"],
-                title=f"Fig. 3 ({workload}): PAP per 1s interval, "
-                      f"{self.num_workers} workers",
-            )
-            for idx in sorted(intervals):
-                box = intervals[idx]
-                table.add_row(
+                (
                     [f"{idx}-{idx + 1}s", f"{box.p5:.0f}", f"{box.p25:.0f}",
                      f"{box.median:.0f}", f"{box.p75:.0f}", f"{box.p95:.0f}"]
-                )
-            blocks.append(table.render())
+                    for idx, box in sorted(intervals.items())
+                ),
+            ))
             blocks.append(
                 f"median PAP within 2s: {self.median_pap_2s[workload]:.1f} "
                 f"(paper: > 6 for CIFAR-10)"
@@ -56,27 +55,25 @@ class Fig3Result:
 def run_fig3(
     scale: ExperimentScale = ExperimentScale.FULL, seed: int = 3
 ) -> Fig3Result:
-    num_workers = 40 if scale is ExperimentScale.FULL else 10
-    cluster = ClusterSpec.homogeneous(num_workers)
+    cluster = paper_cluster(scale)
     workloads = [cifar10_workload(seed), matrix_factorization_workload(seed)]
-
-    boxes: Dict[str, Dict[int, BoxStats]] = {}
-    medians: Dict[str, float] = {}
-    for workload in workloads:
-        # Enough virtual time for every worker to run ~40 iterations.
-        horizon = workload.paper_iteration_time_s * 40
-        num_intervals = max(2, int(workload.paper_iteration_time_s))
-        result = run_scheme(
-            workload, cluster, scheme_catalog(workload.name)["original"],
-            seed=seed, horizon_s=horizon,
-        )
-        analysis = PapAnalysis(
-            result.traces, interval_s=1.0, num_intervals=num_intervals
-        )
-        boxes[workload.name] = analysis.boxes
-        medians[workload.name] = analysis.median_pap_within(2.0)
-    return Fig3Result(boxes=boxes, median_pap_2s=medians, num_workers=num_workers)
+    # Enough virtual time for every worker to run ~40 iterations.
+    boxes, medians = unzip(run_cells(
+        [
+            Cell(w.name, w, cluster, scheme_catalog(w.name)["original"].factory,
+                 horizon_s=w.paper_iteration_time_s * 40)
+            for w in workloads
+        ],
+        _pap, seed,
+    ))
+    return Fig3Result(
+        boxes=boxes, median_pap_2s=medians, num_workers=cluster.num_workers
+    )
 
 
-if __name__ == "__main__":
-    print(run_fig3(ExperimentScale.from_env()).render())
+def _pap(run: CellRun) -> Tuple[Dict[int, BoxStats], float]:
+    num_intervals = max(2, int(run.cell.workload.paper_iteration_time_s))
+    analysis = PapAnalysis(
+        run.result.traces, interval_s=1.0, num_intervals=num_intervals
+    )
+    return analysis.boxes, analysis.median_pap_within(2.0)

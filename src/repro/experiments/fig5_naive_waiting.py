@@ -10,13 +10,16 @@ does more harm than good.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
-from repro.cluster.spec import ClusterSpec
-from repro.experiments.common import ExperimentScale
+from repro.experiments.common import (
+    Cell, ExperimentScale, format_time, nest, paper_cluster, render_table,
+    run_cells, time_to_target, unzip,
+)
 from repro.metrics.curves import LossCurve
 from repro.sync import NaiveWaitingPolicy
-from repro.utils.tables import TextTable
+from repro.workloads.base import Workload
 from repro.workloads.presets import cifar10_workload, matrix_factorization_workload
 
 __all__ = ["Fig5Result", "run_fig5", "DELAYS_S", "DELAY_GRIDS"]
@@ -55,27 +58,23 @@ class Fig5Result:
         return min(entries)[1]
 
     def render(self) -> str:
-        blocks = []
-        for workload, per_delay in self.time_to_target.items():
-            table = TextTable(
+        return "\n\n".join(
+            render_table(
+                f"Fig. 5 ({workload}): naive waiting, "
+                f"target loss {self.targets[workload]}",
                 ["delay", "time to target", "mean staleness", "final loss"],
-                title=(
-                    f"Fig. 5 ({workload}): naive waiting, "
-                    f"target loss {self.targets[workload]}"
-                ),
-            )
-            for delay in sorted(per_delay):
-                time = per_delay[delay]
-                table.add_row(
+                (
                     [
                         f"{delay:.0f}s" if delay else "0s (Original)",
-                        f"{time:.0f}s" if time is not None else "never",
+                        format_time(per_delay[delay], never="never"),
                         f"{self.staleness[workload][delay]:.1f}",
                         f"{self.curves[workload][delay].final_loss:.3f}",
                     ]
-                )
-            blocks.append(table.render())
-        return "\n\n".join(blocks)
+                    for delay in sorted(per_delay)
+                ),
+            )
+            for workload, per_delay in self.time_to_target.items()
+        )
 
 
 def run_fig5(
@@ -83,38 +82,29 @@ def run_fig5(
     seed: int = 3,
     delays: "dict | Tuple[float, ...] | None" = None,
 ) -> Fig5Result:
-    num_workers = 40 if scale is ExperimentScale.FULL else 10
-    cluster = ClusterSpec.homogeneous(num_workers)
+    cluster = paper_cluster(scale)
     workloads = [cifar10_workload(seed), matrix_factorization_workload(seed)]
 
-    curves: Dict[str, Dict[float, LossCurve]] = {}
-    times: Dict[str, Dict[float, Optional[float]]] = {}
-    staleness: Dict[str, Dict[float, float]] = {}
-    targets: Dict[str, float] = {}
-    for workload in workloads:
+    def delay_grid(workload: Workload) -> Tuple[float, ...]:
         if delays is None:
-            grid = DELAY_GRIDS.get(workload.name, DELAYS_S)
-        elif isinstance(delays, dict):
-            grid = delays.get(workload.name, DELAYS_S)
-        else:
-            grid = delays
-        curves[workload.name] = {}
-        times[workload.name] = {}
-        staleness[workload.name] = {}
-        targets[workload.name] = workload.convergence.target_loss
-        for delay in grid:
-            result = workload.run(
-                cluster, NaiveWaitingPolicy(delay), seed=seed, early_stop=True
-            )
-            curves[workload.name][delay] = result.curve
-            times[workload.name][delay] = result.time_to_convergence(
-                workload.convergence
-            )
-            staleness[workload.name][delay] = result.mean_staleness
+            return DELAY_GRIDS.get(workload.name, DELAYS_S)
+        if isinstance(delays, dict):
+            return delays.get(workload.name, DELAYS_S)
+        return delays
+
+    curves, times, staleness = unzip(run_cells(
+        [
+            Cell((w.name, delay), w, cluster,
+                 partial(NaiveWaitingPolicy, delay), early_stop=True)
+            for w in workloads
+            for delay in delay_grid(w)
+        ],
+        lambda run: (
+            run.result.curve, time_to_target(run), run.result.mean_staleness
+        ),
+        seed,
+    ))
     return Fig5Result(
-        curves=curves, time_to_target=times, staleness=staleness, targets=targets
+        curves=nest(curves), time_to_target=nest(times), staleness=nest(staleness),
+        targets={w.name: w.convergence.target_loss for w in workloads},
     )
-
-
-if __name__ == "__main__":
-    print(run_fig5(ExperimentScale.from_env()).render())

@@ -11,12 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
-from repro.cluster.spec import ClusterSpec
-from repro.experiments.common import ExperimentScale, run_scheme, scheme_catalog
+from repro.experiments.common import (
+    Cell, ExperimentScale, nest, paper_cluster, paper_workloads, ratio,
+    run_cells, scheme_catalog, unzip,
+)
 from repro.metrics.curves import LossCurve
 from repro.utils.tables import TextTable
 from repro.workloads.base import Workload
-from repro.workloads.presets import PAPER_WORKLOADS
 
 __all__ = ["Fig9Result", "run_fig9"]
 
@@ -33,11 +34,9 @@ class Fig9Result:
 
     def iteration_reduction(self, workload: str) -> Optional[float]:
         """Fraction of iterations saved by adaptive vs original (0.58 = 58%)."""
-        orig = self.iterations_to_target[workload].get("original")
-        spec = self.iterations_to_target[workload].get("adaptive")
-        if orig is None or spec is None or orig == 0:
-            return None
-        return 1.0 - spec / orig
+        iterations = self.iterations_to_target[workload]
+        share = ratio(iterations.get("adaptive"), iterations.get("original"))
+        return None if share is None else 1.0 - share
 
     def render(self) -> str:
         table = TextTable(
@@ -66,32 +65,25 @@ def run_fig9(
     seed: int = 3,
     workloads: Optional[Sequence[Workload]] = None,
 ) -> Fig9Result:
-    num_workers = 40 if scale is ExperimentScale.FULL else 10
-    cluster = ClusterSpec.homogeneous(num_workers)
-    if workloads is None:
-        workloads = PAPER_WORKLOADS(seed)
-        if scale is ExperimentScale.SMOKE:
-            workloads = workloads[:1]
-
-    curves: Dict[str, Dict[str, LossCurve]] = {}
-    iterations: Dict[str, Dict[str, Optional[int]]] = {}
-    targets: Dict[str, float] = {}
-    for workload in workloads:
-        targets[workload.name] = workload.convergence.target_loss
-        curves[workload.name] = {}
-        iterations[workload.name] = {}
-        catalog = scheme_catalog(workload.name)
-        for scheme_key in FIG9_SCHEMES:
-            result = run_scheme(workload, cluster, catalog[scheme_key], seed=seed,
-                                early_stop=True)
-            curves[workload.name][scheme_key] = result.curve
-            iterations[workload.name][scheme_key] = (
-                result.curve.iterations_to_loss(workload.convergence.target_loss)
-            )
+    cluster = paper_cluster(scale)
+    workloads = paper_workloads(scale, seed, workloads)
+    curves, iterations = unzip(run_cells(
+        [
+            Cell((w.name, key), w, cluster,
+                 scheme_catalog(w.name)[key].factory, early_stop=True)
+            for w in workloads
+            for key in FIG9_SCHEMES
+        ],
+        lambda run: (
+            run.result.curve,
+            run.result.curve.iterations_to_loss(
+                run.cell.workload.convergence.target_loss
+            ),
+        ),
+        seed,
+    ))
     return Fig9Result(
-        curves=curves, iterations_to_target=iterations, targets=targets
+        curves=nest(curves),
+        iterations_to_target=nest(iterations),
+        targets={w.name: w.convergence.target_loss for w in workloads},
     )
-
-
-if __name__ == "__main__":
-    print(run_fig9(ExperimentScale.from_env()).render())

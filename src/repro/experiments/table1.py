@@ -11,9 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from repro.cluster.spec import ClusterSpec
-from repro.experiments.common import ExperimentScale, mean, run_scheme, scheme_catalog
-from repro.utils.tables import TextTable
+from repro.experiments.common import (
+    Cell, ExperimentScale, mean, paper_cluster, render_table, run_cells,
+    scheme_catalog,
+)
 from repro.workloads.presets import PAPER_WORKLOADS
 
 __all__ = ["Table1Row", "Table1Result", "run_table1"]
@@ -33,52 +34,48 @@ class Table1Result:
     rows: List[Table1Row]
 
     def render(self) -> str:
-        table = TextTable(
+        return render_table(
+            "Table I: Workload characterization",
             ["Workload", "# parameters", "Dataset size",
              "Iteration time (paper)", "Iteration time (measured)"],
-            title="Table I: Workload characterization",
+            (
+                [row.workload,
+                 f"{row.num_parameters / 1e6:.1f} million",
+                 f"{row.dataset_size:,}",
+                 f"{row.paper_iteration_time_s:.0f}s",
+                 f"{row.measured_iteration_time_s:.1f}s"]
+                for row in self.rows
+            ),
         )
-        for row in self.rows:
-            table.add_row(
-                [
-                    row.workload,
-                    f"{row.num_parameters / 1e6:.1f} million",
-                    f"{row.dataset_size:,}",
-                    f"{row.paper_iteration_time_s:.0f}s",
-                    f"{row.measured_iteration_time_s:.1f}s",
-                ]
-            )
-        return table.render()
 
 
 def run_table1(
     scale: ExperimentScale = ExperimentScale.FULL, seed: int = 3
 ) -> Table1Result:
     """Measure iteration times with short ASP runs on Cluster 1."""
-    num_workers = 40 if scale is ExperimentScale.FULL else 8
-    cluster = ClusterSpec.homogeneous(num_workers)
-    rows = []
-    for workload in PAPER_WORKLOADS(seed):
-        # ~25 iterations per worker is plenty to estimate the mean span.
-        horizon = workload.paper_iteration_time_s * 25
-        schemes = scheme_catalog(workload.name)
-        result = run_scheme(
-            workload, cluster, schemes["original"], seed=seed, horizon_s=horizon
+    cluster = paper_cluster(scale, smoke_workers=8)
+    workloads = PAPER_WORKLOADS(seed)
+    # ~25 iterations per worker is plenty to estimate the mean span.
+    grid = [
+        Cell(w.name, w, cluster, scheme_catalog(w.name)["original"].factory,
+             horizon_s=w.paper_iteration_time_s * 25)
+        for w in workloads
+    ]
+    measured = run_cells(
+        grid,
+        lambda run: mean([
+            w.mean_iteration_time for w in run.result.worker_stats
+            if w.iterations > 0
+        ]),
+        seed,
+    )
+    return Table1Result(rows=[
+        Table1Row(
+            workload=w.name,
+            num_parameters=w.paper_num_parameters,
+            dataset_size=w.paper_dataset_size,
+            paper_iteration_time_s=w.paper_iteration_time_s,
+            measured_iteration_time_s=measured[w.name],
         )
-        measured = mean(
-            [w.mean_iteration_time for w in result.worker_stats if w.iterations > 0]
-        )
-        rows.append(
-            Table1Row(
-                workload=workload.name,
-                num_parameters=workload.paper_num_parameters,
-                dataset_size=workload.paper_dataset_size,
-                paper_iteration_time_s=workload.paper_iteration_time_s,
-                measured_iteration_time_s=measured,
-            )
-        )
-    return Table1Result(rows=rows)
-
-
-if __name__ == "__main__":
-    print(run_table1(ExperimentScale.from_env()).render())
+        for w in workloads
+    ])

@@ -21,11 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.cluster.spec import ClusterSpec
-from repro.core.tuning import AdaptiveTuner
 from repro.core.specsync import SpecSyncPolicy
-from repro.experiments.common import ExperimentScale
-from repro.utils.tables import TextTable
+from repro.experiments.common import (
+    Cell, ExperimentScale, paper_cluster, render_table, run_cells,
+)
 from repro.workloads.presets import PAPER_WORKLOADS
 
 __all__ = ["Table2Row", "Table2Result", "run_table2", "PAPER_TABLE2"]
@@ -58,25 +57,19 @@ class Table2Result:
     rows: List[Table2Row]
 
     def render(self) -> str:
-        table = TextTable(
+        return render_table(
+            "Table II: Hyperparameter tuning cost",
             ["workload", "# ABORT_TIME trials", "# ABORT_RATE trials",
              "each trial (h)", "Cherrypick total (h)",
              "Adaptive total (measured)"],
-            title="Table II: Hyperparameter tuning cost",
+            (
+                [row.workload, row.time_trials, row.rate_trials,
+                 f"{row.trial_hours:g}", f"{row.cherrypick_total_hours:g}",
+                 f"{row.adaptive_tuning_wall_s * 1000:.1f} ms "
+                 f"({row.adaptive_epochs_tuned} epochs)"]
+                for row in self.rows
+            ),
         )
-        for row in self.rows:
-            table.add_row(
-                [
-                    row.workload,
-                    row.time_trials,
-                    row.rate_trials,
-                    f"{row.trial_hours:g}",
-                    f"{row.cherrypick_total_hours:g}",
-                    f"{row.adaptive_tuning_wall_s * 1000:.1f} ms "
-                    f"({row.adaptive_epochs_tuned} epochs)",
-                ]
-            )
-        return table.render()
 
 
 def run_table2(
@@ -90,32 +83,27 @@ def run_table2(
     Adaptive column is *measured* here by running each workload once with
     the adaptive tuner and timing Algorithm 1's scans.
     """
-    num_workers = 40 if scale is ExperimentScale.FULL else 10
-    cluster = ClusterSpec.homogeneous(num_workers)
-    rows: List[Table2Row] = []
-    for workload in PAPER_WORKLOADS(seed):
-        paper = PAPER_TABLE2[workload.name]
-        tuner = AdaptiveTuner()
-        policy = SpecSyncPolicy(tuner=tuner)
-        horizon = (
-            workload.default_horizon_s
-            if scale is ExperimentScale.FULL
-            else workload.paper_iteration_time_s * 30
+    cluster = paper_cluster(scale)
+    workloads = PAPER_WORKLOADS(seed)
+    summaries = run_cells(
+        [
+            Cell(w.name, w, cluster, SpecSyncPolicy.adaptive,
+                 horizon_s=w.default_horizon_s if scale is ExperimentScale.FULL
+                 else w.paper_iteration_time_s * 30)
+            for w in workloads
+        ],
+        lambda run: run.result.policy_summary,
+        seed,
+    )
+    return Table2Result(rows=[
+        Table2Row(
+            workload=w.name,
+            time_trials=int(PAPER_TABLE2[w.name]["time_trials"]),
+            rate_trials=int(PAPER_TABLE2[w.name]["rate_trials"]),
+            trial_hours=PAPER_TABLE2[w.name]["trial_hours"],
+            cherrypick_total_hours=PAPER_TABLE2[w.name]["total_hours"],
+            adaptive_tuning_wall_s=summaries[w.name]["tuning_wall_s"],
+            adaptive_epochs_tuned=summaries[w.name]["epochs_completed"],
         )
-        workload.run(cluster, policy, seed=seed, horizon_s=horizon)
-        rows.append(
-            Table2Row(
-                workload=workload.name,
-                time_trials=int(paper["time_trials"]),
-                rate_trials=int(paper["rate_trials"]),
-                trial_hours=paper["trial_hours"],
-                cherrypick_total_hours=paper["total_hours"],
-                adaptive_tuning_wall_s=tuner.total_tuning_wall_s,
-                adaptive_epochs_tuned=len(tuner.history),
-            )
-        )
-    return Table2Result(rows=rows)
-
-
-if __name__ == "__main__":
-    print(run_table2(ExperimentScale.from_env()).render())
+        for w in workloads
+    ])

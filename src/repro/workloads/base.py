@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, List, Optional
 
 from repro.cluster.compute import ComputeTimeModel
 from repro.cluster.spec import ClusterSpec
@@ -69,13 +69,15 @@ class Workload:
         max_total_iterations: Optional[int] = None,
         record_accuracy: bool = False,
         max_aborts_per_iteration: int = 1,
+        compute_models: Optional[List[ComputeTimeModel]] = None,
     ) -> TrainingEngine:
         """Wire up a :class:`TrainingEngine` for this workload.
 
         ``early_stop=True`` stops the simulation once the paper's
         convergence criterion holds (used by runtime-to-convergence
         experiments); otherwise the run spans the full horizon (used by
-        learning-curve experiments).
+        learning-curve experiments).  ``compute_models`` replaces the
+        cluster's per-worker compute models (e.g. a scripted slowdown).
         """
         streams = RngStreams(seed)
         dataset = self.dataset_factory(seed)
@@ -102,6 +104,7 @@ class Workload:
             config=config,
             seed=seed,
             workload_name=self.name,
+            compute_models=compute_models,
         )
 
     def run(

@@ -26,7 +26,7 @@ MODULES = [
     "repro.events.event",
     "repro.events.simulator",
     "repro.experiments.common",
-    "repro.experiments.sweep",
+    "repro.experiments.fig8_effectiveness",
     "repro.metrics.convergence",
     "repro.metrics.curves",
     "repro.metrics.pap",

@@ -16,11 +16,11 @@ from repro.experiments.report import SECTIONS, write_experiments_md
 def fig8_result():
     cells = [
         Fig8Cell("mf", "original", "Original (ASP)", result=None,
-                 time_to_convergence=900.0),
+                 times_to_target=(900.0,)),
         Fig8Cell("mf", "adaptive", "SpecSync-Adaptive", result=None,
-                 time_to_convergence=300.0),
+                 times_to_target=(300.0,)),
         Fig8Cell("mf", "cherrypick", "SpecSync-Cherrypick", result=None,
-                 time_to_convergence=None),
+                 times_to_target=(None,)),
     ]
     return Fig8Result(cells=cells, targets={"mf": 0.46})
 
