@@ -20,7 +20,7 @@ class Phase(enum.Enum):
 
     IDLE = "idle"  # between iterations, or parked at a BSP/SSP gate
     PULLING = "pulling"  # first pull of the iteration, or a restart's
-    COMPUTING = "computing"  # the abortable wait
+    COMPUTING = "computing"  # the abortable compute window
     PUSHING = "pushing"  # gradient on its way; no longer abortable
 
 

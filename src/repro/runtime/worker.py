@@ -1,16 +1,20 @@
 """The one wall-clock worker loop, for threads and forked processes alike.
 
 :class:`Worker` drives :class:`repro.ps.loop.WorkerLoop` by blocking: pull,
-wait out the sampled compute duration on an abort flag, evaluate the
-gradient on the pulled snapshot, push, notify.  What carries it is handed
-in: a ``store`` (``pull() -> (params, version)``, ``push(gradient,
-version)``), the stop and abort flags, a ``notify`` callable and a
-recorder: a ``Tracer`` on the run's collector (threads) or on the
-process's ring collector (forked processes), or ``NULL_TRACER``.  A
-re-sync arrives as the abort flag plus a two-slot record
-``[for_iteration, peer_pushes]`` that :func:`signal_resync` fills
+compute, push, notify.  The compute is a window of the sampled duration,
+and the real work runs inside it: sample the batch (on the iteration's
+first pass only — a restart reuses it), evaluate the gradient on the
+pulled snapshot, then wait out what is left of the window on an abort
+flag.  What carries it is handed in: a ``store`` (``pull() -> (params,
+version)``, ``push(gradient, version)``), the stop and abort flags, a
+``notify`` callable and a recorder: a ``Tracer`` on the run's collector
+(threads) or on the process's ring collector (forked processes), or
+``NULL_TRACER``.  A re-sync arrives as the abort flag plus a two-slot
+record ``[for_iteration, peer_pushes]`` that :func:`signal_resync` fills
 *before* setting the flag; the woken worker clears the flag, reads the
-record and lets the machine decide.
+record and lets the machine decide.  A re-sync that lands during the
+gradient is seen when the gradient returns; an honoured one discards the
+gradient, re-pulls and recomputes.
 """
 
 from __future__ import annotations
@@ -50,7 +54,12 @@ def signal_resync(tracer, worker_id: int, iteration: int, peer_pushes: int,
 
 @dataclass(eq=False)
 class Worker:
-    """One training worker: the blocking driver of a :class:`WorkerLoop`."""
+    """One training worker: the blocking driver of a :class:`WorkerLoop`.
+
+    Each pass of an iteration is pull → batch (first pass) → gradient →
+    wait to the window's deadline; an honoured re-sync starts another pass,
+    otherwise the gradient is pushed and the scheduler notified.
+    """
 
     worker_id: int
     store: Any
@@ -91,7 +100,7 @@ class Worker:
             track = rt_worker_track(self.worker_id)
             while not self.stop_event.is_set():
                 started = now()
-                batch = self.partition.sample_batch(self.batch_rng, self.batch_size)
+                batch = None
                 loop.begin()
                 while True:  # one pass per (re)start of the same batch
                     pull_started = now()
@@ -101,6 +110,13 @@ class Worker:
                     loop.pulled()
                     duration = self.compute_model.sample(self.compute_rng) * self.time_scale
                     deadline = compute_started + duration
+                    if batch is None:
+                        # A restart recomputes the same training batch
+                        # (Algorithm 2 jumps back to the gradient step).
+                        batch = self.partition.sample_batch(self.batch_rng, self.batch_size)
+                    # The real compute runs inside the window it emulates; a
+                    # re-sync that lands meanwhile is seen when it returns.
+                    gradient = self.model.gradient(snapshot, batch)
                     aborted = False
                     while not aborted and self.abort_event.wait(deadline - now()):
                         self.abort_event.clear()
@@ -123,8 +139,8 @@ class Worker:
                               "peer_pushes": self.resync_slot[1]},
                     )
                     recorder.count("rt.aborts")
+                    del snapshot, gradient  # discarded before the re-pull copies
                 loop.computed()
-                gradient = self.model.gradient(snapshot, batch)
                 push_started = now()
                 self.store.push(gradient, version)
                 recorder.span(track, "push", push_started, now())

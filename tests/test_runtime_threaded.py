@@ -1,15 +1,22 @@
 """Tests for the threaded real-time backend."""
 
+import threading
+import time
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.cluster.compute import ComputeTimeModel
 from repro.core.hyperparams import SpecSyncHyperparams
 from repro.core.tuning import AdaptiveTuner, FixedTuner
 from repro.ml import SoftmaxRegressionModel, SyntheticImageDataset
 from repro.ml.optim import ConstantSchedule, SgdUpdateRule
 from repro.ml.params import ParamSet
+from repro.obs.tracks import rt_worker_track
 from repro.runtime import ThreadedParameterServer, ThreadedRun
+from repro.runtime.worker import signal_resync
 
 
 def build_run(num_workers=4, tuner=None, time_scale=0.002, seed=0,
@@ -119,6 +126,66 @@ class TestThreadedRunSpecSync:
         tuner = FixedTuner(SpecSyncHyperparams(abort_time_s=0.001, abort_rate=10.0))
         result = build_run(num_workers=4, tuner=tuner).run(0.3)
         assert result.total_aborts == 0
+
+
+class TestGradientInsideTheComputeWindow:
+    def test_every_gradient_call_lies_inside_its_compute_span(self):
+        with obs.collecting() as collector:
+            run = build_run(num_workers=4, tuner=AdaptiveTuner())
+            real, calls = run.model.gradient, []
+
+            def timed(params, batch):
+                started = time.monotonic()
+                gradient = real(params, batch)
+                calls.append((threading.current_thread().name, started, time.monotonic()))
+                return gradient
+
+            run.model.gradient = timed
+            result = run.run(0.4)
+        spans = {}
+        for record in collector.records:
+            if isinstance(record, obs.SpanRecord) and record.name == "compute":
+                spans.setdefault(record.track, []).append((record.start, record.end))
+        # A call still running when the stop lands has no compute span:
+        # at most one per worker.
+        outside = Counter()
+        for thread_name, started, ended in calls:
+            track = rt_worker_track(int(thread_name.rsplit("-", 1)[1]))
+            if not any(lo <= started and ended <= hi for lo, hi in spans.get(track, ())):
+                outside[track] += 1
+        assert result.total_aborts > 0
+        assert all(count == 1 for count in outside.values()), outside
+        assert len(calls) - sum(outside.values()) == (
+            result.total_iterations + result.total_aborts
+        )
+
+    def test_resync_during_the_gradient_is_honoured_when_it_returns(self):
+        run = build_run(num_workers=1, tuner=None)
+        worker = run.workers[0]
+        real_pull, pulls = run.server.pull, []
+
+        def pull():
+            snapshot = real_pull()
+            pulls.append(snapshot[0])
+            return snapshot
+
+        real, calls = run.model.gradient, []
+
+        def resync_inside_the_first_call(params, batch):
+            calls.append((params, batch, run.server.version))
+            if len(calls) == 1:
+                signal_resync(run.tracer, 0, 0, 1, worker.resync_slot, worker.abort_event)
+            return real(params, batch)
+
+        run.server.pull = pull
+        run.model.gradient = resync_inside_the_first_call
+        run.run(0.1)
+        assert worker.aborts == 1
+        (first, batch, version), (second, same_batch, same_version) = calls[:2]
+        assert first is pulls[0] and second is pulls[1]
+        # The restart recomputes the same batch, with nothing pushed between.
+        assert same_batch is batch
+        assert version == same_version == 0
 
 
 class TestNoThreadBeforeRun:
