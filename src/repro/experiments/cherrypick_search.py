@@ -23,7 +23,7 @@ from repro.core.specsync import SpecSyncPolicy
 from repro.experiments.common import Cell, render_table, run_cells
 from repro.workloads.base import Workload
 
-__all__ = ["GridTrial", "GridSearchResult", "grid_search_hyperparams"]
+__all__ = ["GridTrial", "GridSearchResult", "grid_search_hyperparams", "mf_search"]
 
 
 @dataclass(frozen=True)
@@ -131,13 +131,18 @@ def grid_search_hyperparams(
     )
 
 
-if __name__ == "__main__":
+def mf_search() -> GridSearchResult:
+    """The archived search (``benchmarks/results/cherrypick_search_mf.txt``):
+    Table-I MF on 40 workers, a 3 x 4 grid, seed 3."""
     from repro.workloads.presets import matrix_factorization_workload
 
-    result = grid_search_hyperparams(
+    return grid_search_hyperparams(
         matrix_factorization_workload(),
         ClusterSpec.homogeneous(40),
         num_abort_times=3,
         num_abort_rates=4,
     )
-    print(result.render())
+
+
+if __name__ == "__main__":
+    print(mf_search().render())

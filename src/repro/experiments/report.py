@@ -160,7 +160,7 @@ SECTIONS: List[ExperimentSection] = [
         title="Cherrypick grid search, reduced grid",
         paper_claim=(
             "Section VI-E's search procedure, run on our substrate at a "
-            "reduced grid (3 ABORT_TIME x 4 ABORT_RATE, 500s probes) — the "
+            "reduced grid (3 ABORT_TIME x 4 ABORT_RATE, 525s probes) — the "
             "provenance of the CHERRYPICK_DEFAULTS constants; the full "
             "Table-II grid is what costs the paper 40 to >800 EC2-hours."
         ),

@@ -1,6 +1,7 @@
 """repro.obs — unified observability: tracing, metrics, Perfetto export.
 
-A zero-dependency span/counter/histogram layer that is **clock-agnostic**
+A span/counter/histogram layer (NumPy its one dependency, for the
+exporter's timestamp rounding) that is **clock-agnostic**
 (virtual time inside the DES, wall time in the runtime backends) and
 **free when disabled** (every instrumentation site talks to a shared
 no-op tracer).  See ``docs/observability.md`` for the span model, clock

@@ -22,8 +22,7 @@ See docs/observability.md ("Trace analytics") for the model.
 
 from repro.obs.analysis.critical_path import (
     ATTRIBUTION_CATEGORIES,
-    critical_path,
-    per_worker_breakdown,
+    attribute,
 )
 from repro.obs.analysis.graph import (
     AnalysisError,
@@ -47,8 +46,7 @@ __all__ = [
     "ANALYSIS_SCHEMA_VERSION",
     "analyze_records",
     "analyze_trace",
-    "critical_path",
-    "per_worker_breakdown",
+    "attribute",
     "render_analysis_comparison",
     "render_analysis_text",
     "speculation_ledger",

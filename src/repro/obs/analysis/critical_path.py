@@ -18,8 +18,9 @@ analyze`` is tested against):
   iteration cut off by the horizon emits no span).
 
 The *critical path* walks the track that determined the makespan (the
-worker whose last event ends latest); :func:`per_worker_breakdown` runs
-the same walk on every worker for the covering decomposition.  Per-epoch
+worker whose last event ends latest); the per-worker breakdown is the
+same walk on every worker, the covering decomposition.  :func:`attribute`
+walks each worker track once and returns both.  Per-epoch
 splits clip the attributed pieces at the scheduler's ``epoch_retuned``
 instants.
 """
@@ -32,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.obs.analysis.graph import TS_TOLERANCE, RunSegment
 from repro.obs.core import SpanRecord
 
-__all__ = ["ATTRIBUTION_CATEGORIES", "critical_path", "per_worker_breakdown"]
+__all__ = ["ATTRIBUTION_CATEGORIES", "attribute"]
 
 #: Every attributed second lands in exactly one of these.
 ATTRIBUTION_CATEGORIES = (
@@ -184,26 +185,38 @@ def _critical_track(run: RunSegment) -> Optional[str]:
     return best_track
 
 
-def critical_path(run: RunSegment) -> Dict[str, object]:
-    """Attribute the run window along the makespan-determining worker.
+def attribute(
+    run: RunSegment,
+) -> Tuple[Dict[str, object], Dict[str, Dict[str, object]]]:
+    """The critical path and the per-worker breakdown of ``run``, from
+    one attribution walk of each worker track.
 
-    The ``by_category`` seconds sum to ``total_s`` exactly (modulo float
-    addition); ``epochs`` re-aggregates the same pieces between the
-    scheduler's retune instants.
+    The critical path attributes the run window along the
+    makespan-determining worker: its ``by_category`` seconds sum to
+    ``total_s`` exactly (modulo float addition), and ``epochs``
+    re-aggregates the same pieces between the scheduler's retune
+    instants.  The breakdown is the same walk on every worker (the
+    covering view).
     """
-    track = _critical_track(run)
     window = run.window()
+    total_s = window[1] - window[0]
+    decisions = _decision_times(run)
+    track = _critical_track(run)
+    breakdown: Dict[str, Dict[str, object]] = {}
+    path_pieces: List[Tuple[str, float, float]] = []
+    for worker in run.worker_tracks():
+        pieces = _walk_track(run.track_spans(worker), window, decisions)
+        breakdown[worker] = {"total_s": total_s, "by_category": _aggregate(pieces)}
+        if worker == track:
+            path_pieces = pieces
     if track is None:
         return {
             "track": None,
             "total_s": 0.0,
             "by_category": {c: 0.0 for c in ATTRIBUTION_CATEGORIES},
             "epochs": [],
-        }
-    decisions = _decision_times(run)
-    pieces = _walk_track(run.track_spans(track), window, decisions)
-    boundaries = _epoch_boundaries(run, window)
-    edges = [window[0]] + boundaries + [window[1]]
+        }, breakdown
+    edges = [window[0]] + _epoch_boundaries(run, window) + [window[1]]
     epochs = [
         {
             "epoch": epoch_index,
@@ -212,26 +225,12 @@ def critical_path(run: RunSegment) -> Dict[str, object]:
             "by_category": by_category,
         }
         for epoch_index, by_category in enumerate(
-            _aggregate_by_epoch(pieces, edges)
+            _aggregate_by_epoch(path_pieces, edges)
         )
     ]
     return {
         "track": track,
-        "total_s": window[1] - window[0],
-        "by_category": _aggregate(pieces),
+        "total_s": total_s,
+        "by_category": breakdown[track]["by_category"],
         "epochs": epochs,
-    }
-
-
-def per_worker_breakdown(run: RunSegment) -> Dict[str, Dict[str, object]]:
-    """The same attribution walk on every worker track (covering view)."""
-    window = run.window()
-    decisions = _decision_times(run)
-    breakdown: Dict[str, Dict[str, object]] = {}
-    for track in run.worker_tracks():
-        pieces = _walk_track(run.track_spans(track), window, decisions)
-        breakdown[track] = {
-            "total_s": window[1] - window[0],
-            "by_category": _aggregate(pieces),
-        }
-    return breakdown
+    }, breakdown

@@ -120,24 +120,21 @@ def frame_records(
     recording = Recording(
         trace_other_data(metadata or {}), metrics or {}, frame.events, len(frame.tids)
     )
-    us, dur_us = frame.us, frame.dur_us
-    for record in records:
+    firsts, seconds = frame.times_us(records)
+    for record, first, second in zip(records, firsts, seconds):
         domain = record.domain
         if isinstance(record, SpanRecord):
             recording.span(
-                domain, record.track, record.name, record.cat,
-                us(domain, record.start), dur_us(record.start, record.end), record.args,
+                domain, record.track, record.name, record.cat, first, second, record.args,
             )
         elif isinstance(record, InstantRecord):
             recording.instant(
-                domain, record.track, record.name, record.cat,
-                us(domain, record.ts), record.args,
+                domain, record.track, record.name, record.cat, first, record.args,
             )
         else:
             recording.records.append(recording.flow(
                 domain, record.name, record.cat,
-                record.src_track, us(domain, record.src_ts),
-                record.dst_track, us(domain, record.dst_ts), record.args,
+                record.src_track, first, record.dst_track, second, record.args,
             ))
     return recording
 

@@ -39,8 +39,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.obs.analysis.critical_path import (
     ATTRIBUTION_CATEGORIES,
-    critical_path,
-    per_worker_breakdown,
+    attribute,
 )
 from repro.obs.analysis.graph import (
     CausalGraph,
@@ -107,6 +106,7 @@ def _analyze(recording: Recording) -> dict:
     graph = CausalGraph.from_records(recording.records, recording.metadata)
     runs: List[dict] = []
     for run in graph.runs:
+        path, per_worker = attribute(run)
         runs.append(
             {
                 "index": run.index,
@@ -119,8 +119,8 @@ def _analyze(recording: Recording) -> dict:
                 "duration_s": run.duration_s,
                 "total_iterations": run.end_meta.get("total_iterations"),
                 "total_aborts": run.end_meta.get("total_aborts"),
-                "critical_path": critical_path(run),
-                "per_worker": per_worker_breakdown(run),
+                "critical_path": path,
+                "per_worker": per_worker,
                 "ledger": speculation_ledger(run),
                 "staleness": staleness_distributions(run),
                 "phases": phase_stats(run),

@@ -27,10 +27,10 @@ from repro import ClusterSpec, SpecSyncPolicy
 from repro.obs import (
     NULL_TRACER,
     collecting,
-    to_chrome_trace,
     write_chrome_trace,
 )
 from repro.workloads import matrix_factorization_workload
+from tests.test_obs_perfetto import oracle_trace
 
 #: Disabled observability may cost at most this fraction of the run.
 MAX_OVERHEAD_FRACTION = 0.05
@@ -115,21 +115,26 @@ def _best_of_five_interleaved(first, second):
 def test_export_costs_at_most_twice_a_one_shot_dump():
     """Budget for the *enabled* path's export, relative so bursts cancel.
 
-    A one-shot ``json.dumps`` of the same object is what the C encoder
-    can do; the line-per-event writer measures 1.15x that and may cost
-    up to twice.  An exporter that falls back to the pure-Python encoder
-    (``indent=``, ``json.dump``) measures 2.5-2.8x on this collector.
+    The comparator is a one-shot ``json.dumps`` of the same trace built
+    as one dict per event (``tests.test_obs_perfetto.oracle_trace``,
+    built before timing): what the C encoder does with the events
+    already in hand, and no part of the writer.  The template writer,
+    which also frames, rounds and escapes, measures 0.95-1.04x that and
+    may cost up to twice.  Building those dicts and dumping them measures
+    1.6x the dump alone; an exporter on the pure-Python encoder
+    (``indent=``, ``json.dump``) measured 2.5-2.8x the build and dump.
     """
     with collecting() as collector:
         traced = _run_mf()
     assert traced.total_aborts > 0, "the budget run must export flow arrows"
 
+    events = oracle_trace(collector)
     write_s, dumps_s = _best_of_five_interleaved(
         lambda: write_chrome_trace(collector, io.StringIO()),
-        lambda: json.dumps(to_chrome_trace(collector), sort_keys=True),
+        lambda: json.dumps(events, sort_keys=True),
     )
     assert write_s <= 2.0 * dumps_s, (
         f"write_chrome_trace took {write_s * 1e3:.1f} ms, "
         f"{write_s / dumps_s:.2f}x a one-shot json.dumps "
-        f"({dumps_s * 1e3:.1f} ms) of the same collector; budget is 2x"
+        f"({dumps_s * 1e3:.1f} ms) of the same events; budget is 2x"
     )

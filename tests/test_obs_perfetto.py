@@ -1,25 +1,35 @@
 """Tests for the Chrome trace-event (Perfetto) exporter.
 
 Covers the JSON schema (phases, µs timestamps, pid/tid layout, args),
-flow-event pairing, and a golden-file round trip on a seeded 3-worker
-run.  Regenerate the golden file after an intentional format change
-with::
+flow-event pairing, a golden-file round trip on a seeded 3-worker run,
+and two properties: the template writer's text equals an event-dict
+oracle's (one dict per event, each through the sorted-key C encoder,
+timestamps through ``round(x, 3)``), and the frame's column rounding
+equals ``round(x, 3)`` bit for bit.  Regenerate the golden file after an
+intentional format change with::
 
     REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_obs_perfetto.py
 """
 
 import io
 import json
+import math
 import os
+import random
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro import ClusterSpec, Simulator, SpecSyncPolicy
 from repro.obs import (
     TRACE_FORMAT_VERSION,
     CausalGraph,
+    FlowRecord,
     FunctionClock,
+    InstantRecord,
+    SpanRecord,
     TraceCollector,
     Tracer,
     VirtualClock,
@@ -29,12 +39,90 @@ from repro.obs import (
     to_chrome_trace,
     write_chrome_trace,
 )
+from repro.obs import perfetto
+from repro.obs.perfetto import TraceFrame, trace_frame, trace_other_data
 from repro.workloads import tiny_workload
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_trace.json"
 
 #: pid per clock domain, mirrored from the exporter's contract.
 VIRTUAL_PID, WALL_PID = 1, 2
+
+
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def oracle_trace(collector: TraceCollector) -> dict:
+    """The trace object as one dict per event: the exporter before it
+    rendered lines from templates, kept as the reference its text must
+    equal."""
+    records = list(collector.records)
+    frame = trace_frame(records)
+    pids, tids, origins = frame.pids, frame.tids, frame.origins
+
+    def us(domain, seconds):
+        return round((seconds - origins.get(domain, 0.0)) * 1e6, 3)
+
+    def dur_us(start, end):
+        return round(max(end - start, 0.0) * 1e6, 3)
+
+    events = [
+        {"ph": "M", "name": "process_name", "pid": pid, "tid": 0,
+         "args": {"name": f"{domain} time"}}
+        for domain, pid in pids.items()
+    ]
+    events.extend(
+        {"ph": "M", "name": "thread_name", "pid": pids[domain], "tid": tid,
+         "args": {"name": track}}
+        for (domain, track), tid in tids.items()
+    )
+    flow_id = 0
+    for record in records:
+        domain = record.domain
+        pid = pids[domain]
+        if isinstance(record, SpanRecord):
+            event = {"ph": "X", "name": record.name, "cat": record.cat, "pid": pid,
+                     "tid": tids[(domain, record.track)], "ts": us(domain, record.start),
+                     "dur": dur_us(record.start, record.end)}
+        elif isinstance(record, InstantRecord):
+            event = {"ph": "i", "s": "t", "name": record.name, "cat": record.cat,
+                     "pid": pid, "tid": tids[(domain, record.track)],
+                     "ts": us(domain, record.ts)}
+        else:
+            flow_id += 1
+            event = {"ph": "s", "id": flow_id, "name": record.name, "cat": record.cat,
+                     "pid": pid, "tid": tids[(domain, record.src_track)],
+                     "ts": us(domain, record.src_ts)}
+            finish = {"ph": "f", "bp": "e", "id": flow_id, "name": record.name,
+                      "cat": record.cat, "pid": pid,
+                      "tid": tids[(domain, record.dst_track)],
+                      "ts": us(domain, record.dst_ts)}
+            if record.args:
+                event["args"] = record.args
+            events.append(event)
+            events.append(finish)
+            continue
+        if record.args:
+            event["args"] = record.args
+        events.append(event)
+    return {
+        "traceEvents": events,
+        "displayTimeUnit": "ms",
+        "otherData": trace_other_data(collector.metadata),
+        "metrics": collector.metrics.snapshot(),
+    }
+
+
+def oracle_text(collector: TraceCollector) -> str:
+    """:func:`oracle_trace` laid out as the file: header line, one
+    ``_ENCODE``d event per line, ``]}``."""
+    trace = oracle_trace(collector)
+    events = trace.pop("traceEvents")
+    return (
+        _ENCODE(trace)[:-1] + ',"traceEvents":[\n'
+        + ",\n".join(map(_ENCODE, events))
+        + ("\n]}\n" if events else "]}\n")
+    )
 
 
 def _seeded_run_collector() -> TraceCollector:
@@ -220,8 +308,8 @@ def _mixed_collector() -> TraceCollector:
 
 
 class TestWrittenFile:
-    """``write_chrome_trace`` lays the object out a line per event; what
-    it parses to is exactly ``to_chrome_trace``'s object."""
+    """``write_chrome_trace`` lays the object out a line per event; its
+    text is exactly the event-dict oracle's."""
 
     @pytest.mark.parametrize(
         "make_collector", [_seeded_run_collector, _mixed_collector, TraceCollector]
@@ -231,8 +319,9 @@ class TestWrittenFile:
         buffer = io.StringIO()
         count = write_chrome_trace(collector, buffer)
         written = buffer.getvalue()
-        reference = json.loads(json.dumps(to_chrome_trace(collector)))
-        assert json.loads(written) == reference
+        assert written == oracle_text(collector)
+        reference = json.loads(json.dumps(oracle_trace(collector)))
+        assert json.loads(written) == reference == to_chrome_trace(collector)
         assert count == len(reference["traceEvents"])
         lines = written.split("\n")
         assert lines[-1] == "" and len(lines) - 1 == count + 2
@@ -246,6 +335,32 @@ class TestWrittenFile:
             assert line.rstrip(",") == json.dumps(
                 event, sort_keys=True, separators=(",", ":")
             )
+
+    def test_a_file_of_several_blocks_equals_the_oracle(self):
+        # the writer renders and rounds records a block at a time; flow
+        # ids and line separators must carry across block boundaries
+        rng = random.Random(5)
+        collector = TraceCollector()
+        count = 2 * perfetto._BLOCK + 77
+        for index in range(count):
+            domain = rng.choice(["virtual", "wall"])
+            track = f"worker-{rng.randrange(12)}"
+            start = rng.uniform(0.0, 100.0) + (1e9 if domain == "wall" else 0.0)
+            args = rng.choice([None, {}, {"iteration": index, "loss": rng.random()}])
+            kind = rng.randrange(3)
+            if kind == 0:
+                record = SpanRecord(domain, track, "compute", "compute", start,
+                                    start + rng.uniform(-0.01, 0.5), args)
+            elif kind == 1:
+                record = InstantRecord(domain, track, "notify", "sync", start, args)
+            else:
+                record = FlowRecord(domain, "abort", "abort", "scheduler", start,
+                                    track, start + rng.random(), args)
+            collector.records.append(record)
+        buffer = io.StringIO()
+        written = write_chrome_trace(collector, buffer)
+        assert buffer.getvalue() == oracle_text(collector)
+        assert written == len(oracle_trace(collector)["traceEvents"]) > count
 
     def test_identical_seeded_runs_export_identical_bytes(self):
         first, second = io.StringIO(), io.StringIO()
@@ -280,3 +395,77 @@ class TestGoldenFile:
         text = render_analysis_text(analyze_trace(trace))
         assert "flow origins:" in text
         assert "critical-path attribution" in text
+
+
+#: strings the escaper must get right: non-ASCII, quotes, backslashes and
+#: control characters, and the empty string
+_TRICKY = st.text(
+    alphabet=st.sampled_from('aZ0 -"\\/\b\f\n\r\t\x00\x1f\x7f\xe9€ \U0001f600'),
+    max_size=6,
+)
+_TEXT = _TRICKY | st.text(max_size=6)
+_DOMAIN = st.sampled_from(["virtual", "wall", "gpu"]) | _TRICKY
+_TRACK = st.sampled_from(["worker-0", "worker-2", "worker-10", "server", "scheduler"]) | _TEXT
+#: a small pool makes equal (zero-length) and reversed (negative-length)
+#: spans common; the open ranges add wall epochs, NaN and the infinities
+_TIME = (
+    st.sampled_from([0.0, -0.0, 0.5, 1.25, 2.0, 1e9 + 5.0])
+    | st.floats(-1e7, 1e7)
+    | st.floats()
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(2**53, 2**80)
+    | st.floats() | _TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=8,
+)
+_ARGS = st.none() | st.just({}) | st.dictionaries(_TEXT, _JSON, max_size=4)
+_RECORD = st.one_of(
+    st.builds(SpanRecord, _DOMAIN, _TRACK, _TEXT, _TEXT, _TIME, _TIME, _ARGS),
+    st.builds(InstantRecord, _DOMAIN, _TRACK, _TEXT, _TEXT, _TIME, _ARGS),
+    st.builds(FlowRecord, _DOMAIN, _TEXT, _TEXT, _TRACK, _TIME, _TRACK, _TIME, _ARGS),
+)
+
+
+class TestTemplatesMatchTheEncoder:
+    @settings(deadline=None, max_examples=200)
+    @given(records=st.lists(_RECORD, max_size=12), label=_TEXT)
+    def test_written_text_equals_the_event_dict_oracle(self, records, label):
+        collector = TraceCollector()
+        collector.records.extend(records)
+        collector.metadata.update({"seed": 3, "label": label})
+        buffer = io.StringIO()
+        count = write_chrome_trace(collector, buffer)
+        expected = oracle_text(collector)
+        assert buffer.getvalue() == expected
+        assert count == expected.count("\n") - 2
+
+
+def _stepped(k: int, ulps: int) -> float:
+    """``ulps`` doubles away from (k + 0.5) / 1000: where ``x * 1000``
+    itself rounds onto or across a half-integer."""
+    value = (k + 0.5) / 1000
+    for _ in range(abs(ulps)):
+        value = math.nextafter(value, math.copysign(math.inf, ulps))
+    return value
+
+
+_ROUNDABLE = (
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.floats(-1e13, 1e13)
+    | st.builds(_stepped, st.integers(-10**16, 10**16), st.integers(-4, 4))
+    | st.builds(_stepped, st.integers(-10**6, 10**6), st.integers(-4, 4))
+    | st.sampled_from([0.0, -0.0])
+)
+
+
+class TestColumnRounding:
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(_ROUNDABLE, max_size=40))
+    @example([0.0625, -0.0625, 2.675, 1.0005, -0.0004, -0.0, 4503599627370.4965,
+              1e13 + 0.5, 1e13 - 0.0005])
+    def test_equals_round_to_three_places_bit_for_bit(self, values):
+        rounded = TraceFrame.round_column(np.array(values, dtype=float))
+        assert [value.hex() for value in rounded] == [
+            round(value, 3).hex() for value in values
+        ]
